@@ -25,16 +25,13 @@ from .classfuncs import (
     gamma,
     inner,
     pi_character,
-    pointwise,
     power,
     psi_character,
-    row_sums,
 )
 from .cyclo import (
     Cyclotomic,
     Rational,
     as_rational_integer,
-    conjugate,
     cyclotomic_polynomial,
     root_power,
 )
@@ -69,7 +66,7 @@ from .groups import (
     GroupSpec,
     Permutation,
     catalog_group,
-    class_mult_coefficients,
+    class_matrix,
     conjugacy_data,
     count_commutator_solutions,
     enumerate_group,

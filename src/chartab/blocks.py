@@ -134,9 +134,8 @@ def strunkov_analog_gamma(
     """Multiplicity of psi in pi^3 times the sum of the block characters.
 
     This equals the sum over chi1, chi2, chi3 and phi in the block of
-    [psi, |chi1 chi2|^2 |chi3|^2 phi]; groups with at most two classes are
-    also evaluated by that literal quadruple sum as a cross-check of the
-    pointwise factorization.
+    [psi, |chi1 chi2|^2 |chi3|^2 phi], because the inner sums over chi1, chi2
+    and chi3 factor pointwise into pi^3.
     """
     if block is None:
         block = principal_block_members(table, cd, p).members
@@ -145,28 +144,7 @@ def strunkov_analog_gamma(
     data = table.class_data
     target = power(pi_character(data), 3) * _block_character_sum(table, block)
     psi_cf = ClassFunction(psi.values, data)
-    result = as_rational_integer(inner(psi_cf, target))
-    if table.k <= 2:
-        naive = 0
-        conj_rows = [
-            ClassFunction(tuple(v.conjugate() for v in row.values), data)
-            for row in table.rows
-        ]
-        plain_rows = [from_character(table, r) for r in range(table.k)]
-        for c1, chi1 in enumerate(plain_rows):
-            for c2, chi2 in enumerate(plain_rows):
-                prod = chi1 * chi2
-                sq12 = prod * (conj_rows[c1] * conj_rows[c2])
-                for c3, chi3 in enumerate(plain_rows):
-                    sq3 = chi3 * conj_rows[c3]
-                    for r in block:
-                        term = inner(psi_cf, sq12 * sq3 * plain_rows[r])
-                        naive += as_rational_integer(term)
-        if naive != result:
-            raise TableIntegrityError(
-                "factorized and literal block sums disagree (internal bug)"
-            )
-    return result
+    return as_rational_integer(inner(psi_cf, target))
 
 
 @dataclass(frozen=True)

@@ -301,10 +301,6 @@ def root_power(e: int, j: int) -> Cyclotomic:
     return Cyclotomic(e, [Fraction(c) for c in _eps_power_table(e)[j % e]])
 
 
-def conjugate(z: Cyclotomic) -> Cyclotomic:
-    return z.conjugate()
-
-
 def as_rational_integer(z: Cyclotomic) -> int:
     """The value as a plain integer; raises if it is not a rational integer."""
     if not z.is_rational_integer():

@@ -316,21 +316,12 @@ def real_classes(cd: ConjugacyData) -> list[int]:
     return [i for i, flag in enumerate(cd.real_flags) if flag]
 
 
-def class_mult_coefficients(cd: ConjugacyData, i: int, j: int) -> tuple[int, ...]:
-    """Counts a_l = #{(x, y) in K_i x K_j with x*y = rep(l)}, one per class l."""
-    group = cd.group
-    out = [0] * cd.k
-    for l, rep in enumerate(cd.representatives):
-        g_l = group.elements[rep]
-        for x_idx in cd.members[i]:
-            y = group.elements[x_idx].inverse() * g_l
-            if cd.class_of[group.index[y]] == j:
-                out[l] += 1
-    return tuple(out)
-
-
 def class_matrix(cd: ConjugacyData, i: int) -> list[list[int]]:
-    """Multiplication-by-class-sum matrix: rows j, columns l of the counts above."""
+    """Multiplication-by-class-sum matrix of class i.
+
+    Entry [j][l] counts the pairs (x, y) in K_i x K_j with x*y = rep(l), so
+    row j holds the structure constants of K_i K_j, one per class l.
+    """
     group = cd.group
     rows = [[0] * cd.k for _ in range(cd.k)]
     for l, rep in enumerate(cd.representatives):

@@ -42,7 +42,7 @@ class Character:
         return cls(values=values, degree=as_rational_integer(values[0]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CharacterTable:
     """Irreducible character table plus the class-level metadata it refers to."""
 
@@ -79,20 +79,6 @@ class CharacterTable:
             exponent=self.exponent,
             sizes=self.class_sizes,
             inverse_class=self.inverse_class,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, CharacterTable):
-            return NotImplemented
-        return (
-            self.group_name == other.group_name
-            and self.order == other.order
-            and self.exponent == other.exponent
-            and self.class_sizes == other.class_sizes
-            and self.rep_orders == other.rep_orders
-            and self.inverse_class == other.inverse_class
-            and self.power_map == other.power_map
-            and self.rows == other.rows
         )
 
     def __repr__(self):

@@ -23,10 +23,8 @@ from .classfuncs import (
     from_character,
     gamma,
     pi_character,
-    pointwise,
     power,
     psi_character,
-    row_sums,
 )
 from .cyclo import Cyclotomic, as_rational_integer
 from .duality import (
@@ -38,16 +36,17 @@ from .duality import (
     recover_real_class_sizes,
 )
 from .groups import (
+    _COMMUTATOR_CAPS,
     ConjugacyData,
     Group,
-    class_mult_coefficients,
+    class_matrix,
     conjugacy_data,
     count_commutator_solutions,
     enumerate_group,
     load_catalog,
 )
 from .reduction import ReductionMap, build_reduction, candidate_roots
-from .tables import CharacterTable, compute_table, dixon_prime, verify_orthogonality
+from .tables import CharacterTable, compute_table, dixon_prime
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,8 @@ def _check_class_structure(group: Group, cd: ConjugacyData, table: CharacterTabl
             return f"size * centralizer mismatch at class {i}"
         if cd.power_class(i, 1) != i or cd.power_class(i, group.exponent) != 0:
             return f"power map inconsistent at class {i}"
-        if cd.real_flags[i] != (cd.inverse_class[i] == i):
-            return f"real flag inconsistent at class {i}"
     for i in range(cd.k):
-        for j in range(cd.k):
-            coeffs = class_mult_coefficients(cd, i, j)
+        for j, coeffs in enumerate(class_matrix(cd, i)):
             lhs = sum(a * s for a, s in zip(coeffs, cd.sizes))
             if lhs != cd.sizes[i] * cd.sizes[j]:
                 return f"class multiplication counting identity fails at ({i}, {j})"
@@ -95,16 +91,8 @@ def _check_determinism(group: Group, cd: ConjugacyData, table: CharacterTable) -
 
 
 def _check_table(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
-    violations = verify_orthogonality(table)
-    if violations:
-        return f"orthogonality violations: {violations[:2]}"
-    if sum(d * d for d in table.degrees) != group.order:
-        return "sum of squared degrees is off"
-    if not all(v == 1 for v in table.rows[0].values):
-        return "row 0 is not trivial"
-    for row in table.rows:
-        if not all(v.is_integral() for v in row.values):
-            return "non-integral character value"
+    # compute_table has already validated the table; what is left to check is
+    # that a different Dixon prime gives the same table
     q1 = dixon_prime(group.exponent, group.order)
     q2 = dixon_prime(group.exponent, group.order, above=q1)
     if compute_table(group, cd, prime=q2) != table:
@@ -127,14 +115,10 @@ def _check_identities(group: Group, cd: ConjugacyData, table: CharacterTable) ->
     psi = psi_character(table)  # raises on a case-split failure
     for n in range(0, 4):
         for m in range(1, 4):
-            if pointwise(power(pi, n), power(psi, m)) != power(psi, n + m):
+            if power(pi, n) * power(psi, m) != power(psi, n + m):
                 return f"pi^{n} psi^{m} != psi^{n + m}"
     for i, row in enumerate(table.rows):
-        full, real = row_sums(row, cd)  # re-checks the inner products internally
-        for n in range(1, 4):
-            gamma(n, row, cd)  # dual-path equality is asserted inside
-            delta(n, row, cd)
-        for n in range(4, 6):
+        for n in range(1, 6):
             if gamma(n, row, cd) < 0 or delta(n, row, cd) < 0:
                 return f"negative multiplicity for row {i} at n={n}"
     for n in range(1, 4):
@@ -198,8 +182,7 @@ def _check_congruences(group: Group, cd: ConjugacyData, table: CharacterTable) -
 
 
 def _check_commutator_oracle(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
-    for n in (1, 2):
-        cap = 24 if n == 1 else 12
+    for n, cap in _COMMUTATOR_CAPS.items():
         if group.order > cap:
             continue
         for c, rep in enumerate(cd.representatives):

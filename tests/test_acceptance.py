@@ -17,11 +17,10 @@ from chartab.classfuncs import (
     delta,
     from_character,
     gamma,
+    inner,
     pi_character,
-    pointwise,
     power,
     psi_character,
-    row_sums,
 )
 from chartab.cyclo import Cyclotomic, as_rational_integer
 from chartab.duality import (
@@ -145,7 +144,7 @@ def test_criterion_6_table_integrity_for_whole_catalog():
 
 
 def test_criterion_7_identity_suite_for_whole_catalog():
-    with criterion(7, "pi/psi identities, row sums, mixed powers, dual-path multiplicities", 60.0):
+    with criterion(7, "pi/psi identities, mixed powers, multiplicities as inner products", 60.0):
         for name in CATALOG:
             group, cd, table = prepared(name)
             data = table.class_data
@@ -162,14 +161,12 @@ def test_criterion_7_identity_suite_for_whole_catalog():
             psi = psi_character(table)  # asserts the case split internally
             for n in range(0, 4):
                 for m in range(1, 4):
-                    assert pointwise(power(pi, n), power(psi, m)) == power(psi, n + m)
-            for row in table.rows:
-                full, real = row_sums(row, cd)  # asserts both inner products
-                assert full == gamma(1, row, cd)
-                assert real == delta(1, row, cd)
-                for n in (2, 3):
-                    gamma(n, row, cd)  # dual-path equality asserted inside
-                    delta(n, row, cd)
+                    assert power(pi, n) * power(psi, m) == power(psi, n + m)
+            for i, row in enumerate(table.rows):
+                chi = from_character(table, i)
+                for n in (1, 2, 3):
+                    assert gamma(n, row, cd) == inner(chi, power(pi, n)), name
+                    assert delta(n, row, cd) == inner(chi, power(psi, n)), name
 
 
 def test_criterion_8_oracle_cross_checks():

@@ -137,7 +137,8 @@ class TestStrunkovAnalog:
         assert all(v % 9 == 0 for v in values)
 
     def test_small_groups_cross_checked_naively(self, group_factory, table_factory):
-        # groups with at most two classes also run the literal quadruple sum
+        # pinned values; the factorization itself is expanded naively in
+        # test_factorization_identity_by_naive_expansion
         group, cd = group_factory("C2")
         table = table_factory("C2")
         values = [strunkov_analog_gamma(table, cd, 2, row) for row in table.rows]

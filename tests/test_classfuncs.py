@@ -8,13 +8,11 @@ from chartab.classfuncs import (
     gamma,
     inner,
     pi_character,
-    pointwise,
     power,
     psi_character,
-    row_sums,
 )
-from chartab.cyclo import Cyclotomic, as_rational_integer
-from chartab.errors import ClassDataMismatchError, TableIntegrityError
+from chartab.cyclo import Cyclotomic, as_rational_integer, root_power
+from chartab.errors import ClassDataMismatchError, NonIntegralValueError, TableIntegrityError
 from chartab.tables import CharacterTable
 
 from conftest import ALL_GROUPS
@@ -101,13 +99,13 @@ class TestPointwiseAlgebra:
         psi = psi_character(table_factory(name))
         for n in range(0, 4):
             for m in range(1, 4):
-                assert pointwise(power(pi, n), power(psi, m)) == power(psi, n + m)
+                assert power(pi, n) * power(psi, m) == power(psi, n + m)
 
     def test_mismatched_data_rejected(self, group_factory):
         _, cd_s3 = group_factory("S3")
         _, cd_c3 = group_factory("C3")
         with pytest.raises(ClassDataMismatchError):
-            pointwise(pi_character(cd_s3), pi_character(cd_c3))
+            pi_character(cd_s3) * pi_character(cd_c3)
 
     def test_negative_power_rejected(self, group_factory):
         _, cd = group_factory("S3")
@@ -213,29 +211,50 @@ class TestGammaDelta:
                 acc = acc + gamma(n, row, cd) * from_character(table, i)
             assert acc == power(pi, n)
 
+    def test_negative_multiplicity_rejected(self, group_factory):
+        _, cd = group_factory("S3")
+        with pytest.raises(TableIntegrityError):
+            gamma(1, -1 * all_ones(cd), cd)
+
+    def test_irrational_multiplicity_rejected(self, group_factory):
+        # the identity is the only real class of C3, so delta sees E(3) too
+        _, cd = group_factory("C3")
+        one = Cyclotomic.one(3)
+        phi = ClassFunction((root_power(3, 1), one, one), cd.class_data)
+        with pytest.raises(NonIntegralValueError):
+            gamma(1, phi, cd)
+        with pytest.raises(NonIntegralValueError):
+            delta(1, phi, cd)
+
 
 class TestRowSums:
+    # the row sums over all classes and over the real classes are gamma(1, .)
+    # and delta(1, .)
     def test_s3_trivial(self, group_factory, table_factory):
         _, cd = group_factory("S3")
         table = table_factory("S3")
-        assert row_sums(table.rows[0], cd) == (3, 3)
+        assert (gamma(1, table.rows[0], cd), delta(1, table.rows[0], cd)) == (3, 3)
 
     def test_s3_degree_two(self, group_factory, table_factory):
         _, cd = group_factory("S3")
         table = table_factory("S3")
-        assert row_sums(table.rows[2], cd) == (1, 1)
+        assert (gamma(1, table.rows[2], cd), delta(1, table.rows[2], cd)) == (1, 1)
 
     def test_c3_nontrivial(self, group_factory, table_factory):
         _, cd = group_factory("C3")
         table = table_factory("C3")
-        assert row_sums(table.rows[1], cd) == (0, 1)
-        assert row_sums(table.rows[2], cd) == (0, 1)
+        for row in table.rows[1:]:
+            assert (gamma(1, row, cd), delta(1, row, cd)) == (0, 1)
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_row_sums_equal_multiplicities(self, group_factory, table_factory, name):
+        # the weighted row sums equal the inner products [chi, pi^n], [chi, psi^n]
         _, cd = group_factory(name)
         table = table_factory(name)
-        for row in table.rows:
-            full, real = row_sums(row, cd)
-            assert full == gamma(1, row, cd)
-            assert real == delta(1, row, cd)
+        pi = pi_character(cd)
+        psi = psi_character(table)
+        for i, row in enumerate(table.rows):
+            chi = from_character(table, i)
+            for n in range(1, 5):
+                assert gamma(n, row, cd) == inner(chi, power(pi, n))
+                assert delta(n, row, cd) == inner(chi, power(psi, n))

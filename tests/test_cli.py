@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from chartab.cli import main
 
@@ -189,6 +192,24 @@ class TestVerify:
         assert code == 0
         assert "PASS C2" in out
         assert "all checks passed" in out
+
+
+# sha256 prefixes of the stdout of these commands; the last one is the only
+# command that evaluates strunkov_analog_gamma on a group with two classes
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("table --group S5", "55c5fe8ee4be9bad"),
+        ("verify --group S4", "65fdde4bf3666f7a"),
+        ("gamma --group S5 -n 4", "3b326d6bec11ca1e"),
+        ("recover --group C4 --real", "cbc929ec570e75d0"),
+        ("counterexample --group C2 -p 2", "301f7d2ebf1a8e92"),
+    ],
+)
+def test_output_bytes_pinned(capsys, argv, digest):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_module_entry_point():
