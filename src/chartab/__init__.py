@@ -21,7 +21,6 @@ from .classfuncs import (
     ClassFunction,
     all_ones,
     delta,
-    from_character,
     gamma,
     inner,
     pi_character,
@@ -76,7 +75,6 @@ from .groups import (
 )
 from .reduction import ReductionMap, build_reduction, candidate_roots, reduce_mod_M
 from .tables import (
-    Character,
     CharacterTable,
     compute_table,
     dixon_prime,

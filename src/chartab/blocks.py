@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, p_part
-from .classfuncs import ClassFunction, from_character, inner, pi_character, power
+from .classfuncs import ClassFunction, inner, pi_character, power
 from .cyclo import Cyclotomic, as_rational_integer
 from .errors import NonIntegralValueError, TableIntegrityError
-from .groups import ConjugacyData
 from .reduction import ReductionMap, build_reduction, reduce_mod_M
-from .tables import Character, CharacterTable
+from .tables import CharacterTable
 
 
 def is_p_element(
@@ -41,7 +40,7 @@ def is_p_element(
         not reduce_mod_M(row.values[class_index] - row.degree, rmap)
         for row in table.rows
     )
-    order = table.rep_orders[class_index]
+    order = table.data.rep_orders[class_index]
     while order % p == 0:
         order //= p
     direct = order == 1
@@ -52,9 +51,9 @@ def is_p_element(
     return congruent
 
 
-def central_character(chi: Character, class_index: int, cd: ConjugacyData) -> Cyclotomic:
+def central_character(chi: ClassFunction, class_index: int) -> Cyclotomic:
     """|K| chi(g_K) / chi(1), checked to be an algebraic integer."""
-    value = chi.values[class_index] * Fraction(cd.sizes[class_index], chi.degree)
+    value = chi.values[class_index] * Fraction(chi.data.sizes[class_index], chi.degree)
     if not value.is_integral():
         raise NonIntegralValueError(
             f"central character at class {class_index} is not an algebraic integer"
@@ -66,7 +65,6 @@ def central_character(chi: Character, class_index: int, cd: ConjugacyData) -> Cy
 class BlockReport:
     """Principal-block membership verdicts for every irreducible character."""
 
-    group: str
     p: int
     members: tuple[int, ...]          # row indices in the principal block
     member_flags: tuple[bool, ...]
@@ -74,7 +72,6 @@ class BlockReport:
 
     def as_dict(self) -> dict:
         return {
-            "group": self.group,
             "p": self.p,
             "members": list(self.members),
             "member_flags": list(self.member_flags),
@@ -84,21 +81,21 @@ class BlockReport:
 
 def principal_block_members(
     table: CharacterTable,
-    cd: ConjugacyData,
     p: int,
     rmap: ReductionMap | None = None,
 ) -> BlockReport:
     """Characters whose central character is congruent to the class sizes mod M."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    sizes = table.data.sizes
     if rmap is None:
-        rmap = build_reduction(table.exponent, p)
+        rmap = build_reduction(table.data.exponent, p)
     flags = []
     failures = []
     for r, row in enumerate(table.rows):
         member = True
-        for i in range(table.k):
-            diff = central_character(row, i, cd) - cd.sizes[i]
+        for i, size in enumerate(sizes):
+            diff = central_character(row, i) - size
             if reduce_mod_M(diff, rmap):
                 member = False
                 failures.append((r, i))
@@ -106,7 +103,6 @@ def principal_block_members(
     if not flags[0]:
         raise TableIntegrityError("the trivial character left the principal block")
     return BlockReport(
-        group=cd.group.name,
         p=p,
         members=tuple(r for r, m in enumerate(flags) if m),
         member_flags=tuple(flags),
@@ -114,21 +110,10 @@ def principal_block_members(
     )
 
 
-def _block_character_sum(table: CharacterTable, block: tuple[int, ...]) -> ClassFunction:
-    total = ClassFunction(
-        tuple(Cyclotomic.zero(table.exponent) for _ in range(table.k)),
-        table.class_data,
-    )
-    for r in block:
-        total = total + from_character(table, r)
-    return total
-
-
 def strunkov_analog_gamma(
     table: CharacterTable,
-    cd: ConjugacyData,
     p: int,
-    psi: Character,
+    psi: ClassFunction,
     block: tuple[int, ...] | None = None,
 ) -> int:
     """Multiplicity of psi in pi^3 times the sum of the block characters.
@@ -138,13 +123,12 @@ def strunkov_analog_gamma(
     and chi3 factor pointwise into pi^3.
     """
     if block is None:
-        block = principal_block_members(table, cd, p).members
+        block = principal_block_members(table, p).members
     if not block:
         raise ValueError("the character block must not be empty")
-    data = table.class_data
-    target = power(pi_character(data), 3) * _block_character_sum(table, block)
-    psi_cf = ClassFunction(psi.values, data)
-    return as_rational_integer(inner(psi_cf, target))
+    block_sum = sum((table.rows[r] for r in block[1:]), table.rows[block[0]])
+    target = power(pi_character(table.data), 3) * block_sum
+    return as_rational_integer(inner(psi, target))
 
 
 @dataclass(frozen=True)
@@ -155,7 +139,6 @@ class AltNormalizerReport:
     for each irreducible psi and asserts nothing about them.
     """
 
-    group: str
     p: int
     block: tuple[int, ...]
     gamma_values: tuple[int, ...]
@@ -168,7 +151,6 @@ class AltNormalizerReport:
 
     def as_dict(self) -> dict:
         return {
-            "group": self.group,
             "p": self.p,
             "block": list(self.block),
             "gamma_values": list(self.gamma_values),
@@ -185,23 +167,16 @@ class AltNormalizerReport:
         }
 
 
-def alt_normalizer_report(
-    table: CharacterTable,
-    cd: ConjugacyData,
-    p: int,
-) -> AltNormalizerReport:
+def alt_normalizer_report(table: CharacterTable, p: int) -> AltNormalizerReport:
     """gamma(psi) for every irreducible psi, against three candidate normalizers."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    block = principal_block_members(table, cd, p).members
-    values = tuple(
-        strunkov_analog_gamma(table, cd, p, row, block=block) for row in table.rows
-    )
-    bound = p * p_part(cd.group.order, p)
+    block = principal_block_members(table, p).members
+    values = tuple(strunkov_analog_gamma(table, p, row, block=block) for row in table.rows)
+    bound = p * p_part(table.data.order, p)
     degree_sum = sum(table.rows[r].degree ** 2 for r in block)
     degree_sum_p = p_part(degree_sum, p)
     return AltNormalizerReport(
-        group=cd.group.name,
         p=p,
         block=block,
         gamma_values=values,

@@ -14,16 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .cyclo import Cyclotomic, as_rational_integer
 from .errors import ClassDataMismatchError, TableIntegrityError
-from .groups import ClassData, ConjugacyData
-from .tables import Character, CharacterTable
+from .groups import ClassData
+
+if TYPE_CHECKING:
+    from .tables import CharacterTable
 
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """One cyclotomic value per conjugacy class."""
+    """One cyclotomic value per conjugacy class; a table row is one of these."""
 
     values: tuple[Cyclotomic, ...]
     data: ClassData
@@ -31,6 +35,11 @@ class ClassFunction:
     def __post_init__(self):
         if len(self.values) != self.data.k:
             raise ValueError(f"expected {self.data.k} values, got {len(self.values)}")
+
+    @cached_property
+    def degree(self) -> int:
+        """The value at the identity class, as a rational integer."""
+        return as_rational_integer(self.values[0])
 
     def _check(self, other: "ClassFunction") -> None:
         if self.data != other.data:
@@ -57,24 +66,12 @@ class ClassFunction:
         )
 
 
-def _class_data_of(source) -> ClassData:
-    if isinstance(source, ClassData):
-        return source
-    return source.class_data
-
-
-def all_ones(source) -> ClassFunction:
-    data = _class_data_of(source)
+def all_ones(data: ClassData) -> ClassFunction:
     return ClassFunction(tuple(Cyclotomic.one(data.exponent) for _ in range(data.k)), data)
 
 
-def from_character(table: CharacterTable, row: int) -> ClassFunction:
-    return ClassFunction(table.rows[row].values, table.class_data)
-
-
-def pi_character(cd: ConjugacyData | ClassData) -> ClassFunction:
+def pi_character(data: ClassData) -> ClassFunction:
     """The conjugation character: centralizer order on each class."""
-    data = _class_data_of(cd)
     return ClassFunction(
         tuple(Cyclotomic.from_rational(data.exponent, c) for c in data.centralizer_orders),
         data,
@@ -94,13 +91,12 @@ def _psi_reference(data: ClassData) -> ClassFunction:
 
 def psi_character(table: CharacterTable) -> ClassFunction:
     """Sum of the squared irreducible characters, verified against its case split."""
-    data = table.class_data
+    data = table.data
     total = ClassFunction(
         tuple(Cyclotomic.zero(data.exponent) for _ in range(data.k)), data
     )
     for row in table.rows:
-        sq = ClassFunction(tuple(v * v for v in row.values), data)
-        total = total + sq
+        total = total + row * row
     if total != _psi_reference(data):
         raise TableIntegrityError(
             "sum of squared characters is not centralizer-on-real-classes"
@@ -128,17 +124,10 @@ def inner(phi: ClassFunction, theta: ClassFunction) -> Cyclotomic:
     return total * Fraction(1, data.order)
 
 
-def _values_of(phi) -> tuple[Cyclotomic, ...]:
-    if isinstance(phi, (Character, ClassFunction)):
-        return phi.values
-    raise TypeError(f"expected a Character or ClassFunction, got {type(phi)!r}")
-
-
-def _multiplicity(phi, cd, n: int, real_only: bool) -> int:
-    data = _class_data_of(cd)
-    values = _values_of(phi)
+def _multiplicity(phi: ClassFunction, n: int, real_only: bool) -> int:
+    data = phi.data
     total = Cyclotomic.zero(data.exponent)
-    for c, real, v in zip(data.centralizer_orders, data.real_flags, values, strict=True):
+    for c, real, v in zip(data.centralizer_orders, data.real_flags, phi.values):
         if real or not real_only:
             total = total + c ** (n - 1) * v
     result = as_rational_integer(total)
@@ -147,15 +136,15 @@ def _multiplicity(phi, cd, n: int, real_only: bool) -> int:
     return result
 
 
-def gamma(n: int, phi, cd: ConjugacyData | ClassData) -> int:
+def gamma(n: int, phi: ClassFunction) -> int:
     """Multiplicity of phi in the n-th power of the conjugation character."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return _multiplicity(phi, cd, n, real_only=False)
+    return _multiplicity(phi, n, real_only=False)
 
 
-def delta(n: int, phi, cd: ConjugacyData | ClassData) -> int:
+def delta(n: int, phi: ClassFunction) -> int:
     """Multiplicity of phi in the n-th power of the squared-character sum."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return _multiplicity(phi, cd, n, real_only=True)
+    return _multiplicity(phi, n, real_only=True)

@@ -84,14 +84,7 @@ def _resolve_table(args, group, cd):
     if path is None:
         return compute_table(group, cd)
     table = load_table(path)
-    if (
-        table.order != group.order
-        or table.exponent != group.exponent
-        or table.class_sizes != cd.sizes
-        or table.rep_orders != cd.rep_orders
-        or table.inverse_class != cd.inverse_class
-        or table.power_map != cd.power_map
-    ):
+    if table.data != cd.data:
         raise FormatError(
             f"table file {path!r} does not match the class data of group {group.name!r}"
         )
@@ -154,17 +147,18 @@ def _flat(value) -> str:
 
 def _cmd_classes(args):
     group, cd = _resolve_group(args)
+    data = cd.data
     results = {
         "class_count": cd.k,
-        "sizes": list(cd.sizes),
-        "centralizer_orders": list(cd.centralizer_orders),
+        "sizes": list(data.sizes),
+        "centralizer_orders": list(data.centralizer_orders),
         "representatives": [
             group.elements[r].cycle_string() for r in cd.representatives
         ],
-        "representative_orders": list(cd.rep_orders),
-        "inverse_class": list(cd.inverse_class),
-        "real_flags": list(cd.real_flags),
-        "exponent": group.exponent,
+        "representative_orders": list(data.rep_orders),
+        "inverse_class": list(data.inverse_class),
+        "real_flags": list(data.real_flags),
+        "exponent": data.exponent,
     }
     report = _report("classes", group, None, {}, results)
     _emit(report, args.human)
@@ -180,8 +174,8 @@ def _cmd_table(args):
     results["degrees"] = list(table.degrees)
     if args.human:
         print(f"group: {group.name}  order: {group.order}  source: {table.provenance}")
-        print(f"class sizes:  {' '.join(str(s) for s in table.class_sizes)}")
-        print(f"rep orders:   {' '.join(str(o) for o in table.rep_orders)}")
+        print(f"class sizes:  {' '.join(str(s) for s in table.data.sizes)}")
+        print(f"rep orders:   {' '.join(str(o) for o in table.data.rep_orders)}")
         width = max(
             len(str(v)) for row in table.rows for v in row.values
         )
@@ -204,8 +198,8 @@ def _cmd_gamma(args):
     table = _resolve_table(args, group, cd)
     if args.n < 1:
         raise ValueError(f"n must be at least 1, got {args.n}")
-    gammas = [gamma(args.n, row, cd) for row in table.rows]
-    deltas = [delta(args.n, row, cd) for row in table.rows]
+    gammas = [gamma(args.n, row) for row in table.rows]
+    deltas = [delta(args.n, row) for row in table.rows]
     results = {
         "n": args.n,
         "degrees": list(table.degrees),
@@ -222,16 +216,17 @@ def _cmd_recover(args):
     table = _resolve_table(args, group, cd)
     d = len(divisors(group.order))
     length = d + args.extra_terms
+    data = cd.data
     if args.real:
-        seq = delta_sequence(table, cd, length)
+        seq = delta_sequence(table, length)
         spectrum = recover_real_class_sizes(seq, group.order)
         actual = SizeSpectrum.from_sizes(
-            group.order, [s for s, r in zip(cd.sizes, cd.real_flags) if r]
+            group.order, [s for s, r in zip(data.sizes, data.real_flags) if r]
         )
     else:
-        seq = gamma_sequence(table, cd, length)
+        seq = gamma_sequence(table, length)
         spectrum = recover_class_sizes(seq, group.order)
-        actual = SizeSpectrum.from_sizes(group.order, cd.sizes)
+        actual = SizeSpectrum.from_sizes(group.order, data.sizes)
     results = {
         "real": args.real,
         "sequence": seq,
@@ -253,13 +248,12 @@ def _cmd_defect(args):
     group, cd = _resolve_group(args)
     _require_prime(args.p)
     table = _resolve_table(args, group, cd)
-    rep = defect_zero_by_characters(table, cd, args.p, args.n, args.real)
-    data = rep.as_dict()
+    results = defect_zero_by_characters(table, args.p, args.n, args.real).as_dict()
+    verdicts = results.pop("verdicts")
     report = _report(
         "defect", group, table.provenance,
         {"p": args.p, "n": args.n, "real": args.real},
-        {k: v for k, v in data.items() if k != "verdicts"},
-        data["verdicts"],
+        {"group": group.name, **results}, verdicts,
     )
     _emit(report, args.human)
     return EXIT_OK
@@ -271,7 +265,7 @@ def _cmd_pelements(args):
     table = _resolve_table(args, group, cd)
     rmap = build_reduction(group.exponent, args.p)
     congruence = [is_p_element(i, args.p, table, rmap) for i in range(cd.k)]
-    direct = [_is_p_power(cd.rep_orders[i], args.p) for i in range(cd.k)]
+    direct = [_is_p_power(order, args.p) for order in cd.data.rep_orders]
     results = {
         "p": args.p,
         "residue_field": {"p": rmap.p, "degree": rmap.f, "order_of_root": rmap.m},
@@ -297,12 +291,11 @@ def _cmd_blocks(args):
     group, cd = _resolve_group(args)
     _require_prime(args.p)
     table = _resolve_table(args, group, cd)
-    rep = principal_block_members(table, cd, args.p)
-    results = rep.as_dict()
-    results["degrees"] = list(table.degrees)
+    rep = principal_block_members(table, args.p)
+    results = {"group": group.name, **rep.as_dict(), "degrees": list(table.degrees)}
     report = _report(
         "blocks", group, table.provenance, {"p": args.p}, results,
-        {"all_characters_in_block": len(rep.members) == table.k},
+        {"all_characters_in_block": len(rep.members) == table.data.k},
     )
     _emit(report, args.human)
     return EXIT_OK
@@ -313,16 +306,15 @@ def _cmd_counterexample(args):
     _require_prime(args.p)
     table = _resolve_table(args, group, cd)
     if args.alt_normalizer:
-        rpt = alt_normalizer_report(table, cd, args.p)
-        results = rpt.as_dict()
+        results = {"group": group.name, **alt_normalizer_report(table, args.p).as_dict()}
         report = _report(
             "counterexample", group, table.provenance,
             {"p": args.p, "alt_normalizer": True}, results,
         )
         _emit(report, args.human)
         return EXIT_OK
-    block = principal_block_members(table, cd, args.p).members
-    values = [strunkov_analog_gamma(table, cd, args.p, row, block=block) for row in table.rows]
+    block = principal_block_members(table, args.p).members
+    values = [strunkov_analog_gamma(table, args.p, row, block=block) for row in table.rows]
     bound = args.p * p_part(group.order, args.p)
     results = {
         "p": args.p,

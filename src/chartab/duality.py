@@ -18,7 +18,7 @@ from fractions import Fraction
 from .arith import divisors, is_prime, p_part
 from .classfuncs import delta, gamma
 from .errors import InconsistentSequenceError
-from .groups import ConjugacyData
+from .groups import ClassData
 from .tables import CharacterTable
 
 
@@ -134,23 +134,22 @@ def recover_real_class_sizes(delta_seq, order: int) -> SizeSpectrum:
     return _recover(delta_seq, order, full_cover=False)
 
 
-def gamma_sequence(table: CharacterTable, cd: ConjugacyData, length: int) -> list[int]:
+def gamma_sequence(table: CharacterTable, length: int) -> list[int]:
     """[gamma_1(1_G), ..., gamma_length(1_G)] computed from the table's class data."""
-    return [gamma(n, table.rows[0], cd) for n in range(1, length + 1)]
+    return [gamma(n, table.rows[0]) for n in range(1, length + 1)]
 
 
-def delta_sequence(table: CharacterTable, cd: ConjugacyData, length: int) -> list[int]:
-    return [delta(n, table.rows[0], cd) for n in range(1, length + 1)]
+def delta_sequence(table: CharacterTable, length: int) -> list[int]:
+    return [delta(n, table.rows[0]) for n in range(1, length + 1)]
 
 
-def defect_zero_direct(cd: ConjugacyData, p: int) -> list[int]:
+def defect_zero_direct(data: ClassData, p: int) -> list[int]:
     """Classes whose size carries the full p-part of the group order."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    order = cd.group.order
     return [
-        i for i, size in enumerate(cd.sizes)
-        if p_part(size, p) == p_part(order, p)
+        i for i, size in enumerate(data.sizes)
+        if p_part(size, p) == p_part(data.order, p)
     ]
 
 
@@ -158,7 +157,6 @@ def defect_zero_direct(cd: ConjugacyData, p: int) -> list[int]:
 class DefectReport:
     """Both sides of the defect-0 detection for one (p, n, real) choice."""
 
-    group: str
     p: int
     n: int
     real: bool
@@ -169,7 +167,6 @@ class DefectReport:
 
     def as_dict(self) -> dict:
         return {
-            "group": self.group,
             "p": self.p,
             "n": self.n,
             "real": self.real,
@@ -185,7 +182,6 @@ class DefectReport:
 
 def defect_zero_by_characters(
     table: CharacterTable,
-    cd: ConjugacyData,
     p: int,
     n: int,
     real: bool = False,
@@ -196,12 +192,11 @@ def defect_zero_by_characters(
     if n < 2:
         raise ValueError(f"the residue criterion needs n >= 2, got {n}")
     fn = delta if real else gamma
-    residues = tuple(fn(n, row, cd) % p for row in table.rows)
-    direct = defect_zero_direct(cd, p)
+    residues = tuple(fn(n, row) % p for row in table.rows)
+    direct = defect_zero_direct(table.data, p)
     if real:
-        direct = [i for i in direct if cd.real_flags[i]]
+        direct = [i for i in direct if table.data.real_flags[i]]
     return DefectReport(
-        group=cd.group.name,
         p=p,
         n=n,
         real=real,

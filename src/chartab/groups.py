@@ -222,19 +222,25 @@ class ClassData:
     order: int
     exponent: int
     sizes: tuple[int, ...]
+    rep_orders: tuple[int, ...]
     inverse_class: tuple[int, ...]
+    power_map: tuple[tuple[int, ...], ...]  # power_map[i][t]: class of rep(i)^t
 
     @property
     def k(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def centralizer_orders(self) -> tuple[int, ...]:
         return tuple(self.order // s for s in self.sizes)
 
-    @property
+    @cached_property
     def real_flags(self) -> tuple[bool, ...]:
         return tuple(self.inverse_class[i] == i for i in range(self.k))
+
+    def power_class(self, i: int, t: int) -> int:
+        """Class of rep(i)^t; t is taken mod the exponent."""
+        return self.power_map[i][t % self.exponent]
 
 
 class ConjugacyData:
@@ -244,7 +250,6 @@ class ConjugacyData:
         n = group.order
         class_of = [-1] * n
         members: list[tuple[int, ...]] = []
-        inverses = group.inverse_index
         for start in range(n):
             if class_of[start] >= 0:
                 continue
@@ -265,55 +270,38 @@ class ConjugacyData:
         self.class_of = tuple(class_of)
         self.members = tuple(members)
         self.representatives = tuple(m[0] for m in members)
-        self.sizes = tuple(len(m) for m in members)
-        self.centralizer_orders = tuple(group.order // s for s in self.sizes)
-        self.inverse_class = tuple(
-            self.class_of[inverses[rep]] for rep in self.representatives
-        )
-        self.real_flags = tuple(
-            self.inverse_class[i] == i for i in range(len(members))
-        )
-        self.rep_orders = tuple(group.element_orders[rep] for rep in self.representatives)
-        e = group.exponent
+        self.k = len(members)
         power_map = []
         for rep in self.representatives:
             x = group.elements[rep]
             cur = Permutation.identity(group.elements[0].degree)
             row = []
-            for _ in range(e):
+            for _ in range(group.exponent):
                 row.append(self.class_of[group.index[cur]])
                 cur = cur * x
             power_map.append(tuple(row))
-        self.power_map = tuple(power_map)
-
-    @property
-    def k(self) -> int:
-        return len(self.sizes)
-
-    @cached_property
-    def class_data(self) -> ClassData:
-        return ClassData(
-            order=self.group.order,
-            exponent=self.group.exponent,
-            sizes=self.sizes,
-            inverse_class=self.inverse_class,
+        self.data = ClassData(
+            order=group.order,
+            exponent=group.exponent,
+            sizes=tuple(len(m) for m in members),
+            rep_orders=tuple(group.element_orders[rep] for rep in self.representatives),
+            inverse_class=tuple(
+                self.class_of[group.inverse_index[rep]] for rep in self.representatives
+            ),
+            power_map=tuple(power_map),
         )
 
-    def power_class(self, i: int, t: int) -> int:
-        """Class of rep(i)^t; t is taken mod the group exponent."""
-        return self.power_map[i][t % self.group.exponent]
-
     def __repr__(self):
-        return f"ConjugacyData({self.group.name!r}, sizes={self.sizes})"
+        return f"ConjugacyData({self.group.name!r}, sizes={self.data.sizes})"
 
 
 def conjugacy_data(group: Group) -> ConjugacyData:
     return ConjugacyData(group)
 
 
-def real_classes(cd: ConjugacyData) -> list[int]:
+def real_classes(data: ClassData) -> list[int]:
     """Indices of classes equal to their inverse class."""
-    return [i for i, flag in enumerate(cd.real_flags) if flag]
+    return [i for i, flag in enumerate(data.real_flags) if flag]
 
 
 def class_matrix(cd: ConjugacyData, i: int) -> list[list[int]]:

@@ -21,69 +21,32 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .arith import is_prime, primitive_root
-from .cyclo import Cyclotomic, as_rational_integer, root_power
+from .classfuncs import ClassFunction
+from .cyclo import Cyclotomic, root_power
 from .errors import EigensplitError, FormatError, TableIntegrityError
 from .finite_field import PrimeFieldElement
 from .groups import ClassData, ConjugacyData, Group, class_matrix
 
 
 @dataclass(frozen=True)
-class Character:
-    """One irreducible character: a cyclotomic value per class."""
-
-    values: tuple[Cyclotomic, ...]
-    degree: int
-
-    @classmethod
-    def from_values(cls, values) -> "Character":
-        values = tuple(values)
-        return cls(values=values, degree=as_rational_integer(values[0]))
-
-
-@dataclass(frozen=True)
 class CharacterTable:
-    """Irreducible character table plus the class-level metadata it refers to."""
+    """Irreducible characters, one class function over `data` per row."""
 
     group_name: str
-    order: int
-    exponent: int
-    class_sizes: tuple[int, ...]
-    rep_orders: tuple[int, ...]
-    inverse_class: tuple[int, ...]
-    power_map: tuple[tuple[int, ...], ...]
-    rows: tuple[Character, ...]
+    data: ClassData
+    rows: tuple[ClassFunction, ...]
     provenance: str = field(default="", compare=False)
-
-    @property
-    def k(self) -> int:
-        return len(self.class_sizes)
 
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.degree for row in self.rows)
 
-    @property
-    def centralizer_orders(self) -> tuple[int, ...]:
-        return tuple(self.order // s for s in self.class_sizes)
-
-    @property
-    def real_flags(self) -> tuple[bool, ...]:
-        return tuple(self.inverse_class[i] == i for i in range(self.k))
-
-    @property
-    def class_data(self) -> ClassData:
-        return ClassData(
-            order=self.order,
-            exponent=self.exponent,
-            sizes=self.class_sizes,
-            inverse_class=self.inverse_class,
-        )
-
     def __repr__(self):
         return (
-            f"CharacterTable({self.group_name!r}, order={self.order}, "
+            f"CharacterTable({self.group_name!r}, order={self.data.order}, "
             f"degrees={self.degrees})"
         )
 
@@ -260,6 +223,7 @@ def compute_table(group: Group, cd: ConjugacyData, prime: int | None = None) -> 
     and each value is lifted to a cyclotomic integer through the counts of
     eigenvalue multiplicities m_t = (1/e) sum_s chi(g^s) z^(-t s) mod q.
     """
+    data = cd.data
     k = cd.k
     e = group.exponent
     q = dixon_prime(e, group.order) if prime is None else prime
@@ -271,8 +235,7 @@ def compute_table(group: Group, cd: ConjugacyData, prime: int | None = None) -> 
     if len(eigvecs) != k:
         raise EigensplitError(f"expected {k} eigenvectors, found {len(eigvecs)}")
 
-    sizes = cd.sizes
-    size_inv = [PrimeFieldElement(q, s).inverse() for s in sizes]
+    size_inv = [PrimeFieldElement(q, s).inverse() for s in data.sizes]
     order_el = PrimeFieldElement(q, group.order)
     zq = PrimeFieldElement(q, pow(primitive_root(q), (q - 1) // e, q))
     zq_inv_pows = [zq ** ((e - t) % e) for t in range(e)]
@@ -286,7 +249,7 @@ def compute_table(group: Group, cd: ConjugacyData, prime: int | None = None) -> 
         scale = vec[0].inverse()
         omega = [v * scale for v in vec]
         norm = sum(
-            (omega[i] * omega[cd.inverse_class[i]] * size_inv[i] for i in range(k)),
+            (omega[i] * omega[data.inverse_class[i]] * size_inv[i] for i in range(k)),
             PrimeFieldElement(q, 0),
         )
         degree_sq = order_el / norm
@@ -294,7 +257,7 @@ def compute_table(group: Group, cd: ConjugacyData, prime: int | None = None) -> 
         theta = [PrimeFieldElement(q, degree) * omega[i] * size_inv[i] for i in range(k)]
         values = []
         for j in range(k):
-            theta_pow = [theta[cd.power_map[j][s]] for s in range(e)]
+            theta_pow = [theta[data.power_map[j][s]] for s in range(e)]
             value = Cyclotomic.zero(e)
             for t in range(e):
                 m_t = e_inv * sum(
@@ -304,21 +267,15 @@ def compute_table(group: Group, cd: ConjugacyData, prime: int | None = None) -> 
                 if m_t:
                     value = value + m_t.value * eps_pows[t]
             values.append(value)
-        char = Character.from_values(values)
-        if char.degree != degree:
+        row = ClassFunction(tuple(values), data)
+        if row.degree != degree:
             raise TableIntegrityError("lifted degree disagrees with mod-q degree")
-        rows.append(char)
+        rows.append(row)
 
-    rows = _sort_rows(rows)
     table = CharacterTable(
         group_name=group.name,
-        order=group.order,
-        exponent=e,
-        class_sizes=sizes,
-        rep_orders=cd.rep_orders,
-        inverse_class=cd.inverse_class,
-        power_map=cd.power_map,
-        rows=tuple(rows),
+        data=data,
+        rows=tuple(_sort_rows(rows)),
         provenance=f"computed (dixon prime {q})",
     )
     validate_table(table)
@@ -348,12 +305,13 @@ def _sort_rows(rows):
 def verify_orthogonality(table: CharacterTable) -> list[dict]:
     """Exact row and column orthogonality; returns violations (empty on success)."""
     violations = []
-    k = table.k
-    order = table.order
-    sizes = table.class_sizes
+    data = table.data
+    k = data.k
+    order = data.order
+    sizes = data.sizes
     for a in range(k):
         for b in range(a, k):
-            total = Cyclotomic.zero(table.exponent)
+            total = Cyclotomic.zero(data.exponent)
             for i in range(k):
                 total = total + sizes[i] * (
                     table.rows[a].values[i] * table.rows[b].values[i].conjugate()
@@ -366,7 +324,7 @@ def verify_orthogonality(table: CharacterTable) -> list[dict]:
                 )
     for i in range(k):
         for j in range(i, k):
-            total = Cyclotomic.zero(table.exponent)
+            total = Cyclotomic.zero(data.exponent)
             for row in table.rows:
                 total = total + row.values[i] * row.values[j].conjugate()
             expected = order // sizes[i] if i == j else 0
@@ -379,51 +337,77 @@ def verify_orthogonality(table: CharacterTable) -> list[dict]:
 
 def validate_table(table: CharacterTable) -> None:
     """Raise TableIntegrityError unless every table invariant holds exactly."""
-    k = table.k
+    data = table.data
+    k = data.k
     if len(table.rows) != k:
         raise TableIntegrityError(f"{len(table.rows)} rows for {k} classes")
-    if sum(table.class_sizes) != table.order:
+    if sum(data.sizes) != data.order:
         raise TableIntegrityError("class sizes do not sum to the group order")
-    if any(table.order % s for s in table.class_sizes):
+    if any(data.order % s for s in data.sizes):
         raise TableIntegrityError("class sizes must divide the group order")
+    _validate_power_map(data)
     first = table.rows[0]
     if not all(v == 1 for v in first.values):
         raise TableIntegrityError("row 0 is not the trivial character")
     for idx, row in enumerate(table.rows):
-        if row.degree < 1 or table.order % row.degree:
+        if row.degree < 1 or data.order % row.degree:
             raise TableIntegrityError(
                 f"row {idx} has degree {row.degree}, not a positive divisor of the order"
             )
         for i, value in enumerate(row.values):
-            if value.e != table.exponent:
+            if value.e != data.exponent:
                 raise TableIntegrityError(f"row {idx} value {i} has the wrong order")
             if not value.is_integral():
                 raise TableIntegrityError(
                     f"row {idx} value {i} is not an algebraic integer"
                 )
-            if row.values[table.inverse_class[i]] != value.conjugate():
+            if row.values[data.inverse_class[i]] != value.conjugate():
                 raise TableIntegrityError(
                     f"row {idx}: value at the inverse of class {i} is not the conjugate"
                 )
-    if sum(d * d for d in table.degrees) != table.order:
+    if sum(d * d for d in table.degrees) != data.order:
         raise TableIntegrityError("sum of squared degrees differs from the group order")
     violations = verify_orthogonality(table)
     if violations:
         raise TableIntegrityError(f"orthogonality violated: {violations[:3]}")
 
 
+def _validate_power_map(data: ClassData) -> None:
+    """Row i of the power map runs identity, class i, ..., inverse class, and
+    first returns to the identity at rep_orders[i]; their lcm is the exponent.
+    """
+    for i in range(data.k):
+        if data.power_class(i, 0) != 0 or data.power_class(i, 1) != i:
+            raise TableIntegrityError(
+                f"power map of class {i} does not start with the identity and class {i}"
+            )
+        if data.power_class(i, -1) != data.inverse_class[i]:
+            raise TableIntegrityError(
+                f"power map of class {i} does not end at its inverse class"
+            )
+        first = next(t for t in range(1, data.exponent + 1) if data.power_class(i, t) == 0)
+        if data.rep_orders[i] != first:
+            raise TableIntegrityError(
+                f"class {i} has rep order {data.rep_orders[i]}, but its power map "
+                f"first reaches the identity at {first}"
+            )
+    if data.exponent != lcm(*data.rep_orders):
+        raise TableIntegrityError("the exponent is not the lcm of the rep orders")
+
+
 # -- file format ----------------------------------------------------------
 
 
 def table_to_dict(table: CharacterTable) -> dict:
+    data = table.data
     return {
         "group": table.group_name,
-        "order": table.order,
-        "exponent": table.exponent,
-        "class_sizes": list(table.class_sizes),
-        "rep_orders": list(table.rep_orders),
-        "inverse_class": list(table.inverse_class),
-        "power_map": [list(row) for row in table.power_map],
+        "order": data.order,
+        "exponent": data.exponent,
+        "class_sizes": list(data.sizes),
+        "rep_orders": list(data.rep_orders),
+        "inverse_class": list(data.inverse_class),
+        "power_map": [list(row) for row in data.power_map],
         "rows": [[v.to_dict() for v in row.values] for row in table.rows],
     }
 
@@ -470,22 +454,22 @@ def table_from_dict(data: dict, provenance: str = "dict") -> CharacterTable:
         len(row) != k for row in raw_rows
     ):
         raise FormatError(f"rows must be a {k} x {k} matrix of cyclotomic records")
+    class_data = ClassData(
+        order=order,
+        exponent=exponent,
+        sizes=tuple(sizes),
+        rep_orders=tuple(data["rep_orders"]),
+        inverse_class=tuple(data["inverse_class"]),
+        power_map=tuple(tuple(row) for row in pm),
+    )
     rows = tuple(
-        Character.from_values(
-            Cyclotomic.from_dict(rec, expect_e=exponent) for rec in row
+        ClassFunction(
+            tuple(Cyclotomic.from_dict(rec, expect_e=exponent) for rec in row), class_data
         )
         for row in raw_rows
     )
     table = CharacterTable(
-        group_name=data["group"],
-        order=order,
-        exponent=exponent,
-        class_sizes=tuple(sizes),
-        rep_orders=tuple(data["rep_orders"]),
-        inverse_class=tuple(data["inverse_class"]),
-        power_map=tuple(tuple(row) for row in pm),
-        rows=rows,
-        provenance=provenance,
+        group_name=data["group"], data=class_data, rows=rows, provenance=provenance
     )
     validate_table(table)
     return table

@@ -17,15 +17,7 @@ from .blocks import (
     principal_block_members,
     strunkov_analog_gamma,
 )
-from .classfuncs import (
-    ClassFunction,
-    delta,
-    from_character,
-    gamma,
-    pi_character,
-    power,
-    psi_character,
-)
+from .classfuncs import ClassFunction, delta, gamma, pi_character, power, psi_character
 from .cyclo import Cyclotomic, as_rational_integer
 from .duality import (
     SizeSpectrum,
@@ -64,17 +56,11 @@ class CheckResult:
 
 
 def _check_class_structure(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
-    if sum(cd.sizes) != group.order:
-        return "class sizes do not sum to the group order"
-    for i in range(cd.k):
-        if cd.sizes[i] * cd.centralizer_orders[i] != group.order:
-            return f"size * centralizer mismatch at class {i}"
-        if cd.power_class(i, 1) != i or cd.power_class(i, group.exponent) != 0:
-            return f"power map inconsistent at class {i}"
+    sizes = cd.data.sizes
     for i in range(cd.k):
         for j, coeffs in enumerate(class_matrix(cd, i)):
-            lhs = sum(a * s for a, s in zip(coeffs, cd.sizes))
-            if lhs != cd.sizes[i] * cd.sizes[j]:
+            lhs = sum(a * s for a, s in zip(coeffs, sizes))
+            if lhs != sizes[i] * sizes[j]:
                 return f"class multiplication counting identity fails at ({i}, {j})"
     return ""
 
@@ -85,7 +71,7 @@ def _check_determinism(group: Group, cd: ConjugacyData, table: CharacterTable) -
     if again.elements != group.elements:
         return "element ordering changed between runs"
     cd2 = conjugacy_data(again)
-    if (cd2.class_of, cd2.sizes, cd2.power_map) != (cd.class_of, cd.sizes, cd.power_map):
+    if (cd2.class_of, cd2.data) != (cd.class_of, cd.data):
         return "class data changed between runs"
     return ""
 
@@ -101,15 +87,15 @@ def _check_table(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
 
 
 def _check_identities(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
-    data = table.class_data
-    pi = pi_character(cd)
+    data = table.data
+    pi = pi_character(data)
     zero = ClassFunction(
-        tuple(Cyclotomic.zero(group.exponent) for _ in range(cd.k)), data
+        tuple(Cyclotomic.zero(data.exponent) for _ in range(data.k)), data
     )
     total = zero
-    for i, row in enumerate(table.rows):
+    for row in table.rows:
         conj_row = ClassFunction(tuple(v.conjugate() for v in row.values), data)
-        total = total + from_character(table, i) * conj_row
+        total = total + row * conj_row
     if total != pi:
         return "pi is not the sum of chi * conj(chi)"
     psi = psi_character(table)  # raises on a case-split failure
@@ -119,12 +105,12 @@ def _check_identities(group: Group, cd: ConjugacyData, table: CharacterTable) ->
                 return f"pi^{n} psi^{m} != psi^{n + m}"
     for i, row in enumerate(table.rows):
         for n in range(1, 6):
-            if gamma(n, row, cd) < 0 or delta(n, row, cd) < 0:
+            if gamma(n, row) < 0 or delta(n, row) < 0:
                 return f"negative multiplicity for row {i} at n={n}"
     for n in range(1, 4):
         acc = zero
-        for i, row in enumerate(table.rows):
-            acc = acc + gamma(n, row, cd) * from_character(table, i)
+        for row in table.rows:
+            acc = acc + gamma(n, row) * row
         if acc != power(pi, n):
             return f"pi^{n} does not re-expand from its multiplicities"
     return ""
@@ -132,14 +118,14 @@ def _check_identities(group: Group, cd: ConjugacyData, table: CharacterTable) ->
 
 def _check_recovery(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
     d = len(divisors(group.order))
-    seq = gamma_sequence(table, cd, d + 3)
-    actual = SizeSpectrum.from_sizes(group.order, cd.sizes)
+    seq = gamma_sequence(table, d + 3)
+    actual = SizeSpectrum.from_sizes(group.order, cd.data.sizes)
     for length in range(d, d + 4):
         if recover_class_sizes(seq[:length], group.order) != actual:
             return f"class-size recovery failed with {length} terms"
-    dseq = delta_sequence(table, cd, d + 3)
+    dseq = delta_sequence(table, d + 3)
     real_actual = SizeSpectrum.from_sizes(
-        group.order, [s for s, r in zip(cd.sizes, cd.real_flags) if r]
+        group.order, [s for s, r in zip(cd.data.sizes, cd.data.real_flags) if r]
     )
     for length in range(d, d + 4):
         if recover_real_class_sizes(dseq[:length], group.order) != real_actual:
@@ -151,7 +137,7 @@ def _check_defect(group: Group, cd: ConjugacyData, table: CharacterTable) -> str
     for p in prime_factors(group.order):
         for n in (2, 3):
             for real in (False, True):
-                report = defect_zero_by_characters(table, cd, p, n, real)
+                report = defect_zero_by_characters(table, p, n, real)
                 if report.character_side != report.direct_side:
                     return f"biconditional fails for p={p}, n={n}, real={real}"
     return ""
@@ -162,7 +148,7 @@ def _check_congruences(group: Group, cd: ConjugacyData, table: CharacterTable) -
         rmap = build_reduction(group.exponent, p)
         for i in range(cd.k):
             is_p_element(i, p, table, rmap)  # raises on criterion disagreement
-        block = principal_block_members(table, cd, p)
+        block = principal_block_members(table, p)
         if not block.members or not block.member_flags[0]:
             return f"principal block broken for p={p}"
         if rmap.m <= 12:
@@ -174,7 +160,7 @@ def _check_congruences(group: Group, cd: ConjugacyData, table: CharacterTable) -
                 if pel != [is_p_element(i, p, table, rmap) for i in range(cd.k)]:
                     return f"p-element verdicts depend on the root choice for p={p}"
                 if (
-                    principal_block_members(table, cd, p, variant).member_flags
+                    principal_block_members(table, p, variant).member_flags
                     != block.member_flags
                 ):
                     return f"block membership depends on the root choice for p={p}"
@@ -200,12 +186,12 @@ def _check_counterexample(group: Group, cd: ConjugacyData, table: CharacterTable
     # the S3 / p=3 block-sum computation; exploratory elsewhere
     if group.name != "S3":
         return ""
-    values = [strunkov_analog_gamma(table, cd, 3, row) for row in table.rows]
+    values = [strunkov_analog_gamma(table, 3, row) for row in table.rows]
     if sorted(values) != [153, 153, 279]:
         return f"block-sum values changed: {values}"
     if any(v % 9 for v in values):
         return "block-sum values are not all divisible by 9"
-    alt_normalizer_report(table, cd, 3)  # must at least build
+    alt_normalizer_report(table, 3)  # must at least build
     return ""
 
 

@@ -15,7 +15,6 @@ from chartab.blocks import is_p_element, principal_block_members, strunkov_analo
 from chartab.classfuncs import (
     ClassFunction,
     delta,
-    from_character,
     gamma,
     inner,
     pi_character,
@@ -71,9 +70,9 @@ def criterion(number, description, budget_seconds):
 def test_criterion_1_s3_counterexample_divisible_by_nine():
     with criterion(1, "S3 block-sum multiplicities are 153, 153, 279, all = 0 mod 9", 1.0):
         group, cd, table = prepared("S3")
-        block = principal_block_members(table, cd, 3).members
+        block = principal_block_members(table, 3).members
         values = [
-            strunkov_analog_gamma(table, cd, 3, row, block=block) for row in table.rows
+            strunkov_analog_gamma(table, 3, row, block=block) for row in table.rows
         ]
         assert values == [153, 153, 279]
         assert all(v % 9 == 0 for v in values)
@@ -82,19 +81,19 @@ def test_criterion_1_s3_counterexample_divisible_by_nine():
 def test_criterion_2_s3_principal_block_is_everything():
     with criterion(2, "S3 principal 3-block contains all of Irr(S3)", 1.0):
         group, cd, table = prepared("S3")
-        report = principal_block_members(table, cd, 3)
-        assert report.members == tuple(range(table.k))
+        report = principal_block_members(table, 3)
+        assert report.members == tuple(range(table.data.k))
 
 
 def test_criterion_3_s3_transpositions_have_defect_zero():
     with criterion(3, "S3 transposition class is 3-defect 0 and gamma_2(1) = 11 = 2 mod 3", 1.0):
         group, cd, table = prepared("S3")
-        direct = defect_zero_direct(cd, 3)
-        transpositions = cd.sizes.index(3)
+        direct = defect_zero_direct(cd.data, 3)
+        transpositions = cd.data.sizes.index(3)
         assert direct == [transpositions]
-        assert cd.rep_orders[transpositions] == 2
-        assert gamma(2, table.rows[0], cd) == 11
-        report = defect_zero_by_characters(table, cd, 3, 2)
+        assert cd.data.rep_orders[transpositions] == 2
+        assert gamma(2, table.rows[0]) == 11
+        report = defect_zero_by_characters(table, 3, 2)
         assert report.residues[0] == 2
         assert report.character_side
 
@@ -104,12 +103,12 @@ def test_criterion_4_class_sizes_recovered_for_whole_catalog():
         for name in CATALOG:
             group, cd, table = prepared(name)
             d = len(divisors(group.order))
-            seq = gamma_sequence(table, cd, d)
+            seq = gamma_sequence(table, d)
             assert recover_class_sizes(seq, group.order) == SizeSpectrum.from_sizes(
-                group.order, cd.sizes
+                group.order, cd.data.sizes
             ), name
-            dseq = delta_sequence(table, cd, d)
-            real_sizes = [s for s, r in zip(cd.sizes, cd.real_flags) if r]
+            dseq = delta_sequence(table, d)
+            real_sizes = [s for s, r in zip(cd.data.sizes, cd.data.real_flags) if r]
             assert recover_real_class_sizes(
                 dseq, group.order
             ) == SizeSpectrum.from_sizes(group.order, real_sizes), name
@@ -122,7 +121,7 @@ def test_criterion_5_defect_biconditional_for_whole_catalog():
             for p in prime_factors(group.order):
                 for n in (2, 3):
                     for real in (False, True):
-                        report = defect_zero_by_characters(table, cd, p, n, real)
+                        report = defect_zero_by_characters(table, p, n, real)
                         assert report.character_side == report.direct_side, (
                             name, p, n, real,
                         )
@@ -147,26 +146,25 @@ def test_criterion_7_identity_suite_for_whole_catalog():
     with criterion(7, "pi/psi identities, mixed powers, multiplicities as inner products", 60.0):
         for name in CATALOG:
             group, cd, table = prepared(name)
-            data = table.class_data
-            pi = pi_character(cd)
+            data = table.data
+            pi = pi_character(cd.data)
             total = ClassFunction(
                 tuple(Cyclotomic.zero(data.exponent) for _ in range(data.k)), data
             )
-            for i, row in enumerate(table.rows):
+            for row in table.rows:
                 conj_row = ClassFunction(
                     tuple(v.conjugate() for v in row.values), data
                 )
-                total = total + from_character(table, i) * conj_row
+                total = total + row * conj_row
             assert total == pi, name
             psi = psi_character(table)  # asserts the case split internally
             for n in range(0, 4):
                 for m in range(1, 4):
                     assert power(pi, n) * power(psi, m) == power(psi, n + m)
-            for i, row in enumerate(table.rows):
-                chi = from_character(table, i)
+            for row in table.rows:
                 for n in (1, 2, 3):
-                    assert gamma(n, row, cd) == inner(chi, power(pi, n)), name
-                    assert delta(n, row, cd) == inner(chi, power(psi, n)), name
+                    assert gamma(n, row) == inner(row, power(pi, n)), name
+                    assert delta(n, row) == inner(row, power(psi, n)), name
 
 
 def test_criterion_8_oracle_cross_checks():

@@ -8,11 +8,10 @@ from chartab.blocks import (
     principal_block_members,
     strunkov_analog_gamma,
 )
-from chartab.classfuncs import ClassFunction, from_character, pi_character, power
+from chartab.classfuncs import ClassFunction, pi_character, power
 from chartab.cyclo import Cyclotomic
 from chartab.errors import NonIntegralValueError
 from chartab.reduction import ReductionMap, build_reduction, candidate_roots
-from chartab.tables import Character
 
 from conftest import ALL_GROUPS
 
@@ -30,11 +29,11 @@ class TestIsPElement:
 
     def test_three_cycles_are_3_elements(self, s3):
         _, cd, table, rmap = s3
-        assert is_p_element(cd.sizes.index(2), 3, table, rmap)
+        assert is_p_element(cd.data.sizes.index(2), 3, table, rmap)
 
     def test_transpositions_are_not(self, s3):
         _, cd, table, rmap = s3
-        assert not is_p_element(cd.sizes.index(3), 3, table, rmap)
+        assert not is_p_element(cd.data.sizes.index(3), 3, table, rmap)
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_congruence_equals_order_test(self, group_factory, table_factory, name):
@@ -43,7 +42,7 @@ class TestIsPElement:
         for p in prime_factors(group.order):
             rmap = build_reduction(group.exponent, p)
             for i in range(cd.k):
-                order = cd.rep_orders[i]
+                order = cd.data.rep_orders[i]
                 while order % p == 0:
                     order //= p
                 # is_p_element itself raises if the two tests disagree
@@ -54,15 +53,15 @@ class TestCentralCharacter:
     def test_identity_class(self, s3):
         _, cd, table, _ = s3
         for row in table.rows:
-            assert central_character(row, 0, cd) == 1
+            assert central_character(row, 0) == 1
 
     def test_degree_two_at_three_cycles(self, s3):
         _, cd, table, _ = s3
-        assert central_character(table.rows[2], cd.sizes.index(2), cd) == -1
+        assert central_character(table.rows[2], cd.data.sizes.index(2)) == -1
 
     def test_sign_at_transpositions(self, s3):
         _, cd, table, _ = s3
-        assert central_character(table.rows[1], cd.sizes.index(3), cd) == -3
+        assert central_character(table.rows[1], cd.data.sizes.index(3)) == -3
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_always_integral(self, group_factory, table_factory, name):
@@ -70,26 +69,28 @@ class TestCentralCharacter:
         table = table_factory(name)
         for row in table.rows:
             for i in range(cd.k):
-                assert central_character(row, i, cd).is_integral()
+                assert central_character(row, i).is_integral()
 
     def test_non_integral_detected(self, s3):
         _, cd, table, _ = s3
-        fake = Character(values=table.rows[0].values, degree=4)
+        # the trivial character's values with degree 4 at the identity
+        values = (Cyclotomic.from_rational(table.data.exponent, 4),) + table.rows[0].values[1:]
+        fake = ClassFunction(values, table.data)
         with pytest.raises(NonIntegralValueError):
-            central_character(fake, cd.sizes.index(3), cd)
+            central_character(fake, cd.data.sizes.index(3))
 
 
 class TestPrincipalBlock:
     def test_s3_p3_contains_everything(self, s3):
         _, cd, table, _ = s3
-        report = principal_block_members(table, cd, 3)
+        report = principal_block_members(table, 3)
         assert report.members == (0, 1, 2)
         assert not report.failures
 
     def test_c2_p3_only_trivial(self, group_factory, table_factory):
         group, cd = group_factory("C2")
         table = table_factory("C2")
-        report = principal_block_members(table, cd, 3)
+        report = principal_block_members(table, 3)
         assert report.members == (0,)
         assert report.failures == ((1, 1),)
 
@@ -98,14 +99,14 @@ class TestPrincipalBlock:
         group, cd = group_factory(name)
         table = table_factory(name)
         for p in (2, 3, 5, 7):
-            report = principal_block_members(table, cd, p)
+            report = principal_block_members(table, p)
             assert report.member_flags[0]
             assert report.members
 
     def test_non_prime_rejected(self, s3):
         _, cd, table, _ = s3
         with pytest.raises(ValueError):
-            principal_block_members(table, cd, 6)
+            principal_block_members(table, 6)
 
 
 class TestChoiceIndependence:
@@ -118,13 +119,13 @@ class TestChoiceIndependence:
             if base.m > 12:
                 continue
             reference_pel = [is_p_element(i, p, table, base) for i in range(cd.k)]
-            reference_blk = principal_block_members(table, cd, p, base).member_flags
+            reference_blk = principal_block_members(table, p, base).member_flags
             for eta in candidate_roots(group.exponent, p):
                 variant = ReductionMap(
                     e=base.e, p=base.p, m=base.m, f=base.f, poly=base.poly, eta=eta
                 )
                 pel = [is_p_element(i, p, table, variant) for i in range(cd.k)]
-                blk = principal_block_members(table, cd, p, variant).member_flags
+                blk = principal_block_members(table, p, variant).member_flags
                 assert pel == reference_pel
                 assert blk == reference_blk
 
@@ -132,7 +133,7 @@ class TestChoiceIndependence:
 class TestStrunkovAnalog:
     def test_s3_counterexample_values(self, s3):
         _, cd, table, _ = s3
-        values = [strunkov_analog_gamma(table, cd, 3, row) for row in table.rows]
+        values = [strunkov_analog_gamma(table, 3, row) for row in table.rows]
         assert values == [153, 153, 279]
         assert all(v % 9 == 0 for v in values)
 
@@ -141,20 +142,20 @@ class TestStrunkovAnalog:
         # test_factorization_identity_by_naive_expansion
         group, cd = group_factory("C2")
         table = table_factory("C2")
-        values = [strunkov_analog_gamma(table, cd, 2, row) for row in table.rows]
+        values = [strunkov_analog_gamma(table, 2, row) for row in table.rows]
         assert values == [8, 8]
         group_t, cd_t = group_factory("trivial")
         table_t = table_factory("trivial")
-        assert strunkov_analog_gamma(table_t, cd_t, 2, table_t.rows[0]) == 1
+        assert strunkov_analog_gamma(table_t, 2, table_t.rows[0]) == 1
 
     def test_empty_block_rejected(self, s3):
         _, cd, table, _ = s3
         with pytest.raises(ValueError):
-            strunkov_analog_gamma(table, cd, 3, table.rows[0], block=())
+            strunkov_analog_gamma(table, 3, table.rows[0], block=())
 
     def test_explicit_block_override(self, s3):
         _, cd, table, _ = s3
-        full = strunkov_analog_gamma(table, cd, 3, table.rows[0], block=(0, 1, 2))
+        full = strunkov_analog_gamma(table, 3, table.rows[0], block=(0, 1, 2))
         assert full == 153
 
     @pytest.mark.parametrize("name", ("trivial", "C2", "C3", "S3"))
@@ -164,8 +165,8 @@ class TestStrunkovAnalog:
         # sum over chi1, chi2, chi3 of |chi1 chi2|^2 |chi3|^2 equals pi^3
         group, cd = group_factory(name)
         table = table_factory(name)
-        data = table.class_data
-        rows = [from_character(table, r) for r in range(table.k)]
+        data = table.data
+        rows = table.rows
         conj = [
             ClassFunction(tuple(v.conjugate() for v in row.values), data)
             for row in table.rows
@@ -173,18 +174,18 @@ class TestStrunkovAnalog:
         acc = ClassFunction(
             tuple(Cyclotomic.zero(data.exponent) for _ in range(data.k)), data
         )
-        for c1 in range(table.k):
-            for c2 in range(table.k):
+        for c1 in range(table.data.k):
+            for c2 in range(table.data.k):
                 norm12 = (rows[c1] * rows[c2]) * (conj[c1] * conj[c2])
-                for c3 in range(table.k):
+                for c3 in range(table.data.k):
                     acc = acc + norm12 * (rows[c3] * conj[c3])
-        assert acc == power(pi_character(cd), 3)
+        assert acc == power(pi_character(cd.data), 3)
 
 
 class TestAltNormalizerReport:
     def test_s3_p3(self, s3):
         _, cd, table, _ = s3
-        report = alt_normalizer_report(table, cd, 3)
+        report = alt_normalizer_report(table, 3)
         assert report.gamma_values == (153, 153, 279)
         assert report.p_times_order_p_part == 9
         assert report.block_degree_sum == 6
@@ -194,9 +195,9 @@ class TestAltNormalizerReport:
     def test_d12_report_is_exploratory(self, group_factory, table_factory):
         group, cd = group_factory("D12")
         table = table_factory("D12")
-        report = alt_normalizer_report(table, cd, 3)
-        assert len(report.gamma_values) == table.k
-        assert len(report.divisible_by_degree_sum) == table.k
+        report = alt_normalizer_report(table, 3)
+        assert len(report.gamma_values) == table.data.k
+        assert len(report.divisible_by_degree_sum) == table.data.k
         data = report.as_dict()
         assert set(data["divisibility"]) == {
             "p_times_order_p_part", "block_degree_sum", "block_degree_sum_p_part",
@@ -205,6 +206,6 @@ class TestAltNormalizerReport:
     def test_trivial_group(self, group_factory, table_factory):
         group, cd = group_factory("trivial")
         table = table_factory("trivial")
-        report = alt_normalizer_report(table, cd, 2)
+        report = alt_normalizer_report(table, 2)
         assert report.gamma_values == (1,)
         assert report.block == (0,)

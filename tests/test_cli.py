@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import chartab
 from chartab.cli import main
 
 
@@ -61,6 +63,32 @@ class TestTable:
         code = main(["table", "--group", "C6", "--table-file", str(path)])
         capsys.readouterr()
         assert code == 4
+
+    def test_table_file_differing_only_in_power_map_rejected(self, capsys, tmp_path):
+        # D8 and Q8 share order, exponent, class sizes and inverse classes;
+        # only the rep orders and the power map tell them apart
+        path = tmp_path / "d8.json"
+        run_json(capsys, ["table", "--group", "D8", "--save", str(path)])
+        _, q8 = run_json(capsys, ["classes", "--group", "Q8"])
+        d8 = json.loads(path.read_text())
+        assert (d8["order"], d8["exponent"]) == (q8["order"], q8["results"]["exponent"])
+        assert d8["class_sizes"] == q8["results"]["sizes"]
+        assert d8["inverse_class"] == q8["results"]["inverse_class"]
+        assert d8["rep_orders"] != q8["results"]["representative_orders"]
+        code = main(["table", "--group", "Q8", "--table-file", str(path)])
+        capsys.readouterr()
+        assert code == 4
+
+    def test_inconsistent_power_map_rejected(self, capsys, tmp_path):
+        path = tmp_path / "s4.json"
+        run_json(capsys, ["table", "--group", "S4", "--save", str(path)])
+        data = json.loads(path.read_text())
+        data["rep_orders"] = [3] * len(data["rep_orders"])
+        data["power_map"] = [[0] * data["exponent"] for _ in data["power_map"]]
+        path.write_text(json.dumps(data))
+        code = main(["table", "--group", "S4", "--table-file", str(path)])
+        capsys.readouterr()
+        assert code == 7
 
     def test_human_rendering(self, capsys):
         code = main(["table", "--group", "S3", "--human"])
@@ -141,6 +169,28 @@ class TestCounterexample:
         assert "divisibility" in report["results"]
 
 
+class TestGroupNameFromCommandLine:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["blocks", "-p", "3"],
+            ["defect", "-p", "3"],
+            ["counterexample", "-p", "3", "--alt-normalizer"],
+        ],
+    )
+    def test_results_name_the_resolved_group(self, capsys, tmp_path, argv):
+        path = tmp_path / "s3.json"
+        run_json(capsys, ["table", "--group", "S3", "--save", str(path)])
+        data = json.loads(path.read_text())
+        data["group"] = "not S3"
+        path.write_text(json.dumps(data))
+        code, report = run_json(
+            capsys, [*argv, "--group", "S3", "--table-file", str(path)]
+        )
+        assert code == 0
+        assert report["results"]["group"] == "S3"
+
+
 class TestErrors:
     def test_unknown_group(self, capsys):
         code = main(["classes", "--group", "M11"])
@@ -213,9 +263,12 @@ def test_output_bytes_pinned(capsys, argv, digest):
 
 
 def test_module_entry_point():
+    # the child imports the same chartab as this process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chartab", "classes", "--group", "C2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 2

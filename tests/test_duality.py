@@ -76,17 +76,17 @@ class TestRoundTrip:
         group, cd = group_factory(name)
         table = table_factory(name)
         d = len(divisors(group.order))
-        seq = gamma_sequence(table, cd, d)
+        seq = gamma_sequence(table, d)
         assert recover_class_sizes(seq, group.order) == SizeSpectrum.from_sizes(
-            group.order, cd.sizes
+            group.order, cd.data.sizes
         )
 
     def test_delta_round_trip(self, group_factory, table_factory, name):
         group, cd = group_factory(name)
         table = table_factory(name)
         d = len(divisors(group.order))
-        seq = delta_sequence(table, cd, d)
-        real_sizes = [s for s, r in zip(cd.sizes, cd.real_flags) if r]
+        seq = delta_sequence(table, d)
+        real_sizes = [s for s, r in zip(cd.data.sizes, cd.data.real_flags) if r]
         assert recover_real_class_sizes(seq, group.order) == SizeSpectrum.from_sizes(
             group.order, real_sizes
         )
@@ -95,8 +95,8 @@ class TestRoundTrip:
         group, cd = group_factory(name)
         table = table_factory(name)
         d = len(divisors(group.order))
-        seq = gamma_sequence(table, cd, d + 3)
-        expected = SizeSpectrum.from_sizes(group.order, cd.sizes)
+        seq = gamma_sequence(table, d + 3)
+        expected = SizeSpectrum.from_sizes(group.order, cd.data.sizes)
         for length in range(d, d + 4):
             assert recover_class_sizes(seq[:length], group.order) == expected
 
@@ -117,17 +117,17 @@ class TestSizeSpectrum:
 class TestDefectZeroDirect:
     def test_s3_p3_is_transpositions(self, group_factory):
         group, cd = group_factory("S3")
-        classes = defect_zero_direct(cd, 3)
-        assert classes == [cd.sizes.index(3)]
-        assert cd.rep_orders[classes[0]] == 2
+        classes = defect_zero_direct(cd.data, 3)
+        assert classes == [cd.data.sizes.index(3)]
+        assert cd.data.rep_orders[classes[0]] == 2
 
     def test_s3_p2_is_three_cycles(self, group_factory):
         _, cd = group_factory("S3")
-        assert defect_zero_direct(cd, 2) == [cd.sizes.index(2)]
+        assert defect_zero_direct(cd.data, 2) == [cd.data.sizes.index(2)]
 
     def test_c3_p3_empty(self, group_factory):
         _, cd = group_factory("C3")
-        assert defect_zero_direct(cd, 3) == []
+        assert defect_zero_direct(cd.data, 3) == []
 
     def test_p_part_characterization(self, group_factory):
         for name in ("S4", "A5", "S5"):
@@ -135,43 +135,43 @@ class TestDefectZeroDirect:
             for p in (2, 3, 5):
                 if group.order % p:
                     continue
-                for i in defect_zero_direct(cd, p):
-                    assert p_part(cd.sizes[i], p) == p_part(group.order, p)
-                    assert cd.centralizer_orders[i] % p != 0
+                for i in defect_zero_direct(cd.data, p):
+                    assert p_part(cd.data.sizes[i], p) == p_part(group.order, p)
+                    assert cd.data.centralizer_orders[i] % p != 0
 
     def test_non_prime_rejected(self, group_factory):
         _, cd = group_factory("S3")
         with pytest.raises(ValueError):
-            defect_zero_direct(cd, 6)
+            defect_zero_direct(cd.data, 6)
 
 
 class TestDefectZeroByCharacters:
     def test_s3_p3(self, group_factory, table_factory):
         group, cd = group_factory("S3")
-        rep = defect_zero_by_characters(table_factory("S3"), cd, 3, 2)
+        rep = defect_zero_by_characters(table_factory("S3"), 3, 2)
         assert rep.residues == (2, 1, 0)  # gamma_2 = (11, 7, 9)
         assert rep.character_side and rep.direct_side
 
     def test_c3_p3_all_zero(self, group_factory, table_factory):
         group, cd = group_factory("C3")
-        rep = defect_zero_by_characters(table_factory("C3"), cd, 3, 2)
+        rep = defect_zero_by_characters(table_factory("C3"), 3, 2)
         assert rep.residues == (0, 0, 0)
         assert not rep.character_side and not rep.direct_side
 
     def test_s3_p3_real(self, group_factory, table_factory):
         group, cd = group_factory("S3")
-        rep = defect_zero_by_characters(table_factory("S3"), cd, 3, 2, real=True)
+        rep = defect_zero_by_characters(table_factory("S3"), 3, 2, real=True)
         assert rep.character_side and rep.direct_side
 
     def test_n_below_two_rejected(self, group_factory, table_factory):
         _, cd = group_factory("S3")
         with pytest.raises(ValueError):
-            defect_zero_by_characters(table_factory("S3"), cd, 3, 1)
+            defect_zero_by_characters(table_factory("S3"), 3, 1)
 
     def test_non_prime_rejected(self, group_factory, table_factory):
         _, cd = group_factory("S3")
         with pytest.raises(ValueError):
-            defect_zero_by_characters(table_factory("S3"), cd, 4, 2)
+            defect_zero_by_characters(table_factory("S3"), 4, 2)
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_biconditional_sweep(self, group_factory, table_factory, name):
@@ -182,7 +182,7 @@ class TestDefectZeroByCharacters:
         for p in prime_factors(group.order):
             for n in (2, 3):
                 for real in (False, True):
-                    rep = defect_zero_by_characters(table, cd, p, n, real)
+                    rep = defect_zero_by_characters(table, p, n, real)
                     assert rep.character_side == rep.direct_side
 
     def test_n1_would_break_the_biconditional(self, group_factory, table_factory):
@@ -191,8 +191,8 @@ class TestDefectZeroByCharacters:
         # though no class has 2-defect 0
         group, cd = group_factory("Q8")
         table = table_factory("Q8")
-        residues_n1 = [gamma(1, row, cd) % 2 for row in table.rows]
+        residues_n1 = [gamma(1, row) % 2 for row in table.rows]
         assert any(residues_n1)
-        assert defect_zero_direct(cd, 2) == []
-        rep = defect_zero_by_characters(table, cd, 2, 2)
+        assert defect_zero_direct(cd.data, 2) == []
+        rep = defect_zero_by_characters(table, 2, 2)
         assert not rep.character_side and not rep.direct_side

@@ -5,7 +5,6 @@ import pytest
 from chartab.cyclo import Cyclotomic, root_power
 from chartab.errors import FormatError, TableIntegrityError
 from chartab.tables import (
-    Character,
     CharacterTable,
     compute_table,
     dixon_prime,
@@ -16,6 +15,49 @@ from chartab.tables import (
 )
 
 from conftest import ALL_GROUPS
+
+
+def _all_powers_identity(data):
+    # every rep order 3 and every power the identity
+    data["rep_orders"] = [3] * len(data["rep_orders"])
+    data["power_map"] = [[0] * data["exponent"] for _ in data["power_map"]]
+
+
+def _zeroth_power(data):
+    i = data["rep_orders"].index(2)
+    data["power_map"][i][0] = i
+
+
+def _first_power(data):
+    i, j = data["rep_orders"].index(2), data["rep_orders"].index(3)
+    data["power_map"][i][1] = j
+
+
+def _rep_order(data):
+    data["rep_orders"][data["rep_orders"].index(3)] = 6
+
+
+def _last_power(data):
+    i = data["rep_orders"].index(3)
+    data["power_map"][i][-1] = 0
+
+
+def _exponent(data):
+    # the trivial group written over Q(E(2)): every check but the lcm holds
+    data["exponent"] = 2
+    data["power_map"] = [[0, 0]]
+    data["rows"] = [[Cyclotomic.one(2).to_dict()]]
+
+
+# each corruption breaks exactly one power-map invariant of a well-formed file
+POWER_MAP_CORRUPTIONS = {
+    "all-powers-identity": ("S4", _all_powers_identity),
+    "zeroth-power": ("S3", _zeroth_power),
+    "first-power": ("S3", _first_power),
+    "rep-order": ("S3", _rep_order),
+    "last-power": ("S3", _last_power),
+    "exponent": ("trivial", _exponent),
+}
 
 
 class TestDixonPrime:
@@ -84,7 +126,7 @@ class TestComputeTable:
         table = table_factory(name)
         assert all(v == 1 for v in table.rows[0].values)
         for row in table.rows:
-            assert row.degree >= 1 and table.order % row.degree == 0
+            assert row.degree >= 1 and table.data.order % row.degree == 0
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_values_are_algebraic_integers(self, table_factory, name):
@@ -116,20 +158,8 @@ class TestOrthogonality:
     def test_scaled_row_reported(self, table_factory):
         table = table_factory("S3")
         bad_rows = list(table.rows)
-        bad_rows[2] = Character(
-            values=tuple(v * 2 for v in bad_rows[2].values),
-            degree=bad_rows[2].degree * 2,
-        )
-        bad = CharacterTable(
-            group_name=table.group_name,
-            order=table.order,
-            exponent=table.exponent,
-            class_sizes=table.class_sizes,
-            rep_orders=table.rep_orders,
-            inverse_class=table.inverse_class,
-            power_map=table.power_map,
-            rows=tuple(bad_rows),
-        )
+        bad_rows[2] = 2 * bad_rows[2]
+        bad = CharacterTable(group_name=table.group_name, data=table.data, rows=tuple(bad_rows))
         violations = verify_orthogonality(bad)
         assert any(v["kind"] == "row" and v["first"] == 2 == v["second"] for v in violations)
 
@@ -174,6 +204,16 @@ class TestTableFiles:
         path = tmp_path / "missing.json"
         path.write_text(json.dumps(data))
         with pytest.raises(FormatError):
+            load_table(path)
+
+    @pytest.mark.parametrize("case", sorted(POWER_MAP_CORRUPTIONS))
+    def test_inconsistent_power_map_rejected(self, table_factory, tmp_path, case):
+        name, corrupt = POWER_MAP_CORRUPTIONS[case]
+        data = table_to_dict(table_factory(name))
+        corrupt(data)
+        path = tmp_path / "powers.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(TableIntegrityError):
             load_table(path)
 
     def test_not_json_rejected(self, tmp_path):
