@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 
 @lru_cache(maxsize=None)
@@ -67,19 +68,23 @@ def p_part(n: int, p: int) -> int:
     return part
 
 
+def order_dividing(n: int, is_one) -> int:
+    """Order of an element x whose order divides n, where is_one(k) tells x^k = 1.
+
+    For each prime r | n, divide by r while the power stays the identity.
+    """
+    order = n
+    for r in prime_factors(n):
+        while order % r == 0 and is_one(order // r):
+            order //= r
+    return order
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a in (Z/n)*; requires gcd(a, n) = 1."""
-    a %= n
-    if n == 1:
-        return 1
-    cur = a
-    k = 1
-    while cur != 1:
-        cur = cur * a % n
-        k += 1
-        if k > n:
-            raise ValueError(f"{a} is not a unit mod {n}")
-    return k
+    if gcd(a, n) != 1:
+        raise ValueError(f"{a} is not a unit mod {n}")
+    return order_dividing(euler_phi(n), lambda k: pow(a, k, n) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +92,8 @@ def primitive_root(q: int) -> int:
     """Smallest generator of (Z/q)* for prime q."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
+    rs = prime_factors(q - 1)
     for g in range(1, q):
-        if multiplicative_order(g, q) == q - 1:
+        if all(pow(g, (q - 1) // r, q) != 1 for r in rs):
             return g
     raise AssertionError("unreachable: every prime has a primitive root")

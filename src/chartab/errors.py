@@ -18,7 +18,7 @@ class UnknownGroupError(ChartabError, KeyError):
 
 
 class CapExceededError(ChartabError):
-    """An enumeration exceeded its configured size cap."""
+    """An enumeration or a residue field exceeded its size cap."""
 
 
 class OrderMismatchError(ChartabError, ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .arith import is_prime
+from .arith import is_prime, order_dividing, prime_factors
 
 
 class PrimeFieldElement:
@@ -257,12 +257,7 @@ class ExtensionFieldElement:
     def multiplicative_order(self) -> int:
         if not self:
             raise ValueError("zero has no multiplicative order")
-        one = ExtensionFieldElement.one(self.p, self.poly)
-        cur, k = self, 1
-        while cur != one:
-            cur = cur * self
-            k += 1
-        return k
+        return order_dividing(self.p**self.degree - 1, lambda k: self**k == 1)
 
 
 def field_elements(p: int, poly: tuple[int, ...]):
@@ -275,8 +270,9 @@ def field_elements(p: int, poly: tuple[int, ...]):
 @lru_cache(maxsize=None)
 def field_generator(p: int, poly: tuple[int, ...]) -> ExtensionFieldElement:
     """First multiplicative generator in lexicographic coefficient order."""
-    size = p ** (len(poly) - 1)
+    n = p ** (len(poly) - 1) - 1
+    rs = prime_factors(n)
     for el in field_elements(p, poly):
-        if el and el.multiplicative_order() == size - 1:
+        if el and all(el ** (n // r) != 1 for r in rs):
             return el
     raise AssertionError("unreachable: finite fields have cyclic unit groups")

@@ -16,6 +16,16 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def run_module(argv, timeout=None):
+    """Run `python -m chartab` in a child that imports the same chartab as this process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "chartab", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=timeout,
+    )
+
+
 class TestClasses:
     def test_s3_sizes(self, capsys):
         code, report = run_json(capsys, ["classes", "--group", "S3"])
@@ -152,6 +162,32 @@ class TestBlocks:
         assert report["results"]["members"] == [0, 1, 2]
         assert report["verdicts"]["all_characters_in_block"] is True
 
+    @pytest.fixture(scope="class")
+    def s5_table(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("tables") / "S5.json"
+        assert main(["table", "--group", "S5", "--save", str(path)]) == 0
+        return str(path)
+
+    def test_s5_p13_finishes(self, s5_table):
+        # 13 does not divide |S5|: every character has defect zero, so the
+        # principal block is the trivial character alone.  The residue field
+        # is GF(13^4); the time-out is the benchmark's limit for this job.
+        proc = run_module(
+            ["blocks", "--group", "S5", "-p", "13", "--table-file", s5_table], timeout=5.0
+        )
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["results"]["members"] == [0]
+        assert report["verdicts"] == {"all_characters_in_block": False}
+
+    def test_residue_field_above_cap_rejected(self, s5_table):
+        # p = 10007 needs GF(10007^4): refused before any search
+        proc = run_module(
+            ["blocks", "--group", "S5", "-p", "10007", "--table-file", s5_table], timeout=2.0
+        )
+        assert proc.returncode == 6
+        assert "cap" in proc.stderr
+
 
 class TestCounterexample:
     def test_s3_p3(self, capsys):
@@ -263,12 +299,6 @@ def test_output_bytes_pinned(capsys, argv, digest):
 
 
 def test_module_entry_point():
-    # the child imports the same chartab as this process
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chartab", "classes", "--group", "C2"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_module(["classes", "--group", "C2"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 2

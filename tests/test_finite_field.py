@@ -1,10 +1,12 @@
 import random
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
-from chartab.arith import euler_phi
-from chartab.cyclo import Cyclotomic, root_power
-from chartab.errors import NonIntegralValueError, OrderMismatchError
+from chartab.arith import euler_phi, multiplicative_order, primitive_root
+from chartab.cyclo import Cyclotomic, cyclotomic_polynomial, root_power
+from chartab.errors import CapExceededError, NonIntegralValueError, OrderMismatchError
 from chartab.finite_field import (
     ExtensionFieldElement,
     PrimeFieldElement,
@@ -12,7 +14,75 @@ from chartab.finite_field import (
     field_generator,
     irreducible_polynomial,
 )
-from chartab.reduction import ReductionMap, build_reduction, candidate_roots, reduce_mod_M
+from chartab.reduction import (
+    FIELD_SIZE_CAP,
+    ReductionMap,
+    build_reduction,
+    candidate_roots,
+    reduce_mod_M,
+)
+from chartab.tables import dixon_prime
+
+from conftest import ALL_GROUPS
+
+
+def _phi_e_value(e: int, el: ExtensionFieldElement) -> ExtensionFieldElement:
+    """Evaluate the e-th cyclotomic polynomial at a field element (Horner)."""
+    acc = ExtensionFieldElement.zero(el.p, el.poly)
+    for c in reversed(cyclotomic_polynomial(e)):
+        acc = acc * el + ExtensionFieldElement.from_int(el.p, el.poly, c)
+    return acc
+
+
+def _brute_order(el) -> int:
+    """Multiplicative order by repeated multiplication."""
+    cur, k = el, 1
+    while cur != 1:
+        cur = cur * el
+        k += 1
+    return k
+
+
+@lru_cache(maxsize=None)
+def _brute_field(p: int, f: int):
+    """Nonzero elements of GF(p^f) with their orders, and the first generator."""
+    poly = irreducible_polynomial(p, f)
+    orders = {el: _brute_order(el) for el in field_elements(p, poly) if el}
+    gen = next(el for el, order in orders.items() if order == p**f - 1)
+    return poly, orders, gen
+
+
+def _brute_degree(e: int, p: int) -> tuple[int, int]:
+    """m, the p-free part of e, and f, the least f with m | p^f - 1."""
+    m = e
+    while m % p == 0:
+        m //= p
+    f = 1
+    while (p**f - 1) % m:
+        f += 1
+    return m, f
+
+
+def _brute_reduction(e: int, p: int):
+    """The linear scans: eta is the first power of the first generator of exact
+    order m that kills Phi_e; the roots are every such element, in field order."""
+    m, f = _brute_degree(e, p)
+    poly, orders, gen = _brute_field(p, f)
+    eta = ExtensionFieldElement.one(p, poly)
+    while orders[eta] != m or _phi_e_value(e, eta):
+        eta = eta * gen
+    roots = [el for el, order in orders.items() if order == m and not _phi_e_value(e, el)]
+    return m, f, poly, eta, roots
+
+
+# Exponents of the catalog (1-6, 12, 60) and of GL(3,2) (84), and 30, at
+# every prime whose residue field is small enough for the linear scans.
+ORACLE_PAIRS = [
+    (e, p)
+    for e in (1, 2, 3, 4, 5, 6, 12, 30, 60, 84)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 61)
+    if p ** _brute_degree(e, p)[1] <= 625
+]
 
 
 class TestPrimeField:
@@ -90,6 +160,38 @@ class TestExtensionField:
         assert ExtensionFieldElement.one(5, poly) * 3 == 3
 
 
+class TestOrders:
+    @pytest.mark.parametrize("p, f", [(2, 4), (3, 2), (5, 2), (7, 2)])
+    def test_field_element_orders_match_count(self, p, f):
+        _, orders, _ = _brute_field(p, f)
+        assert len(orders) == p**f - 1
+        for el, order in orders.items():
+            assert el.multiplicative_order() == order
+
+    def test_unit_orders_match_count(self):
+        for n in range(1, 50):
+            for a in range(-n, 2 * n):
+                if gcd(a, n) != 1:
+                    with pytest.raises(ValueError):
+                        multiplicative_order(a, n)
+                    continue
+                k = 1
+                while (pow(a, k, n) - 1) % n:
+                    k += 1
+                assert multiplicative_order(a, n) == k
+
+    def test_primitive_root_of_dixon_primes(self, group_factory):
+        for name in ALL_GROUPS:
+            group, _ = group_factory(name)
+            q1 = dixon_prime(group.exponent, group.order)
+            for q in (q1, dixon_prime(group.exponent, group.order, above=q1)):
+                brute = next(
+                    g for g in range(1, q)
+                    if _brute_order(PrimeFieldElement(q, g)) == q - 1
+                )
+                assert primitive_root(q) == brute
+
+
 class TestBuildReduction:
     def test_order_six_p_three(self):
         r = build_reduction(6, 3)
@@ -107,9 +209,10 @@ class TestBuildReduction:
         assert len(list(field_elements(r.p, r.poly))) == 25
 
     def test_eta_invariants(self):
-        from chartab.reduction import _phi_e_value
-
-        for e, p in ((6, 3), (6, 5), (12, 2), (12, 3), (30, 2), (60, 5), (1, 3)):
+        for e, p in (
+            (6, 3), (6, 5), (12, 2), (12, 3), (30, 2), (60, 5), (1, 3),
+            (60, 13), (5, 7), (84, 5),
+        ):
             r = build_reduction(e, p)
             assert r.eta ** r.m == 1
             if r.m > 1:
@@ -119,6 +222,47 @@ class TestBuildReduction:
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError):
             build_reduction(6, 4)
+
+    @pytest.mark.parametrize("e, p", ORACLE_PAIRS)
+    def test_matches_linear_scan(self, e, p):
+        m, f, poly, eta, roots = _brute_reduction(e, p)
+        r = build_reduction(e, p)
+        assert (r.m, r.f, r.poly, r.eta) == (m, f, poly, eta)
+        assert candidate_roots(e, p) == roots
+
+    # recorded with the linear scans, which took 4-31 s per pair
+    @pytest.mark.parametrize(
+        "e, p, poly, eta, roots",
+        [
+            (5, 7, (1, 0, 0, 1, 1), (2, 0, 6, 1),
+             [(0, 3, 2, 0), (1, 4, 4, 5), (2, 0, 6, 1), (3, 0, 2, 1)]),
+            (30, 7, (1, 0, 0, 1, 1), (6, 0, 4, 3),
+             [(0, 1, 3, 0), (0, 2, 6, 0), (1, 0, 3, 5), (2, 0, 6, 3),
+              (3, 0, 2, 5), (3, 5, 5, 1), (5, 6, 6, 4), (6, 0, 4, 3)]),
+            (60, 7, (1, 0, 0, 1, 1), (0, 2, 1, 0),
+             [(0, 1, 3, 4), (0, 2, 1, 0), (0, 3, 2, 5), (0, 3, 5, 0),
+              (0, 4, 2, 0), (0, 4, 5, 2), (0, 5, 6, 0), (0, 6, 4, 3),
+              (1, 3, 6, 2), (2, 3, 5, 4), (3, 1, 4, 6), (3, 2, 4, 6),
+              (4, 5, 3, 1), (4, 6, 3, 1), (5, 4, 2, 3), (6, 4, 1, 5)]),
+            (84, 3, (1, 0, 0, 0, 1, 1, 1), (0, 1, 0, 2, 2, 0),
+             [(0, 0, 1, 2, 0, 2), (0, 0, 1, 2, 2, 0), (0, 0, 2, 1, 0, 1),
+              (0, 0, 2, 1, 1, 0), (0, 1, 0, 2, 2, 0), (0, 2, 0, 1, 1, 0),
+              (1, 0, 0, 2, 2, 1), (1, 0, 1, 0, 1, 0), (1, 1, 0, 2, 1, 0),
+              (2, 0, 0, 1, 1, 2), (2, 0, 2, 0, 2, 0), (2, 2, 0, 1, 2, 0)]),
+        ],
+    )
+    def test_pinned_roots(self, e, p, poly, eta, roots):
+        r = build_reduction(e, p)
+        assert (r.poly, r.eta.coeffs) == (poly, eta)
+        assert [el.coeffs for el in candidate_roots(e, p)] == roots
+
+    def test_field_size_cap(self, monkeypatch):
+        assert build_reduction(25, 2).p ** 20 == FIELD_SIZE_CAP  # GF(2^20) is admitted
+        # the cap is checked before the defining polynomial is searched for
+        monkeypatch.setattr("chartab.reduction.irreducible_polynomial", None)
+        for e, p in ((60, 10007), (7, 101), (1, 1048583)):
+            with pytest.raises(CapExceededError):
+                build_reduction(e, p)
 
     def test_candidate_roots_all_valid(self):
         for e, p in ((6, 5), (12, 5), (4, 3)):
