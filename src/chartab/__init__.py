@@ -57,7 +57,7 @@ from .errors import (
     TableIntegrityError,
     UnknownGroupError,
 )
-from .finite_field import ExtensionFieldElement, PrimeFieldElement, irreducible_polynomial
+from .finite_field import ExtensionFieldElement, irreducible_polynomial
 from .groups import (
     ClassData,
     ConjugacyData,

@@ -136,15 +136,27 @@ def _multiplicity(phi: ClassFunction, n: int, real_only: bool) -> int:
     return result
 
 
-def gamma(n: int, phi: ClassFunction) -> int:
-    """Multiplicity of phi in the n-th power of the conjugation character."""
+# Largest n for gamma and delta; n sets the work done, and 2000^999 has 3298
+# digits, so for a group under the default element cap every multiplicity
+# prints within Python's 4300-digit int-to-str limit.
+MAX_POWER = 1000
+
+
+def check_power(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_POWER."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if n > MAX_POWER:
+        raise ValueError(f"n must be at most {MAX_POWER}, got {n}")
+
+
+def gamma(n: int, phi: ClassFunction) -> int:
+    """Multiplicity of phi in the n-th power of the conjugation character."""
+    check_power(n)
     return _multiplicity(phi, n, real_only=False)
 
 
 def delta(n: int, phi: ClassFunction) -> int:
     """Multiplicity of phi in the n-th power of the squared-character sum."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_power(n)
     return _multiplicity(phi, n, real_only=True)

@@ -13,7 +13,7 @@ import sys
 
 from .arith import divisors, is_prime, p_part
 from .blocks import alt_normalizer_report, is_p_element, principal_block_members, strunkov_analog_gamma
-from .classfuncs import delta, gamma
+from .classfuncs import check_power, delta, gamma
 from .duality import (
     SizeSpectrum,
     defect_zero_by_characters,
@@ -195,9 +195,8 @@ def _cmd_table(args):
 
 def _cmd_gamma(args):
     group, cd = _resolve_group(args)
+    check_power(args.n)
     table = _resolve_table(args, group, cd)
-    if args.n < 1:
-        raise ValueError(f"n must be at least 1, got {args.n}")
     gammas = [gamma(args.n, row) for row in table.rows]
     deltas = [delta(args.n, row) for row in table.rows]
     results = {

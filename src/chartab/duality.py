@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import divisors, is_prime, p_part
-from .classfuncs import delta, gamma
+from .classfuncs import MAX_POWER, delta, gamma
 from .errors import InconsistentSequenceError
 from .groups import ClassData
 from .tables import CharacterTable
@@ -134,13 +134,19 @@ def recover_real_class_sizes(delta_seq, order: int) -> SizeSpectrum:
     return _recover(delta_seq, order, full_cover=False)
 
 
+def _sequence(fn, table: CharacterTable, length: int) -> list[int]:
+    if length > MAX_POWER:
+        raise ValueError(f"sequence length must be at most {MAX_POWER}, got {length}")
+    return [fn(n, table.rows[0]) for n in range(1, length + 1)]
+
+
 def gamma_sequence(table: CharacterTable, length: int) -> list[int]:
     """[gamma_1(1_G), ..., gamma_length(1_G)] computed from the table's class data."""
-    return [gamma(n, table.rows[0]) for n in range(1, length + 1)]
+    return _sequence(gamma, table, length)
 
 
 def delta_sequence(table: CharacterTable, length: int) -> list[int]:
-    return [delta(n, table.rows[0]) for n in range(1, length + 1)]
+    return _sequence(delta, table, length)
 
 
 def defect_zero_direct(data: ClassData, p: int) -> list[int]:

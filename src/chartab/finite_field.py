@@ -1,10 +1,10 @@
-"""Prime fields GF(p) and their extensions GF(p^f).
+"""Extension fields GF(p^f), the residue fields of the mod-M reduction.
 
-Extension field elements are polynomials of degree < f over GF(p), stored as
-coefficient tuples (constant term first) and reduced modulo a fixed monic
-irreducible defining polynomial.  The defining polynomial for a given (p, f)
-is always the lexicographically smallest monic irreducible, scanning the
-constant term upward, so field constructions are reproducible.
+Elements are polynomials of degree < f over GF(p), stored as coefficient
+tuples (constant term first) and reduced modulo a fixed monic irreducible
+defining polynomial.  The defining polynomial for a given (p, f) is always
+the lexicographically smallest monic irreducible, scanning the constant term
+upward, so field constructions are reproducible.
 """
 
 from __future__ import annotations
@@ -13,81 +13,6 @@ from functools import lru_cache
 from itertools import product
 
 from .arith import is_prime, order_dividing, prime_factors
-
-
-class PrimeFieldElement:
-    """Element of GF(q), q prime; the scalar field of the table computation."""
-
-    __slots__ = ("q", "value")
-
-    def __init__(self, q: int, value: int):
-        if not is_prime(q):
-            raise ValueError(f"modulus {q} is not prime")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "value", value % q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("field elements are immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.q != self.q:
-                raise ValueError(f"mixed moduli {self.q} and {other.q}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.q
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else PrimeFieldElement(self.q, self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else PrimeFieldElement(self.q, self.value - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else PrimeFieldElement(self.q, v - self.value)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else PrimeFieldElement(self.q, self.value * v)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PrimeFieldElement(self.q, -self.value)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.q, self.value * pow(v, -1, self.q))
-
-    def __pow__(self, n: int):
-        return PrimeFieldElement(self.q, pow(self.value, n, self.q))
-
-    def inverse(self) -> "PrimeFieldElement":
-        return PrimeFieldElement(self.q, pow(self.value, -1, self.q))
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.q == other.q and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.q, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"PrimeFieldElement({self.q}, {self.value})"
 
 
 def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], poly: tuple[int, ...], p: int):

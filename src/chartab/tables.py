@@ -2,9 +2,10 @@
 
 Tables are computed with the Dixon-Schneider method: the class-sum
 multiplication matrices are diagonalized simultaneously over a prime field
-GF(q) with q = 1 (mod e), the mod-q character values are read off the
-one-dimensional common eigenspaces, and each value is lifted back to a
-cyclotomic integer in Q(eps_e) by a discrete Fourier sum over the power map.
+GF(q) with q = 1 (mod e), whose elements are plain ints in [0, q); the mod-q
+character values are read off the one-dimensional common eigenspaces, and
+each value is lifted back to a cyclotomic integer in Q(eps_e) by a discrete
+Fourier sum over the power map.
 Everything is deterministic: eigenvalues are scanned in ascending order and
 rows are sorted (trivial character first, then by degree and coefficient
 order), so recomputing with a different admissible prime yields a literally
@@ -25,9 +26,8 @@ from math import lcm
 
 from .arith import is_prime, primitive_root
 from .classfuncs import ClassFunction
-from .cyclo import Cyclotomic, root_power
+from .cyclo import Cyclotomic
 from .errors import EigensplitError, FormatError, TableIntegrityError
-from .finite_field import PrimeFieldElement
 from .groups import ClassData, ConjugacyData, Group, class_matrix
 
 
@@ -69,10 +69,11 @@ def dixon_prime(e: int, order: int, above: int = 0) -> int:
 
 
 # -- linear algebra over GF(q) ------------------------------------------
+# GF(q) values are plain ints in [0, q); every function reduces with % q.
 
 
-def _rref(rows: list[list[PrimeFieldElement]]):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
+def _rref(rows: list[list[int]], q: int):
+    """Reduced row echelon form over GF(q); returns (rows, pivot columns)."""
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
@@ -84,12 +85,12 @@ def _rref(rows: list[list[PrimeFieldElement]]):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        inv = pow(rows[r][c], -1, q)
+        rows[r] = [x * inv % q for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -97,30 +98,28 @@ def _rref(rows: list[list[PrimeFieldElement]]):
     return rows[:r], pivots
 
 
-def _nullspace(matrix: list[list[PrimeFieldElement]], q: int):
+def _nullspace(matrix: list[list[int]], q: int):
     """Basis of the right null space, in RREF by construction."""
     n = len(matrix)
-    rref, pivots = _rref(matrix)
+    rref, pivots = _rref(matrix, q)
     free = [c for c in range(n) if c not in pivots]
-    zero = PrimeFieldElement(q, 0)
-    one = PrimeFieldElement(q, 1)
     basis = []
     for fc in free:
-        vec = [zero] * n
-        vec[fc] = one
+        vec = [0] * n
+        vec[fc] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
+            vec[pc] = -rref[r][fc] % q
         basis.append(vec)
     return basis
 
 
-def _coords_in_basis(basis, pivots, vec):
+def _coords_in_basis(basis, pivots, vec, q: int):
     """Coordinates of vec in an RREF basis of a subspace containing it."""
     coords = [vec[c] for c in pivots]
     residue = list(vec)
     for coef, bvec in zip(coords, basis):
         if coef:
-            residue = [x - coef * y for x, y in zip(residue, bvec)]
+            residue = [(x - coef * y) % q for x, y in zip(residue, bvec)]
     if any(residue):
         raise TableIntegrityError("vector left the invariant subspace (internal bug)")
     return coords
@@ -133,18 +132,15 @@ def _split_subspace(matrix, basis, pivots, q: int):
     action_cols = []
     for bvec in basis:
         image = [
-            sum((matrix[r][c] * bvec[c] for c in range(len(bvec)) if bvec[c]),
-                PrimeFieldElement(q, 0))
-            for r in range(len(matrix))
+            sum(row[c] * bvec[c] for c in range(len(bvec)) if bvec[c]) % q
+            for row in matrix
         ]
-        action_cols.append(_coords_in_basis(basis, pivots, image))
+        action_cols.append(_coords_in_basis(basis, pivots, image, q))
     out = []
     found = 0
     for lam in range(q):
-        lam_el = PrimeFieldElement(q, lam)
         shifted = [
-            [action_cols[j][i] - (lam_el if i == j else PrimeFieldElement(q, 0))
-             for j in range(d)]
+            [(action_cols[j][i] - (lam if i == j else 0)) % q for j in range(d)]
             for i in range(d)
         ]
         kernel = _nullspace(shifted, q)
@@ -152,12 +148,12 @@ def _split_subspace(matrix, basis, pivots, q: int):
             continue
         ambient = []
         for kv in kernel:
-            vec = [PrimeFieldElement(q, 0)] * len(basis[0])
+            vec = [0] * len(basis[0])
             for coef, bvec in zip(kv, basis):
                 if coef:
-                    vec = [x + coef * y for x, y in zip(vec, bvec)]
+                    vec = [(x + coef * y) % q for x, y in zip(vec, bvec)]
             ambient.append(vec)
-        out.append(_rref(ambient))
+        out.append(_rref(ambient, q))
         found += len(kernel)
         if found == d:
             break
@@ -167,18 +163,17 @@ def _split_subspace(matrix, basis, pivots, q: int):
 
 
 def _common_eigenvectors(matrices, k: int, q: int):
-    """One-dimensional common eigenspaces of the commuting class matrices."""
-    one = PrimeFieldElement(q, 1)
-    zero = PrimeFieldElement(q, 0)
-    full = [[one if i == j else zero for j in range(k)] for i in range(k)]
-    spaces = [_rref(full)]
+    """Common eigenvectors of the commuting class matrices.
+
+    With q = 1 (mod e) and q not dividing |G| the class algebra over GF(q) is
+    split semisimple, so once every class matrix has been applied each common
+    eigenspace is one-dimensional (Dixon 1967; Schneider 1990).
+    """
+    spaces = [_rref([[int(i == j) for j in range(k)] for i in range(k)], q)]
     for matrix in matrices:
         spaces = _apply_split(matrix, spaces, q)
         if all(len(basis) == 1 for basis, _ in spaces):
             break
-    if not all(len(basis) == 1 for basis, _ in spaces):
-        # fall back to integer combinations of the matrices, scanned in order
-        spaces = _combination_split(matrices, spaces, k, q)
     return [basis[0] for basis, _ in spaces]
 
 
@@ -190,22 +185,6 @@ def _apply_split(matrix, spaces, q: int):
         else:
             out.extend(_split_subspace(matrix, basis, pivots, q))
     return out
-
-
-def _combination_split(matrices, spaces, k: int, q: int):
-    for coef in range(1, q):
-        for a in range(len(matrices)):
-            for b in range(a + 1, len(matrices)):
-                combo = [
-                    [matrices[a][i][j] + coef * matrices[b][i][j] for j in range(k)]
-                    for i in range(k)
-                ]
-                spaces = _apply_split(combo, spaces, q)
-                if all(len(basis) == 1 for basis, _ in spaces):
-                    return spaces
-    raise EigensplitError(
-        "could not isolate one-dimensional eigenspaces (internal bug)"
-    )
 
 
 # -- the table computation ----------------------------------------------
@@ -222,51 +201,55 @@ def compute_table(group: Group, cd: ConjugacyData, prime: int | None = None) -> 
     representative below q/2, valid because chi(1) <= sqrt(|G|) < q/2),
     and each value is lifted to a cyclotomic integer through the counts of
     eigenvalue multiplicities m_t = (1/e) sum_s chi(g^s) z^(-t s) mod q.
+    A caller-supplied `prime` must be admissible in the sense of
+    `dixon_prime`; otherwise ValueError.
     """
     data = cd.data
     k = cd.k
     e = group.exponent
-    q = dixon_prime(e, group.order) if prime is None else prime
+    if prime is None:
+        q = dixon_prime(e, group.order)
+    elif (
+        is_prime(prime)
+        and (prime - 1) % e == 0
+        and group.order % prime
+        and prime * prime > 4 * group.order
+    ):
+        q = prime
+    else:
+        raise ValueError(
+            f"{prime} is not an admissible Dixon prime for order {group.order} "
+            f"and exponent {e}"
+        )
     matrices = [
-        [[PrimeFieldElement(q, a) for a in row] for row in class_matrix(cd, i)]
-        for i in range(1, k)
+        [[a % q for a in row] for row in class_matrix(cd, i)] for i in range(1, k)
     ]
     eigvecs = _common_eigenvectors(matrices, k, q)
     if len(eigvecs) != k:
         raise EigensplitError(f"expected {k} eigenvectors, found {len(eigvecs)}")
 
-    size_inv = [PrimeFieldElement(q, s).inverse() for s in data.sizes]
-    order_el = PrimeFieldElement(q, group.order)
-    zq = PrimeFieldElement(q, pow(primitive_root(q), (q - 1) // e, q))
-    zq_inv_pows = [zq ** ((e - t) % e) for t in range(e)]
-    e_inv = PrimeFieldElement(q, e).inverse()
-    eps_pows = [root_power(e, t) for t in range(e)]
+    size_inv = [pow(s, -1, q) for s in data.sizes]
+    z = pow(primitive_root(q), (q - 1) // e, q)
+    z_inv_pows = [pow(z, -t, q) for t in range(e)]
+    e_inv = pow(e, -1, q)
 
     rows = []
     for vec in eigvecs:
         if not vec[0]:
             raise TableIntegrityError("eigenvector vanishes at the identity class")
-        scale = vec[0].inverse()
-        omega = [v * scale for v in vec]
-        norm = sum(
-            (omega[i] * omega[data.inverse_class[i]] * size_inv[i] for i in range(k)),
-            PrimeFieldElement(q, 0),
-        )
-        degree_sq = order_el / norm
-        degree = _sqrt_below_half(degree_sq, q)
-        theta = [PrimeFieldElement(q, degree) * omega[i] * size_inv[i] for i in range(k)]
+        scale = pow(vec[0], -1, q)
+        omega = [v * scale % q for v in vec]
+        norm = sum(omega[i] * omega[data.inverse_class[i]] * size_inv[i] for i in range(k))
+        degree = _sqrt_below_half(group.order * pow(norm, -1, q) % q, q)
+        theta = [degree * omega[i] * size_inv[i] % q for i in range(k)]
         values = []
         for j in range(k):
             theta_pow = [theta[data.power_map[j][s]] for s in range(e)]
-            value = Cyclotomic.zero(e)
-            for t in range(e):
-                m_t = e_inv * sum(
-                    (theta_pow[s] * zq_inv_pows[(t * s) % e] for s in range(e)),
-                    PrimeFieldElement(q, 0),
-                )
-                if m_t:
-                    value = value + m_t.value * eps_pows[t]
-            values.append(value)
+            counts = [
+                e_inv * sum(theta_pow[s] * z_inv_pows[t * s % e] for s in range(e)) % q
+                for t in range(e)
+            ]
+            values.append(Cyclotomic.from_poly(e, counts))
         row = ClassFunction(tuple(values), data)
         if row.degree != degree:
             raise TableIntegrityError("lifted degree disagrees with mod-q degree")
@@ -282,11 +265,11 @@ def compute_table(group: Group, cd: ConjugacyData, prime: int | None = None) -> 
     return table
 
 
-def _sqrt_below_half(x: PrimeFieldElement, q: int) -> int:
+def _sqrt_below_half(x: int, q: int) -> int:
     for r in range(1, (q + 1) // 2):
-        if r * r % q == x.value:
+        if r * r % q == x:
             return r
-    raise TableIntegrityError(f"{x.value} has no square root below {q}/2")
+    raise TableIntegrityError(f"{x} has no square root below {q}/2")
 
 
 def _sort_rows(rows):
@@ -309,13 +292,12 @@ def verify_orthogonality(table: CharacterTable) -> list[dict]:
     k = data.k
     order = data.order
     sizes = data.sizes
+    conj = [[v.conjugate() for v in row.values] for row in table.rows]
     for a in range(k):
         for b in range(a, k):
             total = Cyclotomic.zero(data.exponent)
             for i in range(k):
-                total = total + sizes[i] * (
-                    table.rows[a].values[i] * table.rows[b].values[i].conjugate()
-                )
+                total = total + sizes[i] * (table.rows[a].values[i] * conj[b][i])
             total = total * Fraction(1, order)
             expected = 1 if a == b else 0
             if total != expected:
@@ -325,8 +307,8 @@ def verify_orthogonality(table: CharacterTable) -> list[dict]:
     for i in range(k):
         for j in range(i, k):
             total = Cyclotomic.zero(data.exponent)
-            for row in table.rows:
-                total = total + row.values[i] * row.values[j].conjugate()
+            for row, row_conj in zip(table.rows, conj):
+                total = total + row.values[i] * row_conj[j]
             expected = order // sizes[i] if i == j else 0
             if total != expected:
                 violations.append(

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from chartab.classfuncs import (
+    MAX_POWER,
     ClassFunction,
     all_ones,
     delta,
@@ -177,6 +178,13 @@ class TestGammaDelta:
             gamma(0, table.rows[0])
         with pytest.raises(ValueError):
             delta(0, table.rows[0])
+
+    def test_n_bounded(self, table_factory):
+        row = table_factory("S5").rows[0]
+        for fn in (gamma, delta):
+            assert fn(MAX_POWER, row) > 0
+            with pytest.raises(ValueError, match="at most"):
+                fn(MAX_POWER + 1, row)
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_non_negative_up_to_five(self, group_factory, table_factory, name):

@@ -7,7 +7,12 @@ import sys
 import pytest
 
 import chartab
+from chartab import cli
+from chartab.arith import MR_LIMIT
+from chartab.classfuncs import MAX_POWER
 from chartab.cli import main
+
+LARGE_PRIME = str(10**18 + 3)
 
 
 def run_json(capsys, argv):
@@ -119,6 +124,25 @@ class TestGamma:
         capsys.readouterr()
         assert code == 5
 
+    def test_largest_n(self, capsys):
+        code, report = run_json(capsys, ["gamma", "--group", "S5", "-n", str(MAX_POWER)])
+        assert code == 0
+        assert report["results"]["gamma"][0] > 0
+
+    def test_n_checked_before_the_table(self, capsys, monkeypatch):
+        def no_table(group, cd):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(cli, "compute_table", no_table)
+        for n in (0, MAX_POWER + 1):
+            assert main(["gamma", "--group", "S5", "-n", str(n)]) == 5
+            assert "n must be" in capsys.readouterr().err
+
+    def test_huge_n_rejected_quickly(self):
+        proc = run_module(["gamma", "--group", "S5", "-n", "3000000"], timeout=2.0)
+        assert proc.returncode == 5
+        assert f"at most {MAX_POWER}" in proc.stderr
+
 
 class TestRecover:
     def test_round_trip_verdict(self, capsys):
@@ -131,6 +155,13 @@ class TestRecover:
         code, report = run_json(capsys, ["recover", "--group", "C4", "--real"])
         assert code == 0
         assert report["results"]["recovered_spectrum"] == [[1, 2]]
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_extra_terms_bounded(self, real):
+        argv = ["recover", "--group", "S3", "--extra-terms", "1000000"]
+        proc = run_module(argv + ["--real"] * real, timeout=2.0)
+        assert proc.returncode == 5
+        assert f"at most {MAX_POWER}" in proc.stderr
 
 
 class TestDefect:
@@ -145,6 +176,16 @@ class TestDefect:
         code = main(["defect", "--group", "S3", "-p", "4", "-n", "2"])
         capsys.readouterr()
         assert code == 5
+
+    def test_large_prime_finishes(self):
+        proc = run_module(["defect", "--group", "S3", "-p", LARGE_PRIME], timeout=2.0)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["verdicts"]["agree"] is True
+
+    @pytest.mark.parametrize("p", [str(10**18 + 1), str(MR_LIMIT)])
+    def test_large_non_prime_or_undecided_rejected(self, capsys, p):
+        assert main(["defect", "--group", "S3", "-p", p]) == 5
+        capsys.readouterr()
 
 
 class TestPElements:
@@ -179,6 +220,11 @@ class TestBlocks:
         report = json.loads(proc.stdout)
         assert report["results"]["members"] == [0]
         assert report["verdicts"] == {"all_characters_in_block": False}
+
+    def test_large_prime_field_rejected(self):
+        proc = run_module(["blocks", "--group", "S3", "-p", LARGE_PRIME], timeout=2.0)
+        assert proc.returncode == 6
+        assert "cap" in proc.stderr
 
     def test_residue_field_above_cap_rejected(self, s5_table):
         # p = 10007 needs GF(10007^4): refused before any search
@@ -296,6 +342,22 @@ def test_output_bytes_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_runtime_is_stdlib_only():
+    # -S keeps site-packages off the path and skips .pth start-up imports
+    code = (
+        "import sys; import chartab, chartab.cli; "
+        "print(sorted({m.partition('.')[0] for m in sys.modules} "
+        "- set(sys.stdlib_module_names) - {'__main__', 'chartab'}))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

@@ -1,7 +1,8 @@
 import pytest
 
 from chartab.arith import divisors, p_part
-from chartab.classfuncs import gamma
+from chartab import duality
+from chartab.classfuncs import MAX_POWER, gamma
 from chartab.duality import (
     SizeSpectrum,
     defect_zero_by_characters,
@@ -99,6 +100,23 @@ class TestRoundTrip:
         expected = SizeSpectrum.from_sizes(group.order, cd.data.sizes)
         for length in range(d, d + 4):
             assert recover_class_sizes(seq[:length], group.order) == expected
+
+
+class TestSequenceLength:
+    @pytest.mark.parametrize("sequence", [gamma_sequence, delta_sequence])
+    def test_length_checked_before_any_term(self, table_factory, monkeypatch, sequence):
+        table = table_factory("S3")
+
+        def no_terms(n, phi):
+            raise AssertionError("a term was computed")
+
+        monkeypatch.setattr(duality, "gamma", no_terms)
+        monkeypatch.setattr(duality, "delta", no_terms)
+        with pytest.raises(ValueError, match="at most"):
+            sequence(table, MAX_POWER + 1)
+
+    def test_longest_sequence_allowed(self, table_factory):
+        assert len(gamma_sequence(table_factory("S3"), MAX_POWER)) == MAX_POWER
 
 
 class TestSizeSpectrum:

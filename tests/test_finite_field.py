@@ -4,12 +4,11 @@ from math import gcd
 
 import pytest
 
-from chartab.arith import euler_phi, multiplicative_order, primitive_root
+from chartab.arith import MR_LIMIT, euler_phi, is_prime, multiplicative_order, primitive_root
 from chartab.cyclo import Cyclotomic, cyclotomic_polynomial, root_power
 from chartab.errors import CapExceededError, NonIntegralValueError, OrderMismatchError
 from chartab.finite_field import (
     ExtensionFieldElement,
-    PrimeFieldElement,
     field_elements,
     field_generator,
     irreducible_polynomial,
@@ -85,35 +84,36 @@ ORACLE_PAIRS = [
 ]
 
 
-class TestPrimeField:
-    def test_basic_arithmetic(self):
-        a = PrimeFieldElement(7, 3)
-        b = PrimeFieldElement(7, 5)
-        assert a + b == 1
-        assert a - b == 5
-        assert a * b == 1
-        assert -a == 4
-        assert a / b == a * b.inverse()
-        assert (a / b) * b == a
+def _sieve(n: int) -> list[bool]:
+    flags = [False, False] + [True] * (n - 2)
+    for i in range(2, int(n**0.5) + 1):
+        if flags[i]:
+            flags[i * i::i] = [False] * len(flags[i * i::i])
+    return flags
 
-    def test_int_coercion(self):
-        a = PrimeFieldElement(7, 3)
-        assert a + 5 == 1
-        assert 2 * a == 6
-        assert 1 - a == 5
 
-    def test_pow(self):
-        a = PrimeFieldElement(13, 2)
-        assert a**12 == 1
-        assert a**0 == 1
+class TestIsPrime:
+    def test_agrees_with_sieve(self):
+        flags = _sieve(10**5)
+        assert [n for n in range(10**5) if is_prime(n)] == [
+            n for n, prime in enumerate(flags) if prime
+        ]
 
-    def test_composite_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            PrimeFieldElement(6, 1)
+    def test_strong_pseudoprime_to_small_bases(self):
+        # a strong pseudoprime to every base 2..31: Miller-Rabin with only the
+        # first eleven primes as bases calls it prime
+        assert not is_prime(3825123056546413051)
 
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(ValueError):
-            PrimeFieldElement(7, 1) + PrimeFieldElement(5, 1)
+    def test_large_numbers(self):
+        assert is_prime(10**18 + 3)
+        assert not is_prime(10**18 + 1)  # 101 * 9901 * 999999000001
+        assert is_prime(MR_LIMIT - 168)  # the largest prime below the bound
+        assert not any(is_prime(MR_LIMIT - d) for d in range(1, 168))
+
+    def test_refused_at_the_bound(self):
+        for n in (MR_LIMIT, 10**30):
+            with pytest.raises(ValueError):
+                is_prime(n)
 
 
 class TestIrreduciblePolynomial:
@@ -187,7 +187,7 @@ class TestOrders:
             for q in (q1, dixon_prime(group.exponent, group.order, above=q1)):
                 brute = next(
                     g for g in range(1, q)
-                    if _brute_order(PrimeFieldElement(q, g)) == q - 1
+                    if all(pow(g, t, q) != 1 for t in range(1, q - 1))
                 )
                 assert primitive_root(q) == brute
 

@@ -4,6 +4,7 @@ import pytest
 
 from chartab.cyclo import Cyclotomic, root_power
 from chartab.errors import FormatError, TableIntegrityError
+from chartab.groups import GroupSpec, conjugacy_data, enumerate_group
 from chartab.tables import (
     CharacterTable,
     compute_table,
@@ -142,6 +143,40 @@ class TestComputeTable:
         q1 = dixon_prime(group.exponent, group.order)
         q2 = dixon_prime(group.exponent, group.order, above=q1)
         assert compute_table(group, cd, prime=q2) == table
+
+    @pytest.mark.parametrize(
+        "name, degree, generators, first_prime",
+        [
+            ("S6", 6, ("(1 2)", "(1 2 3 4 5 6)"), 61),
+            ("A6", 6, ("(1 2 3 4 5)", "(4 5 6)"), 61),
+            # exponent 84: the split runs at q = 337
+            ("GL32", 7, ("(1 2 3 4 5 6 7)", "(2 3)(4 7)"), 337),
+        ],
+    )
+    def test_prime_independence_bench(self, name, degree, generators, first_prime):
+        group = enumerate_group(GroupSpec(name, degree, generators))
+        cd = conjugacy_data(group)
+        q1 = dixon_prime(group.exponent, group.order)
+        q2 = dixon_prime(group.exponent, group.order, above=q1)
+        assert q1 == first_prime
+        table = compute_table(group, cd, prime=q1)
+        assert len(table.rows) == cd.k
+        assert compute_table(group, cd, prime=q2) == table
+
+    # 4 is not prime, 3 divides |S3|, 5 is not 1 mod 6 (S3) or mod 12 (S4),
+    # and 5^2 <= 4 |D8| although 5 = 1 mod 4
+    @pytest.mark.parametrize(
+        "name, prime", [("S3", 3), ("S3", 4), ("S3", 5), ("S4", 5), ("D8", 5)]
+    )
+    def test_inadmissible_prime_rejected(self, group_factory, name, prime):
+        group, cd = group_factory(name)
+        with pytest.raises(ValueError, match="admissible"):
+            compute_table(group, cd, prime=prime)
+
+    def test_trivial_group_admits_three(self, group_factory, table_factory):
+        # e = 1: 3 = 1 (mod e) although 3 % e != 1
+        group, cd = group_factory("trivial")
+        assert compute_table(group, cd, prime=3) == table_factory("trivial")
 
     def test_identity_column_is_degrees(self, table_factory):
         table = table_factory("S4")
