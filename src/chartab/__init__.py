@@ -29,7 +29,6 @@ from .classfuncs import (
 )
 from .cyclo import (
     Cyclotomic,
-    Rational,
     as_rational_integer,
     cyclotomic_polynomial,
     root_power,

@@ -13,7 +13,6 @@ weighted row-sum formula: since |K_i| c_i = |G|, the inner product
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -51,7 +50,7 @@ class ClassFunction:
             return ClassFunction(
                 tuple(a * b for a, b in zip(self.values, other.values)), self.data
             )
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return ClassFunction(tuple(v * other for v in self.values), self.data)
         return NotImplemented
 
@@ -114,14 +113,31 @@ def power(a: ClassFunction, n: int) -> ClassFunction:
     return out
 
 
-def inner(phi: ClassFunction, theta: ClassFunction) -> Cyclotomic:
-    """(1/|G|) sum over classes of |K| phi(g_K) conj(theta(g_K)), exactly."""
+def _scaled_inner(phi: ClassFunction, theta: ClassFunction) -> Cyclotomic:
+    """|G| [phi, theta] = sum over classes of |K| phi(g_K) conj(theta(g_K)), exactly.
+
+    The products are accumulated as one int polynomial modulo x^e - 1, using
+    conj(eps^t) = eps^(-t), and reduced to canonical form once.
+    """
     phi._check(theta)
-    data = phi.data
-    total = Cyclotomic.zero(data.exponent)
-    for size, a, b in zip(data.sizes, phi.values, theta.values):
-        total = total + size * (a * b.conjugate())
-    return total * Fraction(1, data.order)
+    e = phi.data.exponent
+    acc = [0] * e
+    for size, a, b in zip(phi.data.sizes, phi.values, theta.values):
+        b_terms = [(t, y) for t, y in enumerate(b.coeffs) if y]
+        for s, x in enumerate(a.coeffs):
+            if x:
+                x *= size
+                for t, y in b_terms:
+                    acc[(s - t) % e] += x * y
+    return Cyclotomic.from_poly(e, acc)
+
+
+def inner(phi: ClassFunction, theta: ClassFunction) -> Cyclotomic:
+    """(1/|G|) sum over classes of |K| phi(g_K) conj(theta(g_K)), exactly.
+
+    The division by |G| is exact for characters; otherwise NonIntegralValueError.
+    """
+    return _scaled_inner(phi, theta) / phi.data.order
 
 
 def _multiplicity(phi: ClassFunction, n: int, real_only: bool) -> int:

@@ -1,11 +1,13 @@
-"""Exact arithmetic in cyclotomic fields Q(eps_e), eps_e a primitive e-th root of unity.
+"""Exact arithmetic in the cyclotomic integers Z[eps_e], eps_e a primitive e-th root of 1.
 
 A value is stored in the power basis 1, eps, ..., eps^(phi(e)-1) as a tuple of
-phi(e) rationals, eagerly reduced modulo the e-th cyclotomic polynomial.  That
-makes the representation a normal form: two values are equal iff their
-coefficient tuples are equal, a value is rational iff only coefficient 0 is
-nonzero, and it is an algebraic integer iff every coefficient is a rational
-integer (the ring of integers of Q(eps_e) has the power basis).
+phi(e) ints, eagerly reduced modulo the e-th cyclotomic polynomial.  The power
+basis is an integral basis of the ring of integers of Q(eps_e), so every
+algebraic integer of the field has exactly one such form: two values are
+equal iff their coefficient tuples are equal, and a value is a rational
+integer iff only coefficient 0 is nonzero.  Character values are algebraic
+integers, so the ring never needs a denominator; a non-integer coefficient
+raises NonIntegralValueError, and division is exact or an error.
 
 Cyclotomic polynomials are computed by exact division of x^e - 1 by the
 product of the cyclotomic polynomials of the proper divisors of e, so no
@@ -14,13 +16,12 @@ factorization machinery is needed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from numbers import Rational
 
 from .arith import divisors, euler_phi
 from .errors import FormatError, NonIntegralValueError, OrderMismatchError
-
-Rational = Fraction
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -56,37 +57,72 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _eps_power_table(e: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical integer coefficient vectors of eps^j for j = 0 .. e-1."""
+def _phi_tail(e: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (j, c_j) of the e-th cyclotomic polynomial below its leading term."""
+    return tuple((j, c) for j, c in enumerate(cyclotomic_polynomial(e)[:-1]) if c)
+
+
+def _reduce(e: int, poly: list[int]) -> tuple[int, ...]:
+    """Canonical coefficients of sum_j poly[j] eps^j; poly is overwritten.
+
+    Folds modulo x^e - 1, then divides by the monic e-th cyclotomic
+    polynomial from the top, touching only its nonzero coefficients.
+    """
+    if len(poly) > e:
+        folded = poly[:e]
+        for j in range(e, len(poly)):
+            folded[j % e] += poly[j]
+        poly = folded
     d = euler_phi(e)
-    phi = cyclotomic_polynomial(e)
-    rows: list[tuple[int, ...]] = []
-    for j in range(min(d, e)):
-        rows.append(tuple(1 if i == j else 0 for i in range(d)))
-    for j in range(d, e):
-        prev = rows[j - 1]
-        shifted = [0] + list(prev[: d - 1])
-        top = prev[d - 1]
-        if top:
-            # x^d = -(phi_0 + phi_1 x + ... + phi_{d-1} x^{d-1})
-            for i in range(d):
-                shifted[i] -= top * phi[i]
-        rows.append(tuple(shifted))
-    return tuple(rows)
+    tail = _phi_tail(e)
+    for i in range(len(poly) - 1, d - 1, -1):
+        c = poly[i]
+        if c:
+            base = i - d
+            for j, p in tail:
+                poly[base + j] -= c * p
+    if len(poly) < d:
+        poly.extend([0] * (d - len(poly)))
+    return tuple(poly[:d])
+
+
+def _integer(c) -> int:
+    if isinstance(c, Rational) and c.denominator == 1:
+        return int(c)
+    raise NonIntegralValueError(f"coefficient {c} is not an integer")
+
+
+def _integers(coeffs) -> list[int]:
+    cs = list(coeffs)
+    if all(type(c) is int for c in cs):
+        return cs
+    return [_integer(c) for c in cs]
 
 
 class Cyclotomic:
-    """Immutable element of Q(eps_e) in canonical power-basis form."""
+    """Immutable element of Z[eps_e] in canonical power-basis form.
+
+    Coefficients must be integers (ints, or rationals with denominator 1);
+    anything else raises NonIntegralValueError.
+    """
 
     __slots__ = ("e", "coeffs")
 
     def __init__(self, e: int, coeffs):
         d = euler_phi(e)
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(_integers(coeffs))
         if len(cs) != d:
             raise ValueError(f"order {e} needs {d} coefficients, got {len(cs)}")
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "coeffs", cs)
+
+    @classmethod
+    def _make(cls, e: int, coeffs: tuple[int, ...]) -> "Cyclotomic":
+        """Wrap canonical int coefficients without re-checking them."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "e", e)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
@@ -95,7 +131,7 @@ class Cyclotomic:
 
     @classmethod
     def zero(cls, e: int) -> "Cyclotomic":
-        return cls(e, [0] * euler_phi(e))
+        return cls._make(e, (0,) * euler_phi(e))
 
     @classmethod
     def one(cls, e: int) -> "Cyclotomic":
@@ -103,22 +139,15 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, e: int, r) -> "Cyclotomic":
-        cs = [Fraction(0)] * euler_phi(e)
-        cs[0] = Fraction(r)
-        return cls(e, cs)
+        """The rational integer r; NonIntegralValueError for any other rational."""
+        cs = [0] * euler_phi(e)
+        cs[0] = _integer(r)
+        return cls._make(e, tuple(cs))
 
     @classmethod
     def from_poly(cls, e: int, coeffs) -> "Cyclotomic":
-        """Build from arbitrary coefficients of powers eps^0, eps^1, ... (any length)."""
-        table = _eps_power_table(e)
-        acc = [Fraction(0)] * euler_phi(e)
-        for j, c in enumerate(coeffs):
-            c = Fraction(c)
-            if c:
-                for i, t in enumerate(table[j % e]):
-                    if t:
-                        acc[i] += c * t
-        return cls(e, acc)
+        """Build from int coefficients of powers eps^0, eps^1, ... (any length)."""
+        return cls._make(e, _reduce(e, _integers(coeffs)))
 
     # -- ring operations ----------------------------------------------
 
@@ -131,8 +160,10 @@ class Cyclotomic:
     def __add__(self, other):
         if isinstance(other, Cyclotomic):
             self._check_order(other)
-            return Cyclotomic(self.e, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-        if isinstance(other, (int, Fraction)):
+            return Cyclotomic._make(
+                self.e, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            )
+        if isinstance(other, Rational):
             cs = list(self.coeffs)
             cs[0] += other
             return Cyclotomic(self.e, cs)
@@ -141,11 +172,11 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.e, [-c for c in self.coeffs])
+        return Cyclotomic._make(self.e, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (Cyclotomic, int, Fraction)):
-            return self + (-other if isinstance(other, Cyclotomic) else -Fraction(other))
+        if isinstance(other, (Cyclotomic, Rational)):
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -155,18 +186,26 @@ class Cyclotomic:
         if isinstance(other, Cyclotomic):
             self._check_order(other)
             a, b = self.coeffs, other.coeffs
-            conv = [Fraction(0)] * (2 * len(a) - 1)
+            conv = [0] * (len(a) + len(b) - 1)
             for i, ai in enumerate(a):
                 if ai:
                     for j, bj in enumerate(b):
                         if bj:
                             conv[i + j] += ai * bj
-            return Cyclotomic.from_poly(self.e, conv)
-        if isinstance(other, (int, Fraction)):
+            return Cyclotomic._make(self.e, _reduce(self.e, conv))
+        if type(other) is int:
+            return Cyclotomic._make(self.e, tuple(c * other for c in self.coeffs))
+        if isinstance(other, Rational):
             return Cyclotomic(self.e, [c * other for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def __truediv__(self, n: int) -> "Cyclotomic":
+        """Exact quotient by a nonzero int; NonIntegralValueError if not in Z[eps_e]."""
+        if any(c % n for c in self.coeffs):
+            raise NonIntegralValueError(f"({self}) / {n} is not an algebraic integer")
+        return Cyclotomic._make(self.e, tuple(c // n for c in self.coeffs))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -183,7 +222,7 @@ class Cyclotomic:
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
             return self.e == other.e and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self.is_rational() and self.coeffs[0] == other
         return NotImplemented
 
@@ -197,67 +236,60 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, the Galois twist eps -> eps^(-1)."""
-        return Cyclotomic.from_poly(self.e, _conj_poly(self.coeffs, self.e))
+        e = self.e
+        poly = [0] * e
+        for j, c in enumerate(self.coeffs):
+            poly[-j % e] += c
+        return Cyclotomic._make(e, _reduce(e, poly))
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise NonIntegralValueError(f"not a rational number: coefficients {self.coeffs}")
-        return self.coeffs[0]
-
-    def is_rational_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
-
-    def is_integral(self) -> bool:
-        """True iff the value is an algebraic integer (all coefficients integers)."""
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def embed(self, e2: int) -> "Cyclotomic":
-        """Rewrite in Q(eps_e2) for a multiple e2 of the current order."""
+        """Rewrite in Z[eps_e2] for a multiple e2 of the current order."""
         if e2 % self.e:
             raise OrderMismatchError(f"{self.e} does not divide {e2}")
         step = e2 // self.e
-        conv = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1)
-        for j, c in enumerate(self.coeffs):
-            conv[j * step] = c
-        return Cyclotomic.from_poly(e2, conv)
+        poly = [0] * (step * (len(self.coeffs) - 1) + 1)
+        poly[::step] = self.coeffs
+        return Cyclotomic._make(e2, _reduce(e2, poly))
 
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "e": self.e,
-            "num": [c.numerator for c in self.coeffs],
-            "den": [c.denominator for c in self.coeffs],
-        }
+        return {"e": self.e, "num": list(self.coeffs), "den": [1] * len(self.coeffs)}
 
     @classmethod
     def from_dict(cls, data: dict, expect_e: int | None = None) -> "Cyclotomic":
-        """Deserialize, insisting on canonical form (lowest terms, right length)."""
+        """Deserialize, insisting on canonical form (lowest terms, right length).
+
+        A malformed record is a FormatError; a well-formed one with a
+        denominator other than 1 is not in Z[eps_e] (NonIntegralValueError).
+        """
         try:
             e = data["e"]
             num = data["num"]
             den = data["den"]
         except (TypeError, KeyError) as exc:
             raise FormatError(f"bad cyclotomic record: {data!r}") from exc
-        if not isinstance(e, int) or e < 1:
+        if type(e) is not int or e < 1:
             raise FormatError(f"bad cyclotomic order: {e!r}")
         if expect_e is not None and e != expect_e:
             raise FormatError(f"cyclotomic order {e} where {expect_e} is required")
         d = euler_phi(e)
-        if len(num) != d or len(den) != d:
+        if not isinstance(num, list) or not isinstance(den, list) or not (
+            len(num) == len(den) == d
+        ):
             raise FormatError(f"order {e} needs {d} numerators and denominators")
-        coeffs = []
         for n, m in zip(num, den):
-            if not isinstance(n, int) or not isinstance(m, int) or m < 1:
+            if type(n) is not int or type(m) is not int or m < 1:
                 raise FormatError(f"bad coefficient {n}/{m}")
-            f = Fraction(n, m)
-            if f.numerator != n or f.denominator != m:
+            if gcd(n, m) != 1:
                 raise FormatError(f"coefficient {n}/{m} is not in lowest terms")
-            coeffs.append(f)
-        return cls(e, coeffs)
+        for n, m in zip(num, den):
+            if m != 1:
+                raise NonIntegralValueError(f"coefficient {n}/{m} is not an integer")
+        return cls._make(e, tuple(num))
 
     # -- display --------------------------------------------------------
 
@@ -287,24 +319,17 @@ class Cyclotomic:
         return out
 
 
-def _conj_poly(coeffs, e: int) -> list[Fraction]:
-    out = [Fraction(0)] * e
-    for j, c in enumerate(coeffs):
-        out[(e - j) % e] += c
-    return out
-
-
 def root_power(e: int, j: int) -> Cyclotomic:
     """eps_e^j in canonical form (j taken mod e)."""
     if e < 1:
         raise ValueError(f"order must be positive, got {e}")
-    return Cyclotomic(e, [Fraction(c) for c in _eps_power_table(e)[j % e]])
+    return Cyclotomic.from_poly(e, [0] * (j % e) + [1])
 
 
 def as_rational_integer(z: Cyclotomic) -> int:
     """The value as a plain integer; raises if it is not a rational integer."""
-    if not z.is_rational_integer():
+    if not z.is_rational():
         raise NonIntegralValueError(
             f"not a rational integer: coefficients {[str(c) for c in z.coeffs]}"
         )
-    return int(z.coeffs[0])
+    return z.coeffs[0]

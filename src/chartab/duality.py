@@ -52,32 +52,23 @@ class SizeSpectrum:
 
 
 def _solve_vandermonde(nodes: list[int], rhs: list[int]) -> list[Fraction]:
-    """Exact solve of sum_i x_i * nodes_i^(n-1) = rhs[n-1] by Gaussian elimination.
+    """Exact solve of sum_i x_i * nodes_i^(n-1) = rhs[n-1] for distinct nodes.
 
-    Pivots are chosen by the largest |numerator * denominator|, which bounds
-    intermediate coefficient growth; the system is square and non-singular
-    because the nodes are distinct.
+    The Bjorck-Pereyra recurrence (Bjorck and Pereyra 1970; Golub and Van
+    Loan, Algorithm 4.6.2) in O(d^2) operations: the first sweep is integer
+    only, the second divides by differences of distinct nodes.
     """
     d = len(nodes)
-    aug = [
-        [Fraction(node) ** row for node in nodes] + [Fraction(rhs[row])]
-        for row in range(d)
-    ]
-    for col in range(d):
-        pivot = max(
-            range(col, d),
-            key=lambda r: abs(aug[r][col].numerator * aug[r][col].denominator),
-        )
-        if not aug[pivot][col]:
-            raise AssertionError("Vandermonde system cannot be singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][d] for r in range(d)]
+    x = list(rhs)
+    for k in range(d - 1):
+        for i in range(d - 1, k, -1):
+            x[i] -= nodes[k] * x[i - 1]
+    for k in range(d - 2, -1, -1):
+        for i in range(k + 1, d):
+            x[i] = Fraction(x[i], nodes[i] - nodes[i - k - 1])
+        for i in range(k, d - 1):
+            x[i] -= x[i + 1]
+    return [Fraction(v) for v in x]
 
 
 def _recover(seq, order: int, full_cover: bool) -> SizeSpectrum:

@@ -158,7 +158,7 @@ class GroupSpec:
             generators = data["generators"]
         except (TypeError, KeyError) as exc:
             raise FormatError(f"group spec needs name/degree/generators: {data!r}") from exc
-        if not isinstance(name, str) or not isinstance(degree, int) or degree < 1:
+        if not isinstance(name, str) or type(degree) is not int or degree < 1:
             raise FormatError(f"bad group spec fields: {data!r}")
         if not isinstance(generators, list) or not all(isinstance(g, str) for g in generators):
             raise FormatError(f"generators must be a list of cycle strings: {data!r}")

@@ -19,7 +19,7 @@ from math import gcd
 
 from .arith import is_prime, multiplicative_order
 from .cyclo import Cyclotomic
-from .errors import CapExceededError, NonIntegralValueError, OrderMismatchError
+from .errors import CapExceededError, OrderMismatchError
 from .finite_field import ExtensionFieldElement, field_generator, irreducible_polynomial
 
 # Largest residue field build_reduction constructs.  The slowest admitted
@@ -82,14 +82,10 @@ def candidate_roots(e: int, p: int) -> list[ExtensionFieldElement]:
 
 
 def reduce_mod_M(z: Cyclotomic, rmap: ReductionMap) -> ExtensionFieldElement:
-    """Apply the homomorphism to a cyclotomic integer (integer coefficients required)."""
+    """Apply the homomorphism to a cyclotomic integer."""
     if z.e != rmap.e:
         raise OrderMismatchError(f"value of order {z.e} under a map for order {rmap.e}")
-    if not z.is_integral():
-        raise NonIntegralValueError(
-            f"not an algebraic integer: coefficients {[str(c) for c in z.coeffs]}"
-        )
     acc = rmap.zero()
     for c in reversed(z.coeffs):
-        acc = acc * rmap.eta + rmap.from_int(int(c))
+        acc = acc * rmap.eta + rmap.from_int(c)
     return acc

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -105,11 +107,63 @@ class TestTable:
         capsys.readouterr()
         assert code == 7
 
+    def test_non_integral_value_rejected(self, capsys, tmp_path):
+        path = tmp_path / "s3.json"
+        run_json(capsys, ["table", "--group", "S3", "--save", str(path)])
+        data = json.loads(path.read_text())
+        data["rows"][1][1] = {"e": 6, "num": [1, 0], "den": [2, 1]}
+        path.write_text(json.dumps(data))
+        code = main(["table", "--group", "S3", "--table-file", str(path)])
+        capsys.readouterr()
+        assert code == 7
+
     def test_human_rendering(self, capsys):
         code = main(["table", "--group", "S3", "--human"])
         out = capsys.readouterr().out
         assert code == 0
         assert "X0" in out and "class sizes" in out
+
+
+# (group, path to an entry 1 of its saved table that is rewritten as true)
+BOOLEAN_ENTRIES = {
+    "order": ("trivial", ("order",)),
+    "exponent": ("trivial", ("exponent",)),
+    "class_sizes": ("S3", ("class_sizes", 0)),
+    "rep_orders": ("S3", ("rep_orders", 0)),
+    "inverse_class": ("S3", ("inverse_class", 1)),
+    "power_map": ("S3", ("power_map", 1, 1)),
+    "e": ("trivial", ("rows", 0, 0, "e")),
+    "num": ("S3", ("rows", 0, 0, "num", 0)),
+    "den": ("S3", ("rows", 0, 0, "den", 0)),
+}
+
+
+class TestBooleansRejected:
+    # JSON true is a Python bool, and bool is a subclass of int
+    @pytest.mark.parametrize("entry", sorted(BOOLEAN_ENTRIES))
+    def test_table_file(self, capsys, tmp_path, entry):
+        group, keys = BOOLEAN_ENTRIES[entry]
+        path = tmp_path / "table.json"
+        run_json(capsys, ["table", "--group", group, "--save", str(path)])
+        data = json.loads(path.read_text())
+        *outer, last = keys
+        parent = functools.reduce(operator.getitem, outer, data)
+        assert parent[last] == 1
+        parent[last] = True
+        path.write_text(json.dumps(data))
+        code = main(["table", "--group", group, "--table-file", str(path)])
+        capsys.readouterr()
+        assert code == 4
+
+    def test_spec_degree(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        spec = {"name": "C1", "degree": 1, "generators": ["()"]}
+        path.write_text(json.dumps(spec))
+        assert main(["classes", "--spec-file", str(path)]) == 0
+        path.write_text(json.dumps({**spec, "degree": True}))
+        code = main(["classes", "--spec-file", str(path)])
+        capsys.readouterr()
+        assert code == 4
 
 
 class TestGamma:
@@ -326,8 +380,15 @@ class TestVerify:
         assert "all checks passed" in out
 
 
-# sha256 prefixes of the stdout of these commands; the last one is the only
-# command that evaluates strunkov_analog_gamma on a group with two classes
+BENCH_SPECS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "specs"
+)
+
+
+# sha256 prefixes of the stdout of these commands; "counterexample --group C2"
+# is the only command that evaluates strunkov_analog_gamma on a group with two
+# classes.  {specs} is the bench's spec directory, {tmp} holds the S6 table
+# as `table --spec-file {specs}/S6.json --save` writes it.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -336,10 +397,21 @@ class TestVerify:
         ("gamma --group S5 -n 4", "3b326d6bec11ca1e"),
         ("recover --group C4 --real", "cbc929ec570e75d0"),
         ("counterexample --group C2 -p 2", "301f7d2ebf1a8e92"),
+        ("verify", "978b3ea7b7b16501"),
+        ("table --spec-file {specs}/S6.json", "f525cb705aef0e1a"),
+        (
+            "recover --spec-file {specs}/S6.json --table-file {tmp}/S6.json",
+            "1eee872428c5d5a8",
+        ),
     ],
 )
-def test_output_bytes_pinned(capsys, argv, digest):
-    assert main(argv.split()) == 0
+def test_output_bytes_pinned(capsys, tmp_path, argv, digest):
+    if "{tmp}" in argv:
+        save = ["table", "--spec-file", os.path.join(BENCH_SPECS, "S6.json")]
+        assert main([*save, "--save", str(tmp_path / "S6.json")]) == 0
+        capsys.readouterr()
+    argv = [word.format(specs=BENCH_SPECS, tmp=tmp_path) for word in argv.split()]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 

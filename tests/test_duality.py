@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from chartab.arith import divisors, p_part
@@ -15,6 +18,31 @@ from chartab.duality import (
 from chartab.errors import InconsistentSequenceError
 
 from conftest import ALL_GROUPS
+
+# orders of the catalog groups, of the bench groups S6, A6 and GL(3,2), and of S7
+SOLVER_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12, 24, 60, 120, 168, 360, 720, 5040)
+
+
+def gauss_vandermonde(nodes, rhs):
+    """Reference solve of sum_i x_i nodes_i^(n-1) = rhs[n-1] by Fraction elimination."""
+    d = len(nodes)
+    aug = [
+        [Fraction(node) ** row for node in nodes] + [Fraction(rhs[row])]
+        for row in range(d)
+    ]
+    for col in range(d):
+        pivot = max(
+            range(col, d),
+            key=lambda r: abs(aug[r][col].numerator * aug[r][col].denominator),
+        )
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [aug[r][d] for r in range(d)]
 
 
 class TestRecoverClassSizes:
@@ -52,6 +80,47 @@ class TestRecoverClassSizes:
         # solves to one class of size 1 and nothing else: cannot fill order 3
         with pytest.raises(InconsistentSequenceError):
             recover_class_sizes([1, 3], 3)
+
+
+class TestVandermondeSolve:
+    def test_random_nodes_match_elimination(self):
+        rng = random.Random(1970)
+        for _ in range(200):
+            d = rng.randrange(1, 13)
+            nodes = rng.sample(range(-60, 300), d)
+            rhs = [rng.randrange(-10**6, 10**6) for _ in range(d)]
+            assert duality._solve_vandermonde(nodes, rhs) == gauss_vandermonde(nodes, rhs)
+
+    @pytest.mark.parametrize("order", SOLVER_ORDERS)
+    def test_divisor_nodes_match_elimination(self, order):
+        rng = random.Random(order)
+        nodes = [order // s for s in divisors(order)]
+        counts = [rng.randrange(0, 4) for _ in nodes]
+        consistent = [
+            sum(c * x**n for c, x in zip(counts, nodes)) for n in range(len(nodes))
+        ]
+        arbitrary = [rng.randrange(-1000, 1000) for _ in nodes]
+        for rhs in (consistent, arbitrary):
+            solution = duality._solve_vandermonde(nodes, rhs)
+            # the system is non-singular, so satisfying it pins the solution
+            assert [
+                sum(v * x**n for v, x in zip(solution, nodes)) for n in range(len(nodes))
+            ] == rhs
+            if len(nodes) <= 30:  # elimination takes about 8 s for 5040's 60 nodes
+                assert solution == gauss_vandermonde(nodes, rhs)
+        assert duality._solve_vandermonde(nodes, consistent) == counts
+
+    def test_messages_pinned(self):
+        with pytest.raises(InconsistentSequenceError) as exc:
+            recover_class_sizes([3, 11, 49, 250], 6)
+        assert str(exc.value) == (
+            "no group of order 6 yields this sequence: count for size 1 solves to 59/60"
+        )
+        with pytest.raises(InconsistentSequenceError) as exc:
+            recover_class_sizes([2, 1], 2)
+        assert str(exc.value) == (
+            "no group of order 2 yields this sequence: count for size 1 solves to -1"
+        )
 
 
 class TestRecoverRealClassSizes:

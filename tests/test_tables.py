@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chartab.classfuncs import ClassFunction
 from chartab.cyclo import Cyclotomic, root_power
 from chartab.errors import FormatError, TableIntegrityError
 from chartab.groups import GroupSpec, conjugacy_data, enumerate_group
@@ -12,6 +13,7 @@ from chartab.tables import (
     load_table,
     save_table,
     table_to_dict,
+    validate_table,
     verify_orthogonality,
 )
 
@@ -134,7 +136,7 @@ class TestComputeTable:
         table = table_factory(name)
         for row in table.rows:
             for v in row.values:
-                assert v.is_integral()
+                assert all(type(c) is int for c in v.coeffs)
 
     @pytest.mark.parametrize("name", ("trivial", "C4", "S3", "Q8", "A4"))
     def test_prime_independence_small(self, group_factory, table_factory, name):
@@ -198,6 +200,32 @@ class TestOrthogonality:
         violations = verify_orthogonality(bad)
         assert any(v["kind"] == "row" and v["first"] == 2 == v["second"] for v in violations)
 
+    def test_violation_value_is_scaled_sum(self, table_factory):
+        table = table_factory("S3")
+        rows = (table.rows[0], table.rows[1], 2 * table.rows[2])
+        bad = CharacterTable(group_name=table.group_name, data=table.data, rows=rows)
+        # |G| [2 chi, 2 chi] = 6 * 4
+        assert verify_orthogonality(bad) == [
+            {"kind": "row", "first": 2, "second": 2, "value": "24"}
+        ]
+
+    def test_every_single_value_change_detected(self, table_factory):
+        # only the row relations are checked: the column relations follow
+        # from them, so one value off by one anywhere must break a row relation
+        table = table_factory("S4")
+        for r, row in enumerate(table.rows):
+            for i in range(table.data.k):
+                values = list(row.values)
+                values[i] = values[i] + 1
+                rows = list(table.rows)
+                rows[r] = ClassFunction(tuple(values), table.data)
+                bad = CharacterTable(
+                    group_name=table.group_name, data=table.data, rows=tuple(rows)
+                )
+                assert verify_orthogonality(bad), (r, i)
+                with pytest.raises(TableIntegrityError):
+                    validate_table(bad)
+
 
 class TestTableFiles:
     def test_round_trip(self, table_factory, tmp_path):
@@ -223,6 +251,15 @@ class TestTableFiles:
         path = tmp_path / "noncanon.json"
         path.write_text(json.dumps(data))
         with pytest.raises(FormatError):
+            load_table(path)
+
+    def test_non_integral_value_rejected(self, table_factory, tmp_path):
+        # in lowest terms, so well-formed, but 1/2 is not an algebraic integer
+        data = table_to_dict(table_factory("S3"))
+        data["rows"][1][1] = {"e": 6, "num": [1, 0], "den": [2, 1]}
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(TableIntegrityError):
             load_table(path)
 
     def test_wrong_field_order_rejected(self, table_factory, tmp_path):
