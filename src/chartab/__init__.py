@@ -62,11 +62,11 @@ from .groups import (
     ConjugacyData,
     Group,
     GroupSpec,
-    Permutation,
     catalog_group,
     class_matrix,
     conjugacy_data,
     count_commutator_solutions,
+    cycle_string,
     enumerate_group,
     load_catalog,
     parse_cycles,

@@ -40,9 +40,7 @@ def is_p_element(
         for row in table.rows
     )
     order = table.data.rep_orders[class_index]
-    while order % p == 0:
-        order //= p
-    direct = order == 1
+    direct = p_part(order, p) == order
     if congruent != direct:
         raise TableIntegrityError(
             f"congruence and order tests disagree on class {class_index} for p={p}"

@@ -14,14 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .cyclo import Cyclotomic, as_rational_integer
 from .errors import ClassDataMismatchError, TableIntegrityError
 from .groups import ClassData
-
-if TYPE_CHECKING:
-    from .tables import CharacterTable
 
 
 @dataclass(frozen=True)
@@ -77,8 +73,10 @@ def pi_character(data: ClassData) -> ClassFunction:
     )
 
 
-def _psi_reference(data: ClassData) -> ClassFunction:
-    """Case-split form of psi: centralizer order on real classes, 0 otherwise."""
+def psi_character(data: ClassData) -> ClassFunction:
+    """Sum of the squared irreducible characters: centralizer order on real
+    classes and 0 elsewhere, by column orthogonality of g against g^-1.
+    """
     return ClassFunction(
         tuple(
             Cyclotomic.from_rational(data.exponent, c if real else 0)
@@ -86,21 +84,6 @@ def _psi_reference(data: ClassData) -> ClassFunction:
         ),
         data,
     )
-
-
-def psi_character(table: CharacterTable) -> ClassFunction:
-    """Sum of the squared irreducible characters, verified against its case split."""
-    data = table.data
-    total = ClassFunction(
-        tuple(Cyclotomic.zero(data.exponent) for _ in range(data.k)), data
-    )
-    for row in table.rows:
-        total = total + row * row
-    if total != _psi_reference(data):
-        raise TableIntegrityError(
-            "sum of squared characters is not centralizer-on-real-classes"
-        )
-    return total
 
 
 def power(a: ClassFunction, n: int) -> ClassFunction:

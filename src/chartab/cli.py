@@ -34,6 +34,7 @@ from .errors import (
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     conjugacy_data,
+    cycle_string,
     enumerate_group,
     load_catalog,
     load_group_spec,
@@ -152,9 +153,7 @@ def _cmd_classes(args):
         "class_count": cd.k,
         "sizes": list(data.sizes),
         "centralizer_orders": list(data.centralizer_orders),
-        "representatives": [
-            group.elements[r].cycle_string() for r in cd.representatives
-        ],
+        "representatives": [cycle_string(group.elements[r]) for r in cd.representatives],
         "representative_orders": list(data.rep_orders),
         "inverse_class": list(data.inverse_class),
         "real_flags": list(data.real_flags),
@@ -264,7 +263,7 @@ def _cmd_pelements(args):
     table = _resolve_table(args, group, cd)
     rmap = build_reduction(group.exponent, args.p)
     congruence = [is_p_element(i, args.p, table, rmap) for i in range(cd.k)]
-    direct = [_is_p_power(order, args.p) for order in cd.data.rep_orders]
+    direct = [p_part(order, args.p) == order for order in cd.data.rep_orders]
     results = {
         "p": args.p,
         "residue_field": {"p": rmap.p, "degree": rmap.f, "order_of_root": rmap.m},
@@ -278,12 +277,6 @@ def _cmd_pelements(args):
     )
     _emit(report, args.human)
     return EXIT_OK
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _cmd_blocks(args):

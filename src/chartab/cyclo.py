@@ -234,13 +234,19 @@ class Cyclotomic:
 
     # -- structure ----------------------------------------------------
 
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, the Galois twist eps -> eps^(-1)."""
+    def galois(self, s: int) -> "Cyclotomic":
+        """The map eps -> eps^s, a field automorphism when gcd(s, e) = 1."""
+        if self.is_rational():
+            return self
         e = self.e
         poly = [0] * e
         for j, c in enumerate(self.coeffs):
-            poly[-j % e] += c
+            poly[j * s % e] += c
         return Cyclotomic._make(e, _reduce(e, poly))
+
+    def conjugate(self) -> "Cyclotomic":
+        """Complex conjugation, the Galois twist eps -> eps^(-1)."""
+        return self.galois(-1)
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])

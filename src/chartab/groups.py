@@ -1,10 +1,12 @@
-"""Permutation groups: enumeration, conjugacy structure, commutator counting.
+"""Groups of permutations: enumeration, conjugacy structure, commutator counting.
 
+A group element is a plain tuple of images: points 1..d are stored as
+0..d-1, and g[x] is the image of x.  A product applies its left factor first.
 Groups are given by generators in cycle notation and enumerated by
 breadth-first closure, which fixes a deterministic element ordering (identity
-first).  Conjugacy classes are ordered by (size, smallest member), so the
-identity class is always class 0 and two runs over the same spec produce
-identical orderings.
+first); inverses are looked up once in `Group.inverse_index`.  Conjugacy
+classes are ordered by (size, smallest member), so the identity class is
+always class 0 and two runs over the same spec produce identical orderings.
 """
 
 from __future__ import annotations
@@ -23,90 +25,40 @@ DEFAULT_ELEMENT_CAP = 2000
 _COMMUTATOR_CAPS = {1: 24, 2: 12}
 
 
-class Permutation:
-    """Bijection on {1..d}, stored 0-based as a tuple of images."""
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product a * b: apply a first, then b."""
+    return tuple(b[x] for x in a)
 
-    __slots__ = ("images",)
 
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
-        object.__setattr__(self, "images", images)
+def _cycles(g: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Nontrivial cycles of g on 1-based points, each from its smallest point."""
+    seen = [False] * len(g)
+    out = []
+    for start in range(len(g)):
+        if seen[start] or g[start] == start:
+            continue
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x + 1)
+            x = g[x]
+        out.append(tuple(cyc))
+    return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("permutations are immutable")
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # apply self first, then other
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        o = other.images
-        return Permutation(tuple(o[x] for x in self.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Permutation(inv)
-
-    def order(self) -> int:
-        k = 1
-        cur = self
-        ident = tuple(range(self.degree))
-        while cur.images != ident:
-            cur = cur * self
-            k += 1
-        return k
-
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(self.degree))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles on 1-based points."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = []
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                cyc.append(x + 1)
-                x = self.images[x]
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
+def cycle_string(images: tuple[int, ...]) -> str:
+    """Cycle notation of an image tuple, "()" for the identity."""
+    cycs = _cycles(images)
+    if not cycs:
+        return "()"
+    return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int) -> Permutation:
+def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     """Parse whitespace-separated disjoint cycles like "(1 2 3)(4 5)".
 
     "()" is the identity.  Points are 1-based and must not repeat.
@@ -139,7 +91,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             continue  # fixed point, e.g. "(3)"
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a - 1] = b - 1
-    return Permutation(images)
+    return tuple(images)
 
 
 @dataclass(frozen=True)
@@ -171,17 +123,23 @@ class GroupSpec:
 class Group:
     """Fully enumerated permutation group with a fixed element ordering."""
 
-    def __init__(self, name: str, elements: list[Permutation]):
+    def __init__(self, name: str, elements: list[tuple[int, ...]]):
         self.name = name
         self.elements = tuple(elements)
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.order = len(self.elements)
-        self.element_orders = tuple(g.order() for g in self.elements)
+        self.element_orders = tuple(
+            lcm(*(len(c) for c in _cycles(g))) for g in self.elements
+        )
         self.exponent = lcm(*self.element_orders)
-        self.inverse_index = tuple(self.index[g.inverse()] for g in self.elements)
+        # g^-1 sends g[x] back to x: the points listed in the order of their images
+        self.inverse_index = tuple(
+            self.index[tuple(sorted(range(len(g)), key=g.__getitem__))]
+            for g in self.elements
+        )
 
     def mul(self, i: int, j: int) -> int:
-        return self.index[self.elements[i] * self.elements[j]]
+        return self.index[_compose(self.elements[i], self.elements[j])]
 
     def __len__(self):
         return self.order
@@ -192,11 +150,8 @@ class Group:
 
 def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     """Breadth-first closure of the generators, sorted generator application."""
-    gens = sorted(
-        {parse_cycles(text, spec.degree) for text in spec.generators},
-        key=lambda g: g.images,
-    )
-    ident = Permutation.identity(spec.degree)
+    gens = sorted({parse_cycles(text, spec.degree) for text in spec.generators})
+    ident = tuple(range(spec.degree))
     elements = [ident]
     index = {ident: 0}
     pos = 0
@@ -204,7 +159,7 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
         g = elements[pos]
         pos += 1
         for s in gens:
-            h = g * s
+            h = _compose(g, s)
             if h not in index:
                 if len(elements) >= cap:
                     raise CapExceededError(
@@ -248,15 +203,16 @@ class ConjugacyData:
 
     def __init__(self, group: Group):
         n = group.order
+        elements, index = group.elements, group.index
+        with_inverses = [(g, elements[group.inverse_index[i]]) for i, g in enumerate(elements)]
         class_of = [-1] * n
         members: list[tuple[int, ...]] = []
         for start in range(n):
             if class_of[start] >= 0:
                 continue
-            x = group.elements[start]
-            orbit = set()
-            for g in group.elements:
-                orbit.add(group.index[(g.inverse() * x) * g])
+            x = elements[start]
+            # x^g = g^-1 * x * g sends g[p] to g[x[p]]
+            orbit = {index[tuple(g[x[j]] for j in g_inv)] for g, g_inv in with_inverses}
             members.append(tuple(sorted(orbit)))
             for idx in orbit:
                 class_of[idx] = len(members) - 1
@@ -273,12 +229,12 @@ class ConjugacyData:
         self.k = len(members)
         power_map = []
         for rep in self.representatives:
-            x = group.elements[rep]
-            cur = Permutation.identity(group.elements[0].degree)
+            x = elements[rep]
+            cur = elements[0]
             row = []
             for _ in range(group.exponent):
-                row.append(self.class_of[group.index[cur]])
-                cur = cur * x
+                row.append(self.class_of[index[cur]])
+                cur = _compose(cur, x)
             power_map.append(tuple(row))
         self.data = ClassData(
             order=group.order,
@@ -315,12 +271,12 @@ def class_matrix(cd: ConjugacyData, i: int) -> list[list[int]]:
     for l, rep in enumerate(cd.representatives):
         g_l = group.elements[rep]
         for x_idx in cd.members[i]:
-            y = group.elements[x_idx].inverse() * g_l
+            y = _compose(group.elements[group.inverse_index[x_idx]], g_l)
             rows[cd.class_of[group.index[y]]][l] += 1
     return rows
 
 
-def count_commutator_solutions(group: Group, target: Permutation, n: int) -> int:
+def count_commutator_solutions(group: Group, target: tuple[int, ...], n: int) -> int:
     """Number of 2n-tuples whose commutator product equals target, by brute force."""
     if n not in _COMMUTATOR_CAPS:
         raise ValueError(f"n must be 1 or 2, got {n}")

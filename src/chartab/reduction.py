@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import is_prime, multiplicative_order
+from .arith import is_prime, multiplicative_order, p_part
 from .cyclo import Cyclotomic
 from .errors import CapExceededError, OrderMismatchError
 from .finite_field import ExtensionFieldElement, field_generator, irreducible_polynomial
@@ -46,12 +46,6 @@ class ReductionMap:
         return ExtensionFieldElement.from_int(self.p, self.poly, n)
 
 
-def _p_free_part(e: int, p: int) -> int:
-    while e % p == 0:
-        e //= p
-    return e
-
-
 def build_reduction(e: int, p: int) -> ReductionMap:
     """Deterministic reduction map for order e and prime p.
 
@@ -63,7 +57,7 @@ def build_reduction(e: int, p: int) -> ReductionMap:
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError(f"order must be positive, got {e}")
-    m = _p_free_part(e, p)
+    m = e // p_part(e, p)
     f = 1 if m == 1 else multiplicative_order(p, m)
     if p**f > FIELD_SIZE_CAP:
         raise CapExceededError(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
 
 from .arith import is_prime, primitive_root
 from .classfuncs import ClassFunction, _scaled_inner
@@ -325,9 +325,10 @@ def validate_table(table: CharacterTable) -> None:
         raise TableIntegrityError(f"{len(table.rows)} rows for {k} classes")
     if sum(data.sizes) != data.order:
         raise TableIntegrityError("class sizes do not sum to the group order")
-    if any(data.order % s for s in data.sizes):
-        raise TableIntegrityError("class sizes must divide the group order")
+    if any(s < 1 or data.order % s for s in data.sizes):
+        raise TableIntegrityError("class sizes must be positive divisors of the group order")
     _validate_power_map(data)
+    units = [s for s in range(2, data.exponent) if gcd(s, data.exponent) == 1]
     first = table.rows[0]
     if not all(v == 1 for v in first.values):
         raise TableIntegrityError("row 0 is not the trivial character")
@@ -339,10 +340,14 @@ def validate_table(table: CharacterTable) -> None:
         for i, value in enumerate(row.values):
             if value.e != data.exponent:
                 raise TableIntegrityError(f"row {idx} value {i} has the wrong order")
-            if row.values[data.inverse_class[i]] != value.conjugate():
-                raise TableIntegrityError(
-                    f"row {idx}: value at the inverse of class {i} is not the conjugate"
-                )
+            # chi(g^s) = sigma_s(chi(g)); s = -1 is the inverse class, which the
+            # power map has already tied to inverse_class
+            for s in units:
+                if row.values[data.power_class(i, s)] != value.galois(s):
+                    raise TableIntegrityError(
+                        f"row {idx}: value at class {i} to the power {s} is not "
+                        f"its Galois image"
+                    )
     if sum(d * d for d in table.degrees) != data.order:
         raise TableIntegrityError("sum of squared degrees differs from the group order")
     violations = verify_orthogonality(table)

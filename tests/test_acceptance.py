@@ -156,7 +156,13 @@ def test_criterion_7_identity_suite_for_whole_catalog():
                 )
                 total = total + row * conj_row
             assert total == pi, name
-            psi = psi_character(table)  # asserts the case split internally
+            psi = psi_character(data)
+            squares = ClassFunction(
+                tuple(Cyclotomic.zero(data.exponent) for _ in range(data.k)), data
+            )
+            for row in table.rows:
+                squares = squares + row * row
+            assert squares == psi, name
             for n in range(0, 4):
                 for m in range(1, 4):
                     assert power(pi, n) * power(psi, m) == power(psi, n + m)

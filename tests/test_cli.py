@@ -117,6 +117,27 @@ class TestTable:
         capsys.readouterr()
         assert code == 7
 
+    def test_zero_class_size_rejected(self, capsys, tmp_path):
+        path = tmp_path / "s3.json"
+        run_json(capsys, ["table", "--group", "S3", "--save", str(path)])
+        data = json.loads(path.read_text())
+        data["class_sizes"] = [1, 0, 5]
+        path.write_text(json.dumps(data))
+        code = main(["table", "--group", "S3", "--table-file", str(path)])
+        assert "positive divisors" in capsys.readouterr().err
+        assert code == 7
+
+    def test_galois_action_violation_rejected(self, capsys, tmp_path):
+        path = tmp_path / "c5.json"
+        run_json(capsys, ["table", "--group", "C5", "--save", str(path)])
+        data = json.loads(path.read_text())
+        perm = (0, 2, 1, 4, 3)  # the columns permuted by (1 2)(3 4)
+        data["rows"] = [[row[perm[i]] for i in range(5)] for row in data["rows"]]
+        path.write_text(json.dumps(data))
+        code = main(["table", "--group", "C5", "--table-file", str(path)])
+        assert "Galois image" in capsys.readouterr().err
+        assert code == 7
+
     def test_human_rendering(self, capsys):
         code = main(["table", "--group", "S3", "--human"])
         out = capsys.readouterr().out
@@ -387,8 +408,9 @@ BENCH_SPECS = os.path.join(
 
 # sha256 prefixes of the stdout of these commands; "counterexample --group C2"
 # is the only command that evaluates strunkov_analog_gamma on a group with two
-# classes.  {specs} is the bench's spec directory, {tmp} holds the S6 table
-# as `table --spec-file {specs}/S6.json --save` writes it.
+# classes, and "classes" the only one that prints representative cycles.
+# {specs} is the bench's spec directory, {tmp} holds the S6 table as
+# `table --spec-file {specs}/S6.json --save` writes it.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -399,6 +421,7 @@ BENCH_SPECS = os.path.join(
         ("counterexample --group C2 -p 2", "301f7d2ebf1a8e92"),
         ("verify", "978b3ea7b7b16501"),
         ("table --spec-file {specs}/S6.json", "f525cb705aef0e1a"),
+        ("classes --spec-file {specs}/S6.json", "f962d4347e9ea917"),
         (
             "recover --spec-file {specs}/S6.json --table-file {tmp}/S6.json",
             "1eee872428c5d5a8",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -154,6 +155,41 @@ class TestConjugate:
             a = Cyclotomic(e, [rng.randrange(-4, 5) for _ in range(d)])
             b = Cyclotomic(e, [rng.randrange(-4, 5) for _ in range(d)])
             assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+
+class TestGalois:
+    def test_conjugate_is_minus_one(self):
+        rng = random.Random(11)
+        for e in (3, 5, 8, 12, 60):
+            z = Cyclotomic(e, [rng.randrange(-4, 5) for _ in range(euler_phi(e))])
+            assert z.galois(-1) == z.conjugate() == z.galois(e - 1)
+            assert z.galois(1) == z
+
+    def test_root_powers(self):
+        for e in (5, 12, 60):
+            for s in range(1, e):
+                if gcd(s, e) == 1:
+                    for j in range(e):
+                        assert root_power(e, j).galois(s) == root_power(e, j * s)
+
+    def test_ring_automorphism(self):
+        rng = random.Random(13)
+        for e in (5, 7, 12, 30):
+            d = euler_phi(e)
+            a = Cyclotomic(e, [rng.randrange(-4, 5) for _ in range(d)])
+            b = Cyclotomic(e, [rng.randrange(-4, 5) for _ in range(d)])
+            units = [s for s in range(1, e) if gcd(s, e) == 1]
+            for s in units:
+                assert (a * b).galois(s) == a.galois(s) * b.galois(s)
+                assert (a + b).galois(s) == a.galois(s) + b.galois(s)
+                for t in units:
+                    assert a.galois(s).galois(t) == a.galois(s * t)
+
+    def test_fixed_field_of_sqrt5(self):
+        # E(5) + E(5)^4 = (-1 + sqrt 5) / 2 is fixed by s = 4 and moved by s = 2
+        z = root_power(5, 1) + root_power(5, 4)
+        assert z.galois(4) == z
+        assert z.galois(2) == root_power(5, 2) + root_power(5, 3) != z
 
 
 class TestRationalIntegerExtraction:

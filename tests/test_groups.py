@@ -3,11 +3,11 @@ import pytest
 from chartab.errors import CapExceededError, CycleSyntaxError, FormatError, UnknownGroupError
 from chartab.groups import (
     GroupSpec,
-    Permutation,
     catalog_group,
     class_matrix,
     conjugacy_data,
     count_commutator_solutions,
+    cycle_string,
     enumerate_group,
     load_catalog,
     parse_cycles,
@@ -19,14 +19,14 @@ from conftest import ALL_GROUPS
 
 class TestParseCycles:
     def test_identity(self):
-        assert parse_cycles("()", 3) == Permutation.identity(3)
+        assert parse_cycles("()", 3) == (0, 1, 2)
 
     def test_transposition(self):
-        assert parse_cycles("(1 2)", 3).images == (1, 0, 2)
+        assert parse_cycles("(1 2)", 3) == (1, 0, 2)
 
     def test_two_cycles(self):
         p = parse_cycles("(1 2 3)(4 5)", 5)
-        assert p.images == (1, 2, 0, 4, 3)
+        assert p == (1, 2, 0, 4, 3)
 
     def test_repeated_point_rejected(self):
         with pytest.raises(CycleSyntaxError):
@@ -44,30 +44,47 @@ class TestParseCycles:
                 parse_cycles(text, 3)
 
     def test_fixed_point_cycle(self):
-        assert parse_cycles("(2)", 3) == Permutation.identity(3)
+        assert parse_cycles("(2)", 3) == (0, 1, 2)
 
     def test_round_trip_through_cycle_string(self):
         p = parse_cycles("(1 3 5)(2 4)", 6)
-        assert parse_cycles(p.cycle_string(), 6) == p
+        assert cycle_string(p) == "(1 3 5)(2 4)"
+        assert parse_cycles(cycle_string(p), 6) == p
+
+    def test_cycle_string_of_identity(self):
+        assert cycle_string((0, 1, 2)) == "()"
+        assert cycle_string(parse_cycles("(3 1 2)", 3)) == "(1 2 3)"
 
 
 class TestPermutation:
+    # group elements are image tuples; products, inverses and orders are
+    # read through the enumerated group
     def test_composition_order(self):
         # (1 2) then (2 3) sends 1 -> 2 -> 3
-        a = parse_cycles("(1 2)", 3)
-        b = parse_cycles("(2 3)", 3)
-        assert (a * b).images[0] == 2
+        group = enumerate_group(GroupSpec("S3", 3, ("(1 2)", "(2 3)")))
+        a = group.index[parse_cycles("(1 2)", 3)]
+        b = group.index[parse_cycles("(2 3)", 3)]
+        assert group.elements[group.mul(a, b)] == parse_cycles("(1 3 2)", 3)
 
     def test_inverse(self):
-        p = parse_cycles("(1 2 3 4)", 4)
-        assert p * p.inverse() == Permutation.identity(4)
+        group = enumerate_group(GroupSpec("C4", 4, ("(1 2 3 4)",)))
+        i = group.index[parse_cycles("(1 2 3 4)", 4)]
+        assert group.elements[group.inverse_index[i]] == parse_cycles("(1 4 3 2)", 4)
 
     def test_order(self):
-        assert parse_cycles("(1 2 3)(4 5)", 5).order() == 6
+        group = enumerate_group(GroupSpec("C6", 5, ("(1 2 3)(4 5)",)))
+        assert group.element_orders[group.index[parse_cycles("(1 2 3)(4 5)", 5)]] == 6
 
-    def test_invalid_images(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 1))
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    def test_orders_and_inverses_by_repeated_products(self, group_factory, name):
+        group, _ = group_factory(name)
+        for i in range(group.order):
+            power, order = i, 1
+            while power != 0:
+                power = group.mul(power, i)
+                order += 1
+            assert group.element_orders[i] == order
+            assert group.mul(group.inverse_index[i], i) == 0
 
 
 class TestEnumerate:
@@ -88,7 +105,7 @@ class TestEnumerate:
     def test_identity_is_element_zero(self):
         for name in ("S3", "Q8", "A4"):
             g = catalog_group(name)
-            assert g.elements[0].is_identity()
+            assert g.elements[0] == tuple(range(len(g.elements[0])))
 
     def test_cap_enforced(self):
         spec = GroupSpec("S4", 4, ("(1 2)", "(1 2 3 4)"))
@@ -148,6 +165,14 @@ class TestConjugacyData:
         assert keys == sorted(keys)
         for i in range(cd.k):
             assert cd.representatives[i] == min(cd.members[i])
+
+    @pytest.mark.parametrize("name", ("S3", "D8", "Q8", "A4", "S4", "A5"))
+    def test_classes_are_conjugation_orbits(self, group_factory, name):
+        group, cd = group_factory(name)
+        inv = group.inverse_index
+        for x in range(group.order):
+            orbit = {group.mul(group.mul(inv[g], x), g) for g in range(group.order)}
+            assert set(cd.members[cd.class_of[x]]) == orbit
 
     def test_real_classes(self, group_factory):
         _, cd_s3 = group_factory("S3")

@@ -12,6 +12,7 @@ from chartab.tables import (
     dixon_prime,
     load_table,
     save_table,
+    table_from_dict,
     table_to_dict,
     validate_table,
     verify_orthogonality,
@@ -287,6 +288,23 @@ class TestTableFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(TableIntegrityError):
             load_table(path)
+
+    # each sums to |S3| = 6, and in the last two every other size divides 6
+    @pytest.mark.parametrize("sizes", ([1, 0, 5], [0, 3, 3], [-1, 1, 6]))
+    def test_non_positive_class_size_rejected(self, table_factory, sizes):
+        data = table_to_dict(table_factory("S3"))
+        data["class_sizes"] = sizes
+        with pytest.raises(TableIntegrityError, match="positive divisors"):
+            table_from_dict(data)
+
+    def test_galois_action_violation_rejected(self, table_factory):
+        # C5's columns permuted by (1 2)(3 4): still an orthonormal table with
+        # a consistent power map, but chi(g^2) is no longer sigma_2(chi(g))
+        data = table_to_dict(table_factory("C5"))
+        perm = (0, 2, 1, 4, 3)
+        data["rows"] = [[row[perm[i]] for i in range(5)] for row in data["rows"]]
+        with pytest.raises(TableIntegrityError, match="Galois image"):
+            table_from_dict(data)
 
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"
