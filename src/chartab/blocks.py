@@ -13,7 +13,7 @@ products add up to pi^n pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import is_prime, p_part
 from .classfuncs import ClassFunction, inner, pi_character, power
@@ -53,8 +53,7 @@ def central_character(chi: ClassFunction, class_index: int) -> Cyclotomic:
     return chi.values[class_index] * chi.data.sizes[class_index] / chi.degree
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(NamedTuple):
     """Principal-block membership verdicts for every irreducible character."""
 
     p: int
@@ -123,8 +122,7 @@ def strunkov_analog_gamma(
     return as_rational_integer(inner(psi, target))
 
 
-@dataclass(frozen=True)
-class AltNormalizerReport:
+class AltNormalizerReport(NamedTuple):
     """Divisibility of gamma(psi) by several candidate normalizing quantities.
 
     Purely exploratory: the report records which divisibility statements hold

@@ -12,26 +12,43 @@ weighted row-sum formula: since |K_i| c_i = |G|, the inner product
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .cyclo import Cyclotomic, as_rational_integer
 from .errors import ClassDataMismatchError, TableIntegrityError
 from .groups import ClassData
 
 
-@dataclass(frozen=True)
 class ClassFunction:
-    """One cyclotomic value per conjugacy class; a table row is one of these."""
+    """One cyclotomic value per conjugacy class; a table row is one of these.
 
-    values: tuple[Cyclotomic, ...]
-    data: ClassData
+    Immutable: `values` and `data` are set by the constructor only.
+    """
 
-    def __post_init__(self):
-        if len(self.values) != self.data.k:
-            raise ValueError(f"expected {self.data.k} values, got {len(self.values)}")
+    __slots__ = ("values", "data")
 
-    @cached_property
+    def __init__(self, values: tuple[Cyclotomic, ...], data: ClassData):
+        if len(values) != data.k:
+            raise ValueError(f"expected {data.k} values, got {len(values)}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "data", data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ClassFunction is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ClassFunction is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassFunction):
+            return NotImplemented
+        return self.values == other.values and self.data == other.data
+
+    def __hash__(self):
+        return hash((self.values, self.data))
+
+    def __repr__(self):
+        return f"ClassFunction(values={self.values!r}, data={self.data!r})"
+
+    @property
     def degree(self) -> int:
         """The value at the identity class, as a rational integer."""
         return as_rational_integer(self.values[0])

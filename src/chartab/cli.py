@@ -3,6 +3,12 @@
 Every subcommand prints one JSON report (or a plain-text rendering with
 --human) that names the group, its order, and where the character table came
 from.  Reports are deterministic for fixed inputs.
+
+Each `python -m chartab` run is one short process whose mathematics often
+takes less time than starting the interpreter and importing the package.
+So only the modules every command needs (arith, errors, groups and tables)
+are imported here; each handler imports the rest of what it runs, and a
+`recover` job never loads the residue fields, blocks or the verify suite.
 """
 
 from __future__ import annotations
@@ -12,16 +18,6 @@ import json
 import sys
 
 from .arith import divisors, is_prime, p_part
-from .blocks import alt_normalizer_report, is_p_element, principal_block_members, strunkov_analog_gamma
-from .classfuncs import check_power, delta, gamma
-from .duality import (
-    SizeSpectrum,
-    defect_zero_by_characters,
-    delta_sequence,
-    gamma_sequence,
-    recover_class_sizes,
-    recover_real_class_sizes,
-)
 from .errors import (
     CapExceededError,
     EigensplitError,
@@ -39,9 +35,7 @@ from .groups import (
     load_catalog,
     load_group_spec,
 )
-from .reduction import build_reduction
 from .tables import compute_table, load_table, save_table, table_to_dict
-from .verify import verify_catalog
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -193,6 +187,8 @@ def _cmd_table(args):
 
 
 def _cmd_gamma(args):
+    from .classfuncs import check_power, delta, gamma
+
     group, cd = _resolve_group(args)
     check_power(args.n)
     table = _resolve_table(args, group, cd)
@@ -210,6 +206,14 @@ def _cmd_gamma(args):
 
 
 def _cmd_recover(args):
+    from .duality import (
+        SizeSpectrum,
+        delta_sequence,
+        gamma_sequence,
+        recover_class_sizes,
+        recover_real_class_sizes,
+    )
+
     group, cd = _resolve_group(args)
     table = _resolve_table(args, group, cd)
     d = len(divisors(group.order))
@@ -243,6 +247,8 @@ def _require_prime(p):
 
 
 def _cmd_defect(args):
+    from .duality import defect_zero_by_characters
+
     group, cd = _resolve_group(args)
     _require_prime(args.p)
     table = _resolve_table(args, group, cd)
@@ -258,6 +264,9 @@ def _cmd_defect(args):
 
 
 def _cmd_pelements(args):
+    from .blocks import is_p_element
+    from .reduction import build_reduction
+
     group, cd = _resolve_group(args)
     _require_prime(args.p)
     table = _resolve_table(args, group, cd)
@@ -280,6 +289,8 @@ def _cmd_pelements(args):
 
 
 def _cmd_blocks(args):
+    from .blocks import principal_block_members
+
     group, cd = _resolve_group(args)
     _require_prime(args.p)
     table = _resolve_table(args, group, cd)
@@ -294,6 +305,8 @@ def _cmd_blocks(args):
 
 
 def _cmd_counterexample(args):
+    from .blocks import alt_normalizer_report, principal_block_members, strunkov_analog_gamma
+
     group, cd = _resolve_group(args)
     _require_prime(args.p)
     table = _resolve_table(args, group, cd)
@@ -324,6 +337,8 @@ def _cmd_counterexample(args):
 
 
 def _cmd_verify(args):
+    from .verify import verify_catalog
+
     names = None
     if args.group is not None:
         if args.group not in load_catalog():

@@ -12,8 +12,8 @@ the real-restricted sequence recovers the sizes of real classes only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import divisors, is_prime, p_part
 from .classfuncs import MAX_POWER, delta, gamma
@@ -22,8 +22,7 @@ from .groups import ClassData
 from .tables import CharacterTable
 
 
-@dataclass(frozen=True)
-class SizeSpectrum:
+class SizeSpectrum(NamedTuple):
     """How many conjugacy classes there are of each size."""
 
     order: int
@@ -150,8 +149,7 @@ def defect_zero_direct(data: ClassData, p: int) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """Both sides of the defect-0 detection for one (p, n, real) choice."""
 
     p: int

@@ -4,19 +4,20 @@ A group element is a plain tuple of images: points 1..d are stored as
 0..d-1, and g[x] is the image of x.  A product applies its left factor first.
 Groups are given by generators in cycle notation and enumerated by
 breadth-first closure, which fixes a deterministic element ordering (identity
-first); inverses are looked up once in `Group.inverse_index`.  Conjugacy
-classes are ordered by (size, smallest member), so the identity class is
-always class 0 and two runs over the same spec produce identical orderings.
+first); inverses are looked up once in `Group.inverse_index`.  A conjugacy
+class is the orbit of an element under conjugation by the generators, found
+breadth-first in |G| * |gens| conjugations.  Classes are ordered by (size,
+smallest member), so the identity class is always class 0 and two runs over
+the same spec produce identical orderings.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 from math import lcm
+from typing import NamedTuple
 
 from .errors import CapExceededError, CycleSyntaxError, FormatError, UnknownGroupError
 
@@ -94,8 +95,7 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     return tuple(images)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Generator description of a permutation group."""
 
     name: str
@@ -121,11 +121,20 @@ class GroupSpec:
 
 
 class Group:
-    """Fully enumerated permutation group with a fixed element ordering."""
+    """Fully enumerated permutation group with a fixed element ordering.
 
-    def __init__(self, name: str, elements: list[tuple[int, ...]]):
+    `generators` must generate the group; conjugacy classes are their orbits.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        elements: list[tuple[int, ...]],
+        generators: tuple[tuple[int, ...], ...],
+    ):
         self.name = name
         self.elements = tuple(elements)
+        self.generators = generators
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.order = len(self.elements)
         self.element_orders = tuple(
@@ -150,7 +159,7 @@ class Group:
 
 def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     """Breadth-first closure of the generators, sorted generator application."""
-    gens = sorted({parse_cycles(text, spec.degree) for text in spec.generators})
+    gens = tuple(sorted({parse_cycles(text, spec.degree) for text in spec.generators}))
     ident = tuple(range(spec.degree))
     elements = [ident]
     index = {ident: 0}
@@ -167,11 +176,10 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
                     )
                 index[h] = len(elements)
                 elements.append(h)
-    return Group(spec.name, elements)
+    return Group(spec.name, elements, gens)
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(NamedTuple):
     """The class-level facts shared by class functions and character tables."""
 
     order: int
@@ -185,11 +193,11 @@ class ClassData:
     def k(self) -> int:
         return len(self.sizes)
 
-    @cached_property
+    @property
     def centralizer_orders(self) -> tuple[int, ...]:
         return tuple(self.order // s for s in self.sizes)
 
-    @cached_property
+    @property
     def real_flags(self) -> tuple[bool, ...]:
         return tuple(self.inverse_class[i] == i for i in range(self.k))
 
@@ -204,18 +212,26 @@ class ConjugacyData:
     def __init__(self, group: Group):
         n = group.order
         elements, index = group.elements, group.index
-        with_inverses = [(g, elements[group.inverse_index[i]]) for i, g in enumerate(elements)]
+        # x^s = s^-1 * x * s sends s[j] to s[x[j]]
+        gens = [(s, elements[group.inverse_index[index[s]]]) for s in group.generators]
         class_of = [-1] * n
         members: list[tuple[int, ...]] = []
         for start in range(n):
             if class_of[start] >= 0:
                 continue
-            x = elements[start]
-            # x^g = g^-1 * x * g sends g[p] to g[x[p]]
-            orbit = {index[tuple(g[x[j]] for j in g_inv)] for g, g_inv in with_inverses}
-            members.append(tuple(sorted(orbit)))
+            # the class of x is its orbit under conjugation by the generators;
+            # the loop visits the members it appends
+            c = len(members)
+            class_of[start] = c
+            orbit = [start]
             for idx in orbit:
-                class_of[idx] = len(members) - 1
+                x = elements[idx]
+                for s, s_inv in gens:
+                    y = index[tuple(s[x[j]] for j in s_inv)]
+                    if class_of[y] < 0:
+                        class_of[y] = c
+                        orbit.append(y)
+            members.append(tuple(sorted(orbit)))
         # canonical class order: by size, then by smallest member
         perm = sorted(range(len(members)), key=lambda c: (len(members[c]), members[c][0]))
         members = [members[c] for c in perm]

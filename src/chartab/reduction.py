@@ -14,8 +14,8 @@ refused, because finding their defining polynomial is a brute-force search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import is_prime, multiplicative_order, p_part
 from .cyclo import Cyclotomic
@@ -28,8 +28,7 @@ from .finite_field import ExtensionFieldElement, field_generator, irreducible_po
 FIELD_SIZE_CAP = 2**20
 
 
-@dataclass(frozen=True)
-class ReductionMap:
+class ReductionMap(NamedTuple):
     """Ring homomorphism data: integer coefficients mod p, eps -> eta."""
 
     e: int

@@ -18,9 +18,7 @@ without trusting their source.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .arith import is_prime, primitive_root
@@ -35,14 +33,39 @@ from .errors import (
 from .groups import ClassData, ConjugacyData, Group, class_matrix
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    """Irreducible characters, one class function over `data` per row."""
+    """Irreducible characters, one class function over `data` per row.
 
-    group_name: str
-    data: ClassData
-    rows: tuple[ClassFunction, ...]
-    provenance: str = field(default="", compare=False)
+    Immutable.  Two tables are equal when their group name, class data and
+    rows are; `provenance` (where the table came from) is not compared.
+    """
+
+    __slots__ = ("group_name", "data", "rows", "provenance")
+
+    def __init__(
+        self, group_name: str, data: ClassData, rows: tuple[ClassFunction, ...],
+        provenance: str = "",
+    ):
+        object.__setattr__(self, "group_name", group_name)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CharacterTable is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CharacterTable is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, CharacterTable):
+            return NotImplemented
+        return (self.group_name, self.data, self.rows) == (
+            other.group_name, other.data, other.rows
+        )
+
+    def __hash__(self):
+        return hash((self.group_name, self.data, self.rows))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -358,7 +381,13 @@ def validate_table(table: CharacterTable) -> None:
 def _validate_power_map(data: ClassData) -> None:
     """Row i of the power map runs identity, class i, ..., inverse class, and
     first returns to the identity at rep_orders[i]; their lcm is the exponent.
+
+    Row i must also repeat with period o = rep_orders[i] (g^(s+o) = g^s) and
+    compose: (g^s)^p ~ g^(sp) for every s < o and every prime p < e, which by
+    the periodicity covers every s.  With the t = 0, 1 entries this gives
+    (g^s)^t ~ g^(st) for all t, by induction on the prime factors of t.
     """
+    e = data.exponent
     for i in range(data.k):
         if data.power_class(i, 0) != 0 or data.power_class(i, 1) != i:
             raise TableIntegrityError(
@@ -368,14 +397,29 @@ def _validate_power_map(data: ClassData) -> None:
             raise TableIntegrityError(
                 f"power map of class {i} does not end at its inverse class"
             )
-        first = next(t for t in range(1, data.exponent + 1) if data.power_class(i, t) == 0)
+        first = next(t for t in range(1, e + 1) if data.power_class(i, t) == 0)
         if data.rep_orders[i] != first:
             raise TableIntegrityError(
                 f"class {i} has rep order {data.rep_orders[i]}, but its power map "
                 f"first reaches the identity at {first}"
             )
-    if data.exponent != lcm(*data.rep_orders):
+        row = data.power_map[i]
+        if row[first:] != row[: e - first]:
+            raise TableIntegrityError(
+                f"power map of class {i} does not repeat with period {first}"
+            )
+    if e != lcm(*data.rep_orders):
         raise TableIntegrityError("the exponent is not the lcm of the rep orders")
+    for p in range(2, e):
+        if not is_prime(p):
+            continue
+        to_the_p = [row[p] for row in data.power_map]  # class c -> class of rep(c)^p
+        for i, (row, o) in enumerate(zip(data.power_map, data.rep_orders)):
+            if any(to_the_p[row[s]] != row[s * p % o] for s in range(o)):
+                raise TableIntegrityError(
+                    f"power map of class {i} does not compose: some (g^s)^{p} is "
+                    f"not in the class of g^({p}s)"
+                )
 
 
 # -- file format ----------------------------------------------------------
@@ -468,6 +512,8 @@ def _value_from_dict(rec, exponent: int, r: int, i: int) -> Cyclotomic:
 
 def load_table(path) -> CharacterTable:
     """Read and fully re-verify a table file."""
+    import hashlib  # only table files need it; saves its import on other runs
+
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()

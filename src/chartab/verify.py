@@ -7,7 +7,7 @@ pytest suite covers the same ground with finer-grained assertions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import divisors, prime_factors
 from .blocks import (
@@ -26,6 +26,7 @@ from .duality import (
     recover_class_sizes,
     recover_real_class_sizes,
 )
+from .errors import TableIntegrityError
 from .groups import (
     _COMMUTATOR_CAPS,
     ConjugacyData,
@@ -36,12 +37,11 @@ from .groups import (
     enumerate_group,
     load_catalog,
 )
-from .reduction import ReductionMap, build_reduction, candidate_roots
+from .reduction import build_reduction, candidate_roots
 from .tables import CharacterTable, compute_table, dixon_prime
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     group: str
     check: str
     ok: bool
@@ -87,10 +87,14 @@ def _check_table(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
 
 def _check_identities(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
     # an orthonormal integral table need not consist of characters: a negative
-    # multiplicity is the one identity failure validate_table lets through
+    # multiplicity is the one identity failure validate_table lets through, and
+    # gamma and delta raise TableIntegrityError on it
     for i, row in enumerate(table.rows):
         for n in range(1, 6):
-            if gamma(n, row) < 0 or delta(n, row) < 0:
+            try:
+                gamma(n, row)
+                delta(n, row)
+            except TableIntegrityError:
                 return f"negative multiplicity for row {i} at n={n}"
     return ""
 
@@ -132,9 +136,7 @@ def _check_congruences(group: Group, cd: ConjugacyData, table: CharacterTable) -
             return f"principal block broken for p={p}"
         if rmap.m <= 12:
             for eta in candidate_roots(group.exponent, p):
-                variant = ReductionMap(
-                    e=rmap.e, p=rmap.p, m=rmap.m, f=rmap.f, poly=rmap.poly, eta=eta
-                )
+                variant = rmap._replace(eta=eta)
                 pel = [is_p_element(i, p, table, variant) for i in range(cd.k)]
                 if pel != [is_p_element(i, p, table, rmap) for i in range(cd.k)]:
                     return f"p-element verdicts depend on the root choice for p={p}"

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from chartab.classfuncs import (
@@ -76,7 +74,7 @@ class TestPsiCharacter:
     def test_corrupt_table_detected(self, table_factory):
         table = table_factory("C4")
         # lie about which classes are real: the table no longer validates
-        data = replace(table.data, inverse_class=(0, 1, 2, 3))
+        data = table.data._replace(inverse_class=(0, 1, 2, 3))
         lying = CharacterTable(
             group_name=table.group_name,
             data=data,

@@ -107,6 +107,18 @@ class TestTable:
         capsys.readouterr()
         assert code == 7
 
+    def test_power_map_with_wrong_squares_rejected(self, capsys, tmp_path):
+        path = tmp_path / "s4.json"
+        run_json(capsys, ["table", "--group", "S4", "--save", str(path)])
+        data = json.loads(path.read_text())
+        four_cycles = data["rep_orders"].index(4)
+        for t in (2, 6):
+            data["power_map"][four_cycles][t] = four_cycles
+        path.write_text(json.dumps(data))
+        code = main(["table", "--group", "S4", "--table-file", str(path)])
+        assert "error: power map of class" in capsys.readouterr().err
+        assert code == 7
+
     def test_non_integral_value_rejected(self, capsys, tmp_path):
         path = tmp_path / "s3.json"
         run_json(capsys, ["table", "--group", "S3", "--save", str(path)])
@@ -440,9 +452,10 @@ def test_output_bytes_pinned(capsys, tmp_path, argv, digest):
 
 
 def test_runtime_is_stdlib_only():
-    # -S keeps site-packages off the path and skips .pth start-up imports
+    # -S keeps site-packages off the path and skips .pth start-up imports;
+    # the star import loads every module of the lazy package namespace
     code = (
-        "import sys; import chartab, chartab.cli; "
+        "import sys; import chartab.cli; from chartab import *; "
         "print(sorted({m.partition('.')[0] for m in sys.modules} "
         "- set(sys.stdlib_module_names) - {'__main__', 'chartab'}))"
     )
@@ -453,6 +466,30 @@ def test_runtime_is_stdlib_only():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["recover", "gamma -n 4"])
+def test_command_imports_only_what_it_runs(tmp_path, command):
+    # -S skips site start-up, so every import -X importtime lists is chartab's
+    path = tmp_path / "s5.json"
+    assert main(["table", "--group", "S5", "--save", str(path)]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "chartab", *command.split(),
+         "--group", "S5", "--table-file", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert "chartab.tables" in imported
+    unused = {
+        "chartab.blocks", "chartab.reduction", "chartab.finite_field",
+        "chartab.verify", "dataclasses", "inspect",
+    }
+    assert not imported & unused
 
 
 def test_module_entry_point():

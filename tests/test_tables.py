@@ -53,6 +53,20 @@ def _exponent(data):
     data["rows"] = [[Cyclotomic.one(2).to_dict()]]
 
 
+def _period(data):
+    # S4's 4-cycles with g^8 set to the 4-cycle class, where g^8 = g^4 = 1
+    i = data["rep_orders"].index(4)
+    data["power_map"][i][8] = i
+
+
+def _composition(data):
+    # S4's 4-cycles with their squares (t = 2, 6, 10) set to the 4-cycle
+    # class: still periodic, but (g^2)^2 is a 4-cycle where g^4 = 1
+    i = data["rep_orders"].index(4)
+    for t in (2, 6, 10):
+        data["power_map"][i][t] = i
+
+
 # each corruption breaks exactly one power-map invariant of a well-formed file
 POWER_MAP_CORRUPTIONS = {
     "all-powers-identity": ("S4", _all_powers_identity),
@@ -61,6 +75,8 @@ POWER_MAP_CORRUPTIONS = {
     "rep-order": ("S3", _rep_order),
     "last-power": ("S3", _last_power),
     "exponent": ("trivial", _exponent),
+    "period": ("S4", _period),
+    "composition": ("S4", _composition),
 }
 
 
