@@ -12,7 +12,6 @@ the real-restricted sequence recovers the sizes of real classes only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import divisors, is_prime, p_part
@@ -57,6 +56,8 @@ def _solve_vandermonde(nodes: list[int], rhs: list[int]) -> list[Fraction]:
     Loan, Algorithm 4.6.2) in O(d^2) operations: the first sweep is integer
     only, the second divides by differences of distinct nodes.
     """
+    from fractions import Fraction  # only size recovery needs it; defect runs skip the import
+
     d = len(nodes)
     x = list(rhs)
     for k in range(d - 1):

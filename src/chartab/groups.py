@@ -137,15 +137,21 @@ class Group:
         self.generators = generators
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.order = len(self.elements)
-        self.element_orders = tuple(
-            lcm(*(len(c) for c in _cycles(g))) for g in self.elements
-        )
-        self.exponent = lcm(*self.element_orders)
-        # g^-1 sends g[x] back to x: the points listed in the order of their images
-        self.inverse_index = tuple(
-            self.index[tuple(sorted(range(len(g)), key=g.__getitem__))]
-            for g in self.elements
-        )
+        # g^-1 sends g[x] back to x and has the order of g, so each inverse
+        # pair is looked up, and its order computed, once
+        orders = [0] * self.order
+        inverse_index = [-1] * self.order
+        inv = [0] * len(self.elements[0])
+        for i, g in enumerate(self.elements):
+            if inverse_index[i] < 0:
+                for x, y in enumerate(g):
+                    inv[y] = x
+                j = self.index[tuple(inv)]
+                inverse_index[i], inverse_index[j] = j, i
+                orders[i] = orders[j] = lcm(*(len(c) for c in _cycles(g)))
+        self.element_orders = tuple(orders)
+        self.exponent = lcm(*orders)
+        self.inverse_index = tuple(inverse_index)
 
     def mul(self, i: int, j: int) -> int:
         return self.index[_compose(self.elements[i], self.elements[j])]

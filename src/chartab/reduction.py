@@ -10,14 +10,22 @@ Any of them works; the builder picks j = 1 for the field's smallest
 generator, and `candidate_roots` lists them all so independence of the
 choice can be tested.  Fields with more than FIELD_SIZE_CAP elements are
 refused, because finding their defining polynomial is a brute-force search.
+
+The map is Z-linear on the power basis 1, eps, ..., eps^(phi(e)-1), so
+`reduce_mod_M` applies it as an f x phi(e) integer matrix whose column t holds
+the coefficients of eta^t.  The matrix is cached per ReductionMap rather than
+stored in it: a map copied with `_replace(eta=...)` or built by hand for
+another root then gets its own matrix, never the one of the root it came from.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
-from .arith import is_prime, multiplicative_order, p_part
+from .arith import euler_phi, is_prime, multiplicative_order, p_part
 from .cyclo import Cyclotomic
 from .errors import CapExceededError, OrderMismatchError
 from .finite_field import ExtensionFieldElement, field_generator, irreducible_polynomial
@@ -37,12 +45,6 @@ class ReductionMap(NamedTuple):
     f: int
     poly: tuple[int, ...]
     eta: ExtensionFieldElement
-
-    def zero(self) -> ExtensionFieldElement:
-        return ExtensionFieldElement.zero(self.p, self.poly)
-
-    def from_int(self, n: int) -> ExtensionFieldElement:
-        return ExtensionFieldElement.from_int(self.p, self.poly, n)
 
 
 def build_reduction(e: int, p: int) -> ReductionMap:
@@ -74,11 +76,28 @@ def candidate_roots(e: int, p: int) -> list[ExtensionFieldElement]:
     return sorted(roots, key=lambda el: el.coeffs)
 
 
+@lru_cache(maxsize=128)  # bounded: a long-lived caller may try many roots
+def _images(rmap: ReductionMap) -> tuple[tuple[int, ...], ...]:
+    """The map's matrix: row k holds coefficient k of eta^t for t < phi(e)."""
+    power = ExtensionFieldElement.one(rmap.p, rmap.poly)
+    columns = []
+    for _ in range(euler_phi(rmap.e)):
+        columns.append(power.coeffs)
+        power = power * rmap.eta
+    return tuple(zip(*columns))
+
+
 def reduce_mod_M(z: Cyclotomic, rmap: ReductionMap) -> ExtensionFieldElement:
-    """Apply the homomorphism to a cyclotomic integer."""
+    """Apply the homomorphism to a cyclotomic integer.
+
+    The map is Z-linear on the power basis: sum_t c_t eps^t goes to
+    sum_t c_t eta^t, one integer dot product with a row of `_images(rmap)` per
+    coefficient of the result.  The matrix is cached on the whole map, eta
+    included, and not stored as a field, so `rmap._replace(eta=...)` cannot
+    carry the old root's images.
+    """
     if z.e != rmap.e:
         raise OrderMismatchError(f"value of order {z.e} under a map for order {rmap.e}")
-    acc = rmap.zero()
-    for c in reversed(z.coeffs):
-        acc = acc * rmap.eta + rmap.from_int(c)
-    return acc
+    return ExtensionFieldElement(
+        rmap.p, rmap.poly, [sum(map(mul, z.coeffs, row)) for row in _images(rmap)]
+    )

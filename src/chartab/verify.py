@@ -129,16 +129,15 @@ def _check_defect(group: Group, cd: ConjugacyData, table: CharacterTable) -> str
 def _check_congruences(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
     for p in prime_factors(group.order):
         rmap = build_reduction(group.exponent, p)
-        for i in range(cd.k):
-            is_p_element(i, p, table, rmap)  # raises on criterion disagreement
-        block = principal_block_members(table, p)
+        # is_p_element raises on criterion disagreement
+        base = [is_p_element(i, p, table, rmap) for i in range(cd.k)]
+        block = principal_block_members(table, p, rmap)
         if not block.members or not block.member_flags[0]:
             return f"principal block broken for p={p}"
         if rmap.m <= 12:
             for eta in candidate_roots(group.exponent, p):
                 variant = rmap._replace(eta=eta)
-                pel = [is_p_element(i, p, table, variant) for i in range(cd.k)]
-                if pel != [is_p_element(i, p, table, rmap) for i in range(cd.k)]:
+                if [is_p_element(i, p, table, variant) for i in range(cd.k)] != base:
                     return f"p-element verdicts depend on the root choice for p={p}"
                 if (
                     principal_block_members(table, p, variant).member_flags

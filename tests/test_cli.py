@@ -468,7 +468,7 @@ def test_runtime_is_stdlib_only():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["recover", "gamma -n 4"])
+@pytest.mark.parametrize("command", ["recover", "gamma -n 4", "defect -p 3 -n 3"])
 def test_command_imports_only_what_it_runs(tmp_path, command):
     # -S skips site start-up, so every import -X importtime lists is chartab's
     path = tmp_path / "s5.json"
@@ -489,6 +489,9 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
         "chartab.blocks", "chartab.reduction", "chartab.finite_field",
         "chartab.verify", "dataclasses", "inspect",
     }
+    if command.startswith("defect"):
+        # only the Vandermonde solve of size recovery uses Fraction
+        unused |= {"fractions", "decimal"}
     assert not imported & unused
 
 

@@ -4,7 +4,14 @@ from math import gcd
 
 import pytest
 
-from chartab.arith import MR_LIMIT, euler_phi, is_prime, multiplicative_order, primitive_root
+from chartab.arith import (
+    MR_LIMIT,
+    euler_phi,
+    is_prime,
+    multiplicative_order,
+    prime_factors,
+    primitive_root,
+)
 from chartab.cyclo import Cyclotomic, cyclotomic_polynomial, root_power
 from chartab.errors import CapExceededError, NonIntegralValueError, OrderMismatchError
 from chartab.finite_field import (
@@ -25,12 +32,17 @@ from chartab.tables import dixon_prime
 from conftest import ALL_GROUPS
 
 
-def _phi_e_value(e: int, el: ExtensionFieldElement) -> ExtensionFieldElement:
-    """Evaluate the e-th cyclotomic polynomial at a field element (Horner)."""
+def _horner(coeffs, el: ExtensionFieldElement) -> ExtensionFieldElement:
+    """sum_t coeffs[t] el^t by Horner's rule, one field multiply and add per term."""
     acc = ExtensionFieldElement.zero(el.p, el.poly)
-    for c in reversed(cyclotomic_polynomial(e)):
+    for c in reversed(coeffs):
         acc = acc * el + ExtensionFieldElement.from_int(el.p, el.poly, c)
     return acc
+
+
+def _phi_e_value(e: int, el: ExtensionFieldElement) -> ExtensionFieldElement:
+    """Evaluate the e-th cyclotomic polynomial at a field element."""
+    return _horner(cyclotomic_polynomial(e), el)
 
 
 def _brute_order(el) -> int:
@@ -297,6 +309,37 @@ class TestReduceModM:
                 b = Cyclotomic(e, [rng.randrange(-9, 10) for _ in range(d)])
                 assert reduce_mod_M(a + b, r) == reduce_mod_M(a, r) + reduce_mod_M(b, r)
                 assert reduce_mod_M(a * b, r) == reduce_mod_M(a, r) * reduce_mod_M(b, r)
+
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    def test_matches_horner(self, group_factory, name):
+        # the matrix form against evaluating sum_t c_t eta^t in the field, for
+        # every root verify tries (all of them when m <= 12, else the base one)
+        group, _ = group_factory(name)
+        e = group.exponent
+        rng = random.Random(e)
+        for p in prime_factors(group.order):
+            base = build_reduction(e, p)
+            roots = candidate_roots(e, p) if base.m <= 12 else [base.eta]
+            for eta in roots:
+                r = base._replace(eta=eta)
+                for _ in range(10):
+                    z = Cyclotomic(e, [rng.randint(-50, 50) for _ in range(euler_phi(e))])
+                    assert reduce_mod_M(z, r) == _horner(z.coeffs, eta)
+
+    def test_each_map_uses_its_own_root(self):
+        # the matrix is cached per map: copies for another root, by _replace or
+        # by hand, must not reuse the matrix already cached for the base map
+        base = build_reduction(12, 5)
+        eps = root_power(12, 1)
+        assert reduce_mod_M(eps, base) == base.eta
+        roots = candidate_roots(12, 5)
+        assert len(roots) == 4
+        for eta in roots:
+            by_hand = ReductionMap(
+                e=base.e, p=base.p, m=base.m, f=base.f, poly=base.poly, eta=eta
+            )
+            assert reduce_mod_M(eps, base._replace(eta=eta)) == eta
+            assert reduce_mod_M(eps, by_hand) == eta
 
     def test_non_integral_rejected(self):
         r = build_reduction(6, 3)
