@@ -23,22 +23,36 @@ from .reduction import ReductionMap, build_reduction, reduce_mod_M
 from .tables import CharacterTable
 
 
+def p_element_differences(table: CharacterTable) -> tuple[tuple[Cyclotomic, ...], ...]:
+    """chi(g_K) - chi(1) for every class K (outer) and row chi (inner).
+
+    The p-element test reduces these mod M.  They do not depend on p or on
+    the root, so a caller testing several classes, primes or roots computes
+    them once and passes them to `is_p_element`.
+    """
+    return tuple(
+        tuple(row.values[i] - row.degree for row in table.rows)
+        for i in range(table.data.k)
+    )
+
+
 def is_p_element(
     class_index: int,
     p: int,
     table: CharacterTable,
     rmap: ReductionMap,
+    differences: tuple[tuple[Cyclotomic, ...], ...] | None = None,
 ) -> bool:
     """Whether the class consists of p-elements, by the congruence criterion.
 
-    The verdict is checked against the direct test (the representative's
-    order is a power of p); disagreement would falsify the criterion and
-    raises immediately.
+    `differences` is `p_element_differences(table)`, computed here when not
+    given.  The verdict is checked against the direct test (the
+    representative's order is a power of p); disagreement would falsify the
+    criterion and raises immediately.
     """
-    congruent = all(
-        not reduce_mod_M(row.values[class_index] - row.degree, rmap)
-        for row in table.rows
-    )
+    if differences is None:
+        differences = p_element_differences(table)
+    congruent = all(not reduce_mod_M(d, rmap) for d in differences[class_index])
     order = table.data.rep_orders[class_index]
     direct = p_part(order, p) == order
     if congruent != direct:
@@ -51,6 +65,19 @@ def is_p_element(
 def central_character(chi: ClassFunction, class_index: int) -> Cyclotomic:
     """|K| chi(g_K) / chi(1); NonIntegralValueError unless chi(1) divides |K| chi(g_K)."""
     return chi.values[class_index] * chi.data.sizes[class_index] / chi.degree
+
+
+def block_differences(table: CharacterTable) -> tuple[tuple[Cyclotomic, ...], ...]:
+    """|K| chi(g_K) / chi(1) - |K| for every row chi (outer) and class K (inner).
+
+    The principal-block test reduces these mod M.  Like
+    `p_element_differences` they depend on neither p nor the root.
+    """
+    sizes = table.data.sizes
+    return tuple(
+        tuple(central_character(row, i) - size for i, size in enumerate(sizes))
+        for row in table.rows
+    )
 
 
 class BlockReport(NamedTuple):
@@ -74,19 +101,23 @@ def principal_block_members(
     table: CharacterTable,
     p: int,
     rmap: ReductionMap | None = None,
+    differences: tuple[tuple[Cyclotomic, ...], ...] | None = None,
 ) -> BlockReport:
-    """Characters whose central character is congruent to the class sizes mod M."""
+    """Characters whose central character is congruent to the class sizes mod M.
+
+    `differences` is `block_differences(table)`, computed here when not given.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    sizes = table.data.sizes
     if rmap is None:
         rmap = build_reduction(table.data.exponent, p)
+    if differences is None:
+        differences = block_differences(table)
     flags = []
     failures = []
-    for r, row in enumerate(table.rows):
+    for r, row_diffs in enumerate(differences):
         member = True
-        for i, size in enumerate(sizes):
-            diff = central_character(row, i) - size
+        for i, diff in enumerate(row_diffs):
             if reduce_mod_M(diff, rmap):
                 member = False
                 failures.append((r, i))

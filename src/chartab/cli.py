@@ -264,14 +264,15 @@ def _cmd_defect(args):
 
 
 def _cmd_pelements(args):
-    from .blocks import is_p_element
+    from .blocks import is_p_element, p_element_differences
     from .reduction import build_reduction
 
     group, cd = _resolve_group(args)
     _require_prime(args.p)
     table = _resolve_table(args, group, cd)
     rmap = build_reduction(group.exponent, args.p)
-    congruence = [is_p_element(i, args.p, table, rmap) for i in range(cd.k)]
+    differences = p_element_differences(table)
+    congruence = [is_p_element(i, args.p, table, rmap, differences) for i in range(cd.k)]
     direct = [p_part(order, args.p) == order for order in cd.data.rep_orders]
     results = {
         "p": args.p,

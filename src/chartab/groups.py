@@ -298,8 +298,16 @@ def class_matrix(cd: ConjugacyData, i: int) -> list[list[int]]:
     return rows
 
 
-def count_commutator_solutions(group: Group, target: tuple[int, ...], n: int) -> int:
-    """Number of 2n-tuples whose commutator product equals target, by brute force."""
+def count_commutator_solutions(group: Group, n: int) -> tuple[int, ...]:
+    """Number of 2n-tuples whose commutator product is each element, by brute force.
+
+    Entry t counts the (a_1, b_1, ..., a_n, b_n) with
+    [a_1, b_1] ... [a_n, b_n] = group.elements[t], where [a, b] = a^-1 b^-1 a b.
+    The histogram N_1(x) = #{(a, b): [a, b] = x} is counted over all |G|^2
+    pairs once; for n = 2 the quadruples are regrouped by their first
+    commutator x, N_2(t) = sum_x N_1(x) N_1(x^-1 t), which counts the same
+    set in O(|G|^2).
+    """
     if n not in _COMMUTATOR_CAPS:
         raise ValueError(f"n must be 1 or 2, got {n}")
     cap = _COMMUTATOR_CAPS[n]
@@ -307,29 +315,20 @@ def count_commutator_solutions(group: Group, target: tuple[int, ...], n: int) ->
         raise CapExceededError(
             f"brute-force commutator count limited to order {cap} for n={n}"
         )
-    if target not in group.index:
-        raise ValueError("target is not an element of the group")
     size = group.order
     mul = [[group.mul(i, j) for j in range(size)] for i in range(size)]
     inv = group.inverse_index
-    comm = [
-        [mul[mul[inv[a]][inv[b]]][mul[a][b]] for b in range(size)]
-        for a in range(size)
-    ]
-    t_idx = group.index[target]
+    once = [0] * size
+    for a in range(size):
+        row_a, row_ai = mul[a], mul[inv[a]]
+        for b in range(size):
+            once[mul[row_ai[inv[b]]][row_a[b]]] += 1
     if n == 1:
-        return sum(row.count(t_idx) for row in comm)
-    count = 0
-    for a1 in range(size):
-        row1 = comm[a1]
-        for b1 in range(size):
-            c1 = row1[b1]
-            for a2 in range(size):
-                row2 = comm[a2]
-                for b2 in range(size):
-                    if mul[c1][row2[b2]] == t_idx:
-                        count += 1
-    return count
+        return tuple(once)
+    return tuple(
+        sum(once[x] * once[mul[inv[x]][t]] for x in range(size) if once[x])
+        for t in range(size)
+    )
 
 
 def load_catalog() -> dict[str, GroupSpec]:

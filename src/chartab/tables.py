@@ -6,10 +6,12 @@ GF(q) with q = 1 (mod e), whose elements are plain ints in [0, q); the mod-q
 character values are read off the one-dimensional common eigenspaces, and
 each value is lifted back to a cyclotomic integer in Z[eps_e] by a discrete
 Fourier sum over the powers of its class.
-Everything is deterministic: eigenvalues are scanned in ascending order and
-rows are sorted (trivial character first, then by degree and coefficient
-order), so recomputing with a different admissible prime yields a literally
-equal table.
+Each split finds its eigenvalues as the GF(q) roots of the characteristic
+polynomial of the restricted action and computes one null space per root.
+Everything is deterministic: the roots are taken in ascending order and rows
+are sorted (trivial character first, then by degree and coefficient order),
+so recomputing with a different admissible prime yields a literally equal
+table.
 
 Tables can also be saved to and loaded from JSON files; loading re-verifies
 every invariant, so externally produced tables are usable with the verifiers
@@ -152,8 +154,67 @@ def _coords_in_basis(basis, pivots, vec, q: int):
     return coords
 
 
+def _charpoly(action: list[list[int]], q: int) -> list[int]:
+    """Characteristic polynomial det(x I - A) over GF(q), low degree first.
+
+    A is brought to upper Hessenberg form H by similarity, then the leading
+    principal minors satisfy p_m = (x - h_mm) p_(m-1)
+    - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1)
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+    """
+    h = [list(row) for row in action]
+    n = len(h)
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[pivot], h[m] = h[m], h[pivot]
+            for row in h:
+                row[pivot], row[m] = row[m], row[pivot]
+        inv = pow(h[m][m - 1], -1, q)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % q
+            if u:
+                # row i -= u * row m, then column m += u * column i: a similarity
+                h[i] = [(a - u * b) % q for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % q
+    polys = [[1]]
+    for m in range(n):
+        # (x - h_mm) p_(m-1), then the subdiagonal products down column m
+        prev = polys[m]
+        nxt = [0] + prev
+        for t, c in enumerate(prev):
+            nxt[t] = (nxt[t] - h[m][m] * c) % q
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * h[i + 1][i] % q
+            f = sub * h[i][m] % q
+            for t, c in enumerate(polys[i]):
+                nxt[t] = (nxt[t] - f * c) % q
+        polys.append(nxt)
+    return polys[n]
+
+
+def _roots(poly: list[int], q: int) -> list[int]:
+    """Roots in GF(q) of a polynomial (low degree first), ascending, by Horner."""
+    roots = []
+    for lam in range(q):
+        value = 0
+        for c in reversed(poly):
+            value = (value * lam + c) % q
+        if not value:
+            roots.append(lam)
+    return roots
+
+
 def _split_subspace(matrix, basis, pivots, q: int):
-    """Split an invariant subspace into eigenspaces of the matrix, ascending eigenvalue."""
+    """Split an invariant subspace into eigenspaces of the matrix, ascending eigenvalue.
+
+    The eigenvalues are the GF(q) roots of the characteristic polynomial of
+    the restricted action, so one null space is computed per eigenvalue.
+    """
     d = len(basis)
     # the matrix of the action restricted to the subspace, in basis coordinates
     action_cols = []
@@ -163,16 +224,15 @@ def _split_subspace(matrix, basis, pivots, q: int):
             for row in matrix
         ]
         action_cols.append(_coords_in_basis(basis, pivots, image, q))
+    action = [list(row) for row in zip(*action_cols)]
     out = []
     found = 0
-    for lam in range(q):
+    for lam in _roots(_charpoly(action, q), q):
         shifted = [
-            [(action_cols[j][i] - (lam if i == j else 0)) % q for j in range(d)]
-            for i in range(d)
+            [(a - (lam if i == j else 0)) % q for j, a in enumerate(row)]
+            for i, row in enumerate(action)
         ]
         kernel = _nullspace(shifted, q)
-        if not kernel:
-            continue
         ambient = []
         for kv in kernel:
             vec = [0] * len(basis[0])
@@ -182,8 +242,6 @@ def _split_subspace(matrix, basis, pivots, q: int):
             ambient.append(vec)
         out.append(_rref(ambient, q))
         found += len(kernel)
-        if found == d:
-            break
     if found != d:
         raise TableIntegrityError("class matrix not diagonalizable (internal bug)")
     return out
@@ -249,9 +307,10 @@ def compute_table(group: Group, cd: ConjugacyData, prime: int | None = None) -> 
             f"{prime} is not an admissible Dixon prime for order {group.order} "
             f"and exponent {e}"
         )
-    matrices = [
+    # lazily: the split stops at the first matrix that leaves every space 1-d
+    matrices = (
         [[a % q for a in row] for row in class_matrix(cd, i)] for i in range(1, k)
-    ]
+    )
     eigvecs = _common_eigenvectors(matrices, k, q)
     if len(eigvecs) != k:
         raise EigensplitError(f"expected {k} eigenvectors, found {len(eigvecs)}")

@@ -12,7 +12,9 @@ from typing import NamedTuple
 from .arith import divisors, prime_factors
 from .blocks import (
     alt_normalizer_report,
+    block_differences,
     is_p_element,
+    p_element_differences,
     principal_block_members,
     strunkov_analog_gamma,
 )
@@ -31,6 +33,7 @@ from .groups import (
     _COMMUTATOR_CAPS,
     ConjugacyData,
     Group,
+    GroupSpec,
     class_matrix,
     conjugacy_data,
     count_commutator_solutions,
@@ -54,7 +57,9 @@ class CheckResult(NamedTuple):
         return out
 
 
-def _check_class_structure(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
+def _check_class_structure(
+    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
+) -> str:
     sizes = cd.data.sizes
     for i in range(cd.k):
         for j, coeffs in enumerate(class_matrix(cd, i)):
@@ -64,8 +69,10 @@ def _check_class_structure(group: Group, cd: ConjugacyData, table: CharacterTabl
     return ""
 
 
-def _check_determinism(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
-    spec = load_catalog()[group.name]
+def _check_determinism(
+    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
+) -> str:
+    # the spec itself, not a catalog lookup, so spec-file groups are checked too
     again = enumerate_group(spec)
     if again.elements != group.elements:
         return "element ordering changed between runs"
@@ -75,7 +82,9 @@ def _check_determinism(group: Group, cd: ConjugacyData, table: CharacterTable) -
     return ""
 
 
-def _check_table(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
+def _check_table(
+    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
+) -> str:
     # compute_table has already validated the table; what is left to check is
     # that a different Dixon prime gives the same table
     q1 = dixon_prime(group.exponent, group.order)
@@ -85,7 +94,9 @@ def _check_table(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
     return ""
 
 
-def _check_identities(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
+def _check_identities(
+    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
+) -> str:
     # an orthonormal integral table need not consist of characters: a negative
     # multiplicity is the one identity failure validate_table lets through, and
     # gamma and delta raise TableIntegrityError on it
@@ -99,7 +110,9 @@ def _check_identities(group: Group, cd: ConjugacyData, table: CharacterTable) ->
     return ""
 
 
-def _check_recovery(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
+def _check_recovery(
+    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
+) -> str:
     d = len(divisors(group.order))
     seq = gamma_sequence(table, d + 3)
     actual = SizeSpectrum.from_sizes(group.order, cd.data.sizes)
@@ -116,7 +129,9 @@ def _check_recovery(group: Group, cd: ConjugacyData, table: CharacterTable) -> s
     return ""
 
 
-def _check_defect(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
+def _check_defect(
+    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
+) -> str:
     for p in prime_factors(group.order):
         for n in (2, 3):
             for real in (False, True):
@@ -126,44 +141,53 @@ def _check_defect(group: Group, cd: ConjugacyData, table: CharacterTable) -> str
     return ""
 
 
-def _check_congruences(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
+def _check_congruences(
+    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
+) -> str:
+    # the differences depend on neither p nor the root: only their reduction does
+    values = p_element_differences(table)
+    central = block_differences(table)
     for p in prime_factors(group.order):
         rmap = build_reduction(group.exponent, p)
         # is_p_element raises on criterion disagreement
-        base = [is_p_element(i, p, table, rmap) for i in range(cd.k)]
-        block = principal_block_members(table, p, rmap)
+        base = [is_p_element(i, p, table, rmap, values) for i in range(cd.k)]
+        block = principal_block_members(table, p, rmap, central)
         if not block.members or not block.member_flags[0]:
             return f"principal block broken for p={p}"
         if rmap.m <= 12:
             for eta in candidate_roots(group.exponent, p):
                 variant = rmap._replace(eta=eta)
-                if [is_p_element(i, p, table, variant) for i in range(cd.k)] != base:
+                if [is_p_element(i, p, table, variant, values) for i in range(cd.k)] != base:
                     return f"p-element verdicts depend on the root choice for p={p}"
                 if (
-                    principal_block_members(table, p, variant).member_flags
+                    principal_block_members(table, p, variant, central).member_flags
                     != block.member_flags
                 ):
                     return f"block membership depends on the root choice for p={p}"
     return ""
 
 
-def _check_commutator_oracle(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
+def _check_commutator_oracle(
+    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
+) -> str:
     for n, cap in _COMMUTATOR_CAPS.items():
         if group.order > cap:
             continue
+        counts = count_commutator_solutions(group, n)
         for c, rep in enumerate(cd.representatives):
-            brute = count_commutator_solutions(group, group.elements[rep], n)
             # |G|^(2n-1) sum_chi chi(g) / chi(1)^(2n-1), with |G| / chi(1) an int
             total = Cyclotomic.zero(group.exponent)
             for row in table.rows:
                 total = total + row.values[c] * (group.order // row.degree) ** (2 * n - 1)
             formula = as_rational_integer(total)
-            if brute != formula:
+            if counts[rep] != formula:
                 return f"commutator count mismatch at class {c}, n={n}"
     return ""
 
 
-def _check_counterexample(group: Group, cd: ConjugacyData, table: CharacterTable) -> str:
+def _check_counterexample(
+    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
+) -> str:
     # the S3 / p=3 block-sum computation; exploratory elsewhere
     if group.name != "S3":
         return ""
@@ -176,6 +200,8 @@ def _check_counterexample(group: Group, cd: ConjugacyData, table: CharacterTable
     return ""
 
 
+# Each check gets the spec the group was enumerated from, the group, its
+# classes and its table, and returns "" or what failed.
 _CHECKS = (
     ("class-structure", _check_class_structure),
     ("determinism", _check_determinism),
@@ -196,12 +222,13 @@ def verify_catalog(names=None) -> list[CheckResult]:
         names = list(specs)
     results = []
     for name in names:
-        group = enumerate_group(specs[name])
+        spec = specs[name]
+        group = enumerate_group(spec)
         cd = conjugacy_data(group)
         table = compute_table(group, cd)
         for check_name, fn in _CHECKS:
             try:
-                detail = fn(group, cd, table)
+                detail = fn(spec, group, cd, table)
             except Exception as exc:  # a raising check is a failing check
                 detail = f"{type(exc).__name__}: {exc}"
             results.append(

@@ -1,17 +1,20 @@
 import pytest
 
 from chartab.arith import prime_factors
+from chartab.arith import p_part
 from chartab.blocks import (
     alt_normalizer_report,
+    block_differences,
     central_character,
     is_p_element,
+    p_element_differences,
     principal_block_members,
     strunkov_analog_gamma,
 )
 from chartab.classfuncs import ClassFunction, pi_character, power
 from chartab.cyclo import Cyclotomic
-from chartab.errors import NonIntegralValueError
-from chartab.reduction import ReductionMap, build_reduction, candidate_roots
+from chartab.errors import NonIntegralValueError, TableIntegrityError
+from chartab.reduction import ReductionMap, build_reduction, candidate_roots, reduce_mod_M
 
 from conftest import ALL_GROUPS
 
@@ -208,3 +211,47 @@ class TestAltNormalizerReport:
         report = alt_normalizer_report(table, 2)
         assert report.gamma_values == (1,)
         assert report.block == (0,)
+
+
+def _per_root_is_p_element(class_index, p, table, rmap):
+    """The p-element test as it was: its differences rebuilt on every call."""
+    congruent = all(
+        not reduce_mod_M(row.values[class_index] - row.degree, rmap)
+        for row in table.rows
+    )
+    order = table.data.rep_orders[class_index]
+    if congruent != (p_part(order, p) == order):
+        raise TableIntegrityError("congruence and order tests disagree")
+    return congruent
+
+
+def _per_root_block_flags(table, p, rmap):
+    """Principal-block membership as it was: central characters rebuilt per root."""
+    flags = []
+    for row in table.rows:
+        flags.append(all(
+            not reduce_mod_M(central_character(row, i) - size, rmap)
+            for i, size in enumerate(table.data.sizes)
+        ))
+    if not flags[0]:
+        raise TableIntegrityError("the trivial character left the principal block")
+    return tuple(flags)
+
+
+class TestSharedDifferences:
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    def test_verdicts_match_per_root_arithmetic(self, group_factory, table_factory, name):
+        group, cd = group_factory(name)
+        table = table_factory(name)
+        values = p_element_differences(table)
+        central = block_differences(table)
+        for p in prime_factors(group.order):
+            base = build_reduction(group.exponent, p)
+            for eta in candidate_roots(group.exponent, p):
+                rmap = base._replace(eta=eta)
+                assert [is_p_element(i, p, table, rmap, values) for i in range(cd.k)] == [
+                    _per_root_is_p_element(i, p, table, rmap) for i in range(cd.k)
+                ]
+                assert principal_block_members(
+                    table, p, rmap, central
+                ).member_flags == _per_root_block_flags(table, p, rmap)

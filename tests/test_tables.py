@@ -1,7 +1,10 @@
+import itertools
 import json
+import random
 
 import pytest
 
+from chartab import tables
 from chartab.classfuncs import ClassFunction
 from chartab.cyclo import Cyclotomic, root_power
 from chartab.errors import FormatError, TableIntegrityError
@@ -202,6 +205,158 @@ class TestComputeTable:
         assert tuple(v for v in (row.values[0] for row in table.rows)) == tuple(
             Cyclotomic.from_rational(12, d) for d in table.degrees
         )
+
+
+def _det_mod(matrix, q):
+    """Leibniz determinant over GF(q): a signed sum over every permutation."""
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total % q
+
+
+def _random_matrices(seed=7, count=40):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        q = rng.choice((7, 11, 13))
+        n = rng.randint(1, 5)
+        density = rng.choice((0.3, 1.0))  # sparse ones reach the pivot search
+        out.append((
+            [[rng.randrange(q) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)],
+            q,
+        ))
+    return out
+
+
+_SPECIAL_MATRICES = [
+    ([[5]], 11),
+    ([[0]], 7),
+    ([[0] * 3 for _ in range(3)], 7),                        # zero
+    ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 11),                 # singular
+    ([[0, 1, 2, 3], [0, 0, 4, 5], [0, 0, 0, 6], [0, 0, 0, 0]], 13),  # nilpotent
+    ([[2, -4 % 11], [1, -2 % 11]], 11),                     # nilpotent, not triangular
+    ([[3, 0, 0], [0, 3, 0], [0, 0, 3]], 7),                  # scalar
+    ([[2, 1, 0], [0, 2, 0], [0, 0, 2]], 13),                 # repeated, not diagonalizable
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]], 11),  # needs a row swap
+]
+
+
+class TestCharacteristicPolynomial:
+    @pytest.mark.parametrize("matrix, q", _SPECIAL_MATRICES + _random_matrices())
+    def test_matches_determinant(self, matrix, q):
+        n = len(matrix)
+        poly = tables._charpoly(matrix, q)
+        assert len(poly) == n + 1 and poly[-1] == 1
+        # degree n < q: agreeing at every point of GF(q) fixes the polynomial
+        for lam in range(q):
+            shifted = [
+                [((lam if i == j else 0) - a) % q for j, a in enumerate(row)]
+                for i, row in enumerate(matrix)
+            ]
+            value = sum(c * pow(lam, t, q) for t, c in enumerate(poly)) % q
+            assert value == _det_mod(shifted, q)
+
+    def test_roots_ascending(self):
+        # (x - 1)(x - 4)^2 (x - 9) over GF(11)
+        poly = [1]
+        for r in (1, 4, 4, 9):
+            poly = [(a - r * b) % 11 for a, b in zip([0] + poly, poly + [0])]
+        assert tables._roots(poly, 11) == [1, 4, 9]
+
+
+def _lambda_scan_split(matrix, basis, pivots, q):
+    """The split the characteristic polynomial replaced: a null space for
+    every lambda in GF(q), from 0 up to the largest eigenvalue."""
+    d = len(basis)
+    action_cols = []
+    for bvec in basis:
+        image = [
+            sum(row[c] * bvec[c] for c in range(len(bvec)) if bvec[c]) % q
+            for row in matrix
+        ]
+        action_cols.append(tables._coords_in_basis(basis, pivots, image, q))
+    out = []
+    found = 0
+    for lam in range(q):
+        shifted = [
+            [(action_cols[j][i] - (lam if i == j else 0)) % q for j in range(d)]
+            for i in range(d)
+        ]
+        kernel = tables._nullspace(shifted, q)
+        if not kernel:
+            continue
+        ambient = []
+        for kv in kernel:
+            vec = [0] * len(basis[0])
+            for coef, bvec in zip(kv, basis):
+                if coef:
+                    vec = [(x + coef * y) % q for x, y in zip(vec, bvec)]
+            ambient.append(vec)
+        out.append(tables._rref(ambient, q))
+        found += len(kernel)
+        if found == d:
+            break
+    if found != d:
+        raise TableIntegrityError("class matrix not diagonalizable (internal bug)")
+    return out
+
+
+# k = 16 classes, more than the Dixon prime q = 11
+C2_4 = GroupSpec("C2^4", 8, ("(1 2)", "(3 4)", "(5 6)", "(7 8)"))
+
+
+class TestEigenspaceSplit:
+    @pytest.mark.parametrize("name", ALL_GROUPS + (C2_4.name,))
+    def test_same_split_and_table_as_lambda_scan(self, group_factory, monkeypatch, name):
+        if name == C2_4.name:
+            group = enumerate_group(C2_4)
+            cd = conjugacy_data(group)
+            assert (cd.k, dixon_prime(group.exponent, group.order)) == (16, 11)
+        else:
+            group, cd = group_factory(name)
+        split = tables._split_subspace
+        calls = []
+
+        def recorded(*args):
+            out = split(*args)
+            calls.append((args, out))
+            return out
+
+        q1 = dixon_prime(group.exponent, group.order)
+        q2 = dixon_prime(group.exponent, group.order, above=q1)
+        for q in (q1, q2):
+            calls.clear()
+            monkeypatch.setattr(tables, "_split_subspace", recorded)
+            table = compute_table(group, cd, prime=q)
+            for args, out in calls:
+                assert out == _lambda_scan_split(*args)
+            monkeypatch.setattr(tables, "_split_subspace", _lambda_scan_split)
+            assert compute_table(group, cd, prime=q) == table
+
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    def test_every_null_space_is_an_eigenspace(self, group_factory, monkeypatch, name):
+        group, cd = group_factory(name)
+        nullspace = tables._nullspace
+        sizes = []
+
+        def recorded(matrix, q):
+            out = nullspace(matrix, q)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(tables, "_nullspace", recorded)
+        q1 = dixon_prime(group.exponent, group.order)
+        q2 = dixon_prime(group.exponent, group.order, above=q1)
+        for q in (q1, q2):
+            compute_table(group, cd, prime=q)
+        assert 0 not in sizes
 
 
 class TestOrthogonality:
