@@ -8,9 +8,24 @@ Multiplicities of irreducibles in powers of pi and psi are computed by the
 weighted row-sum formula: since |K_i| c_i = |G|, the inner product
 [phi, pi^n] reduces to the sum over classes of c_i^(n-1) phi(g_i), and
 [phi, psi^n] to the same sum over the real classes.
+
+Only the centralizer order of a class enters that sum, and the power basis is
+linear, so it equals sum over c of c^(n-1) u_c, where the int vector u_c is
+the sum of the coefficients of phi over the classes with centralizer order c.
+The u_c are collapsed once per (row, real_only) and cached; every n is then an
+evaluation on plain ints.  For a character the u_c are rational, that is only
+coordinate 0 is nonzero: g -> g^s with s prime to the exponent permutes the
+classes of each centralizer order (and the real ones among them), and
+phi(g^s) = sigma_s(phi(g)), so each u_c is fixed by every Galois automorphism.
+Then the multiplicity is exactly rational for every n.  Any other class
+function is summed coordinate by coordinate at each n and must be a rational
+integer there.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from operator import mul
 
 from .cyclo import Cyclotomic, as_rational_integer
 from .errors import ClassDataMismatchError, TableIntegrityError
@@ -140,16 +155,49 @@ def inner(phi: ClassFunction, theta: ClassFunction) -> Cyclotomic:
     return _scaled_inner(phi, theta) / phi.data.order
 
 
-def _multiplicity(phi: ClassFunction, n: int, real_only: bool) -> int:
+@lru_cache(maxsize=256)  # bounded; verify over the catalog holds 122 entries
+def _collapse(
+    phi: ClassFunction, real_only: bool
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], bool]:
+    """The pairs (c, u_c), u_c the coefficients of phi summed over the
+    classes (real classes if real_only) of centralizer order c, and whether
+    every u_c is rational.
+    """
     data = phi.data
-    total = Cyclotomic.zero(data.exponent)
+    zero = Cyclotomic.zero(data.exponent)
+    sums: dict[int, Cyclotomic] = {}
     for c, real, v in zip(data.centralizer_orders, data.real_flags, phi.values):
         if real or not real_only:
-            total = total + c ** (n - 1) * v
-    result = as_rational_integer(total)
-    if result < 0:
-        raise TableIntegrityError(f"multiplicity {result} is negative (corrupt input)")
-    return result
+            sums[c] = sums.get(c, zero) + v
+    pairs = tuple((c, u.coeffs) for c, u in sums.items())
+    return pairs, all(u.is_rational() for u in sums.values())
+
+
+def _multiplicities(phi: ClassFunction, ns, real_only: bool):
+    """Yield [phi, pi^n] ([phi, psi^n] if real_only) for each n in ns, exactly.
+
+    The values are not checked for sign; NonIntegralValueError if one is not
+    a rational integer.
+    """
+    pairs, rational = _collapse(phi, real_only)
+    for n in ns:
+        if rational:
+            yield sum(c ** (n - 1) * u[0] for c, u in pairs)
+        else:
+            weights = [c ** (n - 1) for c, _ in pairs]
+            columns = zip(*(u for _, u in pairs))
+            total = tuple(sum(map(mul, weights, column)) for column in columns)
+            yield as_rational_integer(Cyclotomic._make(phi.data.exponent, total))
+
+
+def _nonnegative(values) -> list[int]:
+    """The values as a list; TableIntegrityError at the first negative one."""
+    out = []
+    for result in values:
+        if result < 0:
+            raise TableIntegrityError(f"multiplicity {result} is negative (corrupt input)")
+        out.append(result)
+    return out
 
 
 # Largest n for gamma and delta; n sets the work done, and 2000^999 has 3298
@@ -169,10 +217,10 @@ def check_power(n: int) -> None:
 def gamma(n: int, phi: ClassFunction) -> int:
     """Multiplicity of phi in the n-th power of the conjugation character."""
     check_power(n)
-    return _multiplicity(phi, n, real_only=False)
+    return _nonnegative(_multiplicities(phi, (n,), real_only=False))[0]
 
 
 def delta(n: int, phi: ClassFunction) -> int:
     """Multiplicity of phi in the n-th power of the squared-character sum."""
     check_power(n)
-    return _multiplicity(phi, n, real_only=True)
+    return _nonnegative(_multiplicities(phi, (n,), real_only=True))[0]

@@ -154,7 +154,8 @@ class Cyclotomic:
     def _check_order(self, other: "Cyclotomic") -> None:
         if self.e != other.e:
             raise OrderMismatchError(
-                f"cyclotomic orders differ ({self.e} vs {other.e}); embed first"
+                f"cyclotomic orders differ ({self.e} vs {other.e}); "
+                "both operands must have the same order"
             )
 
     def __add__(self, other):
@@ -250,15 +251,6 @@ class Cyclotomic:
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
-
-    def embed(self, e2: int) -> "Cyclotomic":
-        """Rewrite in Z[eps_e2] for a multiple e2 of the current order."""
-        if e2 % self.e:
-            raise OrderMismatchError(f"{self.e} does not divide {e2}")
-        step = e2 // self.e
-        poly = [0] * (step * (len(self.coeffs) - 1) + 1)
-        poly[::step] = self.coeffs
-        return Cyclotomic._make(e2, _reduce(e2, poly))
 
     # -- serialization ------------------------------------------------
 

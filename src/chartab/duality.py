@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arith import divisors, is_prime, p_part
-from .classfuncs import MAX_POWER, delta, gamma
+from .classfuncs import MAX_POWER, _multiplicities, _nonnegative, delta, gamma
 from .errors import InconsistentSequenceError
 from .groups import ClassData
 from .tables import CharacterTable
@@ -125,19 +125,19 @@ def recover_real_class_sizes(delta_seq, order: int) -> SizeSpectrum:
     return _recover(delta_seq, order, full_cover=False)
 
 
-def _sequence(fn, table: CharacterTable, length: int) -> list[int]:
+def _sequence(table: CharacterTable, length: int, real_only: bool) -> list[int]:
     if length > MAX_POWER:
         raise ValueError(f"sequence length must be at most {MAX_POWER}, got {length}")
-    return [fn(n, table.rows[0]) for n in range(1, length + 1)]
+    return _nonnegative(_multiplicities(table.rows[0], range(1, length + 1), real_only))
 
 
 def gamma_sequence(table: CharacterTable, length: int) -> list[int]:
     """[gamma_1(1_G), ..., gamma_length(1_G)] computed from the table's class data."""
-    return _sequence(gamma, table, length)
+    return _sequence(table, length, real_only=False)
 
 
 def delta_sequence(table: CharacterTable, length: int) -> list[int]:
-    return _sequence(delta, table, length)
+    return _sequence(table, length, real_only=True)
 
 
 def defect_zero_direct(data: ClassData, p: int) -> list[int]:

@@ -18,7 +18,7 @@ from .blocks import (
     principal_block_members,
     strunkov_analog_gamma,
 )
-from .classfuncs import delta, gamma
+from .classfuncs import _multiplicities
 from .cyclo import Cyclotomic, as_rational_integer
 from .duality import (
     SizeSpectrum,
@@ -28,7 +28,7 @@ from .duality import (
     recover_class_sizes,
     recover_real_class_sizes,
 )
-from .errors import TableIntegrityError
+from .errors import InconsistentSequenceError
 from .groups import (
     _COMMUTATOR_CAPS,
     ConjugacyData,
@@ -98,14 +98,13 @@ def _check_identities(
     spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
 ) -> str:
     # an orthonormal integral table need not consist of characters: a negative
-    # multiplicity is the one identity failure validate_table lets through, and
-    # gamma and delta raise TableIntegrityError on it
+    # multiplicity is the one identity failure validate_table lets through
+    ns = range(1, 6)
     for i, row in enumerate(table.rows):
-        for n in range(1, 6):
-            try:
-                gamma(n, row)
-                delta(n, row)
-            except TableIntegrityError:
+        gammas = _multiplicities(row, ns, False)
+        deltas = _multiplicities(row, ns, True)
+        for n in ns:
+            if next(gammas) < 0 or next(deltas) < 0:
                 return f"negative multiplicity for row {i} at n={n}"
     return ""
 
@@ -113,19 +112,26 @@ def _check_identities(
 def _check_recovery(
     spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
 ) -> str:
+    # _recover solves on the first d terms and only checks the rest, so one
+    # success with d + 3 terms means the same spectrum with d, d + 1 and
+    # d + 2; the per-length loop runs on failure, to name the first length
     d = len(divisors(group.order))
-    seq = gamma_sequence(table, d + 3)
-    actual = SizeSpectrum.from_sizes(group.order, cd.data.sizes)
-    for length in range(d, d + 4):
-        if recover_class_sizes(seq[:length], group.order) != actual:
-            return f"class-size recovery failed with {length} terms"
-    dseq = delta_sequence(table, d + 3)
-    real_actual = SizeSpectrum.from_sizes(
-        group.order, [s for s, r in zip(cd.data.sizes, cd.data.real_flags) if r]
-    )
-    for length in range(d, d + 4):
-        if recover_real_class_sizes(dseq[:length], group.order) != real_actual:
-            return f"real class-size recovery failed with {length} terms"
+    data = cd.data
+    real_sizes = [s for s, r in zip(data.sizes, data.real_flags) if r]
+    for label, sequence, recover, sizes in (
+        ("class-size", gamma_sequence, recover_class_sizes, data.sizes),
+        ("real class-size", delta_sequence, recover_real_class_sizes, real_sizes),
+    ):
+        seq = sequence(table, d + 3)
+        actual = SizeSpectrum.from_sizes(group.order, sizes)
+        try:
+            if recover(seq, group.order) == actual:
+                continue
+        except InconsistentSequenceError:
+            pass
+        for length in range(d, d + 4):
+            if recover(seq[:length], group.order) != actual:
+                return f"{label} recovery failed with {length} terms"
     return ""
 
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from chartab.classfuncs import (
@@ -13,9 +15,15 @@ from chartab.classfuncs import (
 )
 from chartab.cyclo import Cyclotomic, as_rational_integer, root_power
 from chartab.errors import ClassDataMismatchError, NonIntegralValueError, TableIntegrityError
-from chartab.tables import CharacterTable, validate_table
+from chartab.groups import conjugacy_data, enumerate_group, load_group_spec
+from chartab.tables import CharacterTable, compute_table, validate_table
 
 from conftest import ALL_GROUPS
+
+BENCH_SPECS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "specs"
+)
+SPEC_GROUPS = ("S6", "A6", "GL32")
 
 
 def rationals(cf):
@@ -265,3 +273,78 @@ class TestRowSums:
             for n in range(1, 5):
                 assert gamma(n, row) == inner(row, power(pi, n))
                 assert delta(n, row) == inner(row, power(psi, n))
+
+
+def cyclotomic_sum_multiplicity(phi, n, real_only):
+    # the sum of c^(n-1) phi(g) over classes as one Cyclotomic per term, as
+    # classfuncs computed it before the collapse by centralizer order
+    data = phi.data
+    total = Cyclotomic.zero(data.exponent)
+    for c, real, v in zip(data.centralizer_orders, data.real_flags, phi.values):
+        if real or not real_only:
+            total = total + c ** (n - 1) * v
+    result = as_rational_integer(total)
+    if result < 0:
+        raise TableIntegrityError(f"multiplicity {result} is negative (corrupt input)")
+    return result
+
+
+@pytest.fixture(scope="module")
+def spec_tables():
+    out = {}
+    for name in SPEC_GROUPS:
+        group = enumerate_group(load_group_spec(os.path.join(BENCH_SPECS, f"{name}.json")))
+        out[name] = compute_table(group, conjugacy_data(group))
+    return out
+
+
+class TestCollapsedMultiplicities:
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS)
+    def test_equal_to_cyclotomic_sum(self, table_factory, spec_tables, name):
+        table = spec_tables[name] if name in SPEC_GROUPS else table_factory(name)
+        for row in table.rows:
+            for n in range(1, 9):
+                assert gamma(n, row) == cyclotomic_sum_multiplicity(row, n, False)
+                assert delta(n, row) == cyclotomic_sum_multiplicity(row, n, True)
+
+    def test_not_galois_stable(self, table_factory):
+        # 3 eps at the class with c = 2 and -2 eps at the one with c = 3: the
+        # sum is eps at n = 1 but 3*2 eps - 2*3 eps = 0 at n = 2
+        data = table_factory("S3").data
+        eps = root_power(data.exponent, 1)
+        by_order = {data.order: Cyclotomic.zero(data.exponent), 2: 3 * eps, 3: -2 * eps}
+        phi = ClassFunction(tuple(by_order[c] for c in data.centralizer_orders), data)
+        for fn, real_only in ((gamma, False), (delta, True)):
+            with pytest.raises(NonIntegralValueError) as expected:
+                cyclotomic_sum_multiplicity(phi, 1, real_only)
+            with pytest.raises(NonIntegralValueError) as got:
+                fn(1, phi)
+            assert str(got.value) == str(expected.value)
+            assert fn(2, phi) == cyclotomic_sum_multiplicity(phi, 2, real_only) == 0
+
+    def test_no_cyclotomic_built_per_n(self, table_factory, monkeypatch):
+        tables = [table_factory(name) for name in ALL_GROUPS]
+        for table in tables:  # collapse every row first
+            for row in table.rows:
+                gamma(1, row)
+                delta(1, row)
+        built = []
+        make = Cyclotomic.__dict__["_make"].__func__
+        init = Cyclotomic.__init__
+
+        def counting_make(cls, e, coeffs):
+            built.append(e)
+            return make(cls, e, coeffs)
+
+        def counting_init(self, e, coeffs):
+            built.append(e)
+            init(self, e, coeffs)
+
+        monkeypatch.setattr(Cyclotomic, "_make", classmethod(counting_make))
+        monkeypatch.setattr(Cyclotomic, "__init__", counting_init)
+        for table in tables:
+            for row in table.rows:
+                for n in range(1, 9):
+                    gamma(n, row)
+                    delta(n, row)
+        assert built == []

@@ -118,12 +118,6 @@ class TestArithmetic:
             with pytest.raises(NonIntegralValueError):
                 Cyclotomic(e, [0] * (d - 1) + [Fraction(2 * rng.randrange(-5, 6) + 1, 2)])
 
-    def test_embed_compatible(self):
-        assert root_power(3, 1).embed(6) == root_power(6, 2)
-        assert root_power(2, 1).embed(60) == root_power(60, 30)
-        with pytest.raises(OrderMismatchError):
-            root_power(4, 1).embed(6)
-
 
 class TestConjugate:
     def test_imaginary_unit(self):

@@ -1,10 +1,12 @@
 import itertools
 import json
 import random
+from math import gcd
 
 import pytest
 
 from chartab import tables
+from chartab.arith import euler_phi
 from chartab.classfuncs import ClassFunction
 from chartab.cyclo import Cyclotomic, root_power
 from chartab.errors import FormatError, TableIntegrityError
@@ -476,6 +478,22 @@ class TestTableFiles:
         data["rows"] = [[row[perm[i]] for i in range(5)] for row in data["rows"]]
         with pytest.raises(TableIntegrityError, match="Galois image"):
             table_from_dict(data)
+
+    def test_unit_generators_generate_every_unit_group(self):
+        # validate_table checks the Galois action on these generators only
+        for e in range(1, 2521):
+            gens = tables._unit_generators(e)
+            assert all(1 < s < e and gcd(s, e) == 1 for s in gens)
+            group = {1 % e}
+            for s in gens:
+                # <H, s> is the union of the cosets H s^j before s^j enters H
+                cosets = [group]
+                x = s
+                while x not in group:
+                    cosets.append({h * x % e for h in group})
+                    x = x * s % e
+                group = set().union(*cosets)
+            assert len(group) == euler_phi(e), e
 
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"

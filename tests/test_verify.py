@@ -1,8 +1,13 @@
 import os
 
+import pytest
+
+from chartab import classfuncs, duality, verify
+from chartab.arith import divisors
+from chartab.duality import SizeSpectrum, recover_class_sizes, recover_real_class_sizes
 from chartab.groups import conjugacy_data, enumerate_group, load_catalog, load_group_spec
 from chartab.tables import CharacterTable
-from chartab.verify import _check_determinism, _check_identities
+from chartab.verify import _check_determinism, _check_identities, _check_recovery
 
 BENCH_SPECS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "specs"
@@ -27,3 +32,100 @@ def test_determinism_for_a_group_outside_the_catalog():
     group = enumerate_group(spec)
     # the check compares enumerations only and never reads the table
     assert _check_determinism(spec, group, conjugacy_data(group), None) == ""
+
+
+def per_length_recovery(spec, group, cd, table):
+    # _check_recovery as it was before the single solve: every length from d
+    # to d + 3, gamma side first
+    d = len(divisors(group.order))
+    seq = verify.gamma_sequence(table, d + 3)
+    actual = SizeSpectrum.from_sizes(group.order, cd.data.sizes)
+    for length in range(d, d + 4):
+        if recover_class_sizes(seq[:length], group.order) != actual:
+            return f"class-size recovery failed with {length} terms"
+    dseq = verify.delta_sequence(table, d + 3)
+    real_actual = SizeSpectrum.from_sizes(
+        group.order, [s for s, r in zip(cd.data.sizes, cd.data.real_flags) if r]
+    )
+    for length in range(d, d + 4):
+        if recover_real_class_sizes(dseq[:length], group.order) != real_actual:
+            return f"real class-size recovery failed with {length} terms"
+    return ""
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("sequence", ("gamma_sequence", "delta_sequence"))
+@pytest.mark.parametrize("name", ("S4", "D12"))
+def test_recovery_failure_reported_as_per_length(
+    monkeypatch, group_factory, table_factory, name, sequence
+):
+    group, cd = group_factory(name)
+    table = table_factory(name)
+    spec = load_catalog()[name]
+    d = len(divisors(group.order))
+    honest = getattr(verify, sequence)
+    for term in range(1, d + 4):  # corrupt one term at a time
+        def corrupt(table, length, term=term):
+            seq = honest(table, length)
+            seq[term - 1] += 1
+            return seq
+
+        monkeypatch.setattr(verify, sequence, corrupt)
+        got = outcome(_check_recovery, spec, group, cd, table)
+        assert got == outcome(per_length_recovery, spec, group, cd, table)
+        if term == d + 2:
+            # the first d terms still solve to the right spectrum, so the
+            # surplus check names the corrupt term
+            assert got.startswith(
+                f"InconsistentSequenceError: surplus equation n={d + 2} fails"
+            )
+
+
+@pytest.mark.parametrize("surplus", ("A4", "D12"))
+@pytest.mark.parametrize("sequence", ("gamma_sequence", "delta_sequence"))
+def test_recovery_reports_a_wrong_spectrum(
+    monkeypatch, group_factory, table_factory, sequence, surplus
+):
+    # the first d terms of A4's sequences solve to another spectrum of order
+    # 12; with D12's own surplus terms the d + 3 solve raises instead, and
+    # the per-length loop still names length d
+    group, cd = group_factory("D12")
+    spec = load_catalog()["D12"]
+    table = table_factory("D12")
+    d = len(divisors(12))
+    honest = getattr(verify, sequence)
+
+    def mixed(table, length):
+        return honest(table_factory("A4"), d) + honest(table_factory(surplus), length)[d:]
+
+    monkeypatch.setattr(verify, sequence, mixed)
+    got = _check_recovery(spec, group, cd, table)
+    assert got == per_length_recovery(spec, group, cd, table)
+    label = "class-size" if sequence == "gamma_sequence" else "real class-size"
+    assert got == f"{label} recovery failed with {d} terms"
+
+
+def test_one_collapse_per_row_and_one_solve_per_sequence(monkeypatch):
+    solves = []
+    solve = duality._solve_vandermonde
+
+    def counting(nodes, rhs):
+        solves.append(len(rhs))
+        return solve(nodes, rhs)
+
+    monkeypatch.setattr(duality, "_solve_vandermonde", counting)
+    classfuncs._collapse.cache_clear()
+    results = verify.verify_catalog(["S4", "A5"])
+    assert all(r.ok for r in results)
+    info = classfuncs._collapse.cache_info()
+    rows = 5 + 5  # S4 and A5 have five classes each
+    # every (row, real_only) pair is collapsed exactly once
+    assert info.misses == info.currsize == 2 * rows
+    # one gamma and one delta solve per group
+    assert len(solves) == 4
