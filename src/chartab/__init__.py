@@ -38,7 +38,7 @@ _EXPORTS = {
         "InconsistentSequenceError", "NonIntegralValueError", "OrderMismatchError",
         "TableIntegrityError", "UnknownGroupError",
     ),
-    "finite_field": ("ExtensionFieldElement", "irreducible_polynomial"),
+    "finite_field": ("irreducible_polynomial",),
     "groups": (
         "ClassData", "ConjugacyData", "Group", "GroupSpec", "catalog_group",
         "class_matrix", "conjugacy_data", "count_commutator_solutions",

@@ -52,7 +52,7 @@ def is_p_element(
     """
     if differences is None:
         differences = p_element_differences(table)
-    congruent = all(not reduce_mod_M(d, rmap) for d in differences[class_index])
+    congruent = all(not any(reduce_mod_M(d, rmap)) for d in differences[class_index])
     order = table.data.rep_orders[class_index]
     direct = p_part(order, p) == order
     if congruent != direct:
@@ -118,7 +118,7 @@ def principal_block_members(
     for r, row_diffs in enumerate(differences):
         member = True
         for i, diff in enumerate(row_diffs):
-            if reduce_mod_M(diff, rmap):
+            if any(reduce_mod_M(diff, rmap)):
                 member = False
                 failures.append((r, i))
         flags.append(member)

@@ -35,10 +35,12 @@ from .groups import ClassData
 class ClassFunction:
     """One cyclotomic value per conjugacy class; a table row is one of these.
 
-    Immutable: `values` and `data` are set by the constructor only.
+    Immutable: `values` and `data` are set by the constructor only, and the
+    hash, which reads every value and the whole `ClassData`, is computed on
+    the first `hash()` and kept.
     """
 
-    __slots__ = ("values", "data")
+    __slots__ = ("values", "data", "_hash")
 
     def __init__(self, values: tuple[Cyclotomic, ...], data: ClassData):
         if len(values) != data.k:
@@ -58,7 +60,12 @@ class ClassFunction:
         return self.values == other.values and self.data == other.data
 
     def __hash__(self):
-        return hash((self.values, self.data))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.values, self.data))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"ClassFunction(values={self.values!r}, data={self.data!r})"

@@ -164,6 +164,8 @@ class Cyclotomic:
             return Cyclotomic._make(
                 self.e, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
             )
+        if type(other) is int:
+            return Cyclotomic._make(self.e, (self.coeffs[0] + other,) + self.coeffs[1:])
         if isinstance(other, Rational):
             cs = list(self.coeffs)
             cs[0] += other
@@ -176,6 +178,8 @@ class Cyclotomic:
         return Cyclotomic._make(self.e, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
+        if type(other) is int:
+            return Cyclotomic._make(self.e, (self.coeffs[0] - other,) + self.coeffs[1:])
         if isinstance(other, (Cyclotomic, Rational)):
             return self + (-other)
         return NotImplemented

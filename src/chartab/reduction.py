@@ -11,11 +11,16 @@ generator, and `candidate_roots` lists them all so independence of the
 choice can be tested.  Fields with more than FIELD_SIZE_CAP elements are
 refused, because finding their defining polynomial is a brute-force search.
 
-The map is Z-linear on the power basis 1, eps, ..., eps^(phi(e)-1), so
-`reduce_mod_M` applies it as an f x phi(e) integer matrix whose column t holds
-the coefficients of eta^t.  The matrix is cached per ReductionMap rather than
-stored in it: a map copied with `_replace(eta=...)` or built by hand for
-another root then gets its own matrix, never the one of the root it came from.
+Field elements are plain f-tuples of ints in [0, p) (see `finite_field`):
+eta, the candidate roots and every image are such tuples, and an image is
+zero iff `not any(image)`.  The map is Z-linear on the power basis 1, eps,
+..., eps^(phi(e)-1), so `reduce_mod_M` applies it as an f x phi(e) integer
+matrix whose column t holds the coefficients of eta^t.  A rational integer c
+(only coefficient 0 nonzero) skips the matrix: column 0 is the coefficients
+of eta^0 = 1, so its image is (c mod p, 0, ..., 0).  The matrix is cached
+per ReductionMap rather than stored in it: a map copied with
+`_replace(eta=...)` or built by hand for another root then gets its own
+matrix, never the one of the root it came from.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import NamedTuple
 from .arith import euler_phi, is_prime, multiplicative_order, p_part
 from .cyclo import Cyclotomic
 from .errors import CapExceededError, OrderMismatchError
-from .finite_field import ExtensionFieldElement, field_generator, irreducible_polynomial
+from .finite_field import _poly_mul_mod, _poly_pow_mod, field_generator, irreducible_polynomial
 
 # Largest residue field build_reduction constructs.  The slowest admitted
 # fields build in under 0.5 s (2 vCPU, CPython 3.11); above the cap the
@@ -44,7 +49,7 @@ class ReductionMap(NamedTuple):
     m: int
     f: int
     poly: tuple[int, ...]
-    eta: ExtensionFieldElement
+    eta: tuple[int, ...]
 
 
 def build_reduction(e: int, p: int) -> ReductionMap:
@@ -65,39 +70,45 @@ def build_reduction(e: int, p: int) -> ReductionMap:
             f"residue field GF({p}^{f}) exceeds the cap of {FIELD_SIZE_CAP} elements"
         )
     poly = irreducible_polynomial(p, f)
-    eta = field_generator(p, poly) ** ((p**f - 1) // m)
+    eta = _poly_pow_mod(field_generator(p, poly), (p**f - 1) // m, poly, p)
     return ReductionMap(e=e, p=p, m=m, f=f, poly=poly, eta=eta)
 
 
-def candidate_roots(e: int, p: int) -> list[ExtensionFieldElement]:
+def candidate_roots(e: int, p: int) -> list[tuple[int, ...]]:
     """Every valid eta, the elements of exact order m, in coefficient order."""
     base = build_reduction(e, p)
-    roots = (base.eta**j for j in range(1, base.m + 1) if gcd(j, base.m) == 1)
-    return sorted(roots, key=lambda el: el.coeffs)
+    return sorted(
+        _poly_pow_mod(base.eta, j, base.poly, p)
+        for j in range(1, base.m + 1)
+        if gcd(j, base.m) == 1
+    )
 
 
 @lru_cache(maxsize=128)  # bounded: a long-lived caller may try many roots
 def _images(rmap: ReductionMap) -> tuple[tuple[int, ...], ...]:
     """The map's matrix: row k holds coefficient k of eta^t for t < phi(e)."""
-    power = ExtensionFieldElement.one(rmap.p, rmap.poly)
+    power = (1,) + (0,) * (rmap.f - 1)
     columns = []
     for _ in range(euler_phi(rmap.e)):
-        columns.append(power.coeffs)
-        power = power * rmap.eta
+        columns.append(power)
+        power = _poly_mul_mod(power, rmap.eta, rmap.poly, rmap.p)
     return tuple(zip(*columns))
 
 
-def reduce_mod_M(z: Cyclotomic, rmap: ReductionMap) -> ExtensionFieldElement:
-    """Apply the homomorphism to a cyclotomic integer.
+def reduce_mod_M(z: Cyclotomic, rmap: ReductionMap) -> tuple[int, ...]:
+    """Apply the homomorphism to a cyclotomic integer; the image is an f-tuple.
 
     The map is Z-linear on the power basis: sum_t c_t eps^t goes to
     sum_t c_t eta^t, one integer dot product with a row of `_images(rmap)` per
-    coefficient of the result.  The matrix is cached on the whole map, eta
-    included, and not stored as a field, so `rmap._replace(eta=...)` cannot
-    carry the old root's images.
+    coefficient of the result.  A rational integer c goes to (c mod p, 0, ...,
+    0), the same tuple, without the matrix.  The matrix is cached on the whole
+    map, eta included, and not stored as a field, so `rmap._replace(eta=...)`
+    cannot carry the old root's images.
     """
     if z.e != rmap.e:
         raise OrderMismatchError(f"value of order {z.e} under a map for order {rmap.e}")
-    return ExtensionFieldElement(
-        rmap.p, rmap.poly, [sum(map(mul, z.coeffs, row)) for row in _images(rmap)]
-    )
+    p = rmap.p
+    cs = z.coeffs
+    if not any(cs[1:]):
+        return (cs[0] % p,) + (0,) * (rmap.f - 1)
+    return tuple(sum(map(mul, cs, row)) % p for row in _images(rmap))

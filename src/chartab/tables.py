@@ -277,7 +277,18 @@ def _apply_split(matrix, spaces, q: int):
 
 
 def compute_table(group: Group, cd: ConjugacyData, prime: int | None = None) -> CharacterTable:
-    """Exact character table of an enumerated group.
+    """Exact character table of an enumerated group, validated.
+
+    Built by `_build_table` at the Dixon prime `prime` (by default the least
+    admissible one, see `dixon_prime`), then checked by `validate_table`.
+    """
+    table = _build_table(group, cd, prime)
+    validate_table(table)
+    return table
+
+
+def _build_table(group: Group, cd: ConjugacyData, prime: int | None) -> CharacterTable:
+    """The character table as the Dixon-Schneider split gives it, not validated.
 
     The class-sum matrices over GF(q) are split into common one-dimensional
     eigenspaces; each eigenvector, scaled to 1 at the identity class, carries
@@ -348,14 +359,12 @@ def compute_table(group: Group, cd: ConjugacyData, prime: int | None = None) -> 
             raise TableIntegrityError("lifted degree disagrees with mod-q degree")
         rows.append(row)
 
-    table = CharacterTable(
+    return CharacterTable(
         group_name=group.name,
         data=data,
         rows=tuple(_sort_rows(rows)),
         provenance=f"computed (dixon prime {q})",
     )
-    validate_table(table)
-    return table
 
 
 def _sqrt_below_half(x: int, q: int) -> int:

@@ -34,3 +34,33 @@ def table_factory(group_factory):
         return cache[name]
 
     return get
+
+
+# -- a field oracle on tuples, independent of chartab.finite_field ----------
+
+
+def field_one(poly):
+    """1 in GF(p)[x] / (poly), as a tuple of len(poly) - 1 ints."""
+    return (1,) + (0,) * (len(poly) - 2)
+
+
+def field_mul(a, b, p, poly):
+    """a * b in GF(p)[x] / (poly) by shift and add: the sum of b_j (x^j a)."""
+    f = len(poly) - 1
+    out = [0] * f
+    shifted = [c % p for c in a]
+    for bj in b:
+        out = [(o + bj * s) % p for o, s in zip(out, shifted)]
+        top = shifted[-1]
+        shifted = [0] + shifted[:-1]  # times x, then x^f = -(poly below x^f)
+        shifted = [(s - top * c) % p for s, c in zip(shifted, poly)]
+    return tuple(out)
+
+
+def horner(coeffs, el, p, poly):
+    """sum_t coeffs[t] el^t by Horner's rule, one field multiply and add per term."""
+    acc = (0,) * (len(poly) - 1)
+    for c in reversed(coeffs):
+        acc = field_mul(acc, el, p, poly)
+        acc = ((acc[0] + c) % p,) + acc[1:]
+    return acc

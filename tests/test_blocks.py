@@ -16,7 +16,7 @@ from chartab.cyclo import Cyclotomic
 from chartab.errors import NonIntegralValueError, TableIntegrityError
 from chartab.reduction import ReductionMap, build_reduction, candidate_roots, reduce_mod_M
 
-from conftest import ALL_GROUPS
+from conftest import ALL_GROUPS, horner
 
 
 @pytest.fixture()
@@ -216,7 +216,7 @@ class TestAltNormalizerReport:
 def _per_root_is_p_element(class_index, p, table, rmap):
     """The p-element test as it was: its differences rebuilt on every call."""
     congruent = all(
-        not reduce_mod_M(row.values[class_index] - row.degree, rmap)
+        not any(reduce_mod_M(row.values[class_index] - row.degree, rmap))
         for row in table.rows
     )
     order = table.data.rep_orders[class_index]
@@ -230,7 +230,7 @@ def _per_root_block_flags(table, p, rmap):
     flags = []
     for row in table.rows:
         flags.append(all(
-            not reduce_mod_M(central_character(row, i) - size, rmap)
+            not any(reduce_mod_M(central_character(row, i) - size, rmap))
             for i, size in enumerate(table.data.sizes)
         ))
     if not flags[0]:
@@ -255,3 +255,37 @@ class TestSharedDifferences:
                 assert principal_block_members(
                     table, p, rmap, central
                 ).member_flags == _per_root_block_flags(table, p, rmap)
+
+
+def _congruent(z, n, rmap):
+    """Whether z = n mod M, by Horner evaluation of z at eta: no subtraction
+    of Cyclotomic values and no reduce_mod_M."""
+    image = horner(z.coeffs, rmap.eta, rmap.p, rmap.poly)
+    return image == (n % rmap.p,) + (0,) * (rmap.f - 1)
+
+
+class TestVerdictOracle:
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    def test_verdicts_match_oracle_zero_tests(self, group_factory, table_factory, name):
+        # reduce_mod_M returns a tuple, truthy even when zero: a verdict that
+        # tested the tuple itself would disagree with these zero tests
+        group, cd = group_factory(name)
+        table = table_factory(name)
+        sizes = table.data.sizes
+        for p in prime_factors(group.order):
+            base = build_reduction(group.exponent, p)
+            for eta in candidate_roots(group.exponent, p):
+                rmap = base._replace(eta=eta)
+                p_elements = [
+                    all(_congruent(row.values[i], row.degree, rmap) for row in table.rows)
+                    for i in range(cd.k)
+                ]
+                flags = tuple(
+                    all(
+                        _congruent(central_character(row, i), size, rmap)
+                        for i, size in enumerate(sizes)
+                    )
+                    for row in table.rows
+                )
+                assert [is_p_element(i, p, table, rmap) for i in range(cd.k)] == p_elements
+                assert principal_block_members(table, p, rmap).member_flags == flags

@@ -30,6 +30,24 @@ def rationals(cf):
     return [as_rational_integer(v) for v in cf.values]
 
 
+class TestHash:
+    def test_hash_is_computed_once_and_kept(self, table_factory):
+        table = table_factory("S4")
+        row = ClassFunction(table.rows[1].values, table.data)  # never hashed
+        with pytest.raises(AttributeError):
+            row._hash
+        h = hash(row)
+        assert h == hash((row.values, row.data)) == hash(table.rows[1])
+        assert row._hash == h
+        assert hash(row) == h
+        for attr in ("_hash", "values"):
+            with pytest.raises(AttributeError):
+                setattr(row, attr, 0)
+            with pytest.raises(AttributeError):
+                delattr(row, attr)
+        assert hash(row) == h
+
+
 class TestPiCharacter:
     def test_s3(self, group_factory):
         _, cd = group_factory("S3")

@@ -94,6 +94,29 @@ class TestArithmetic:
         assert Fraction(1, 2) * (z + z) == z
         assert z - 1 == z + (-1)
 
+    @pytest.mark.parametrize("other", [0, 5, -7, 10**30, True, Fraction(3, 1)])
+    def test_integer_sum_and_difference_match_the_constructor(self, other):
+        # type(other) is int takes a fast path; bool and Fraction do not, and
+        # all of them must give what the checking constructor gives
+        for e in (1, 4, 6, 15):
+            z = Cyclotomic(e, range(2, euler_phi(e) + 2))
+            head, *tail = z.coeffs
+            expected = (
+                (z + other, [head + other, *tail]),
+                (other + z, [head + other, *tail]),
+                (z - other, [head - other, *tail]),
+                (other - z, [other - head, *(-c for c in tail)]),
+            )
+            for got, coeffs in expected:
+                assert got.coeffs == Cyclotomic(e, coeffs).coeffs
+                assert all(type(c) is int for c in got.coeffs)
+
+    def test_non_integral_sum_and_difference_rejected(self):
+        z = root_power(6, 1)
+        for op in (z.__add__, z.__sub__, z.__radd__, z.__rsub__):
+            with pytest.raises(NonIntegralValueError):
+                op(Fraction(1, 2))
+
     def test_power_operator(self):
         z = root_power(5, 1)
         assert z**5 == 1

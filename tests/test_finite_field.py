@@ -15,7 +15,8 @@ from chartab.arith import (
 from chartab.cyclo import Cyclotomic, cyclotomic_polynomial, root_power
 from chartab.errors import CapExceededError, NonIntegralValueError, OrderMismatchError
 from chartab.finite_field import (
-    ExtensionFieldElement,
+    _poly_mul_mod,
+    _poly_pow_mod,
     field_elements,
     field_generator,
     irreducible_polynomial,
@@ -29,36 +30,33 @@ from chartab.reduction import (
 )
 from chartab.tables import dixon_prime
 
-from conftest import ALL_GROUPS
+from conftest import ALL_GROUPS, field_mul, field_one, horner
 
 
-def _horner(coeffs, el: ExtensionFieldElement) -> ExtensionFieldElement:
-    """sum_t coeffs[t] el^t by Horner's rule, one field multiply and add per term."""
-    acc = ExtensionFieldElement.zero(el.p, el.poly)
-    for c in reversed(coeffs):
-        acc = acc * el + ExtensionFieldElement.from_int(el.p, el.poly, c)
-    return acc
-
-
-def _phi_e_value(e: int, el: ExtensionFieldElement) -> ExtensionFieldElement:
+def _phi_e_value(e: int, el, p: int, poly):
     """Evaluate the e-th cyclotomic polynomial at a field element."""
-    return _horner(cyclotomic_polynomial(e), el)
+    return horner(cyclotomic_polynomial(e), el, p, poly)
 
 
-def _brute_order(el) -> int:
+def _brute_order(el, p: int, poly) -> int:
     """Multiplicative order by repeated multiplication."""
+    one = field_one(poly)
     cur, k = el, 1
-    while cur != 1:
-        cur = cur * el
+    while cur != one:
+        cur = field_mul(cur, el, p, poly)
         k += 1
     return k
+
+
+def _add(a, b, p: int):
+    return tuple((x + y) % p for x, y in zip(a, b))
 
 
 @lru_cache(maxsize=None)
 def _brute_field(p: int, f: int):
     """Nonzero elements of GF(p^f) with their orders, and the first generator."""
     poly = irreducible_polynomial(p, f)
-    orders = {el: _brute_order(el) for el in field_elements(p, poly) if el}
+    orders = {el: _brute_order(el, p, poly) for el in field_elements(p, poly) if any(el)}
     gen = next(el for el, order in orders.items() if order == p**f - 1)
     return poly, orders, gen
 
@@ -79,10 +77,13 @@ def _brute_reduction(e: int, p: int):
     order m that kills Phi_e; the roots are every such element, in field order."""
     m, f = _brute_degree(e, p)
     poly, orders, gen = _brute_field(p, f)
-    eta = ExtensionFieldElement.one(p, poly)
-    while orders[eta] != m or _phi_e_value(e, eta):
-        eta = eta * gen
-    roots = [el for el, order in orders.items() if order == m and not _phi_e_value(e, el)]
+    eta = field_one(poly)
+    while orders[eta] != m or any(_phi_e_value(e, eta, p, poly)):
+        eta = field_mul(eta, gen, p, poly)
+    roots = [
+        el for el, order in orders.items()
+        if order == m and not any(_phi_e_value(e, el, p, poly))
+    ]
     return m, f, poly, eta, roots
 
 
@@ -156,29 +157,45 @@ class TestExtensionField:
     def test_generator_order(self):
         for p, f in ((2, 4), (3, 2), (5, 2)):
             poly = irreducible_polynomial(p, f)
-            assert field_generator(p, poly).multiplicative_order() == p**f - 1
+            assert _brute_order(field_generator(p, poly), p, poly) == p**f - 1
 
     def test_frobenius_is_additive(self):
         poly = irreducible_polynomial(3, 2)
         rng = random.Random(2)
         for _ in range(20):
-            a = ExtensionFieldElement(3, poly, [rng.randrange(3), rng.randrange(3)])
-            b = ExtensionFieldElement(3, poly, [rng.randrange(3), rng.randrange(3)])
-            assert (a + b) ** 3 == a**3 + b**3
+            a = (rng.randrange(3), rng.randrange(3))
+            b = (rng.randrange(3), rng.randrange(3))
+            assert _poly_pow_mod(_add(a, b, 3), 3, poly, 3) == _add(
+                _poly_pow_mod(a, 3, poly, 3), _poly_pow_mod(b, 3, poly, 3), 3
+            )
 
-    def test_from_int_and_equality(self):
-        poly = irreducible_polynomial(5, 2)
-        assert ExtensionFieldElement.from_int(5, poly, 7) == 2
-        assert ExtensionFieldElement.one(5, poly) * 3 == 3
+    @pytest.mark.parametrize("p, f", [(2, 1), (7, 1), (2, 4), (3, 2), (3, 3), (5, 2)])
+    def test_multiply_and_power_match_oracle(self, p, f):
+        # every product against shift-and-add multiplication, and powers up
+        # to p^f against repeated multiplication
+        poly = irreducible_polynomial(p, f)
+        elements = list(field_elements(p, poly))
+        assert len(elements) == p**f
+        for a in elements:
+            for b in elements:
+                assert _poly_mul_mod(a, b, poly, p) == field_mul(a, b, p, poly)
+            power = field_one(poly)
+            for n in range(p**f + 1):
+                assert _poly_pow_mod(a, n, poly, p) == power
+                power = field_mul(power, a, p, poly)
 
 
 class TestOrders:
     @pytest.mark.parametrize("p, f", [(2, 4), (3, 2), (5, 2), (7, 2)])
     def test_field_element_orders_match_count(self, p, f):
-        _, orders, _ = _brute_field(p, f)
+        # el^order = 1 and no el^(order / r) is 1, by _poly_pow_mod
+        poly, orders, _ = _brute_field(p, f)
+        one = field_one(poly)
         assert len(orders) == p**f - 1
         for el, order in orders.items():
-            assert el.multiplicative_order() == order
+            assert _poly_pow_mod(el, order, poly, p) == one
+            for r in prime_factors(order):
+                assert _poly_pow_mod(el, order // r, poly, p) != one
 
     def test_unit_orders_match_count(self):
         for n in range(1, 50):
@@ -208,12 +225,12 @@ class TestBuildReduction:
     def test_order_six_p_three(self):
         r = build_reduction(6, 3)
         assert (r.m, r.f) == (2, 1)
-        assert r.eta == 2  # eta = -1 in GF(3)
+        assert r.eta == (2,)  # eta = -1 in GF(3)
 
     def test_power_of_p_collapses(self):
         r = build_reduction(4, 2)
         assert (r.m, r.f) == (1, 1)
-        assert r.eta == 1
+        assert r.eta == (1,)
 
     def test_order_six_p_five(self):
         r = build_reduction(6, 5)
@@ -226,10 +243,10 @@ class TestBuildReduction:
             (60, 13), (5, 7), (84, 5),
         ):
             r = build_reduction(e, p)
-            assert r.eta ** r.m == 1
+            assert _poly_pow_mod(r.eta, r.m, r.poly, p) == field_one(r.poly)
             if r.m > 1:
-                assert r.eta.multiplicative_order() == r.m
-            assert not _phi_e_value(e, r.eta)
+                assert _brute_order(r.eta, p, r.poly) == r.m
+            assert not any(_phi_e_value(e, r.eta, p, r.poly))
 
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError):
@@ -265,8 +282,8 @@ class TestBuildReduction:
     )
     def test_pinned_roots(self, e, p, poly, eta, roots):
         r = build_reduction(e, p)
-        assert (r.poly, r.eta.coeffs) == (poly, eta)
-        assert [el.coeffs for el in candidate_roots(e, p)] == roots
+        assert (r.poly, r.eta) == (poly, eta)
+        assert candidate_roots(e, p) == roots
 
     def test_field_size_cap(self, monkeypatch):
         assert build_reduction(25, 2).p ** 20 == FIELD_SIZE_CAP  # GF(2^20) is admitted
@@ -283,21 +300,21 @@ class TestBuildReduction:
             assert r.eta in cands
             assert len(cands) == euler_phi(r.m)
             for eta in cands:
-                assert eta.multiplicative_order() == r.m
+                assert _brute_order(eta, p, r.poly) == r.m
 
 
 class TestReduceModM:
     def test_unital(self):
         r = build_reduction(6, 5)
-        assert reduce_mod_M(Cyclotomic.one(6), r) == 1
+        assert reduce_mod_M(Cyclotomic.one(6), r) == (1, 0)
 
     def test_sixth_root_mod_three(self):
         r = build_reduction(6, 3)
-        assert reduce_mod_M(root_power(6, 1), r) == 2
+        assert reduce_mod_M(root_power(6, 1), r) == (2,)
 
     def test_characteristic_kills_p(self):
         r = build_reduction(6, 3)
-        assert reduce_mod_M(Cyclotomic.from_rational(6, 3), r) == 0
+        assert reduce_mod_M(Cyclotomic.from_rational(6, 3), r) == (0,)
 
     def test_homomorphism_sampled(self):
         rng = random.Random(9)
@@ -307,24 +324,33 @@ class TestReduceModM:
             for _ in range(8):
                 a = Cyclotomic(e, [rng.randrange(-9, 10) for _ in range(d)])
                 b = Cyclotomic(e, [rng.randrange(-9, 10) for _ in range(d)])
-                assert reduce_mod_M(a + b, r) == reduce_mod_M(a, r) + reduce_mod_M(b, r)
-                assert reduce_mod_M(a * b, r) == reduce_mod_M(a, r) * reduce_mod_M(b, r)
+                ra, rb = reduce_mod_M(a, r), reduce_mod_M(b, r)
+                assert reduce_mod_M(a + b, r) == _add(ra, rb, p)
+                assert reduce_mod_M(a * b, r) == field_mul(ra, rb, p, r.poly)
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_matches_horner(self, group_factory, name):
-        # the matrix form against evaluating sum_t c_t eta^t in the field, for
-        # every root verify tries (all of them when m <= 12, else the base one)
+        # the matrix form, and the rational fast path, against evaluating
+        # sum_t c_t eta^t in the field, for every root verify tries (all of
+        # them when m <= 12, else the base one)
         group, _ = group_factory(name)
         e = group.exponent
         rng = random.Random(e)
         for p in prime_factors(group.order):
             base = build_reduction(e, p)
             roots = candidate_roots(e, p) if base.m <= 12 else [base.eta]
+            rationals = (0, 1, -1, p, -p, 3 * p, -2 * p - 1, rng.randint(-500, -2))
             for eta in roots:
                 r = base._replace(eta=eta)
-                for _ in range(10):
-                    z = Cyclotomic(e, [rng.randint(-50, 50) for _ in range(euler_phi(e))])
-                    assert reduce_mod_M(z, r) == _horner(z.coeffs, eta)
+                values = [Cyclotomic.from_rational(e, c) for c in rationals]
+                values += [
+                    Cyclotomic(e, [rng.randint(-50, 50) for _ in range(euler_phi(e))])
+                    for _ in range(10)
+                ]
+                for z in values:
+                    image = reduce_mod_M(z, r)
+                    assert image == horner(z.coeffs, eta, p, r.poly)
+                    assert len(image) == r.f and all(0 <= c < p for c in image)
 
     def test_each_map_uses_its_own_root(self):
         # the matrix is cached per map: copies for another root, by _replace or
@@ -363,4 +389,6 @@ class TestReduceModM:
             r = ReductionMap(e=6, p=5, m=base.m, f=base.f, poly=base.poly, eta=eta)
             a = root_power(6, 1) + 1
             b = root_power(6, 4) * 3
-            assert reduce_mod_M(a * b, r) == reduce_mod_M(a, r) * reduce_mod_M(b, r)
+            assert reduce_mod_M(a * b, r) == field_mul(
+                reduce_mod_M(a, r), reduce_mod_M(b, r), 5, r.poly
+            )

@@ -2,11 +2,14 @@ import os
 
 import pytest
 
-from chartab import classfuncs, duality, verify
+from chartab import classfuncs, duality, tables, verify
 from chartab.arith import divisors
+from chartab.classfuncs import ClassFunction
+from chartab.cyclo import root_power
 from chartab.duality import SizeSpectrum, recover_class_sizes, recover_real_class_sizes
+from chartab.errors import TableIntegrityError
 from chartab.groups import conjugacy_data, enumerate_group, load_catalog, load_group_spec
-from chartab.tables import CharacterTable
+from chartab.tables import CharacterTable, dixon_prime
 from chartab.verify import _check_determinism, _check_identities, _check_recovery
 
 BENCH_SPECS = os.path.join(
@@ -129,3 +132,55 @@ def test_one_collapse_per_row_and_one_solve_per_sequence(monkeypatch):
     assert info.misses == info.currsize == 2 * rows
     # one gamma and one delta solve per group
     assert len(solves) == 4
+
+
+def _table_integrity(results):
+    (row,) = [r for r in results if r.check == "table-integrity"]
+    return row
+
+
+def test_table_integrity_reports_a_changed_value(monkeypatch):
+    # the second-prime table is compared unvalidated: one changed value in
+    # it must still fail the row
+    honest = verify._build_table
+
+    def changed(group, cd, prime):
+        table = honest(group, cd, prime)
+        rows = list(table.rows)
+        values = list(rows[-1].values)
+        values[1] = values[1] + root_power(group.exponent, 1)
+        rows[-1] = ClassFunction(tuple(values), table.data)
+        return CharacterTable(table.group_name, table.data, tuple(rows))
+
+    monkeypatch.setattr(verify, "_build_table", changed)
+    group = enumerate_group(load_catalog()["S3"])
+    q1 = dixon_prime(group.exponent, group.order)
+    q2 = dixon_prime(group.exponent, group.order, above=q1)
+    row = _table_integrity(verify.verify_catalog(["S3"]))
+    assert not row.ok
+    assert row.detail == f"table changed between primes {q1} and {q2}"
+
+
+def test_table_integrity_reports_a_builder_error(monkeypatch):
+    def failing(group, cd, prime):
+        raise TableIntegrityError("eigenvector vanishes at the identity class")
+
+    monkeypatch.setattr(verify, "_build_table", failing)
+    row = _table_integrity(verify.verify_catalog(["S3"]))
+    assert not row.ok
+    assert row.detail == "TableIntegrityError: eigenvector vanishes at the identity class"
+
+
+def test_one_validation_per_table(monkeypatch):
+    validated = []
+    validate = tables.validate_table
+
+    def counting(table):
+        validated.append(table.group_name)
+        return validate(table)
+
+    monkeypatch.setattr(tables, "validate_table", counting)
+    results = verify.verify_catalog(["S4", "A5"])
+    assert all(r.ok for r in results)
+    # the first-prime table only: the second is compared with it, not validated
+    assert validated == ["S4", "A5"]
