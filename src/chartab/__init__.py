@@ -41,9 +41,8 @@ _EXPORTS = {
     "finite_field": ("irreducible_polynomial",),
     "groups": (
         "ClassData", "ConjugacyData", "Group", "GroupSpec", "catalog_group",
-        "class_matrix", "conjugacy_data", "count_commutator_solutions",
-        "cycle_string", "enumerate_group", "load_catalog", "parse_cycles",
-        "real_classes",
+        "class_matrix", "commutator_counts", "conjugacy_data", "cycle_string",
+        "enumerate_group", "load_catalog", "parse_cycles", "real_classes",
     ),
     "reduction": ("ReductionMap", "build_reduction", "candidate_roots", "reduce_mod_M"),
     "tables": (

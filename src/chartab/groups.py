@@ -1,4 +1,4 @@
-"""Groups of permutations: enumeration, conjugacy structure, commutator counting.
+"""Groups of permutations: enumeration, conjugacy structure, the class algebra.
 
 A group element is a plain tuple of images: points 1..d are stored as
 0..d-1, and g[x] is the image of x.  A product applies its left factor first.
@@ -8,7 +8,8 @@ first); inverses are looked up once in `Group.inverse_index`.  A conjugacy
 class is the orbit of an element under conjugation by the generators, found
 breadth-first in |G| * |gens| conjugations.  Classes are ordered by (size,
 smallest member), so the identity class is always class 0 and two runs over
-the same spec produce identical orderings.
+the same spec produce identical orderings.  Commutator counts come from the
+structure constants of the class sums, in k * |G| products, not |G|^2 pairs.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from typing import NamedTuple
 from .errors import CapExceededError, CycleSyntaxError, FormatError, UnknownGroupError
 
 DEFAULT_ELEMENT_CAP = 2000
-
-_COMMUTATOR_CAPS = {1: 24, 2: 12}
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -298,37 +297,34 @@ def class_matrix(cd: ConjugacyData, i: int) -> list[list[int]]:
     return rows
 
 
-def count_commutator_solutions(group: Group, n: int) -> tuple[int, ...]:
-    """Number of 2n-tuples whose commutator product is each element, by brute force.
+def commutator_counts(cd: ConjugacyData, length: int) -> tuple[tuple[int, ...], ...]:
+    """Products of commutators per class, counted in the class algebra.
 
-    Entry t counts the (a_1, b_1, ..., a_n, b_n) with
-    [a_1, b_1] ... [a_n, b_n] = group.elements[t], where [a, b] = a^-1 b^-1 a b.
-    The histogram N_1(x) = #{(a, b): [a, b] = x} is counted over all |G|^2
-    pairs once; for n = 2 the quadruples are regrouped by their first
-    commutator x, N_2(t) = sum_x N_1(x) N_1(x^-1 t), which counts the same
-    set in O(|G|^2).
+    Returns (N_1, ..., N_length), where N_n[l] counts the 2n-tuples
+    (a_1, b_1, ..., a_n, b_n) with [a_1, b_1] ... [a_n, b_n] = rep(l) and
+    [a, b] = a^-1 b^-1 a b.
+
+    With a_ij^l = class_matrix(cd, i)[j][l]: [a, b] = a^-1 a^b, and for a in
+    class K each y in K is a^b for c_K = |C_G(a)| elements b, so
+    N_1[l] = sum_K c_K a_{K-bar,K}^l, K-bar the inverse class.  N_n is a
+    class function, so regrouping by the first n commutators gives
+    N_(n+1)[l] = sum_(i,j) N_n[i] N_1[j] a_ij^l.
     """
-    if n not in _COMMUTATOR_CAPS:
-        raise ValueError(f"n must be 1 or 2, got {n}")
-    cap = _COMMUTATOR_CAPS[n]
-    if group.order > cap:
-        raise CapExceededError(
-            f"brute-force commutator count limited to order {cap} for n={n}"
-        )
-    size = group.order
-    mul = [[group.mul(i, j) for j in range(size)] for i in range(size)]
-    inv = group.inverse_index
-    once = [0] * size
-    for a in range(size):
-        row_a, row_ai = mul[a], mul[inv[a]]
-        for b in range(size):
-            once[mul[row_ai[inv[b]]][row_a[b]]] += 1
-    if n == 1:
-        return tuple(once)
-    return tuple(
-        sum(once[x] * once[mul[inv[x]][t]] for x in range(size) if once[x])
-        for t in range(size)
+    if length < 1:
+        raise ValueError(f"length must be at least 1, got {length}")
+    k, inverse = cd.k, cd.data.inverse_class
+    a = [class_matrix(cd, i) for i in range(k)]  # a[i][j][l] = a_ij^l
+    once = tuple(
+        sum(c * a[inverse[K]][K][l] for K, c in enumerate(cd.data.centralizer_orders))
+        for l in range(k)
     )
+    counts = [once]
+    while len(counts) < length:
+        # the nonzero N_n[i] N_1[j], each with its row of a_ij^l
+        terms = [(x * y, a[i][j]) for i, x in enumerate(counts[-1]) if x
+                 for j, y in enumerate(once) if y]
+        counts.append(tuple(sum(w * row[l] for w, row in terms) for l in range(k)))
+    return tuple(counts)
 
 
 def load_catalog() -> dict[str, GroupSpec]:

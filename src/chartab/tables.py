@@ -555,13 +555,18 @@ def table_from_dict(data: dict, provenance: str = "dict") -> CharacterTable:
     )
     if not isinstance(data, dict) or any(key not in data for key in required):
         raise FormatError(f"table record must carry the keys {required}")
+    group_name = data["group"]
     order = data["order"]
     exponent = data["exponent"]
     sizes = data["class_sizes"]
+    if not isinstance(group_name, str):
+        raise FormatError(f"bad group name {group_name!r}")
     if type(order) is not int or order < 1:
         raise FormatError(f"bad order {order!r}")
     if type(exponent) is not int or exponent < 1:
         raise FormatError(f"bad exponent {exponent!r}")
+    if not isinstance(sizes, list):
+        raise FormatError("class_sizes must be a list of integers")
     k = len(sizes)
     for name in ("class_sizes", "rep_orders", "inverse_class"):
         seq = data[name]
@@ -581,7 +586,7 @@ def table_from_dict(data: dict, provenance: str = "dict") -> CharacterTable:
         raise FormatError(f"power_map must be {k} rows of {exponent} class indices")
     raw_rows = data["rows"]
     if not isinstance(raw_rows, list) or len(raw_rows) != k or any(
-        len(row) != k for row in raw_rows
+        not isinstance(row, list) or len(row) != k for row in raw_rows
     ):
         raise FormatError(f"rows must be a {k} x {k} matrix of cyclotomic records")
     class_data = ClassData(
@@ -600,7 +605,7 @@ def table_from_dict(data: dict, provenance: str = "dict") -> CharacterTable:
         for r, row in enumerate(raw_rows)
     )
     table = CharacterTable(
-        group_name=data["group"], data=class_data, rows=rows, provenance=provenance
+        group_name=group_name, data=class_data, rows=rows, provenance=provenance
     )
     validate_table(table)
     return table

@@ -9,6 +9,17 @@ ALL_GROUPS = (
 )
 
 
+# fields of a saved S3 table replaced by values of the wrong type, each of
+# which a loader must refuse before it takes a len() or a hash()
+MISTYPED_FIELDS = {
+    "sizes-int": ("class_sizes", 5),
+    "sizes-null": ("class_sizes", None),
+    "rows-ints": ("rows", [1, 2, 3]),
+    "rows-nulls": ("rows", [None, None, None]),
+    "group-list": ("group", ["S3"]),
+}
+
+
 @pytest.fixture(scope="session")
 def group_factory():
     specs = load_catalog()

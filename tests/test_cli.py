@@ -14,6 +14,8 @@ from chartab.arith import MR_LIMIT
 from chartab.classfuncs import MAX_POWER
 from chartab.cli import main
 
+from conftest import MISTYPED_FIELDS
+
 LARGE_PRIME = str(10**18 + 3)
 
 
@@ -94,6 +96,18 @@ class TestTable:
         assert d8["rep_orders"] != q8["results"]["representative_orders"]
         code = main(["table", "--group", "Q8", "--table-file", str(path)])
         capsys.readouterr()
+        assert code == 4
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+    def test_mistyped_field_rejected(self, capsys, tmp_path, case):
+        key, value = MISTYPED_FIELDS[case]
+        path = tmp_path / "s3.json"
+        run_json(capsys, ["table", "--group", "S3", "--save", str(path)])
+        data = json.loads(path.read_text())
+        data[key] = value
+        path.write_text(json.dumps(data))
+        code = main(["table", "--group", "S3", "--table-file", str(path)])
+        assert "error:" in capsys.readouterr().err
         assert code == 4
 
     def test_inconsistent_power_map_rejected(self, capsys, tmp_path):
@@ -428,6 +442,8 @@ BENCH_SPECS = os.path.join(
     [
         ("table --group S5", "55c5fe8ee4be9bad"),
         ("verify --group S4", "65fdde4bf3666f7a"),
+        ("verify --group S5", "f37f48274c307fac"),
+        ("verify --group A5", "eeed9a593c3276c4"),
         ("gamma --group S5 -n 4", "3b326d6bec11ca1e"),
         ("recover --group C4 --real", "cbc929ec570e75d0"),
         ("counterexample --group C2 -p 2", "301f7d2ebf1a8e92"),

@@ -1,20 +1,29 @@
+import os
+
 import pytest
 
+from chartab.cyclo import Cyclotomic, as_rational_integer
 from chartab.errors import CapExceededError, CycleSyntaxError, FormatError, UnknownGroupError
 from chartab.groups import (
     GroupSpec,
     catalog_group,
     class_matrix,
+    commutator_counts,
     conjugacy_data,
-    count_commutator_solutions,
     cycle_string,
     enumerate_group,
     load_catalog,
+    load_group_spec,
     parse_cycles,
     real_classes,
 )
+from chartab.tables import compute_table
 
 from conftest import ALL_GROUPS
+
+BENCH_SPECS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "specs"
+)
 
 
 class TestParseCycles:
@@ -211,60 +220,102 @@ class TestClassMultCoefficients:
         assert coeffs[0] == 3  # each of the 3 transpositions is self-inverse
 
 
+SPEC_GROUPS = ("S6", "A6", "GL32")
+
+
+@pytest.fixture(scope="module")
+def spec_groups():
+    out = {}
+    for name in SPEC_GROUPS:
+        group = enumerate_group(load_group_spec(os.path.join(BENCH_SPECS, f"{name}.json")))
+        out[name] = (group, conjugacy_data(group))
+    return out
+
+
 class TestCommutatorCounts:
     def test_s3_identity(self, group_factory):
-        group, cd = group_factory("S3")
-        assert count_commutator_solutions(group, 1)[0] == 18
+        _, cd = group_factory("S3")
+        assert commutator_counts(cd, 1)[0][0] == 18
 
     def test_s3_transposition(self, group_factory):
-        group, cd = group_factory("S3")
-        rep = cd.representatives[cd.data.sizes.index(3)]
-        assert count_commutator_solutions(group, 1)[rep] == 0
+        _, cd = group_factory("S3")
+        assert commutator_counts(cd, 1)[0][cd.data.sizes.index(3)] == 0
 
     def test_s3_three_cycle(self, group_factory):
-        group, cd = group_factory("S3")
-        rep = cd.representatives[cd.data.sizes.index(2)]
-        assert count_commutator_solutions(group, 1)[rep] == 9
+        _, cd = group_factory("S3")
+        assert commutator_counts(cd, 1)[0][cd.data.sizes.index(2)] == 9
 
     def test_s3_two_commutators(self, group_factory):
-        group, cd = group_factory("S3")
-        counts = count_commutator_solutions(group, 2)
-        assert [counts[r] for r in cd.representatives] == [486, 405, 0]
+        _, cd = group_factory("S3")
+        assert commutator_counts(cd, 2)[1] == (486, 405, 0)
 
     def test_abelian_two_commutators(self, group_factory):
-        group, _ = group_factory("C2")
-        assert count_commutator_solutions(group, 2) == (16, 0)
-
-    def test_caps(self, group_factory):
-        group, _ = group_factory("A5")
-        with pytest.raises(CapExceededError):
-            count_commutator_solutions(group, 1)
-        group24, _ = group_factory("S4")
-        with pytest.raises(CapExceededError):
-            count_commutator_solutions(group24, 2)
+        _, cd = group_factory("C2")
+        assert commutator_counts(cd, 2)[1] == (16, 0)
 
     def test_bad_n(self, group_factory):
-        group, _ = group_factory("C2")
+        _, cd = group_factory("C2")
         with pytest.raises(ValueError):
-            count_commutator_solutions(group, 3)
+            commutator_counts(cd, 0)
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_matches_per_target_loop(self, group_factory, name):
-        group, _ = group_factory(name)
+        group, cd = group_factory(name)
+        counts = commutator_counts(cd, 2)
         for n, cap in ((1, 24), (2, 12)):
+            assert sum(s * x for s, x in zip(cd.data.sizes, counts[n - 1])) == (
+                group.order ** (2 * n)
+            )
             if group.order > cap:
                 continue
-            counts = count_commutator_solutions(group, n)
-            assert len(counts) == group.order
-            assert sum(counts) == group.order ** (2 * n)
-            assert list(counts) == [
+            brute = brute_commutator_counts(group, n)
+            assert sum(brute) == group.order ** (2 * n)
+            assert list(brute) == [
                 _per_target_count(group, t, n) for t in range(group.order)
             ]
+            # a class function: every member of a class has its count
+            assert list(brute) == [counts[n - 1][c] for c in cd.class_of]
+
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS)
+    def test_matches_character_formula(self, group_factory, spec_groups, name):
+        group, cd = spec_groups[name] if name in SPEC_GROUPS else group_factory(name)
+        table = compute_table(group, cd)
+        counts = commutator_counts(cd, 3)
+        for n in (1, 2, 3):
+            for c in range(cd.k):
+                # |G|^(2n-1) sum_chi chi(g) / chi(1)^(2n-1), with |G| / chi(1) an int
+                total = Cyclotomic.zero(group.exponent)
+                for row in table.rows:
+                    total = total + row.values[c] * (group.order // row.degree) ** (2 * n - 1)
+                assert counts[n - 1][c] == as_rational_integer(total), (name, n, c)
+
+
+def brute_commutator_counts(group, n):
+    """Number of 2n-tuples whose commutator product is each element, n = 1 or 2.
+
+    The histogram N_1(x) = #{(a, b): [a, b] = x} is counted over all |G|^2
+    pairs once; for n = 2 the quadruples are regrouped by their first
+    commutator x, N_2(t) = sum_x N_1(x) N_1(x^-1 t).
+    """
+    size = group.order
+    mul = [[group.mul(i, j) for j in range(size)] for i in range(size)]
+    inv = group.inverse_index
+    once = [0] * size
+    for a in range(size):
+        row_a, row_ai = mul[a], mul[inv[a]]
+        for b in range(size):
+            once[mul[row_ai[inv[b]]][row_a[b]]] += 1
+    if n == 1:
+        return tuple(once)
+    return tuple(
+        sum(once[x] * once[mul[inv[x]][t]] for x in range(size) if once[x])
+        for t in range(size)
+    )
 
 
 def _per_target_count(group, t_idx, n):
-    """The brute-force loop the counts replaced: one target at a time, and
-    for n = 2 every quadruple of elements."""
+    """The slowest oracle: one target at a time, and for n = 2 every
+    quadruple of elements."""
     size = group.order
     mul = [[group.mul(i, j) for j in range(size)] for i in range(size)]
     inv = group.inverse_index

@@ -23,7 +23,7 @@ from chartab.tables import (
     verify_orthogonality,
 )
 
-from conftest import ALL_GROUPS
+from conftest import ALL_GROUPS, MISTYPED_FIELDS
 
 
 def _all_powers_identity(data):
@@ -448,6 +448,16 @@ class TestTableFiles:
         data = table_to_dict(table_factory("S3"))
         del data["power_map"]
         path = tmp_path / "missing.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError):
+            load_table(path)
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+    def test_mistyped_field_rejected(self, table_factory, tmp_path, case):
+        key, value = MISTYPED_FIELDS[case]
+        data = table_to_dict(table_factory("S3"))
+        data[key] = value
+        path = tmp_path / "mistyped.json"
         path.write_text(json.dumps(data))
         with pytest.raises(FormatError):
             load_table(path)

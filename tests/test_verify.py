@@ -134,8 +134,8 @@ def test_one_collapse_per_row_and_one_solve_per_sequence(monkeypatch):
     assert len(solves) == 4
 
 
-def _table_integrity(results):
-    (row,) = [r for r in results if r.check == "table-integrity"]
+def _row(results, check):
+    (row,) = [r for r in results if r.check == check]
     return row
 
 
@@ -156,7 +156,7 @@ def test_table_integrity_reports_a_changed_value(monkeypatch):
     group = enumerate_group(load_catalog()["S3"])
     q1 = dixon_prime(group.exponent, group.order)
     q2 = dixon_prime(group.exponent, group.order, above=q1)
-    row = _table_integrity(verify.verify_catalog(["S3"]))
+    row = _row(verify.verify_catalog(["S3"]), "table-integrity")
     assert not row.ok
     assert row.detail == f"table changed between primes {q1} and {q2}"
 
@@ -166,7 +166,7 @@ def test_table_integrity_reports_a_builder_error(monkeypatch):
         raise TableIntegrityError("eigenvector vanishes at the identity class")
 
     monkeypatch.setattr(verify, "_build_table", failing)
-    row = _table_integrity(verify.verify_catalog(["S3"]))
+    row = _row(verify.verify_catalog(["S3"]), "table-integrity")
     assert not row.ok
     assert row.detail == "TableIntegrityError: eigenvector vanishes at the identity class"
 
@@ -184,3 +184,30 @@ def test_one_validation_per_table(monkeypatch):
     assert all(r.ok for r in results)
     # the first-prime table only: the second is compared with it, not validated
     assert validated == ["S4", "A5"]
+
+
+def test_trivial_character_leaving_the_principal_block_is_reported(monkeypatch):
+    # the row's only guard: principal_block_members raises for row 0
+    honest = verify.block_differences
+
+    def shifted(table):
+        diffs = honest(table)
+        return ((diffs[0][0] + 1,) + diffs[0][1:],) + diffs[1:]
+
+    monkeypatch.setattr(verify, "block_differences", shifted)
+    row = _row(verify.verify_catalog(["S3"]), "mod-M-congruences")
+    assert not row.ok
+    assert row.detail == "TableIntegrityError: the trivial character left the principal block"
+
+
+def test_commutator_oracle_checks_two_commutators_on_s5(monkeypatch):
+    honest = verify.commutator_counts
+
+    def off_by_one(cd, length):
+        n1, n2 = honest(cd, length)
+        return n1, n2[:-1] + (n2[-1] + 1,)
+
+    monkeypatch.setattr(verify, "commutator_counts", off_by_one)
+    row = _row(verify.verify_catalog(["S5"]), "commutator-oracle")
+    assert not row.ok
+    assert row.detail == "commutator count mismatch at class 6, n=2"  # the last of 7
