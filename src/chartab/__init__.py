@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "blocks": (
         "AltNormalizerReport", "BlockReport", "alt_normalizer_report",
-        "central_character", "is_p_element", "principal_block_members",
+        "central_character", "p_element_flags", "principal_block_members",
         "strunkov_analog_gamma",
     ),
     "classfuncs": (

@@ -1,10 +1,14 @@
 """Congruences of character values modulo a maximal ideal over p.
 
-Reducing character values mod M (see `reduction`) gives two congruence
-criteria: a class consists of p-elements iff chi(g) = chi(1) mod M for every
-irreducible chi, and chi lies in the principal p-block iff its central
-character values |K| chi(g_K) / chi(1) are congruent to |K| mod M on every
-class.  On top of the block structure sits a Strunkov-style counting quantity
+The ideal M is given by a `ReductionMap` (see `reduction`), and every
+congruence statement here takes the map as its one input that picks p and M.
+Reducing character values mod M gives two criteria: a class consists of
+p-elements iff chi(g) = chi(1) mod M for every irreducible chi, and chi lies
+in the principal p-block iff its central character values |K| chi(g_K) /
+chi(1) are congruent to |K| mod M on every class.  The map is a ring
+homomorphism, so both compare images and form no differences; the central
+characters depend on neither p nor the root and are computed once per table.
+On top of the block structure sits a Strunkov-style counting quantity
 gamma(psi): the multiplicity of psi in pi^3 times the sum of the principal
 block characters, which expands to the full triple sum over |chi1 chi2|^2
 |chi3|^2 phi because the squared absolute values of all n-fold character
@@ -13,53 +17,40 @@ products add up to pi^n pointwise.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import is_prime, p_part
+from .arith import p_part
 from .classfuncs import ClassFunction, inner, pi_character, power
 from .cyclo import Cyclotomic, as_rational_integer
 from .errors import TableIntegrityError
-from .reduction import ReductionMap, build_reduction, reduce_mod_M
+from .reduction import ReductionMap, reduce_mod_M
 from .tables import CharacterTable
 
 
-def p_element_differences(table: CharacterTable) -> tuple[tuple[Cyclotomic, ...], ...]:
-    """chi(g_K) - chi(1) for every class K (outer) and row chi (inner).
+def p_element_flags(table: CharacterTable, rmap: ReductionMap) -> tuple[bool, ...]:
+    """Whether each class consists of p-elements, by the congruence criterion.
 
-    The p-element test reduces these mod M.  They do not depend on p or on
-    the root, so a caller testing several classes, primes or roots computes
-    them once and passes them to `is_p_element`.
+    Class K passes when chi(g_K) = chi(1) mod M for every row chi.  The map is
+    a ring homomorphism, so the images of chi(g_K) and chi(1) are compared
+    and no difference is formed.  Each verdict is checked against the direct
+    test (the representative's order is a power of p); disagreement would
+    falsify the criterion and raises immediately.
     """
-    return tuple(
-        tuple(row.values[i] - row.degree for row in table.rows)
-        for i in range(table.data.k)
-    )
-
-
-def is_p_element(
-    class_index: int,
-    p: int,
-    table: CharacterTable,
-    rmap: ReductionMap,
-    differences: tuple[tuple[Cyclotomic, ...], ...] | None = None,
-) -> bool:
-    """Whether the class consists of p-elements, by the congruence criterion.
-
-    `differences` is `p_element_differences(table)`, computed here when not
-    given.  The verdict is checked against the direct test (the
-    representative's order is a power of p); disagreement would falsify the
-    criterion and raises immediately.
-    """
-    if differences is None:
-        differences = p_element_differences(table)
-    congruent = all(not any(reduce_mod_M(d, rmap)) for d in differences[class_index])
-    order = table.data.rep_orders[class_index]
-    direct = p_part(order, p) == order
-    if congruent != direct:
-        raise TableIntegrityError(
-            f"congruence and order tests disagree on class {class_index} for p={p}"
+    p = rmap.p
+    degrees = [reduce_mod_M(row.values[0], rmap) for row in table.rows]
+    flags = []
+    for i, order in enumerate(table.data.rep_orders):
+        congruent = all(
+            reduce_mod_M(row.values[i], rmap) == degree
+            for row, degree in zip(table.rows, degrees)
         )
-    return congruent
+        if congruent != (p_part(order, p) == order):
+            raise TableIntegrityError(
+                f"congruence and order tests disagree on class {i} for p={p}"
+            )
+        flags.append(congruent)
+    return tuple(flags)
 
 
 def central_character(chi: ClassFunction, class_index: int) -> Cyclotomic:
@@ -67,16 +58,15 @@ def central_character(chi: ClassFunction, class_index: int) -> Cyclotomic:
     return chi.values[class_index] * chi.data.sizes[class_index] / chi.degree
 
 
-def block_differences(table: CharacterTable) -> tuple[tuple[Cyclotomic, ...], ...]:
-    """|K| chi(g_K) / chi(1) - |K| for every row chi (outer) and class K (inner).
+@lru_cache(maxsize=32)  # bounded; verify over the catalog holds 14 entries
+def _central_characters(table: CharacterTable) -> tuple[tuple[Cyclotomic, ...], ...]:
+    """central_character(chi, K) for every row chi (outer) and class K (inner).
 
-    The principal-block test reduces these mod M.  Like
-    `p_element_differences` they depend on neither p nor the root.
+    They depend on neither p nor the root, so each table computes them once
+    for every map it is reduced under.
     """
-    sizes = table.data.sizes
     return tuple(
-        tuple(central_character(row, i) - size for i, size in enumerate(sizes))
-        for row in table.rows
+        tuple(central_character(row, i) for i in range(table.data.k)) for row in table.rows
     )
 
 
@@ -97,28 +87,16 @@ class BlockReport(NamedTuple):
         }
 
 
-def principal_block_members(
-    table: CharacterTable,
-    p: int,
-    rmap: ReductionMap | None = None,
-    differences: tuple[tuple[Cyclotomic, ...], ...] | None = None,
-) -> BlockReport:
-    """Characters whose central character is congruent to the class sizes mod M.
-
-    `differences` is `block_differences(table)`, computed here when not given.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if rmap is None:
-        rmap = build_reduction(table.data.exponent, p)
-    if differences is None:
-        differences = block_differences(table)
+def principal_block_members(table: CharacterTable, rmap: ReductionMap) -> BlockReport:
+    """Characters whose central character is congruent to the class sizes mod M."""
+    p = rmap.p
+    sizes = [(size % p,) + (0,) * (rmap.f - 1) for size in table.data.sizes]
     flags = []
     failures = []
-    for r, row_diffs in enumerate(differences):
+    for r, central in enumerate(_central_characters(table)):
         member = True
-        for i, diff in enumerate(row_diffs):
-            if any(reduce_mod_M(diff, rmap)):
+        for i, (value, size) in enumerate(zip(central, sizes)):
+            if reduce_mod_M(value, rmap) != size:
                 member = False
                 failures.append((r, i))
         flags.append(member)
@@ -133,10 +111,7 @@ def principal_block_members(
 
 
 def strunkov_analog_gamma(
-    table: CharacterTable,
-    p: int,
-    psi: ClassFunction,
-    block: tuple[int, ...] | None = None,
+    table: CharacterTable, psi: ClassFunction, block: tuple[int, ...]
 ) -> int:
     """Multiplicity of psi in pi^3 times the sum of the block characters.
 
@@ -144,8 +119,6 @@ def strunkov_analog_gamma(
     [psi, |chi1 chi2|^2 |chi3|^2 phi], because the inner sums over chi1, chi2
     and chi3 factor pointwise into pi^3.
     """
-    if block is None:
-        block = principal_block_members(table, p).members
     if not block:
         raise ValueError("the character block must not be empty")
     block_sum = sum((table.rows[r] for r in block[1:]), table.rows[block[0]])
@@ -188,12 +161,12 @@ class AltNormalizerReport(NamedTuple):
         }
 
 
-def alt_normalizer_report(table: CharacterTable, p: int) -> AltNormalizerReport:
-    """gamma(psi) for every irreducible psi, against three candidate normalizers."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    block = principal_block_members(table, p).members
-    values = tuple(strunkov_analog_gamma(table, p, row, block=block) for row in table.rows)
+def alt_normalizer_report(table: CharacterTable, rmap: ReductionMap) -> AltNormalizerReport:
+    """gamma(psi) for every irreducible psi, with the principal block mod M,
+    against three candidate normalizers."""
+    p = rmap.p
+    block = principal_block_members(table, rmap).members
+    values = tuple(strunkov_analog_gamma(table, row, block) for row in table.rows)
     bound = p * p_part(table.data.order, p)
     degree_sum = sum(table.rows[r].degree ** 2 for r in block)
     degree_sum_p = p_part(degree_sum, p)

@@ -208,6 +208,7 @@ def _cmd_gamma(args):
 def _cmd_recover(args):
     from .duality import (
         SizeSpectrum,
+        check_length,
         delta_sequence,
         gamma_sequence,
         recover_class_sizes,
@@ -215,9 +216,11 @@ def _cmd_recover(args):
     )
 
     group, cd = _resolve_group(args)
+    if args.extra_terms < 0:
+        raise ValueError(f"--extra-terms must be at least 0, got {args.extra_terms}")
+    length = len(divisors(group.order)) + args.extra_terms
+    check_length(length)
     table = _resolve_table(args, group, cd)
-    d = len(divisors(group.order))
-    length = d + args.extra_terms
     data = cd.data
     if args.real:
         seq = delta_sequence(table, length)
@@ -263,17 +266,22 @@ def _cmd_defect(args):
     return EXIT_OK
 
 
-def _cmd_pelements(args):
-    from .blocks import is_p_element, p_element_differences
+def _resolve_reduction(args):
+    """The group, its table and the reduction map mod M for `-p`."""
     from .reduction import build_reduction
 
     group, cd = _resolve_group(args)
     _require_prime(args.p)
     table = _resolve_table(args, group, cd)
-    rmap = build_reduction(group.exponent, args.p)
-    differences = p_element_differences(table)
-    congruence = [is_p_element(i, args.p, table, rmap, differences) for i in range(cd.k)]
-    direct = [p_part(order, args.p) == order for order in cd.data.rep_orders]
+    return group, table, build_reduction(group.exponent, args.p)
+
+
+def _cmd_pelements(args):
+    from .blocks import p_element_flags
+
+    group, table, rmap = _resolve_reduction(args)
+    congruence = list(p_element_flags(table, rmap))
+    direct = [p_part(order, args.p) == order for order in table.data.rep_orders]
     results = {
         "p": args.p,
         "residue_field": {"p": rmap.p, "degree": rmap.f, "order_of_root": rmap.m},
@@ -292,10 +300,8 @@ def _cmd_pelements(args):
 def _cmd_blocks(args):
     from .blocks import principal_block_members
 
-    group, cd = _resolve_group(args)
-    _require_prime(args.p)
-    table = _resolve_table(args, group, cd)
-    rep = principal_block_members(table, args.p)
+    group, table, rmap = _resolve_reduction(args)
+    rep = principal_block_members(table, rmap)
     results = {"group": group.name, **rep.as_dict(), "degrees": list(table.degrees)}
     report = _report(
         "blocks", group, table.provenance, {"p": args.p}, results,
@@ -308,19 +314,17 @@ def _cmd_blocks(args):
 def _cmd_counterexample(args):
     from .blocks import alt_normalizer_report, principal_block_members, strunkov_analog_gamma
 
-    group, cd = _resolve_group(args)
-    _require_prime(args.p)
-    table = _resolve_table(args, group, cd)
+    group, table, rmap = _resolve_reduction(args)
     if args.alt_normalizer:
-        results = {"group": group.name, **alt_normalizer_report(table, args.p).as_dict()}
+        results = {"group": group.name, **alt_normalizer_report(table, rmap).as_dict()}
         report = _report(
             "counterexample", group, table.provenance,
             {"p": args.p, "alt_normalizer": True}, results,
         )
         _emit(report, args.human)
         return EXIT_OK
-    block = principal_block_members(table, args.p).members
-    values = [strunkov_analog_gamma(table, args.p, row, block=block) for row in table.rows]
+    block = principal_block_members(table, rmap).members
+    values = [strunkov_analog_gamma(table, row, block) for row in table.rows]
     bound = args.p * p_part(group.order, args.p)
     results = {
         "p": args.p,

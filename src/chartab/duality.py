@@ -125,9 +125,14 @@ def recover_real_class_sizes(delta_seq, order: int) -> SizeSpectrum:
     return _recover(delta_seq, order, full_cover=False)
 
 
-def _sequence(table: CharacterTable, length: int, real_only: bool) -> list[int]:
+def check_length(length: int) -> None:
+    """Raise ValueError unless length <= MAX_POWER."""
     if length > MAX_POWER:
         raise ValueError(f"sequence length must be at most {MAX_POWER}, got {length}")
+
+
+def _sequence(table: CharacterTable, length: int, real_only: bool) -> list[int]:
+    check_length(length)
     return _nonnegative(_multiplicities(table.rows[0], range(1, length + 1), real_only))
 
 

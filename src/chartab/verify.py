@@ -10,14 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arith import divisors, prime_factors
-from .blocks import (
-    alt_normalizer_report,
-    block_differences,
-    is_p_element,
-    p_element_differences,
-    principal_block_members,
-    strunkov_analog_gamma,
-)
+from .blocks import alt_normalizer_report, p_element_flags, principal_block_members
 from .classfuncs import _multiplicities
 from .duality import (
     SizeSpectrum,
@@ -149,24 +142,18 @@ def _check_defect(
 def _check_congruences(
     spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
 ) -> str:
-    # the differences depend on neither p nor the root: only their reduction does
-    values = p_element_differences(table)
-    central = block_differences(table)
     for p in prime_factors(group.order):
         rmap = build_reduction(group.exponent, p)
-        # is_p_element raises on criterion disagreement
-        base = [is_p_element(i, p, table, rmap, values) for i in range(cd.k)]
-        # principal_block_members raises if the trivial character leaves the block
-        block = principal_block_members(table, p, rmap, central)
+        # p_element_flags raises on criterion disagreement, and
+        # principal_block_members if the trivial character leaves the block
+        flags = p_element_flags(table, rmap)
+        block = principal_block_members(table, rmap).member_flags
         if rmap.m <= 12:
             for eta in candidate_roots(group.exponent, p):
                 variant = rmap._replace(eta=eta)
-                if [is_p_element(i, p, table, variant, values) for i in range(cd.k)] != base:
+                if p_element_flags(table, variant) != flags:
                     return f"p-element verdicts depend on the root choice for p={p}"
-                if (
-                    principal_block_members(table, p, variant, central).member_flags
-                    != block.member_flags
-                ):
+                if principal_block_members(table, variant).member_flags != block:
                     return f"block membership depends on the root choice for p={p}"
     return ""
 
@@ -193,12 +180,12 @@ def _check_counterexample(
     # the S3 / p=3 block-sum computation; exploratory elsewhere
     if group.name != "S3":
         return ""
-    values = [strunkov_analog_gamma(table, 3, row) for row in table.rows]
+    report = alt_normalizer_report(table, build_reduction(group.exponent, 3))
+    values = list(report.gamma_values)
     if sorted(values) != [153, 153, 279]:
         return f"block-sum values changed: {values}"
     if any(v % 9 for v in values):
         return "block-sum values are not all divisible by 9"
-    alt_normalizer_report(table, 3)  # must at least build
     return ""
 
 

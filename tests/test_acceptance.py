@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from chartab.arith import divisors, prime_factors
-from chartab.blocks import is_p_element, principal_block_members, strunkov_analog_gamma
+from chartab.blocks import p_element_flags, principal_block_members, strunkov_analog_gamma
 from chartab.classfuncs import (
     ClassFunction,
     delta,
@@ -69,10 +69,9 @@ def criterion(number, description, budget_seconds):
 def test_criterion_1_s3_counterexample_divisible_by_nine():
     with criterion(1, "S3 block-sum multiplicities are 153, 153, 279, all = 0 mod 9", 1.0):
         group, cd, table = prepared("S3")
-        block = principal_block_members(table, 3).members
-        values = [
-            strunkov_analog_gamma(table, 3, row, block=block) for row in table.rows
-        ]
+        rmap = build_reduction(group.exponent, 3)
+        block = principal_block_members(table, rmap).members
+        values = [strunkov_analog_gamma(table, row, block) for row in table.rows]
         assert values == [153, 153, 279]
         assert all(v % 9 == 0 for v in values)
 
@@ -80,7 +79,7 @@ def test_criterion_1_s3_counterexample_divisible_by_nine():
 def test_criterion_2_s3_principal_block_is_everything():
     with criterion(2, "S3 principal 3-block contains all of Irr(S3)", 1.0):
         group, cd, table = prepared("S3")
-        report = principal_block_members(table, 3)
+        report = principal_block_members(table, build_reduction(group.exponent, 3))
         assert report.members == tuple(range(table.data.k))
 
 
@@ -186,7 +185,5 @@ def test_criterion_8_oracle_cross_checks():
                     formula = as_rational_integer(total)
                     assert counts[c] == formula, (name, n, c)
             for p in prime_factors(group.order):
-                rmap = build_reduction(group.exponent, p)
-                for i in range(cd.k):
-                    # raises if the congruence and order tests disagree
-                    is_p_element(i, p, table, rmap)
+                # raises if the congruence and order tests disagree
+                p_element_flags(table, build_reduction(group.exponent, p))

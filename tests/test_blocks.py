@@ -1,13 +1,12 @@
 import pytest
 
+from chartab import blocks
 from chartab.arith import prime_factors
 from chartab.arith import p_part
 from chartab.blocks import (
     alt_normalizer_report,
-    block_differences,
     central_character,
-    is_p_element,
-    p_element_differences,
+    p_element_flags,
     principal_block_members,
     strunkov_analog_gamma,
 )
@@ -15,6 +14,7 @@ from chartab.classfuncs import ClassFunction, pi_character, power
 from chartab.cyclo import Cyclotomic
 from chartab.errors import NonIntegralValueError, TableIntegrityError
 from chartab.reduction import ReductionMap, build_reduction, candidate_roots, reduce_mod_M
+from chartab.tables import CharacterTable
 
 from conftest import ALL_GROUPS, horner
 
@@ -28,15 +28,15 @@ def s3(group_factory, table_factory):
 class TestIsPElement:
     def test_identity_always(self, s3):
         _, _, table, rmap = s3
-        assert is_p_element(0, 3, table, rmap)
+        assert p_element_flags(table, rmap)[0]
 
     def test_three_cycles_are_3_elements(self, s3):
         _, cd, table, rmap = s3
-        assert is_p_element(cd.data.sizes.index(2), 3, table, rmap)
+        assert p_element_flags(table, rmap)[cd.data.sizes.index(2)]
 
     def test_transpositions_are_not(self, s3):
         _, cd, table, rmap = s3
-        assert not is_p_element(cd.data.sizes.index(3), 3, table, rmap)
+        assert not p_element_flags(table, rmap)[cd.data.sizes.index(3)]
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_congruence_equals_order_test(self, group_factory, table_factory, name):
@@ -44,12 +44,29 @@ class TestIsPElement:
         table = table_factory(name)
         for p in prime_factors(group.order):
             rmap = build_reduction(group.exponent, p)
+            # p_element_flags itself raises if the two tests disagree
+            flags = p_element_flags(table, rmap)
             for i in range(cd.k):
                 order = cd.data.rep_orders[i]
                 while order % p == 0:
                     order //= p
-                # is_p_element itself raises if the two tests disagree
-                assert is_p_element(i, p, table, rmap) == (order == 1)
+                assert flags[i] == (order == 1)
+
+
+    def test_order_disagreement_raises(self, s3):
+        # claim the transpositions have order 3: the congruence test says no
+        _, cd, table, rmap = s3
+        transpositions = cd.data.sizes.index(3)
+        orders = list(table.data.rep_orders)
+        orders[transpositions] = 3
+        lying = CharacterTable(
+            table.group_name, table.data._replace(rep_orders=tuple(orders)), table.rows
+        )
+        with pytest.raises(
+            TableIntegrityError,
+            match=f"disagree on class {transpositions} for p=3",
+        ):
+            p_element_flags(lying, rmap)
 
 
 class TestCentralCharacter:
@@ -86,15 +103,15 @@ class TestCentralCharacter:
 
 class TestPrincipalBlock:
     def test_s3_p3_contains_everything(self, s3):
-        _, cd, table, _ = s3
-        report = principal_block_members(table, 3)
+        _, cd, table, rmap = s3
+        report = principal_block_members(table, rmap)
         assert report.members == (0, 1, 2)
         assert not report.failures
 
     def test_c2_p3_only_trivial(self, group_factory, table_factory):
         group, cd = group_factory("C2")
         table = table_factory("C2")
-        report = principal_block_members(table, 3)
+        report = principal_block_members(table, build_reduction(group.exponent, 3))
         assert report.members == (0,)
         assert report.failures == ((1, 1),)
 
@@ -103,14 +120,23 @@ class TestPrincipalBlock:
         group, cd = group_factory(name)
         table = table_factory(name)
         for p in (2, 3, 5, 7):
-            report = principal_block_members(table, p)
+            report = principal_block_members(table, build_reduction(group.exponent, p))
             assert report.member_flags[0]
             assert report.members
 
+    def test_trivial_character_leaving_raises(self, s3, monkeypatch):
+        _, _, table, rmap = s3
+        central = blocks._central_characters(table)
+        shifted = ((central[0][0] + 1,) + central[0][1:],) + central[1:]
+        monkeypatch.setattr(blocks, "_central_characters", lambda table: shifted)
+        with pytest.raises(TableIntegrityError, match="trivial character left"):
+            principal_block_members(table, rmap)
+
     def test_non_prime_rejected(self, s3):
+        # the map is the only way to choose p, and it refuses a composite one
         _, cd, table, _ = s3
-        with pytest.raises(ValueError):
-            principal_block_members(table, 6)
+        with pytest.raises(ValueError, match="not prime"):
+            principal_block_members(table, build_reduction(table.data.exponent, 6))
 
 
 class TestChoiceIndependence:
@@ -120,22 +146,23 @@ class TestChoiceIndependence:
         table = table_factory(name)
         for p in prime_factors(group.order):
             base = build_reduction(group.exponent, p)
-            reference_pel = [is_p_element(i, p, table, base) for i in range(cd.k)]
-            reference_blk = principal_block_members(table, p, base).member_flags
+            reference_pel = p_element_flags(table, base)
+            reference_blk = principal_block_members(table, base).member_flags
             for eta in candidate_roots(group.exponent, p):
                 variant = ReductionMap(
                     e=base.e, p=base.p, m=base.m, f=base.f, poly=base.poly, eta=eta
                 )
-                pel = [is_p_element(i, p, table, variant) for i in range(cd.k)]
-                blk = principal_block_members(table, p, variant).member_flags
+                pel = p_element_flags(table, variant)
+                blk = principal_block_members(table, variant).member_flags
                 assert pel == reference_pel
                 assert blk == reference_blk
 
 
 class TestStrunkovAnalog:
     def test_s3_counterexample_values(self, s3):
-        _, cd, table, _ = s3
-        values = [strunkov_analog_gamma(table, 3, row) for row in table.rows]
+        _, cd, table, rmap = s3
+        block = principal_block_members(table, rmap).members
+        values = [strunkov_analog_gamma(table, row, block) for row in table.rows]
         assert values == [153, 153, 279]
         assert all(v % 9 == 0 for v in values)
 
@@ -144,20 +171,22 @@ class TestStrunkovAnalog:
         # test_factorization_identity_by_naive_expansion
         group, cd = group_factory("C2")
         table = table_factory("C2")
-        values = [strunkov_analog_gamma(table, 2, row) for row in table.rows]
+        block = principal_block_members(table, build_reduction(group.exponent, 2)).members
+        values = [strunkov_analog_gamma(table, row, block) for row in table.rows]
         assert values == [8, 8]
         group_t, cd_t = group_factory("trivial")
         table_t = table_factory("trivial")
-        assert strunkov_analog_gamma(table_t, 2, table_t.rows[0]) == 1
+        block_t = principal_block_members(table_t, build_reduction(group_t.exponent, 2)).members
+        assert strunkov_analog_gamma(table_t, table_t.rows[0], block_t) == 1
 
     def test_empty_block_rejected(self, s3):
         _, cd, table, _ = s3
         with pytest.raises(ValueError):
-            strunkov_analog_gamma(table, 3, table.rows[0], block=())
+            strunkov_analog_gamma(table, table.rows[0], ())
 
     def test_explicit_block_override(self, s3):
         _, cd, table, _ = s3
-        full = strunkov_analog_gamma(table, 3, table.rows[0], block=(0, 1, 2))
+        full = strunkov_analog_gamma(table, table.rows[0], (0, 1, 2))
         assert full == 153
 
     @pytest.mark.parametrize("name", ("trivial", "C2", "C3", "S3"))
@@ -186,8 +215,8 @@ class TestStrunkovAnalog:
 
 class TestAltNormalizerReport:
     def test_s3_p3(self, s3):
-        _, cd, table, _ = s3
-        report = alt_normalizer_report(table, 3)
+        _, cd, table, rmap = s3
+        report = alt_normalizer_report(table, rmap)
         assert report.gamma_values == (153, 153, 279)
         assert report.p_times_order_p_part == 9
         assert report.block_degree_sum == 6
@@ -197,7 +226,7 @@ class TestAltNormalizerReport:
     def test_d12_report_is_exploratory(self, group_factory, table_factory):
         group, cd = group_factory("D12")
         table = table_factory("D12")
-        report = alt_normalizer_report(table, 3)
+        report = alt_normalizer_report(table, build_reduction(group.exponent, 3))
         assert len(report.gamma_values) == table.data.k
         assert len(report.divisible_by_degree_sum) == table.data.k
         data = report.as_dict()
@@ -208,13 +237,13 @@ class TestAltNormalizerReport:
     def test_trivial_group(self, group_factory, table_factory):
         group, cd = group_factory("trivial")
         table = table_factory("trivial")
-        report = alt_normalizer_report(table, 2)
+        report = alt_normalizer_report(table, build_reduction(group.exponent, 2))
         assert report.gamma_values == (1,)
         assert report.block == (0,)
 
 
 def _per_root_is_p_element(class_index, p, table, rmap):
-    """The p-element test as it was: its differences rebuilt on every call."""
+    """The p-element test by differences: chi(g) - chi(1) reduced mod M."""
     congruent = all(
         not any(reduce_mod_M(row.values[class_index] - row.degree, rmap))
         for row in table.rows
@@ -226,7 +255,7 @@ def _per_root_is_p_element(class_index, p, table, rmap):
 
 
 def _per_root_block_flags(table, p, rmap):
-    """Principal-block membership as it was: central characters rebuilt per root."""
+    """Principal-block membership by differences, central characters rebuilt per root."""
     flags = []
     for row in table.rows:
         flags.append(all(
@@ -241,19 +270,19 @@ def _per_root_block_flags(table, p, rmap):
 class TestSharedDifferences:
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_verdicts_match_per_root_arithmetic(self, group_factory, table_factory, name):
+        # the verdicts compare images; a zero image of the difference is the
+        # same statement because reduction mod M is a ring map
         group, cd = group_factory(name)
         table = table_factory(name)
-        values = p_element_differences(table)
-        central = block_differences(table)
         for p in prime_factors(group.order):
             base = build_reduction(group.exponent, p)
             for eta in candidate_roots(group.exponent, p):
                 rmap = base._replace(eta=eta)
-                assert [is_p_element(i, p, table, rmap, values) for i in range(cd.k)] == [
+                assert p_element_flags(table, rmap) == tuple(
                     _per_root_is_p_element(i, p, table, rmap) for i in range(cd.k)
-                ]
+                )
                 assert principal_block_members(
-                    table, p, rmap, central
+                    table, rmap
                 ).member_flags == _per_root_block_flags(table, p, rmap)
 
 
@@ -268,7 +297,8 @@ class TestVerdictOracle:
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_verdicts_match_oracle_zero_tests(self, group_factory, table_factory, name):
         # reduce_mod_M returns a tuple, truthy even when zero: a verdict that
-        # tested the tuple itself would disagree with these zero tests
+        # tested a tuple's truth instead of comparing images would disagree
+        # with these zero tests
         group, cd = group_factory(name)
         table = table_factory(name)
         sizes = table.data.sizes
@@ -287,5 +317,5 @@ class TestVerdictOracle:
                     )
                     for row in table.rows
                 )
-                assert [is_p_element(i, p, table, rmap) for i in range(cd.k)] == p_elements
-                assert principal_block_members(table, p, rmap).member_flags == flags
+                assert p_element_flags(table, rmap) == tuple(p_elements)
+                assert principal_block_members(table, rmap).member_flags == flags

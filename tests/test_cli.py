@@ -257,6 +257,16 @@ class TestRecover:
         assert code == 0
         assert report["results"]["recovered_spectrum"] == [[1, 2]]
 
+    def test_extra_terms_checked_before_the_table(self, capsys, monkeypatch):
+        def no_table(group, cd):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(cli, "compute_table", no_table)
+        assert main(["recover", "--group", "S3", "--extra-terms", "-5"]) == 5
+        assert "--extra-terms must be at least 0, got -5" in capsys.readouterr().err
+        assert main(["recover", "--group", "S3", "--extra-terms", str(MAX_POWER)]) == 5
+        assert f"at most {MAX_POWER}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("real", [False, True])
     def test_extra_terms_bounded(self, real):
         argv = ["recover", "--group", "S3", "--extra-terms", "1000000"]
@@ -454,6 +464,11 @@ BENCH_SPECS = os.path.join(
             "recover --spec-file {specs}/S6.json --table-file {tmp}/S6.json",
             "1eee872428c5d5a8",
         ),
+        ("pelements --group S5 -p 7", "4f99e2c3c1414571"),
+        ("blocks --spec-file {specs}/S6.json -p 3", "4376d16d471112a2"),
+        ("blocks --group S5 -p 13", "488d968221113260"),
+        ("counterexample --group D12 -p 3 --alt-normalizer", "2d353068fafd7d16"),
+        ("counterexample --group S5 -p 5", "aadf31345fe1f4fe"),
     ],
 )
 def test_output_bytes_pinned(capsys, tmp_path, argv, digest):
@@ -484,7 +499,13 @@ def test_runtime_is_stdlib_only():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["recover", "gamma -n 4", "defect -p 3 -n 3"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "recover", "gamma -n 4", "defect -p 3 -n 3",
+        "pelements -p 5", "blocks -p 5", "counterexample -p 5",
+    ],
+)
 def test_command_imports_only_what_it_runs(tmp_path, command):
     # -S skips site start-up, so every import -X importtime lists is chartab's
     path = tmp_path / "s5.json"
@@ -501,10 +522,13 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
         for line in proc.stderr.splitlines() if line.startswith("import time:")
     }
     assert "chartab.tables" in imported
-    unused = {
-        "chartab.blocks", "chartab.reduction", "chartab.finite_field",
-        "chartab.verify", "dataclasses", "inspect",
-    }
+    unused = {"chartab.verify", "dataclasses", "inspect"}
+    if command.split()[0] in ("pelements", "blocks", "counterexample"):
+        # the congruences reduce mod M and recover nothing
+        assert "chartab.reduction" in imported
+        unused |= {"chartab.duality", "fractions", "decimal"}
+    else:
+        unused |= {"chartab.blocks", "chartab.reduction", "chartab.finite_field"}
     if command.startswith("defect"):
         # only the Vandermonde solve of size recovery uses Fraction
         unused |= {"fractions", "decimal"}

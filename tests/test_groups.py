@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from chartab import groups
 from chartab.cyclo import Cyclotomic, as_rational_integer
 from chartab.errors import CapExceededError, CycleSyntaxError, FormatError, UnknownGroupError
 from chartab.groups import (
@@ -203,7 +204,7 @@ class TestClassMultCoefficients:
         _, cd = group_factory("S3")
         for j in range(cd.k):
             coeffs = class_matrix(cd, 0)[j]
-            assert coeffs == [1 if l == j else 0 for l in range(cd.k)]
+            assert coeffs == tuple(1 if l == j else 0 for l in range(cd.k))
 
     @pytest.mark.parametrize("name", ("S3", "Q8", "A4", "S4"))
     def test_counting_identity(self, group_factory, name):
@@ -212,6 +213,21 @@ class TestClassMultCoefficients:
             for j, coeffs in enumerate(class_matrix(cd, i)):
                 sizes = cd.data.sizes
                 assert sum(a * s for a, s in zip(coeffs, sizes)) == sizes[i] * sizes[j]
+
+    def test_each_matrix_built_once_and_kept(self, monkeypatch):
+        cd = conjugacy_data(catalog_group("A4"))
+        built = []
+        build = groups._build_class_matrix
+
+        def counting(cd, i):
+            built.append(i)
+            return build(cd, i)
+
+        monkeypatch.setattr(groups, "_build_class_matrix", counting)
+        matrices = [class_matrix(cd, i) for i in range(cd.k)]
+        assert all(class_matrix(cd, i) is m for i, m in enumerate(matrices))
+        assert all(type(row) is tuple for m in matrices for row in m)
+        assert built == list(range(cd.k))
 
     def test_s3_transpositions_squared(self, group_factory):
         _, cd = group_factory("S3")

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from chartab import classfuncs, duality, tables, verify
+from chartab import blocks, classfuncs, duality, groups, tables, verify
 from chartab.arith import divisors
 from chartab.classfuncs import ClassFunction
 from chartab.cyclo import root_power
@@ -188,13 +188,13 @@ def test_one_validation_per_table(monkeypatch):
 
 def test_trivial_character_leaving_the_principal_block_is_reported(monkeypatch):
     # the row's only guard: principal_block_members raises for row 0
-    honest = verify.block_differences
+    honest = blocks._central_characters
 
     def shifted(table):
-        diffs = honest(table)
-        return ((diffs[0][0] + 1,) + diffs[0][1:],) + diffs[1:]
+        central = honest(table)
+        return ((central[0][0] + 1,) + central[0][1:],) + central[1:]
 
-    monkeypatch.setattr(verify, "block_differences", shifted)
+    monkeypatch.setattr(blocks, "_central_characters", shifted)
     row = _row(verify.verify_catalog(["S3"]), "mod-M-congruences")
     assert not row.ok
     assert row.detail == "TableIntegrityError: the trivial character left the principal block"
@@ -211,3 +211,23 @@ def test_commutator_oracle_checks_two_commutators_on_s5(monkeypatch):
     row = _row(verify.verify_catalog(["S5"]), "commutator-oracle")
     assert not row.ok
     assert row.detail == "commutator count mismatch at class 6, n=2"  # the last of 7
+
+
+def test_class_matrices_and_central_characters_built_once(monkeypatch):
+    built = []
+    build = groups._build_class_matrix
+
+    def counting(cd, i):
+        built.append((cd, i))  # holding cd keeps its id from being reused
+        return build(cd, i)
+
+    monkeypatch.setattr(groups, "_build_class_matrix", counting)
+    blocks._central_characters.cache_clear()
+    results = verify.verify_catalog()
+    assert all(r.ok for r in results)
+    # class-structure needs every matrix of every group: sum k = 61
+    assert len({(id(cd), i) for cd, i in built}) == len(built) == 61
+    # once per table, whatever the number of primes and roots; the trivial
+    # group has no prime to reduce at, the other 13 groups have some
+    info = blocks._central_characters.cache_info()
+    assert info.misses == 13 and info.hits > info.misses
