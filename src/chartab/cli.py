@@ -9,6 +9,8 @@ takes less time than starting the interpreter and importing the package.
 So only the modules every command needs (arith, errors, groups and tables)
 are imported here; each handler imports the rest of what it runs, and a
 `recover` job never loads the residue fields, blocks or the verify suite.
+`tables` loads a `--table-file`; only when a table is computed does
+`tables.compute_table` import the Dixon-Schneider split from `dixon`.
 """
 
 from __future__ import annotations

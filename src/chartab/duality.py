@@ -49,26 +49,36 @@ class SizeSpectrum(NamedTuple):
         return sum(count for _, count in self.counts)
 
 
-def _solve_vandermonde(nodes: list[int], rhs: list[int]) -> list[Fraction]:
+def _solve_vandermonde(nodes: list[int], rhs: list[int]) -> list[int | Fraction]:
     """Exact solve of sum_i x_i * nodes_i^(n-1) = rhs[n-1] for distinct nodes.
 
-    The Bjorck-Pereyra recurrence (Bjorck and Pereyra 1970; Golub and Van
-    Loan, Algorithm 4.6.2) in O(d^2) operations: the first sweep is integer
-    only, the second divides by differences of distinct nodes.
+    Lagrange over the master polynomial P(z) = prod_i (z - nodes_i): with
+    P_j = P / (z - nodes_j), sum_n [z^n]P_j * rhs[n] = x_j * P_j(nodes_j), and
+    P_j(nodes_j) != 0 because the nodes are distinct.  Each P_j comes from P
+    by synthetic division, so the solve is O(d^2) int operations.  An integral
+    x_j is returned as an int; a Fraction is built only for one that is not.
     """
-    from fractions import Fraction  # only size recovery needs it; defect runs skip the import
-
     d = len(nodes)
-    x = list(rhs)
-    for k in range(d - 1):
-        for i in range(d - 1, k, -1):
-            x[i] -= nodes[k] * x[i - 1]
-    for k in range(d - 2, -1, -1):
-        for i in range(k + 1, d):
-            x[i] = Fraction(x[i], nodes[i] - nodes[i - k - 1])
-        for i in range(k, d - 1):
-            x[i] -= x[i + 1]
-    return [Fraction(v) for v in x]
+    master = [1]  # P, low degree first
+    for node in nodes:
+        master = [a - node * b for a, b in zip([0, *master], [*master, 0])]
+    solution = []
+    for node in nodes:
+        # the coefficients of P_j from the top, summed against rhs and, by
+        # Horner's rule, evaluated at node
+        coeff = den = 1
+        num = rhs[d - 1]
+        for t in range(d - 1, 0, -1):
+            coeff = master[t] + node * coeff
+            num += coeff * rhs[t - 1]
+            den = den * node + coeff
+        if num % den:
+            from fractions import Fraction  # only an inconsistent sequence needs it
+
+            solution.append(Fraction(num, den))
+        else:
+            solution.append(num // den)
+    return solution
 
 
 def _recover(seq, order: int, full_cover: bool) -> SizeSpectrum:
@@ -89,7 +99,7 @@ def _recover(seq, order: int, full_cover: bool) -> SizeSpectrum:
                 f"count for size {size} solves to {value}"
             )
         if value:
-            counts[size] = int(value)
+            counts[size] = value
     for n in range(d + 1, len(seq) + 1):
         predicted = sum(
             count * (order // size) ** (n - 1) for size, count in counts.items()
@@ -126,7 +136,9 @@ def recover_real_class_sizes(delta_seq, order: int) -> SizeSpectrum:
 
 
 def check_length(length: int) -> None:
-    """Raise ValueError unless length <= MAX_POWER."""
+    """Raise ValueError unless 1 <= length <= MAX_POWER."""
+    if length < 1:
+        raise ValueError(f"sequence length must be at least 1, got {length}")
     if length > MAX_POWER:
         raise ValueError(f"sequence length must be at most {MAX_POWER}, got {length}")
 

@@ -23,6 +23,10 @@ from typing import NamedTuple
 from .errors import CapExceededError, CycleSyntaxError, FormatError, UnknownGroupError
 
 DEFAULT_ELEMENT_CAP = 2000
+# Largest degree a group spec may give.  Every element is a tuple of `degree`
+# images, so the element cap alone does not bound the work; 10^4 points still
+# admits the regular representation of any group under 10^4 elements.
+MAX_DEGREE = 10_000
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -111,6 +115,8 @@ class GroupSpec(NamedTuple):
             raise FormatError(f"group spec needs name/degree/generators: {data!r}") from exc
         if not isinstance(name, str) or type(degree) is not int or degree < 1:
             raise FormatError(f"bad group spec fields: {data!r}")
+        if degree > MAX_DEGREE:
+            raise FormatError(f"degree {degree} is above the limit of {MAX_DEGREE} points")
         if not isinstance(generators, list) or not all(isinstance(g, str) for g in generators):
             raise FormatError(f"generators must be a list of cycle strings: {data!r}")
         return cls(name=name, degree=degree, generators=tuple(generators))
@@ -363,11 +369,12 @@ def parse_catalog(text: str) -> dict[str, GroupSpec]:
 
 def load_group_spec(path) -> GroupSpec:
     """Read a single group spec from a JSON file."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"group spec file is not valid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        data = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"group spec file is not valid JSON: {exc}") from exc
     return GroupSpec.from_dict(data)
 
 

@@ -31,8 +31,9 @@ from .groups import (
     enumerate_group,
     load_catalog,
 )
+from .dixon import _build_table
 from .reduction import build_reduction, candidate_roots
-from .tables import CharacterTable, _build_table, compute_table, dixon_prime
+from .tables import CharacterTable, compute_table, dixon_prime
 
 
 class CheckResult(NamedTuple):

@@ -13,6 +13,7 @@ from chartab import cli
 from chartab.arith import MR_LIMIT
 from chartab.classfuncs import MAX_POWER
 from chartab.cli import main
+from chartab.groups import MAX_DEGREE
 
 from conftest import MISTYPED_FIELDS
 
@@ -398,6 +399,20 @@ class TestErrors:
         capsys.readouterr()
         assert code == 4
 
+    def test_non_utf8_files_are_malformed(self, capsys, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\x80\x81")
+        assert main(["recover", "--group", "S3", "--table-file", str(path)]) == 4
+        assert main(["classes", "--spec-file", str(path)]) == 4
+        capsys.readouterr()
+
+    def test_spec_degree_above_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        spec = {"name": "C2", "degree": MAX_DEGREE + 1, "generators": ["(1 2)"]}
+        path.write_text(json.dumps(spec))
+        assert main(["classes", "--spec-file", str(path)]) == 4
+        assert f"limit of {MAX_DEGREE} points" in capsys.readouterr().err
+
     def test_cap_exceeded(self, capsys, tmp_path):
         path = tmp_path / "s4.json"
         path.write_text(
@@ -499,40 +514,49 @@ def test_runtime_is_stdlib_only():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        "recover", "gamma -n 4", "defect -p 3 -n 3",
-        "pelements -p 5", "blocks -p 5", "counterexample -p 5",
-    ],
-)
-def test_command_imports_only_what_it_runs(tmp_path, command):
-    # -S skips site start-up, so every import -X importtime lists is chartab's
-    path = tmp_path / "s5.json"
-    assert main(["table", "--group", "S5", "--save", str(path)]) == 0
+def _imports(argv):
+    """Modules a `python -m chartab` run imports; -S skips site start-up, so
+    every import -X importtime lists is chartab's."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "chartab", *command.split(),
-         "--group", "S5", "--table-file", str(path)],
+        [sys.executable, "-S", "-X", "importtime", "-m", "chartab", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    imported = {
+    return {
         line.rpartition("|")[2].strip()
         for line in proc.stderr.splitlines() if line.startswith("import time:")
     }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "recover", "recover --real", "gamma -n 4", "defect -p 3 -n 3",
+        "pelements -p 5", "blocks -p 5", "counterexample -p 5", "table",
+    ],
+)
+def test_command_imports_only_what_it_runs(tmp_path, command):
+    path = tmp_path / "s5.json"
+    assert main(["table", "--group", "S5", "--save", str(path)]) == 0
+    imported = _imports([*command.split(), "--group", "S5", "--table-file", str(path)])
     assert "chartab.tables" in imported
-    unused = {"chartab.verify", "dataclasses", "inspect"}
+    # a loaded table needs no Dixon-Schneider split, and size recovery
+    # solves on ints
+    unused = {
+        "chartab.verify", "chartab.dixon", "fractions", "decimal", "dataclasses", "inspect",
+    }
     if command.split()[0] in ("pelements", "blocks", "counterexample"):
         # the congruences reduce mod M and recover nothing
         assert "chartab.reduction" in imported
-        unused |= {"chartab.duality", "fractions", "decimal"}
+        unused.add("chartab.duality")
     else:
         unused |= {"chartab.blocks", "chartab.reduction", "chartab.finite_field"}
-    if command.startswith("defect"):
-        # only the Vandermonde solve of size recovery uses Fraction
-        unused |= {"fractions", "decimal"}
     assert not imported & unused
+
+
+def test_computing_a_table_imports_the_split():
+    assert "chartab.dixon" in _imports(["table", "--group", "S5"])
 
 
 def test_module_entry_point():

@@ -184,6 +184,12 @@ class TestSequenceLength:
         with pytest.raises(ValueError, match="at most"):
             sequence(table, MAX_POWER + 1)
 
+    @pytest.mark.parametrize("sequence", [gamma_sequence, delta_sequence])
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_length_below_one_rejected(self, table_factory, sequence, length):
+        with pytest.raises(ValueError, match=f"at least 1, got {length}"):
+            sequence(table_factory("S3"), length)
+
     def test_longest_sequence_allowed(self, table_factory):
         assert len(gamma_sequence(table_factory("S3"), MAX_POWER)) == MAX_POWER
 

@@ -371,3 +371,16 @@ class TestCatalog:
             GroupSpec.from_dict({"name": "x", "degree": 3})
         with pytest.raises(FormatError):
             GroupSpec.from_dict({"name": "x", "degree": 0, "generators": []})
+
+    def test_degree_bounded(self):
+        spec = {"name": "C2", "degree": groups.MAX_DEGREE, "generators": ["(1 2)"]}
+        assert GroupSpec.from_dict(spec).degree == groups.MAX_DEGREE
+        # refused before any cycle is parsed, so nothing of that size is built
+        with pytest.raises(FormatError, match="above the limit"):
+            GroupSpec.from_dict({**spec, "degree": groups.MAX_DEGREE + 1})
+
+    def test_non_utf8_spec_file_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'{"name": "\xff", "degree": 3, "generators": ["(1 2)"]}')
+        with pytest.raises(FormatError, match="not valid JSON"):
+            load_group_spec(path)

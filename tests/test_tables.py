@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from chartab import tables
+from chartab import dixon, tables
 from chartab.arith import euler_phi
 from chartab.classfuncs import ClassFunction
 from chartab.cyclo import Cyclotomic, root_power
@@ -254,7 +254,7 @@ class TestCharacteristicPolynomial:
     @pytest.mark.parametrize("matrix, q", _SPECIAL_MATRICES + _random_matrices())
     def test_matches_determinant(self, matrix, q):
         n = len(matrix)
-        poly = tables._charpoly(matrix, q)
+        poly = dixon._charpoly(matrix, q)
         assert len(poly) == n + 1 and poly[-1] == 1
         # degree n < q: agreeing at every point of GF(q) fixes the polynomial
         for lam in range(q):
@@ -270,7 +270,7 @@ class TestCharacteristicPolynomial:
         poly = [1]
         for r in (1, 4, 4, 9):
             poly = [(a - r * b) % 11 for a, b in zip([0] + poly, poly + [0])]
-        assert tables._roots(poly, 11) == [1, 4, 9]
+        assert dixon._roots(poly, 11) == [1, 4, 9]
 
 
 def _lambda_scan_split(matrix, basis, pivots, q):
@@ -283,7 +283,7 @@ def _lambda_scan_split(matrix, basis, pivots, q):
             sum(row[c] * bvec[c] for c in range(len(bvec)) if bvec[c]) % q
             for row in matrix
         ]
-        action_cols.append(tables._coords_in_basis(basis, pivots, image, q))
+        action_cols.append(dixon._coords_in_basis(basis, pivots, image, q))
     out = []
     found = 0
     for lam in range(q):
@@ -291,7 +291,7 @@ def _lambda_scan_split(matrix, basis, pivots, q):
             [(action_cols[j][i] - (lam if i == j else 0)) % q for j in range(d)]
             for i in range(d)
         ]
-        kernel = tables._nullspace(shifted, q)
+        kernel = dixon._nullspace(shifted, q)
         if not kernel:
             continue
         ambient = []
@@ -301,7 +301,7 @@ def _lambda_scan_split(matrix, basis, pivots, q):
                 if coef:
                     vec = [(x + coef * y) % q for x, y in zip(vec, bvec)]
             ambient.append(vec)
-        out.append(tables._rref(ambient, q))
+        out.append(dixon._rref(ambient, q))
         found += len(kernel)
         if found == d:
             break
@@ -323,7 +323,7 @@ class TestEigenspaceSplit:
             assert (cd.k, dixon_prime(group.exponent, group.order)) == (16, 11)
         else:
             group, cd = group_factory(name)
-        split = tables._split_subspace
+        split = dixon._split_subspace
         calls = []
 
         def recorded(*args):
@@ -335,17 +335,17 @@ class TestEigenspaceSplit:
         q2 = dixon_prime(group.exponent, group.order, above=q1)
         for q in (q1, q2):
             calls.clear()
-            monkeypatch.setattr(tables, "_split_subspace", recorded)
+            monkeypatch.setattr(dixon, "_split_subspace", recorded)
             table = compute_table(group, cd, prime=q)
             for args, out in calls:
                 assert out == _lambda_scan_split(*args)
-            monkeypatch.setattr(tables, "_split_subspace", _lambda_scan_split)
+            monkeypatch.setattr(dixon, "_split_subspace", _lambda_scan_split)
             assert compute_table(group, cd, prime=q) == table
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_every_null_space_is_an_eigenspace(self, group_factory, monkeypatch, name):
         group, cd = group_factory(name)
-        nullspace = tables._nullspace
+        nullspace = dixon._nullspace
         sizes = []
 
         def recorded(matrix, q):
@@ -353,7 +353,7 @@ class TestEigenspaceSplit:
             sizes.append(len(out))
             return out
 
-        monkeypatch.setattr(tables, "_nullspace", recorded)
+        monkeypatch.setattr(dixon, "_nullspace", recorded)
         q1 = dixon_prime(group.exponent, group.order)
         q2 = dixon_prime(group.exponent, group.order, above=q1)
         for q in (q1, q2):
@@ -442,6 +442,12 @@ class TestTableFiles:
         path = tmp_path / "wrongorder.json"
         path.write_text(json.dumps(data))
         with pytest.raises(FormatError):
+            load_table(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\x80\x81")
+        with pytest.raises(FormatError, match="not valid JSON"):
             load_table(path)
 
     def test_missing_key_rejected(self, table_factory, tmp_path):
