@@ -22,10 +22,7 @@ _EXPORTS = {
         "central_character", "p_element_flags", "principal_block_members",
         "strunkov_analog_gamma",
     ),
-    "classfuncs": (
-        "ClassFunction", "all_ones", "delta", "gamma", "inner", "pi_character",
-        "power", "psi_character",
-    ),
+    "classfuncs": ("ClassFunction", "delta", "gamma"),
     "cyclo": ("Cyclotomic", "as_rational_integer", "cyclotomic_polynomial", "root_power"),
     "duality": (
         "DefectReport", "SizeSpectrum", "defect_zero_by_characters",

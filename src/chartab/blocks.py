@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import p_part
-from .classfuncs import ClassFunction, inner, pi_character, power
+from .classfuncs import ClassFunction, _scaled_inner
 from .cyclo import Cyclotomic, as_rational_integer
 from .errors import TableIntegrityError
 from .reduction import ReductionMap, reduce_mod_M
@@ -117,13 +117,17 @@ def strunkov_analog_gamma(
 
     This equals the sum over chi1, chi2, chi3 and phi in the block of
     [psi, |chi1 chi2|^2 |chi3|^2 phi], because the inner sums over chi1, chi2
-    and chi3 factor pointwise into pi^3.
+    and chi3 factor pointwise into pi^3.  With B(g) the sum of the block
+    characters at g and |K| c_K = |G|, it is the sum over classes of
+    c_K^2 B(g_K) conj(psi(g_K)), a rational integer, hence its own conjugate.
     """
     if not block:
         raise ValueError("the character block must not be empty")
-    block_sum = sum((table.rows[r] for r in block[1:]), table.rows[block[0]])
-    target = power(pi_character(table.data), 3) * block_sum
-    return as_rational_integer(inner(psi, target))
+    data = table.data
+    columns = zip(*(table.rows[r].values for r in block))
+    block_sum = ClassFunction(tuple(sum(col[1:], col[0]) for col in columns), data)
+    weights = tuple(c * c for c in data.centralizer_orders)
+    return as_rational_integer(_scaled_inner(block_sum, psi, weights))
 
 
 class AltNormalizerReport(NamedTuple):

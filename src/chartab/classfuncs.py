@@ -1,9 +1,11 @@
 """Class functions and multiplicity sequences.
 
-The two distinguished class functions here are the character pi of the group
-acting on itself by conjugation, whose value on a class is the centralizer
-order, and psi, the sum of the squares of the irreducible characters, which
-equals the centralizer order on real classes and vanishes elsewhere.
+The multiplicities are taken in powers of two distinguished class functions:
+the character pi of the group acting on itself by conjugation, whose value on
+a class is the centralizer order, and psi, the sum of the squares of the
+irreducible characters, which equals the centralizer order on real classes
+and vanishes elsewhere.  Neither is built: a `ClassFunction` carries values
+and class data and no arithmetic.
 Multiplicities of irreducibles in powers of pi and psi are computed by the
 weighted row-sum formula: since |K_i| c_i = |G|, the inner product
 [phi, pi^n] reduces to the sum over classes of c_i^(n-1) phi(g_i), and
@@ -79,64 +81,12 @@ class ClassFunction:
         if self.data != other.data:
             raise ClassDataMismatchError("class functions over different class data")
 
-    def __mul__(self, other):
-        if isinstance(other, ClassFunction):
-            self._check(other)
-            return ClassFunction(
-                tuple(a * b for a, b in zip(self.values, other.values)), self.data
-            )
-        if isinstance(other, int):
-            return ClassFunction(tuple(v * other for v in self.values), self.data)
-        return NotImplemented
 
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        self._check(other)
-        return ClassFunction(
-            tuple(a + b for a, b in zip(self.values, other.values)), self.data
-        )
-
-
-def all_ones(data: ClassData) -> ClassFunction:
-    return ClassFunction(tuple(Cyclotomic.one(data.exponent) for _ in range(data.k)), data)
-
-
-def pi_character(data: ClassData) -> ClassFunction:
-    """The conjugation character: centralizer order on each class."""
-    return ClassFunction(
-        tuple(Cyclotomic.from_rational(data.exponent, c) for c in data.centralizer_orders),
-        data,
-    )
-
-
-def psi_character(data: ClassData) -> ClassFunction:
-    """Sum of the squared irreducible characters: centralizer order on real
-    classes and 0 elsewhere, by column orthogonality of g against g^-1.
-    """
-    return ClassFunction(
-        tuple(
-            Cyclotomic.from_rational(data.exponent, c if real else 0)
-            for c, real in zip(data.centralizer_orders, data.real_flags)
-        ),
-        data,
-    )
-
-
-def power(a: ClassFunction, n: int) -> ClassFunction:
-    """n-th pointwise power; power(a, 0) is the all-ones function."""
-    if n < 0:
-        raise ValueError(f"power must be non-negative, got {n}")
-    out = all_ones(a.data)
-    for _ in range(n):
-        out = out * a
-    return out
-
-
-def _scaled_inner(phi: ClassFunction, theta: ClassFunction) -> Cyclotomic:
-    """|G| [phi, theta] = sum over classes of |K| phi(g_K) conj(theta(g_K)), exactly.
+def _scaled_inner(
+    phi: ClassFunction, theta: ClassFunction, weights: tuple[int, ...] | None = None
+) -> Cyclotomic:
+    """The sum over classes of w_K phi(g_K) conj(theta(g_K)), exactly; the
+    weights w_K default to the class sizes |K|, which gives |G| [phi, theta].
 
     The products are accumulated as one int polynomial modulo x^e - 1, using
     conj(eps^t) = eps^(-t), and reduced to canonical form once.
@@ -144,22 +94,14 @@ def _scaled_inner(phi: ClassFunction, theta: ClassFunction) -> Cyclotomic:
     phi._check(theta)
     e = phi.data.exponent
     acc = [0] * e
-    for size, a, b in zip(phi.data.sizes, phi.values, theta.values):
+    for w, a, b in zip(weights or phi.data.sizes, phi.values, theta.values):
         b_terms = [(t, y) for t, y in enumerate(b.coeffs) if y]
         for s, x in enumerate(a.coeffs):
             if x:
-                x *= size
+                x *= w
                 for t, y in b_terms:
                     acc[(s - t) % e] += x * y
     return Cyclotomic.from_poly(e, acc)
-
-
-def inner(phi: ClassFunction, theta: ClassFunction) -> Cyclotomic:
-    """(1/|G|) sum over classes of |K| phi(g_K) conj(theta(g_K)), exactly.
-
-    The division by |G| is exact for characters; otherwise NonIntegralValueError.
-    """
-    return _scaled_inner(phi, theta) / phi.data.order
 
 
 @lru_cache(maxsize=256)  # bounded; verify over the catalog holds 122 entries

@@ -18,6 +18,7 @@ import json
 import re
 from importlib import resources
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CapExceededError, CycleSyntaxError, FormatError, UnknownGroupError
@@ -31,7 +32,9 @@ MAX_DEGREE = 10_000
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The product a * b: apply a first, then b."""
-    return tuple(b[x] for x in a)
+    if len(a) > 1:
+        return itemgetter(*a)(b)
+    return tuple(b[x] for x in a)  # itemgetter of one index returns the bare item
 
 
 def _cycles(g: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -170,6 +173,8 @@ class Group:
 
 def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     """Breadth-first closure of the generators, sorted generator application."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     gens = tuple(sorted({parse_cycles(text, spec.degree) for text in spec.generators}))
     ident = tuple(range(spec.degree))
     elements = [ident]
@@ -226,7 +231,7 @@ class ConjugacyData:
     def __init__(self, group: Group):
         n = group.order
         elements, index = group.elements, group.index
-        # x^s = s^-1 * x * s sends s[j] to s[x[j]]
+        # x^s = s^-1 * x * s, applied left factor first
         gens = [(s, elements[group.inverse_index[index[s]]]) for s in group.generators]
         class_of = [-1] * n
         members: list[tuple[int, ...]] = []
@@ -241,7 +246,7 @@ class ConjugacyData:
             for idx in orbit:
                 x = elements[idx]
                 for s, s_inv in gens:
-                    y = index[tuple(s[x[j]] for j in s_inv)]
+                    y = index[_compose(_compose(s_inv, x), s)]
                     if class_of[y] < 0:
                         class_of[y] = c
                         orbit.append(y)

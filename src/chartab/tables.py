@@ -337,11 +337,15 @@ def _value_from_dict(rec, exponent: int, r: int, i: int) -> Cyclotomic:
 
 def load_table(path) -> CharacterTable:
     """Read and fully re-verify a table file."""
-    import hashlib  # only table files need it; saves its import on other runs
+    # only table files need a digest; hashlib would also load OpenSSL
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     try:
         data = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -1,12 +1,21 @@
+import os
+
 import pytest
 
-from chartab.groups import conjugacy_data, enumerate_group, load_catalog
+from chartab.classfuncs import ClassFunction
+from chartab.cyclo import Cyclotomic
+from chartab.groups import conjugacy_data, enumerate_group, load_catalog, load_group_spec
 from chartab.tables import compute_table
 
 ALL_GROUPS = (
     "trivial", "C2", "C3", "C4", "C5", "C6", "S3",
     "D8", "Q8", "D12", "A4", "S4", "A5", "S5",
 )
+
+BENCH_SPECS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "specs"
+)
+SPEC_GROUPS = ("S6", "A6", "GL32")
 
 
 # fields of a saved S3 table replaced by values of the wrong type, each of
@@ -45,6 +54,77 @@ def table_factory(group_factory):
         return cache[name]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def spec_tables():
+    """The tables of the bench spec groups, by spec file name."""
+    out = {}
+    for name in SPEC_GROUPS:
+        group = enumerate_group(load_group_spec(os.path.join(BENCH_SPECS, f"{name}.json")))
+        out[name] = compute_table(group, conjugacy_data(group))
+    return out
+
+
+# -- a class-function oracle: pointwise arithmetic and the inner product ----
+
+
+def cf_mul(a, b):
+    """The pointwise product of two class functions, or of one and an int."""
+    if isinstance(b, int):
+        return ClassFunction(tuple(v * b for v in a.values), a.data)
+    a._check(b)
+    return ClassFunction(tuple(x * y for x, y in zip(a.values, b.values)), a.data)
+
+
+def cf_add(a, b):
+    """The pointwise sum of two class functions."""
+    a._check(b)
+    return ClassFunction(tuple(x + y for x, y in zip(a.values, b.values)), a.data)
+
+
+def all_ones(data):
+    return ClassFunction(tuple(Cyclotomic.one(data.exponent) for _ in range(data.k)), data)
+
+
+def pi_character(data):
+    """The conjugation character: centralizer order on each class."""
+    return ClassFunction(
+        tuple(Cyclotomic.from_rational(data.exponent, c) for c in data.centralizer_orders),
+        data,
+    )
+
+
+def psi_character(data):
+    """Sum of the squared irreducible characters: centralizer order on real
+    classes and 0 elsewhere, by column orthogonality of g against g^-1."""
+    return ClassFunction(
+        tuple(
+            Cyclotomic.from_rational(data.exponent, c if real else 0)
+            for c, real in zip(data.centralizer_orders, data.real_flags)
+        ),
+        data,
+    )
+
+
+def power(a, n):
+    """n-th pointwise power; power(a, 0) is the all-ones function."""
+    if n < 0:
+        raise ValueError(f"power must be non-negative, got {n}")
+    out = all_ones(a.data)
+    for _ in range(n):
+        out = cf_mul(out, a)
+    return out
+
+
+def inner(phi, theta):
+    """(1/|G|) sum over classes of |K| phi(g_K) conj(theta(g_K)), one
+    Cyclotomic product per class."""
+    phi._check(theta)
+    total = Cyclotomic.zero(phi.data.exponent)
+    for size, a, b in zip(phi.data.sizes, phi.values, theta.values):
+        total = total + a * b.conjugate() * size
+    return total / phi.data.order
 
 
 # -- a field oracle on tuples, independent of chartab.finite_field ----------

@@ -11,15 +11,7 @@ from functools import lru_cache
 
 from chartab.arith import divisors, prime_factors
 from chartab.blocks import p_element_flags, principal_block_members, strunkov_analog_gamma
-from chartab.classfuncs import (
-    ClassFunction,
-    delta,
-    gamma,
-    inner,
-    pi_character,
-    power,
-    psi_character,
-)
+from chartab.classfuncs import ClassFunction, delta, gamma
 from chartab.cyclo import Cyclotomic, as_rational_integer
 from chartab.duality import (
     SizeSpectrum,
@@ -38,6 +30,8 @@ from chartab.groups import (
 )
 from chartab.reduction import build_reduction
 from chartab.tables import compute_table, dixon_prime, verify_orthogonality
+
+from conftest import cf_add, cf_mul, inner, pi_character, power, psi_character
 
 CATALOG = tuple(load_catalog())
 
@@ -153,18 +147,18 @@ def test_criterion_7_identity_suite_for_whole_catalog():
                 conj_row = ClassFunction(
                     tuple(v.conjugate() for v in row.values), data
                 )
-                total = total + row * conj_row
+                total = cf_add(total, cf_mul(row, conj_row))
             assert total == pi, name
             psi = psi_character(data)
             squares = ClassFunction(
                 tuple(Cyclotomic.zero(data.exponent) for _ in range(data.k)), data
             )
             for row in table.rows:
-                squares = squares + row * row
+                squares = cf_add(squares, cf_mul(row, row))
             assert squares == psi, name
             for n in range(0, 4):
                 for m in range(1, 4):
-                    assert power(pi, n) * power(psi, m) == power(psi, n + m)
+                    assert cf_mul(power(pi, n), power(psi, m)) == power(psi, n + m)
             for row in table.rows:
                 for n in (1, 2, 3):
                     assert gamma(n, row) == inner(row, power(pi, n)), name

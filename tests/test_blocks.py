@@ -10,13 +10,22 @@ from chartab.blocks import (
     principal_block_members,
     strunkov_analog_gamma,
 )
-from chartab.classfuncs import ClassFunction, pi_character, power
+from chartab.classfuncs import ClassFunction
 from chartab.cyclo import Cyclotomic
-from chartab.errors import NonIntegralValueError, TableIntegrityError
+from chartab.errors import ClassDataMismatchError, NonIntegralValueError, TableIntegrityError
 from chartab.reduction import ReductionMap, build_reduction, candidate_roots, reduce_mod_M
 from chartab.tables import CharacterTable
 
-from conftest import ALL_GROUPS, horner
+from conftest import (
+    ALL_GROUPS,
+    SPEC_GROUPS,
+    cf_add,
+    cf_mul,
+    horner,
+    inner,
+    pi_character,
+    power,
+)
 
 
 @pytest.fixture()
@@ -207,10 +216,33 @@ class TestStrunkovAnalog:
         )
         for c1 in range(table.data.k):
             for c2 in range(table.data.k):
-                norm12 = (rows[c1] * rows[c2]) * (conj[c1] * conj[c2])
+                norm12 = cf_mul(cf_mul(rows[c1], rows[c2]), cf_mul(conj[c1], conj[c2]))
                 for c3 in range(table.data.k):
-                    acc = acc + norm12 * (rows[c3] * conj[c3])
+                    acc = cf_add(acc, cf_mul(norm12, cf_mul(rows[c3], conj[c3])))
         assert acc == power(pi_character(cd.data), 3)
+
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS)
+    def test_equal_to_inner_product_oracle(self, table_factory, spec_tables, name):
+        # the weighted class sum against [psi, pi^3 * sum of the block], for
+        # every p dividing |G|, the principal block and every irreducible psi
+        table = spec_tables[name] if name in SPEC_GROUPS else table_factory(name)
+        data = table.data
+        pi_cubed = power(pi_character(data), 3)
+        for p in prime_factors(data.order):
+            block = principal_block_members(table, build_reduction(data.exponent, p)).members
+            block_sum = table.rows[block[0]]
+            for r in block[1:]:
+                block_sum = cf_add(block_sum, table.rows[r])
+            target = cf_mul(pi_cubed, block_sum)
+            for psi in table.rows:
+                expected = inner(psi, target)
+                assert expected.is_rational()
+                assert strunkov_analog_gamma(table, psi, block) == expected.coeffs[0]
+
+    def test_mismatched_class_data_rejected(self, s3, table_factory):
+        _, _, table, _ = s3
+        with pytest.raises(ClassDataMismatchError):
+            strunkov_analog_gamma(table, table_factory("C3").rows[0], (0,))
 
 
 class TestAltNormalizerReport:

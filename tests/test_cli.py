@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import importlib.util
 import json
 import operator
 import os
@@ -422,12 +423,51 @@ class TestErrors:
         capsys.readouterr()
         assert code == 6
 
+    @pytest.mark.parametrize("group", ("trivial", "S3"))
+    def test_cap_below_one_rejected(self, capsys, group):
+        assert main(["classes", "--group", group, "--cap", "0"]) == 5
+        assert "cap must be at least 1, got 0" in capsys.readouterr().err
+
     def test_corrupt_table_file(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("[1, 2, 3]")
         code = main(["table", "--group", "S3", "--table-file", str(path)])
         capsys.readouterr()
         assert code == 4
+
+
+def _int_leaves(node, path=()):
+    """The paths to the int leaves of a JSON document."""
+    if isinstance(node, dict):
+        node = node.items()
+    elif isinstance(node, list):
+        node = enumerate(node)
+    else:
+        if type(node) is int:
+            yield path
+        return
+    for key, child in node:
+        yield from _int_leaves(child, (*path, key))
+
+
+def test_every_int_leaf_off_by_one_is_refused(capsys, tmp_path):
+    saved = tmp_path / "s4.json"
+    assert main(["table", "--group", "S4", "--save", str(saved)]) == 0
+    text = saved.read_text()
+    leaves = list(_int_leaves(json.loads(text)))
+    assert len(leaves) == 302
+    path = tmp_path / "corrupt.json"
+    loaded = []
+    for *outer, last in leaves:
+        for step in (1, -1):
+            data = json.loads(text)
+            functools.reduce(operator.getitem, outer, data)[last] += step
+            path.write_text(json.dumps(data))
+            code = main(["recover", "--group", "S4", "--table-file", str(path)])
+            if code not in (4, 7):
+                loaded.append(((*outer, last), step, code))
+    capsys.readouterr()
+    assert loaded == []
 
 
 class TestVerify:
@@ -484,6 +524,8 @@ BENCH_SPECS = os.path.join(
         ("blocks --group S5 -p 13", "488d968221113260"),
         ("counterexample --group D12 -p 3 --alt-normalizer", "2d353068fafd7d16"),
         ("counterexample --group S5 -p 5", "aadf31345fe1f4fe"),
+        ("counterexample --spec-file {specs}/S6.json -p 3", "92644d17d4b333f8"),
+        ("counterexample --spec-file {specs}/GL32.json -p 7", "48443a4bbb898f7f"),
     ],
 )
 def test_output_bytes_pinned(capsys, tmp_path, argv, digest):
@@ -546,6 +588,9 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
     unused = {
         "chartab.verify", "chartab.dixon", "fractions", "decimal", "dataclasses", "inspect",
     }
+    if importlib.util.find_spec("_sha256") is not None:
+        # the provenance digest comes from the builtin module, without OpenSSL
+        unused |= {"hashlib", "_hashlib"}
     if command.split()[0] in ("pelements", "blocks", "counterexample"):
         # the congruences reduce mod M and recover nothing
         assert "chartab.reduction" in imported

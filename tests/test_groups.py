@@ -122,6 +122,13 @@ class TestEnumerate:
         with pytest.raises(CapExceededError):
             enumerate_group(spec, cap=10)
 
+    @pytest.mark.parametrize("cap", (0, -5))
+    def test_cap_below_one_rejected(self, cap):
+        # the trivial group fits under any cap but is still refused
+        spec = GroupSpec("triv", 2, ("()",))
+        with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}"):
+            enumerate_group(spec, cap=cap)
+
     def test_deterministic(self):
         spec = load_catalog()["S5"]
         g1 = enumerate_group(spec)

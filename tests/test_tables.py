@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -23,7 +25,7 @@ from chartab.tables import (
     verify_orthogonality,
 )
 
-from conftest import ALL_GROUPS, MISTYPED_FIELDS
+from conftest import ALL_GROUPS, MISTYPED_FIELDS, cf_mul
 
 
 def _all_powers_identity(data):
@@ -369,14 +371,14 @@ class TestOrthogonality:
     def test_scaled_row_reported(self, table_factory):
         table = table_factory("S3")
         bad_rows = list(table.rows)
-        bad_rows[2] = 2 * bad_rows[2]
+        bad_rows[2] = cf_mul(bad_rows[2], 2)
         bad = CharacterTable(group_name=table.group_name, data=table.data, rows=tuple(bad_rows))
         violations = verify_orthogonality(bad)
         assert any(v["kind"] == "row" and v["first"] == 2 == v["second"] for v in violations)
 
     def test_violation_value_is_scaled_sum(self, table_factory):
         table = table_factory("S3")
-        rows = (table.rows[0], table.rows[1], 2 * table.rows[2])
+        rows = (table.rows[0], table.rows[1], cf_mul(table.rows[2], 2))
         bad = CharacterTable(group_name=table.group_name, data=table.data, rows=rows)
         # |G| [2 chi, 2 chi] = 6 * 4
         assert verify_orthogonality(bad) == [
@@ -410,6 +412,16 @@ class TestTableFiles:
             loaded = load_table(path)
             assert loaded == table
             assert loaded.provenance.startswith("file sha256:")
+
+    @pytest.mark.parametrize("builtin", (True, False), ids=("builtin", "hashlib"))
+    def test_provenance_is_the_file_digest(self, table_factory, tmp_path, monkeypatch, builtin):
+        if not builtin:
+            # None in sys.modules makes `import _sha256` raise ImportError
+            monkeypatch.setitem(sys.modules, "_sha256", None)
+        path = tmp_path / "s4.json"
+        save_table(table_factory("S4"), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        assert load_table(path).provenance == f"file sha256:{digest}"
 
     def test_duplicated_row_rejected(self, table_factory, tmp_path):
         data = table_to_dict(table_factory("S3"))

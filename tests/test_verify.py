@@ -12,6 +12,8 @@ from chartab.groups import conjugacy_data, enumerate_group, load_catalog, load_g
 from chartab.tables import CharacterTable, dixon_prime
 from chartab.verify import _check_determinism, _check_identities, _check_recovery
 
+from conftest import cf_mul
+
 BENCH_SPECS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "specs"
 )
@@ -23,7 +25,7 @@ def test_identities_reports_negative_multiplicity(group_factory, table_factory):
     group, cd = group_factory("S3")
     table = table_factory("S3")
     rows = list(table.rows)
-    rows[1] = -1 * rows[1]
+    rows[1] = cf_mul(rows[1], -1)
     corrupt = CharacterTable(table.group_name, table.data, tuple(rows))
     spec = load_catalog()["S3"]
     assert _check_identities(spec, group, cd, corrupt) == "negative multiplicity for row 1 at n=1"
