@@ -15,9 +15,9 @@ are imported here; each handler imports the rest of what it runs, and a
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .arith import divisors, is_prime, p_part
 from .errors import (
@@ -41,27 +41,13 @@ from .tables import compute_table, load_table, save_table, table_to_dict
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
+EXIT_USAGE = 2
 EXIT_UNKNOWN_GROUP = 3
 EXIT_FORMAT = 4
 EXIT_BAD_PARAMETER = 5
 EXIT_CAP_EXCEEDED = 6
 EXIT_INTEGRITY = 7
 EXIT_INCONSISTENT = 8
-
-
-def _add_group_args(sub, table_source=True):
-    src = sub.add_mutually_exclusive_group(required=True)
-    src.add_argument("--group", help="name of a catalog group")
-    src.add_argument("--spec-file", help="path to a group spec JSON file")
-    sub.add_argument(
-        "--cap", type=int, default=DEFAULT_ELEMENT_CAP,
-        help="element cap for group enumeration",
-    )
-    if table_source:
-        sub.add_argument(
-            "--table-file",
-            help="load the character table from this file instead of computing it",
-        )
 
 
 def _resolve_group(args):
@@ -372,104 +358,139 @@ def _cmd_verify(args):
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-# -- parser ----------------------------------------------------------------
+# -- command table ---------------------------------------------------------
+
+# An option is (flag, kind, default, help): kind is int or str for an option
+# with a value and None for a switch, and a REQUIRED default makes it
+# mandatory; its dest is the flag without leading dashes, "-" read as "_".
+# The table replaces argparse, whose import and parsers cost ~8 ms a job.
+REQUIRED = object()
+HELP = ("-h", "--help")
+_GROUP = (
+    ("--human", None, False, "plain text instead of JSON"),
+    ("--group", str, None, "name of a catalog group"),
+    ("--spec-file", str, None, "path to a group spec JSON file, in place of --group"),
+    ("--cap", int, DEFAULT_ELEMENT_CAP, "element cap for group enumeration"),
+)
+_TABLE = (
+    *_GROUP,
+    ("--table-file", str, None,
+     "load the character table from this file instead of computing it"),
+)
+_PRIME = ("-p", int, REQUIRED, "the prime")
+
+# name: (handler, help, options)
+COMMANDS = {
+    "classes": (_cmd_classes, "conjugacy class sizes, centralizers, real flags", _GROUP),
+    "table": (_cmd_table, "compute, load, or save the character table",
+              (*_TABLE, ("--save", str, None, "write the table to this JSON file"))),
+    "gamma": (_cmd_gamma, "multiplicity values for every irreducible character",
+              (*_TABLE, ("-n", int, REQUIRED, "power of the class function"))),
+    "recover": (_cmd_recover, "recover class sizes from the multiplicity sequence", (
+        *_TABLE, ("--real", None, False, "recover real class sizes instead"),
+        ("--extra-terms", int, 3, "surplus sequence terms to verify beyond the divisor count"),
+    )),
+    "defect": (_cmd_defect, "defect-0 detection: residues vs direct test", (
+        *_TABLE, _PRIME, ("-n", int, 2, "power (at least 2)"),
+        ("--real", None, False, "restrict to real classes"),
+    )),
+    "pelements": (_cmd_pelements, "p-element congruence test vs element orders",
+                  (*_TABLE, _PRIME)),
+    "blocks": (_cmd_blocks, "principal block membership mod a maximal ideal",
+               (*_TABLE, _PRIME)),
+    "counterexample": (_cmd_counterexample, "block-weighted commutator-analog multiplicities", (
+        *_TABLE, _PRIME,
+        ("--alt-normalizer", None, False, "also test the block degree sum and its p-part"),
+    )),
+    "verify": (_cmd_verify, "run the full invariant suite over the catalog",
+               (_GROUP[0], ("--group", str, None, "restrict to one catalog group"))),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chartab",
-        description="Exact character tables of small permutation groups, "
-        "with class-size recovery and congruence verifiers.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--human", action="store_true", help="plain text instead of JSON")
-    subs = parser.add_subparsers(dest="command", required=True)
+class _UsageError(Exception):
+    """A command line COMMANDS does not accept: (command or None, message)."""
 
-    sub = subs.add_parser(
-        "classes", parents=[common],
-        help="conjugacy class sizes, centralizers, real flags",
-    )
-    _add_group_args(sub, table_source=False)
-    sub.set_defaults(handler=_cmd_classes)
 
-    sub = subs.add_parser(
-        "table", parents=[common], help="compute, load, or save the character table"
-    )
-    _add_group_args(sub)
-    sub.add_argument("--save", help="write the table to this JSON file")
-    sub.set_defaults(handler=_cmd_table)
+def _form(flag, kind):
+    return flag if kind is None else f"{flag} {flag.lstrip('-').upper()}"
 
-    sub = subs.add_parser(
-        "gamma", parents=[common],
-        help="multiplicity values for every irreducible character",
-    )
-    _add_group_args(sub)
-    sub.add_argument("-n", type=int, required=True, help="power of the class function")
-    sub.set_defaults(handler=_cmd_gamma)
 
-    sub = subs.add_parser(
-        "recover", parents=[common],
-        help="recover class sizes from the multiplicity sequence",
-    )
-    _add_group_args(sub)
-    sub.add_argument("--real", action="store_true", help="recover real class sizes instead")
-    sub.add_argument(
-        "--extra-terms", type=int, default=3,
-        help="surplus sequence terms to verify beyond the divisor count",
-    )
-    sub.set_defaults(handler=_cmd_recover)
+def _parse(argv):
+    """(command, args) for argv; args is None when argv asks for help."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    options = {o[0]: o for o in COMMANDS[command][2]} if command else {}
+    values = {}
+    words = iter(argv[1:] if command else argv)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if word[:1] == "-" and word[1:2] != "-" and len(flag) > 2:
+            flag, eq, value = word[:2], "=", word[2:]
+        if flag not in options and flag not in HELP:
+            found = [f for f in (*options, *HELP) if len(flag) > 2 and f.startswith(flag)]
+            if len(found) != 1:
+                problem = "ambiguous" if found else "unknown"
+                raise _UsageError(command, f"{problem} argument {word}")
+            flag = found[0]
+        if flag in HELP:
+            return command, None
+        kind = options[flag][1]
+        if kind is None and eq:
+            raise _UsageError(command, f"{flag} takes no value")
+        if kind is not None and not eq:
+            value = next(words, "-")
+            # a negative number is a value, any other word with a dash an option
+            if value.startswith("-") and not value[1:].replace(".", "", 1).isdigit():
+                raise _UsageError(command, f"{flag} expects a value")
+        try:
+            values[flag] = True if kind is None else kind(value)
+        except ValueError:
+            raise _UsageError(command, f"{flag} expects an int, got {value!r}") from None
+    if command is None:
+        raise _UsageError(None, "a command is required")
+    if "--spec-file" in options and ("--group" in values) == ("--spec-file" in values):
+        raise _UsageError(command, "exactly one of --group and --spec-file is required")
+    args = SimpleNamespace()
+    for flag, _, default, _ in options.values():
+        if default is REQUIRED and flag not in values:
+            raise _UsageError(command, f"{flag} is required")
+        setattr(args, flag.lstrip("-").replace("-", "_"), values.get(flag, default))
+    return command, args
 
-    sub = subs.add_parser(
-        "defect", parents=[common], help="defect-0 detection: residues vs direct test"
-    )
-    _add_group_args(sub)
-    sub.add_argument("-p", type=int, required=True, help="the prime")
-    sub.add_argument("-n", type=int, default=2, help="power (at least 2)")
-    sub.add_argument("--real", action="store_true", help="restrict to real classes")
-    sub.set_defaults(handler=_cmd_defect)
 
-    sub = subs.add_parser(
-        "pelements", parents=[common],
-        help="p-element congruence test vs element orders",
-    )
-    _add_group_args(sub)
-    sub.add_argument("-p", type=int, required=True, help="the prime")
-    sub.set_defaults(handler=_cmd_pelements)
+def _usage(command):
+    if command is None:
+        return f"usage: chartab [-h] {{{','.join(COMMANDS)}}} ..."
+    words = [
+        _form(flag, kind) if default is REQUIRED else f"[{_form(flag, kind)}]"
+        for flag, kind, default, _ in COMMANDS[command][2]
+    ]
+    return f"usage: chartab {command} [-h] {' '.join(words)}"
 
-    sub = subs.add_parser(
-        "blocks", parents=[common],
-        help="principal block membership mod a maximal ideal",
-    )
-    _add_group_args(sub)
-    sub.add_argument("-p", type=int, required=True, help="the prime")
-    sub.set_defaults(handler=_cmd_blocks)
 
-    sub = subs.add_parser(
-        "counterexample", parents=[common],
-        help="block-weighted commutator-analog multiplicities and their divisibility",
-    )
-    _add_group_args(sub)
-    sub.add_argument("-p", type=int, required=True, help="the prime")
-    sub.add_argument(
-        "--alt-normalizer", action="store_true",
-        help="report divisibility by the block degree sum and its p-part too",
-    )
-    sub.set_defaults(handler=_cmd_counterexample)
-
-    sub = subs.add_parser(
-        "verify", parents=[common], help="run the full invariant suite over the catalog"
-    )
-    sub.add_argument("--group", help="restrict to one catalog group")
-    sub.set_defaults(handler=_cmd_verify)
-
-    return parser
+def _help(command):
+    """The -h text of command, or of chartab itself when command is None."""
+    if command is None:
+        about = "exact character tables of small permutation groups, with class-size recovery"
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        about = COMMANDS[command][1]
+        rows = [(_form(flag, kind), text) for flag, kind, _, text in COMMANDS[command][2]]
+    rows.insert(0, ("-h, --help", "show this help and exit"))
+    return "\n".join([_usage(command), "", about, "", *(f"  {a:26} {b}" for a, b in rows)])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        command, message = exc.args
+        print(f"{_usage(command)}\nchartab: error: {message}", file=sys.stderr)
+        return EXIT_USAGE
+    if args is None:
+        print(_help(command))
+        return EXIT_OK
+    try:
+        return COMMANDS[command][0](args)
     except UnknownGroupError as exc:
         print(f"error: unknown group {exc.args[0]!r}", file=sys.stderr)
         return EXIT_UNKNOWN_GROUP

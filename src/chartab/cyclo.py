@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from numbers import Rational
 
 from .arith import divisors, euler_phi
 from .errors import FormatError, NonIntegralValueError, OrderMismatchError
@@ -86,8 +85,17 @@ def _reduce(e: int, poly: list[int]) -> tuple[int, ...]:
     return tuple(poly[:d])
 
 
+def _rational(x) -> bool:
+    """Whether x is a Rational; only an x other than an int imports `numbers`."""
+    if type(x) is int:
+        return True
+    from numbers import Rational
+
+    return isinstance(x, Rational)
+
+
 def _integer(c) -> int:
-    if isinstance(c, Rational) and c.denominator == 1:
+    if _rational(c) and c.denominator == 1:
         return int(c)
     raise NonIntegralValueError(f"coefficient {c} is not an integer")
 
@@ -166,7 +174,7 @@ class Cyclotomic:
             )
         if type(other) is int:
             return Cyclotomic._make(self.e, (self.coeffs[0] + other,) + self.coeffs[1:])
-        if isinstance(other, Rational):
+        if _rational(other):
             cs = list(self.coeffs)
             cs[0] += other
             return Cyclotomic(self.e, cs)
@@ -180,7 +188,7 @@ class Cyclotomic:
     def __sub__(self, other):
         if type(other) is int:
             return Cyclotomic._make(self.e, (self.coeffs[0] - other,) + self.coeffs[1:])
-        if isinstance(other, (Cyclotomic, Rational)):
+        if isinstance(other, Cyclotomic) or _rational(other):
             return self + (-other)
         return NotImplemented
 
@@ -200,7 +208,7 @@ class Cyclotomic:
             return Cyclotomic._make(self.e, _reduce(self.e, conv))
         if type(other) is int:
             return Cyclotomic._make(self.e, tuple(c * other for c in self.coeffs))
-        if isinstance(other, Rational):
+        if _rational(other):
             return Cyclotomic(self.e, [c * other for c in self.coeffs])
         return NotImplemented
 
@@ -227,7 +235,7 @@ class Cyclotomic:
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
             return self.e == other.e and self.coeffs == other.coeffs
-        if isinstance(other, Rational):
+        if _rational(other):
             return self.is_rational() and self.coeffs[0] == other
         return NotImplemented
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 
@@ -436,6 +437,102 @@ class TestErrors:
         assert code == 4
 
 
+# the options each command's help must name, besides -h
+GROUP_OPTIONS = "--human --group --spec-file --cap"
+HELP_OPTIONS = {
+    "classes": GROUP_OPTIONS,
+    "table": GROUP_OPTIONS + " --table-file --save",
+    "gamma": GROUP_OPTIONS + " --table-file -n",
+    "recover": GROUP_OPTIONS + " --table-file --real --extra-terms",
+    "defect": GROUP_OPTIONS + " --table-file -p -n --real",
+    "pelements": GROUP_OPTIONS + " --table-file -p",
+    "blocks": GROUP_OPTIONS + " --table-file -p",
+    "counterexample": GROUP_OPTIONS + " --table-file -p --alt-normalizer",
+    "verify": "--human --group",
+}
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "",
+            "frobnicate --group S3",
+            "--human classes --group S3",
+            "classes --group S3 --table-file t.json",
+            "verify --table-file t.json",
+            "verify --group S3 --cap 10",
+            "table --group S3 --bogus",
+            "table --group S3 --h",
+            "classes --group S3 S4",
+            "recover --group S3 --real=yes",
+            "table --group",
+            "gamma --group S3 -n",
+            "table --group S3 --cap 1.5",
+            "gamma --group S3 -n four",
+            "gamma --group S3",
+            "defect --group S3 -n 2",
+            "table --group S3 --spec-file s.json",
+            "table",
+            "table --cap 10",
+        ],
+    )
+    def test_usage_error_exits_2(self, argv):
+        proc = run_module(argv.split())
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert any(line.startswith("usage:") for line in lines)
+        assert any("error:" in line for line in lines)
+        assert proc.stdout == ""
+
+    def test_main_returns_2(self, capsys):
+        assert main(["gamma", "--group", "S3"]) == 2
+        assert capsys.readouterr().err.startswith("usage: chartab gamma ")
+
+    @pytest.mark.parametrize("command", [None, *HELP_OPTIONS])
+    def test_help_names_every_option(self, command):
+        proc = run_module([command, "-h"] if command else ["-h"])
+        assert proc.returncode == 0
+        named = set(re.findall(r"(?<![\w-])(--?[a-z][a-z-]*)", proc.stdout)) - {"--help"}
+        if command is None:
+            assert named == {"-h"}
+            assert all(name in proc.stdout for name in HELP_OPTIONS)
+        else:
+            assert named == {"-h", *HELP_OPTIONS[command].split()}
+
+    @pytest.mark.parametrize(
+        "form, long_form",
+        [
+            ("gamma --group=S3 -n4", "gamma --group S3 -n 4"),
+            ("gamma --gr S3 -n=4", "gamma --group S3 -n 4"),
+            ("recover --group S3 --extra 5 --re", "recover --group S3 --extra-terms 5 --real"),
+            ("gamma --group S5 -n 2 --group S3 -n 4", "gamma --group S3 -n 4"),
+            ("defect -p3 --human --group S3 -n 3", "defect --group S3 -p 3 -n 3 --human"),
+            ("classes --cap=10 --gro C2", "classes --group C2 --cap 10"),
+        ],
+    )
+    def test_accepted_forms(self, capsys, form, long_form):
+        proc = run_module(form.split())
+        assert proc.returncode == 0, proc.stderr
+        assert main(long_form.split()) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("recover --group S3 --extra-terms -5", "--extra-terms must be at least 0, got -5"),
+            ("recover --group S3 --extra-terms=-5", "--extra-terms must be at least 0, got -5"),
+            ("gamma --group S3 -n -1", "n must be at least 1, got -1"),
+            ("gamma --group S3 -n-1", "n must be at least 1, got -1"),
+            ("classes --group S3 --cap -1", "cap must be at least 1, got -1"),
+        ],
+    )
+    def test_negative_values_reach_their_checks(self, argv, message):
+        proc = run_module(argv.split())
+        assert proc.returncode == 5
+        assert message in proc.stderr
+
+
 def _int_leaves(node, path=()):
     """The paths to the int leaves of a JSON document."""
     if isinstance(node, dict):
@@ -571,6 +668,10 @@ def _imports(argv):
     }
 
 
+# argparse, and what it loads to translate its messages
+ARGUMENT_PARSER = {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -587,6 +688,7 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
     # solves on ints
     unused = {
         "chartab.verify", "chartab.dixon", "fractions", "decimal", "dataclasses", "inspect",
+        "numbers", *ARGUMENT_PARSER,
     }
     if importlib.util.find_spec("_sha256") is not None:
         # the provenance digest comes from the builtin module, without OpenSSL
@@ -598,6 +700,11 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
     else:
         unused |= {"chartab.blocks", "chartab.reduction", "chartab.finite_field"}
     assert not imported & unused
+
+
+@pytest.mark.parametrize("argv", ["classes --group S5", "verify --group S3"])
+def test_command_line_parsed_without_argparse(argv):
+    assert not _imports(argv.split()) & ARGUMENT_PARSER
 
 
 def test_computing_a_table_imports_the_split():
