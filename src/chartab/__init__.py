@@ -5,7 +5,7 @@ The package computes irreducible character tables over cyclotomic integers
 multiplicities of the trivial character in powers of the conjugation
 character, detects p-defect-0 classes through residues of those
 multiplicities, and checks congruence criteria for p-elements and the
-principal p-block modulo a maximal ideal over p.
+principal p-block modulo the maximal ideals over p.
 
 The exported names (`__all__`) are imported from their modules on first use
 (PEP 562), so `import chartab` loads no submodule and a command pays only
@@ -35,13 +35,12 @@ _EXPORTS = {
         "InconsistentSequenceError", "NonIntegralValueError", "OrderMismatchError",
         "TableIntegrityError", "UnknownGroupError",
     ),
-    "finite_field": ("irreducible_polynomial",),
     "groups": (
         "ClassData", "ConjugacyData", "Group", "GroupSpec", "catalog_group",
         "class_matrix", "commutator_counts", "conjugacy_data", "cycle_string",
         "enumerate_group", "load_catalog", "parse_cycles", "real_classes",
     ),
-    "reduction": ("ReductionMap", "build_reduction", "candidate_roots", "reduce_mod_M"),
+    "reduction": ("ReductionMap", "build_reduction", "reduce_mod_M"),
     "tables": (
         "CharacterTable", "compute_table", "dixon_prime", "load_table",
         "save_table", "verify_orthogonality",

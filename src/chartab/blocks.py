@@ -1,13 +1,22 @@
-"""Congruences of character values modulo a maximal ideal over p.
+"""Congruences of character values modulo the maximal ideals over p.
 
-The ideal M is given by a `ReductionMap` (see `reduction`), and every
-congruence statement here takes the map as its one input that picks p and M.
-Reducing character values mod M gives two criteria: a class consists of
-p-elements iff chi(g) = chi(1) mod M for every irreducible chi, and chi lies
-in the principal p-block iff its central character values |K| chi(g_K) /
-chi(1) are congruent to |K| mod M on every class.  The map is a ring
-homomorphism, so both compare images and form no differences; the central
-characters depend on neither p nor the root and are computed once per table.
+Reducing character values mod a maximal ideal M over p gives two criteria: a
+class consists of p-elements iff chi(g) = chi(1) mod M for every irreducible
+chi, and chi lies in the principal p-block iff its central character values
+|K| chi(g_K) / chi(1) are congruent to |K| mod M on every class.  Neither
+depends on M.  The Galois group of Q(eps_e) permutes the irreducible
+characters and acts transitively on the ideals over p, so the p-element
+criterion, quantified over every chi, holds mod one M iff it holds mod every
+M.  The principal block is the same mod every M, because Osima's linkage of
+blocks by the p-regular inner products sum chi(x) psi(x^-1) is rational
+(Navarro, Characters and Blocks of Finite Groups, ch. 3).  So both criteria
+are decided mod the radical of p, the intersection of all M, by the
+`ReductionMap` (see `reduction`), which every congruence here takes as its
+one input that picks p.  The map is a ring homomorphism, so both compare
+images and form no differences; a failure witness is a (row, class) pair
+whose images differ, one that fails mod some M over p.  The central
+characters do not depend on p and are computed once per table.
+
 On top of the block structure sits a Strunkov-style counting quantity
 gamma(psi): the multiplicity of psi in pi^3 times the sum of the principal
 block characters, which expands to the full triple sum over |chi1 chi2|^2
@@ -24,7 +33,7 @@ from .arith import p_part
 from .classfuncs import ClassFunction, _scaled_inner
 from .cyclo import Cyclotomic, as_rational_integer
 from .errors import TableIntegrityError
-from .reduction import ReductionMap, reduce_mod_M
+from .reduction import ReductionMap, _integer_image, reduce_mod_M
 from .tables import CharacterTable
 
 
@@ -62,8 +71,8 @@ def central_character(chi: ClassFunction, class_index: int) -> Cyclotomic:
 def _central_characters(table: CharacterTable) -> tuple[tuple[Cyclotomic, ...], ...]:
     """central_character(chi, K) for every row chi (outer) and class K (inner).
 
-    They depend on neither p nor the root, so each table computes them once
-    for every map it is reduced under.
+    They do not depend on p, so each table computes them once for every map
+    it is reduced under.
     """
     return tuple(
         tuple(central_character(row, i) for i in range(table.data.k)) for row in table.rows
@@ -88,9 +97,13 @@ class BlockReport(NamedTuple):
 
 
 def principal_block_members(table: CharacterTable, rmap: ReductionMap) -> BlockReport:
-    """Characters whose central character is congruent to the class sizes mod M."""
+    """Characters whose central character is congruent to the class sizes mod M.
+
+    Membership is the same mod every M over p; `failures` lists the (row,
+    class) pairs that fail mod some M.
+    """
     p = rmap.p
-    sizes = [(size % p,) + (0,) * (rmap.f - 1) for size in table.data.sizes]
+    sizes = [_integer_image(size, rmap) for size in table.data.sizes]
     flags = []
     failures = []
     for r, central in enumerate(_central_characters(table)):

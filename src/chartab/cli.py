@@ -8,7 +8,7 @@ Each `python -m chartab` run is one short process whose mathematics often
 takes less time than starting the interpreter and importing the package.
 So only the modules every command needs (arith, errors, groups and tables)
 are imported here; each handler imports the rest of what it runs, and a
-`recover` job never loads the residue fields, blocks or the verify suite.
+`recover` job never loads the reduction mod p, blocks or the verify suite.
 `tables` loads a `--table-file`; only when a table is computed does
 `tables.compute_table` import the Dixon-Schneider split from `dixon`.
 """
@@ -16,6 +16,7 @@ are imported here; each handler imports the rest of what it runs, and a
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -48,6 +49,7 @@ EXIT_BAD_PARAMETER = 5
 EXIT_CAP_EXCEEDED = 6
 EXIT_INTEGRITY = 7
 EXIT_INCONSISTENT = 8
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 
 def _resolve_group(args):
@@ -255,7 +257,7 @@ def _cmd_defect(args):
 
 
 def _resolve_reduction(args):
-    """The group, its table and the reduction map mod M for `-p`."""
+    """The group, its table and the reduction map mod the ideals over `-p`."""
     from .reduction import build_reduction
 
     group, cd = _resolve_group(args)
@@ -486,11 +488,19 @@ def main(argv=None) -> int:
         command, message = exc.args
         print(f"{_usage(command)}\nchartab: error: {message}", file=sys.stderr)
         return EXIT_USAGE
-    if args is None:
-        print(_help(command))
-        return EXIT_OK
     try:
-        return COMMANDS[command][0](args)
+        if args is None:
+            print(_help(command))
+            code = EXIT_OK
+        else:
+            code = COMMANDS[command][0](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so the exit-time
+        # flush of what is still buffered cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UnknownGroupError as exc:
         print(f"error: unknown group {exc.args[0]!r}", file=sys.stderr)
         return EXIT_UNKNOWN_GROUP

@@ -135,6 +135,9 @@ class Cyclotomic:
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Cyclotomic values are immutable")
+
     # -- construction -------------------------------------------------
 
     @classmethod

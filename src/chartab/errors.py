@@ -18,7 +18,7 @@ class UnknownGroupError(ChartabError, KeyError):
 
 
 class CapExceededError(ChartabError):
-    """An enumeration or a residue field exceeded its size cap."""
+    """A group enumeration exceeded its element cap."""
 
 
 class OrderMismatchError(ChartabError, ValueError):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-from importlib import resources
 from math import lcm
 from operator import itemgetter
 from typing import NamedTuple
@@ -352,6 +351,8 @@ def commutator_counts(cd: ConjugacyData, length: int) -> tuple[tuple[int, ...], 
 
 def load_catalog() -> dict[str, GroupSpec]:
     """The bundled group catalog, in file order."""
+    from importlib import resources  # only catalog jobs pay for zipfile and pathlib
+
     text = resources.files("chartab").joinpath("data/catalog.json").read_text()
     return parse_catalog(text)
 

@@ -1,9 +1,12 @@
 import os
+from functools import lru_cache
+from itertools import product
+from math import gcd
 
 import pytest
 
 from chartab.classfuncs import ClassFunction
-from chartab.cyclo import Cyclotomic
+from chartab.cyclo import Cyclotomic, cyclotomic_polynomial
 from chartab.groups import conjugacy_data, enumerate_group, load_catalog, load_group_spec
 from chartab.tables import compute_table
 
@@ -128,6 +131,9 @@ def inner(phi, theta):
 
 
 # -- a field oracle on tuples, independent of chartab.finite_field ----------
+#
+# field_mul and horner work in GF(p)[x] / (poly) for any monic poly, a field
+# or not, so they also check the reduction's ring GF(p)[x] / (Phi_m mod p).
 
 
 def field_one(poly):
@@ -155,3 +161,64 @@ def horner(coeffs, el, p, poly):
         acc = field_mul(acc, el, p, poly)
         acc = ((acc[0] + c) % p,) + acc[1:]
     return acc
+
+
+def _divides(d, a, p):
+    """Whether the monic d divides a over GF(p), by long division."""
+    rem = [c % p for c in a]
+    top = len(d) - 1
+    for i in range(len(rem) - 1, top - 1, -1):
+        c = rem[i]
+        if c:
+            for j, dj in enumerate(d):
+                rem[i - top + j] = (rem[i - top + j] - c * dj) % p
+    return not any(rem)
+
+
+@lru_cache(maxsize=None)
+def irreducible_polynomial(p, f):
+    """The first monic irreducible of degree f over GF(p), scanning candidates
+    with the constant term most significant: the first with no monic divisor
+    of degree 1 to f // 2, each found by trying them all."""
+    for tail in product(range(p), repeat=f):
+        cand = tail + (1,)
+        if not any(
+            _divides(d + (1,), cand, p)
+            for deg in range(1, f // 2 + 1)
+            for d in product(range(p), repeat=deg)
+        ):
+            return cand
+    raise AssertionError("unreachable: irreducibles of every degree exist")
+
+
+def brute_degree(e, p):
+    """m, the p-free part of e, and f, the least f with m | p^f - 1."""
+    m = e
+    while m % p == 0:
+        m //= p
+    f = 1
+    while (p**f - 1) % m:
+        f += 1
+    return m, f
+
+
+@lru_cache(maxsize=None)
+def residue_roots(e, p):
+    """GF(p^f), the residue field of every maximal ideal over p in Z[eps_e],
+    as its defining polynomial, and every root of Phi_e in it, sorted.
+
+    The first root is found by evaluating Phi_e at each element in turn; the
+    others are its powers eta^j with gcd(j, m) = 1, the elements of order m.
+    Sending eps to a root is reduction mod one maximal ideal over p, and the
+    roots reach each of them.
+    """
+    m, f = brute_degree(e, p)
+    poly = irreducible_polynomial(p, f)
+    phi = cyclotomic_polynomial(e)
+    eta = next(el for el in product(range(p), repeat=f) if not any(horner(phi, el, p, poly)))
+    roots, power = set(), field_one(poly)
+    for j in range(1, m + 1):
+        power = field_mul(power, eta, p, poly)
+        if gcd(j, m) == 1:
+            roots.add(power)
+    return poly, sorted(roots)

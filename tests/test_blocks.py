@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from chartab import blocks
@@ -13,7 +15,7 @@ from chartab.blocks import (
 from chartab.classfuncs import ClassFunction
 from chartab.cyclo import Cyclotomic
 from chartab.errors import ClassDataMismatchError, NonIntegralValueError, TableIntegrityError
-from chartab.reduction import ReductionMap, build_reduction, candidate_roots, reduce_mod_M
+from chartab.reduction import build_reduction, reduce_mod_M
 from chartab.tables import CharacterTable
 
 from conftest import (
@@ -25,6 +27,7 @@ from conftest import (
     inner,
     pi_character,
     power,
+    residue_roots,
 )
 
 
@@ -148,23 +151,54 @@ class TestPrincipalBlock:
             principal_block_members(table, build_reduction(table.data.exponent, 6))
 
 
+# the primes of the ported root checks: every p dividing |G|, and 7 and 13
+def _primes(table):
+    return sorted({*prime_factors(table.data.order), 7, 13})
+
+
+@lru_cache(maxsize=None)
+def _root_verdicts(table, p):
+    """Per root eta of Phi_e in GF(p^f), that is per maximal ideal over p:
+    the p-element flags, the member flags and the failure witnesses, with
+    every value evaluated at eta by Horner's rule (no reduce_mod_M)."""
+    poly, roots = residue_roots(table.data.exponent, p)
+    k, sizes = table.data.k, table.data.sizes
+    out = []
+    for eta in roots:
+        @lru_cache(maxsize=None)  # tables repeat values
+        def image(z):
+            return horner(z.coeffs, eta, p, poly)
+
+        pel = tuple(
+            all(image(row.values[i]) == image(row.values[0]) for row in table.rows)
+            for i in range(k)
+        )
+        witnesses = {
+            (r, i)
+            for r, row in enumerate(table.rows)
+            for i in range(k)
+            if image(central_character(row, i)) != horner((sizes[i],), eta, p, poly)
+        }
+        members = tuple(
+            not any((r, i) in witnesses for i in range(k)) for r in range(len(table.rows))
+        )
+        out.append((pel, members, witnesses))
+    return out
+
+
 class TestChoiceIndependence:
-    @pytest.mark.parametrize("name", ALL_GROUPS)
-    def test_verdicts_for_every_valid_root(self, group_factory, table_factory, name):
-        group, cd = group_factory(name)
-        table = table_factory(name)
-        for p in prime_factors(group.order):
-            base = build_reduction(group.exponent, p)
-            reference_pel = p_element_flags(table, base)
-            reference_blk = principal_block_members(table, base).member_flags
-            for eta in candidate_roots(group.exponent, p):
-                variant = ReductionMap(
-                    e=base.e, p=base.p, m=base.m, f=base.f, poly=base.poly, eta=eta
-                )
-                pel = p_element_flags(table, variant)
-                blk = principal_block_members(table, variant).member_flags
-                assert pel == reference_pel
-                assert blk == reference_blk
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS)
+    def test_verdicts_for_every_valid_root(self, table_factory, spec_tables, name):
+        # the verdicts hold mod every maximal ideal over p: each root's own
+        # p-element flags and principal block are the map's
+        table = spec_tables[name] if name in SPEC_GROUPS else table_factory(name)
+        for p in _primes(table):
+            rmap = build_reduction(table.data.exponent, p)
+            pel = p_element_flags(table, rmap)
+            blk = principal_block_members(table, rmap).member_flags
+            for root_pel, root_blk, _ in _root_verdicts(table, p):
+                assert root_pel == pel
+                assert root_blk == blk
 
 
 class TestStrunkovAnalog:
@@ -275,7 +309,7 @@ class TestAltNormalizerReport:
 
 
 def _per_root_is_p_element(class_index, p, table, rmap):
-    """The p-element test by differences: chi(g) - chi(1) reduced mod M."""
+    """The p-element test by differences: chi(g) - chi(1) reduced mod p's radical."""
     congruent = all(
         not any(reduce_mod_M(row.values[class_index] - row.degree, rmap))
         for row in table.rows
@@ -287,7 +321,7 @@ def _per_root_is_p_element(class_index, p, table, rmap):
 
 
 def _per_root_block_flags(table, p, rmap):
-    """Principal-block membership by differences, central characters rebuilt per root."""
+    """Principal-block membership by differences of rebuilt central characters."""
     flags = []
     for row in table.rows:
         flags.append(all(
@@ -300,54 +334,44 @@ def _per_root_block_flags(table, p, rmap):
 
 
 class TestSharedDifferences:
-    @pytest.mark.parametrize("name", ALL_GROUPS)
-    def test_verdicts_match_per_root_arithmetic(self, group_factory, table_factory, name):
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS)
+    def test_verdicts_match_per_root_arithmetic(self, table_factory, spec_tables, name):
         # the verdicts compare images; a zero image of the difference is the
-        # same statement because reduction mod M is a ring map
-        group, cd = group_factory(name)
-        table = table_factory(name)
-        for p in prime_factors(group.order):
-            base = build_reduction(group.exponent, p)
-            for eta in candidate_roots(group.exponent, p):
-                rmap = base._replace(eta=eta)
-                assert p_element_flags(table, rmap) == tuple(
-                    _per_root_is_p_element(i, p, table, rmap) for i in range(cd.k)
+        # same statement because the reduction is a ring map, and a
+        # difference in every maximal ideal over p vanishes at every root
+        table = spec_tables[name] if name in SPEC_GROUPS else table_factory(name)
+        k = table.data.k
+        for p in _primes(table):
+            rmap = build_reduction(table.data.exponent, p)
+            pel = p_element_flags(table, rmap)
+            blk = principal_block_members(table, rmap).member_flags
+            assert pel == tuple(_per_root_is_p_element(i, p, table, rmap) for i in range(k))
+            assert blk == _per_root_block_flags(table, p, rmap)
+            poly, roots = residue_roots(table.data.exponent, p)
+            for eta in roots:
+                assert pel == tuple(
+                    all(
+                        not any(horner((row.values[i] - row.degree).coeffs, eta, p, poly))
+                        for row in table.rows
+                    )
+                    for i in range(k)
                 )
-                assert principal_block_members(
-                    table, rmap
-                ).member_flags == _per_root_block_flags(table, p, rmap)
-
-
-def _congruent(z, n, rmap):
-    """Whether z = n mod M, by Horner evaluation of z at eta: no subtraction
-    of Cyclotomic values and no reduce_mod_M."""
-    image = horner(z.coeffs, rmap.eta, rmap.p, rmap.poly)
-    return image == (n % rmap.p,) + (0,) * (rmap.f - 1)
 
 
 class TestVerdictOracle:
-    @pytest.mark.parametrize("name", ALL_GROUPS)
-    def test_verdicts_match_oracle_zero_tests(self, group_factory, table_factory, name):
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS)
+    def test_verdicts_match_oracle_zero_tests(self, table_factory, spec_tables, name):
         # reduce_mod_M returns a tuple, truthy even when zero: a verdict that
         # tested a tuple's truth instead of comparing images would disagree
-        # with these zero tests
-        group, cd = group_factory(name)
-        table = table_factory(name)
-        sizes = table.data.sizes
-        for p in prime_factors(group.order):
-            base = build_reduction(group.exponent, p)
-            for eta in candidate_roots(group.exponent, p):
-                rmap = base._replace(eta=eta)
-                p_elements = [
-                    all(_congruent(row.values[i], row.degree, rmap) for row in table.rows)
-                    for i in range(cd.k)
-                ]
-                flags = tuple(
-                    all(
-                        _congruent(central_character(row, i), size, rmap)
-                        for i, size in enumerate(sizes)
-                    )
-                    for row in table.rows
-                )
-                assert p_element_flags(table, rmap) == tuple(p_elements)
-                assert principal_block_members(table, rmap).member_flags == flags
+        # with these zero tests.  A pair fails mod some maximal ideal over p
+        # iff it fails at some root: the witnesses are the union over roots
+        table = spec_tables[name] if name in SPEC_GROUPS else table_factory(name)
+        for p in _primes(table):
+            rmap = build_reduction(table.data.exponent, p)
+            report = principal_block_members(table, rmap)
+            verdicts = _root_verdicts(table, p)
+            for pel, members, _ in verdicts:
+                assert p_element_flags(table, rmap) == pel
+                assert report.member_flags == members
+            union = set().union(*(witnesses for _, _, witnesses in verdicts))
+            assert report.failures == tuple(sorted(union))

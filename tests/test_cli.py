@@ -309,6 +309,21 @@ class TestPElements:
         assert report["verdicts"]["tests_agree"] is True
         assert report["results"]["congruence_test"] == report["results"]["direct_order_test"]
 
+    def test_m11_p3_finishes(self, tmp_path):
+        # M11 at p = 3 once needed GF(3^20), over the old 2^20-element cap
+        spec = {"name": "M11", "degree": 11, "generators": [
+            "(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)",
+        ]}
+        path = tmp_path / "m11.json"
+        path.write_text(json.dumps(spec))
+        proc = run_module(
+            ["pelements", "--spec-file", str(path), "-p", "3", "--cap", "8000"], timeout=5.0
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["verdicts"] == {"tests_agree": True}
+        assert report["results"]["residue_field"] == {"p": 3, "degree": 20, "order_of_root": 440}
+
 
 class TestBlocks:
     def test_s3_p3(self, capsys):
@@ -335,18 +350,26 @@ class TestBlocks:
         assert report["results"]["members"] == [0]
         assert report["verdicts"] == {"all_characters_in_block": False}
 
-    def test_large_prime_field_rejected(self):
+    def test_large_prime_finishes(self):
+        # no residue field is built, so no p is too large for the reduction;
+        # p does not divide |S3|, so the trivial character is alone
         proc = run_module(["blocks", "--group", "S3", "-p", LARGE_PRIME], timeout=2.0)
-        assert proc.returncode == 6
-        assert "cap" in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["members"] == [0]
 
-    def test_residue_field_above_cap_rejected(self, s5_table):
-        # p = 10007 needs GF(10007^4): refused before any search
+    @pytest.mark.parametrize("command", ["blocks", "pelements"])
+    def test_former_field_cap_inputs_finish(self, s5_table, command):
+        # p = 10007 once needed GF(10007^4), over the old 2^20-element cap
         proc = run_module(
-            ["blocks", "--group", "S5", "-p", "10007", "--table-file", s5_table], timeout=2.0
+            [command, "--group", "S5", "-p", "10007", "--table-file", s5_table], timeout=2.0
         )
-        assert proc.returncode == 6
-        assert "cap" in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        if command == "blocks":
+            assert report["results"]["members"] == [0]
+        else:
+            assert report["verdicts"] == {"tests_agree": True}
+            assert report["results"]["p_element_classes"] == [0]
 
 
 class TestCounterexample:
@@ -623,6 +646,14 @@ BENCH_SPECS = os.path.join(
         ("counterexample --group S5 -p 5", "aadf31345fe1f4fe"),
         ("counterexample --spec-file {specs}/S6.json -p 3", "92644d17d4b333f8"),
         ("counterexample --spec-file {specs}/GL32.json -p 7", "48443a4bbb898f7f"),
+        ("blocks --spec-file {specs}/A6.json -p 2", "11a317db21cd49d7"),
+        ("blocks --group A5 -p 7", "c02cfe65d63f233c"),
+        ("blocks --group C5 -p 7", "654d114cbffd27c4"),
+        ("pelements --spec-file {specs}/GL32.json -p 7", "1a9d70b3102edcf8"),
+        ("counterexample --group S3 -p 3", "61d29f83ca859644"),
+        # the witnesses that fail mod some maximal ideal over 11: 36 pairs,
+        # where reduction mod one ideal found 34 (9c865eba4d2b76f9)
+        ("blocks --spec-file {specs}/A6.json -p 11", "1aac005e70166df0"),
     ],
 )
 def test_output_bytes_pinned(capsys, tmp_path, argv, digest):
@@ -677,12 +708,17 @@ ARGUMENT_PARSER = {"argparse", "gettext", "locale"}
     [
         "recover", "recover --real", "gamma -n 4", "defect -p 3 -n 3",
         "pelements -p 5", "blocks -p 5", "counterexample -p 5", "table",
+        "recover --spec-file S6.json",
     ],
 )
 def test_command_imports_only_what_it_runs(tmp_path, command):
-    path = tmp_path / "s5.json"
-    assert main(["table", "--group", "S5", "--save", str(path)]) == 0
-    imported = _imports([*command.split(), "--group", "S5", "--table-file", str(path)])
+    words = command.split()
+    source = ["--group", "S5"]
+    if "--spec-file" in words:
+        source = [words.pop(-2), os.path.join(BENCH_SPECS, words.pop())]
+    path = tmp_path / "table.json"
+    assert main(["table", *source, "--save", str(path)]) == 0
+    imported = _imports([*words, *source, "--table-file", str(path)])
     assert "chartab.tables" in imported
     # a loaded table needs no Dixon-Schneider split, and size recovery
     # solves on ints
@@ -699,7 +735,23 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
         unused.add("chartab.duality")
     else:
         unused |= {"chartab.blocks", "chartab.reduction", "chartab.finite_field"}
+    if source[0] == "--spec-file":
+        # only the bundled catalog is read through importlib.resources
+        unused |= {"importlib.resources", "zipfile"}
     assert not imported & unused
+
+
+def test_closed_stdout_is_not_an_error():
+    # the reader of stdout goes away at once, as `chartab verify | head -0` would
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chartab", "verify"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 141
+    assert b"error:" not in err and b"Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", ["classes --group S5", "verify --group S3"])

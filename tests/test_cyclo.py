@@ -253,6 +253,16 @@ class TestCanonicalForm:
             Cyclotomic.from_rational(6, Fraction(1, 3))
         assert not root_power(6, 1).is_rational()
 
+    @pytest.mark.parametrize("attr", ["e", "coeffs", "new_attribute"])
+    def test_immutable(self, attr):
+        # neither set nor deleted: a value without its order or coefficients is broken
+        z = root_power(6, 1)
+        with pytest.raises(AttributeError):
+            setattr(z, attr, 12)
+        with pytest.raises(AttributeError):
+            delattr(z, attr)
+        assert (z.e, z.coeffs) == (6, (0, 1))
+
 
 class TestSerialization:
     def test_round_trip(self):

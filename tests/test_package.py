@@ -12,7 +12,7 @@ def test_every_exported_name_is_its_module_attribute():
 
 
 def test_namespace_lists_and_star_imports_the_exports():
-    assert len(chartab.__all__) == 59
+    assert len(chartab.__all__) == 57
     assert set(chartab.__all__) <= set(dir(chartab))
     namespace = {}
     exec("from chartab import *", namespace)
