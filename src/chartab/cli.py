@@ -38,7 +38,7 @@ from .groups import (
     load_catalog,
     load_group_spec,
 )
-from .tables import compute_table, load_table, save_table, table_to_dict
+from .tables import CharacterTable, compute_table, load_table, save_table, table_to_dict
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -64,8 +64,16 @@ def _resolve_group(args):
     return group, conjugacy_data(group)
 
 
-def _resolve_table(args, group, cd):
-    path = getattr(args, "table_file", None)
+def _resolve_table(args):
+    """The table a table command reads: a --table-file alone is the whole input.
+
+    A named group is enumerated to compute its table or to vouch for the file,
+    which must then hold the group's class data; the table takes its name.
+    """
+    path = args.table_file
+    if args.group is None and args.spec_file is None:
+        return load_table(path)
+    group, cd = _resolve_group(args)
     if path is None:
         return compute_table(group, cd)
     table = load_table(path)
@@ -73,15 +81,15 @@ def _resolve_table(args, group, cd):
         raise FormatError(
             f"table file {path!r} does not match the class data of group {group.name!r}"
         )
-    return table
+    return CharacterTable(group.name, table.data, table.rows, table.provenance)
 
 
-def _report(command, group, provenance, inputs, results, verdicts=None):
+def _report(command, table, inputs, results, verdicts=None):
     return {
         "command": command,
-        "group": group.name,
-        "order": group.order,
-        "table_provenance": provenance,
+        "group": table.group_name,
+        "order": table.data.order,
+        "table_provenance": table.provenance,
         "inputs": inputs,
         "results": results,
         "verdicts": verdicts or {},
@@ -143,35 +151,32 @@ def _cmd_classes(args):
         "real_flags": list(data.real_flags),
         "exponent": data.exponent,
     }
-    report = _report("classes", group, None, {}, results)
+    report = {
+        "command": "classes", "group": group.name, "order": group.order,
+        "table_provenance": None, "inputs": {}, "results": results, "verdicts": {},
+    }
     _emit(report, args.human)
     return EXIT_OK
 
 
 def _cmd_table(args):
-    group, cd = _resolve_group(args)
-    table = _resolve_table(args, group, cd)
+    table = _resolve_table(args)
     if args.save:
         save_table(table, args.save)
     results = table_to_dict(table)
     results["degrees"] = list(table.degrees)
     if args.human:
-        print(f"group: {group.name}  order: {group.order}  source: {table.provenance}")
+        print(f"group: {table.group_name}  order: {table.data.order}  source: {table.provenance}")
         print(f"class sizes:  {' '.join(str(s) for s in table.data.sizes)}")
         print(f"rep orders:   {' '.join(str(o) for o in table.data.rep_orders)}")
-        width = max(
-            len(str(v)) for row in table.rows for v in row.values
-        )
+        width = max(len(str(v)) for row in table.rows for v in row.values)
         for i, row in enumerate(table.rows):
             cells = " ".join(str(v).rjust(width) for v in row.values)
             print(f"X{i}: {cells}")
         if args.save:
             print(f"saved to {args.save}")
         return EXIT_OK
-    report = _report(
-        "table", group, table.provenance,
-        {"saved_to": args.save}, results,
-    )
+    report = _report("table", table, {"saved_to": args.save}, results)
     _emit(report, False)
     return EXIT_OK
 
@@ -179,9 +184,8 @@ def _cmd_table(args):
 def _cmd_gamma(args):
     from .classfuncs import check_power, delta, gamma
 
-    group, cd = _resolve_group(args)
     check_power(args.n)
-    table = _resolve_table(args, group, cd)
+    table = _resolve_table(args)
     gammas = [gamma(args.n, row) for row in table.rows]
     deltas = [delta(args.n, row) for row in table.rows]
     results = {
@@ -190,7 +194,7 @@ def _cmd_gamma(args):
         "gamma": gammas,
         "delta": deltas,
     }
-    report = _report("gamma", group, table.provenance, {"n": args.n}, results)
+    report = _report("gamma", table, {"n": args.n}, results)
     _emit(report, args.human)
     return EXIT_OK
 
@@ -205,23 +209,22 @@ def _cmd_recover(args):
         recover_real_class_sizes,
     )
 
-    group, cd = _resolve_group(args)
     if args.extra_terms < 0:
         raise ValueError(f"--extra-terms must be at least 0, got {args.extra_terms}")
-    length = len(divisors(group.order)) + args.extra_terms
-    check_length(length)
-    table = _resolve_table(args, group, cd)
-    data = cd.data
+    check_length(1 + args.extra_terms)  # every order has at least one divisor
+    table = _resolve_table(args)
+    data = table.data
+    length = len(divisors(data.order)) + args.extra_terms
     if args.real:
         seq = delta_sequence(table, length)
-        spectrum = recover_real_class_sizes(seq, group.order)
+        spectrum = recover_real_class_sizes(seq, data.order)
         actual = SizeSpectrum.from_sizes(
-            group.order, [s for s, r in zip(data.sizes, data.real_flags) if r]
+            data.order, [s for s, r in zip(data.sizes, data.real_flags) if r]
         )
     else:
         seq = gamma_sequence(table, length)
-        spectrum = recover_class_sizes(seq, group.order)
-        actual = SizeSpectrum.from_sizes(group.order, data.sizes)
+        spectrum = recover_class_sizes(seq, data.order)
+        actual = SizeSpectrum.from_sizes(data.order, data.sizes)
     results = {
         "real": args.real,
         "sequence": seq,
@@ -229,7 +232,7 @@ def _cmd_recover(args):
         "actual_spectrum": [list(pair) for pair in actual.counts],
     }
     verdicts = {"matches_group": spectrum == actual}
-    report = _report("recover", group, table.provenance, {"real": args.real}, results, verdicts)
+    report = _report("recover", table, {"real": args.real}, results, verdicts)
     _emit(report, args.human)
     return EXIT_OK
 
@@ -242,34 +245,31 @@ def _require_prime(p):
 def _cmd_defect(args):
     from .duality import defect_zero_by_characters
 
-    group, cd = _resolve_group(args)
     _require_prime(args.p)
-    table = _resolve_table(args, group, cd)
+    table = _resolve_table(args)
     results = defect_zero_by_characters(table, args.p, args.n, args.real).as_dict()
     verdicts = results.pop("verdicts")
     report = _report(
-        "defect", group, table.provenance,
-        {"p": args.p, "n": args.n, "real": args.real},
-        {"group": group.name, **results}, verdicts,
+        "defect", table, {"p": args.p, "n": args.n, "real": args.real},
+        {"group": table.group_name, **results}, verdicts,
     )
     _emit(report, args.human)
     return EXIT_OK
 
 
 def _resolve_reduction(args):
-    """The group, its table and the reduction map mod the ideals over `-p`."""
+    """The table and the reduction map mod the ideals over `-p`."""
     from .reduction import build_reduction
 
-    group, cd = _resolve_group(args)
     _require_prime(args.p)
-    table = _resolve_table(args, group, cd)
-    return group, table, build_reduction(group.exponent, args.p)
+    table = _resolve_table(args)
+    return table, build_reduction(table.data.exponent, args.p)
 
 
 def _cmd_pelements(args):
     from .blocks import p_element_flags
 
-    group, table, rmap = _resolve_reduction(args)
+    table, rmap = _resolve_reduction(args)
     congruence = list(p_element_flags(table, rmap))
     direct = [p_part(order, args.p) == order for order in table.data.rep_orders]
     results = {
@@ -280,9 +280,7 @@ def _cmd_pelements(args):
         "p_element_classes": [i for i, f in enumerate(congruence) if f],
     }
     verdicts = {"tests_agree": congruence == direct}
-    report = _report(
-        "pelements", group, table.provenance, {"p": args.p}, results, verdicts
-    )
+    report = _report("pelements", table, {"p": args.p}, results, verdicts)
     _emit(report, args.human)
     return EXIT_OK
 
@@ -290,11 +288,11 @@ def _cmd_pelements(args):
 def _cmd_blocks(args):
     from .blocks import principal_block_members
 
-    group, table, rmap = _resolve_reduction(args)
+    table, rmap = _resolve_reduction(args)
     rep = principal_block_members(table, rmap)
-    results = {"group": group.name, **rep.as_dict(), "degrees": list(table.degrees)}
+    results = {"group": table.group_name, **rep.as_dict(), "degrees": list(table.degrees)}
     report = _report(
-        "blocks", group, table.provenance, {"p": args.p}, results,
+        "blocks", table, {"p": args.p}, results,
         {"all_characters_in_block": len(rep.members) == table.data.k},
     )
     _emit(report, args.human)
@@ -304,18 +302,15 @@ def _cmd_blocks(args):
 def _cmd_counterexample(args):
     from .blocks import alt_normalizer_report, principal_block_members, strunkov_analog_gamma
 
-    group, table, rmap = _resolve_reduction(args)
+    table, rmap = _resolve_reduction(args)
     if args.alt_normalizer:
-        results = {"group": group.name, **alt_normalizer_report(table, rmap).as_dict()}
-        report = _report(
-            "counterexample", group, table.provenance,
-            {"p": args.p, "alt_normalizer": True}, results,
-        )
+        results = {"group": table.group_name, **alt_normalizer_report(table, rmap).as_dict()}
+        report = _report("counterexample", table, {"p": args.p, "alt_normalizer": True}, results)
         _emit(report, args.human)
         return EXIT_OK
     block = principal_block_members(table, rmap).members
     values = [strunkov_analog_gamma(table, row, block) for row in table.rows]
-    bound = args.p * p_part(group.order, args.p)
+    bound = args.p * p_part(table.data.order, args.p)
     results = {
         "p": args.p,
         "principal_block": list(block),
@@ -324,9 +319,7 @@ def _cmd_counterexample(args):
         "residues": [v % bound for v in values],
     }
     verdicts = {"all_divisible": all(v % bound == 0 for v in values)}
-    report = _report(
-        "counterexample", group, table.provenance, {"p": args.p}, results, verdicts
-    )
+    report = _report("counterexample", table, {"p": args.p}, results, verdicts)
     _emit(report, args.human)
     return EXIT_OK
 
@@ -449,8 +442,10 @@ def _parse(argv):
             raise _UsageError(command, f"{flag} expects an int, got {value!r}") from None
     if command is None:
         raise _UsageError(None, "a command is required")
-    if "--spec-file" in options and ("--group" in values) == ("--spec-file" in values):
-        raise _UsageError(command, "exactly one of --group and --spec-file is required")
+    named = ("--group" in values) + ("--spec-file" in values)
+    if "--spec-file" in options and named != 1 and (named or "--table-file" not in values):
+        alone = ", or --table-file alone" if "--table-file" in options else ""
+        raise _UsageError(command, f"give one of --group and --spec-file{alone}")
     args = SimpleNamespace()
     for flag, _, default, _ in options.values():
         if default is REQUIRED and flag not in values:

@@ -9,9 +9,8 @@ integer iff only coefficient 0 is nonzero.  Character values are algebraic
 integers, so the ring never needs a denominator; a non-integer coefficient
 raises NonIntegralValueError, and division is exact or an error.
 
-Cyclotomic polynomials are computed by exact division of x^e - 1 by the
-product of the cyclotomic polynomials of the proper divisors of e, so no
-factorization machinery is needed.
+Cyclotomic polynomials come in closed form, from products and exact
+quotients of binomials x^d - 1, so no polynomial factorization is needed.
 """
 
 from __future__ import annotations
@@ -19,24 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .arith import divisors, euler_phi
+from .arith import euler_phi, prime_factors
 from .errors import FormatError, NonIntegralValueError, OrderMismatchError
-
-
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of num by monic den over Z; remainder must vanish."""
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        out[i - dn] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i - dn + j] -= c * d
-    if any(num[:dn]):
-        raise AssertionError("inexact polynomial division")
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -44,15 +27,32 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Integer coefficients of the e-th cyclotomic polynomial, constant term first.
 
     The result is monic of degree phi(e): the minimal polynomial of a
-    primitive e-th root of unity.
+    primitive e-th root of unity.  With r the product of the primes dividing
+    e, Phi_e(x) = Phi_r(x^(e/r)), and by Moebius inversion of
+    x^r - 1 = prod_{d | r} Phi_d(x), Phi_r is the product of
+    (x^d - 1)^mu(r/d) over the divisors d of r: the binomials with
+    mu(r/d) = 1 are multiplied in first, then those with mu(r/d) = -1 are
+    divided out exactly.
     """
     if e < 1:
         raise ValueError(f"order must be positive, got {e}")
-    poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1
-    for d in divisors(e):
-        if d != e:
-            poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+    binomials = [(1, 1)]  # (d, mu(r/d)) for d | r, r over the primes taken so far
+    for p in prime_factors(e):
+        binomials = [(d * p, mu) for d, mu in binomials] + [(d, -mu) for d, mu in binomials]
+    r = binomials[0][0]
+    poly = [1]
+    for d, mu in binomials:
+        if mu == 1:  # times x^d - 1
+            poly = [b - a for a, b in zip(poly + [0] * d, [0] * d + poly)]
+    for d, mu in binomials:
+        if mu == -1:  # the q with poly = (x^d - 1) q: q_i = q_(i-d) - poly_i
+            q = [0] * d
+            for c in poly[: len(poly) - d]:
+                q.append(q[-d] - c)
+            poly = q[d:]
+    out = [0] * ((len(poly) - 1) * (e // r) + 1)
+    out[:: e // r] = poly
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -206,12 +206,16 @@ def verify_catalog(names=None) -> list[CheckResult]:
     results = []
     for name in names:
         spec = specs[name]
-        group = enumerate_group(spec)
-        cd = conjugacy_data(group)
-        table = compute_table(group, cd)
+        try:
+            group = enumerate_group(spec)
+            cd = conjugacy_data(group)
+            table = compute_table(group, cd)
+            failed = ""
+        except Exception as exc:  # a group that cannot be set up fails every check
+            failed = f"{type(exc).__name__}: {exc}"
         for check_name, fn in _CHECKS:
             try:
-                detail = fn(spec, group, cd, table)
+                detail = failed or fn(spec, group, cd, table)
             except Exception as exc:  # a raising check is a failing check
                 detail = f"{type(exc).__name__}: {exc}"
             results.append(

@@ -69,6 +69,29 @@ def spec_tables():
     return out
 
 
+# -- a cyclotomic-polynomial oracle: exact division by the lower ones ------
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(e):
+    """Phi_e as x^e - 1 divided exactly by Phi_d for every proper divisor d of e."""
+    poly = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d:
+            continue
+        den = cyclotomic_by_division(d)
+        top = len(den) - 1
+        quotient = [0] * (len(poly) - top)
+        for i in range(len(poly) - 1, top - 1, -1):
+            c = quotient[i - top] = poly[i]
+            if c:
+                for j, dj in enumerate(den):
+                    poly[i - top + j] -= c * dj
+        assert not any(poly), "inexact polynomial division"
+        poly = quotient
+    return tuple(poly)
+
+
 # -- a class-function oracle: pointwise arithmetic and the inner product ----
 
 

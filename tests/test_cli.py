@@ -5,17 +5,19 @@ import json
 import operator
 import os
 import re
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import chartab
-from chartab import cli
+from chartab import cli, groups
 from chartab.arith import MR_LIMIT
 from chartab.classfuncs import MAX_POWER
 from chartab.cli import main
 from chartab.groups import MAX_DEGREE
+from chartab.tables import save_table
 
 from conftest import MISTYPED_FIELDS
 
@@ -171,7 +173,25 @@ class TestTable:
         code = main(["table", "--group", "S3", "--human"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "X0" in out and "class sizes" in out
+        assert out == (
+            "group: S3  order: 6  source: computed (dixon prime 7)\n"
+            "class sizes:  1 2 3\n"
+            "rep orders:   1 3 2\n"
+            "X0:  1  1  1\n"
+            "X1:  1  1 -1\n"
+            "X2:  2 -1  0\n"
+        )
+
+    def test_trivial_group_round_trip(self, capsys, tmp_path):
+        # the one table of exponent 1
+        path = tmp_path / "trivial.json"
+        assert main(["table", "--group", "trivial", "--save", str(path)]) == 0
+        capsys.readouterr()
+        for source in ([], ["--group", "trivial"]):
+            code, report = run_json(capsys, ["recover", *source, "--table-file", str(path)])
+            assert code == 0
+            assert report["results"]["recovered_spectrum"] == [[1, 1]]
+            assert report["verdicts"]["matches_group"] is True
 
 
 # (group, path to an entry 1 of its saved table that is rewritten as true)
@@ -498,6 +518,7 @@ class TestUsage:
             "table --group S3 --spec-file s.json",
             "table",
             "table --cap 10",
+            "gamma -n 2 --group S3 --spec-file s.json --table-file t.json",
         ],
     )
     def test_usage_error_exits_2(self, argv):
@@ -667,6 +688,69 @@ def test_output_bytes_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+def _bench_workloads():
+    """The job lists of the benchmark, bench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(os.path.dirname(BENCH_SPECS), "workloads.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+# the bench jobs that read a saved table, each naming its group as well
+TABLE_JOBS = [
+    job.argv for name in ("multiplicity", "congruence") for job in _bench_workloads()[name].jobs
+]
+
+
+@pytest.fixture(scope="module")
+def bench_work(tmp_path_factory, table_factory, spec_tables):
+    """A work directory laid out as the bench's: the spec files and the saved tables."""
+    work = tmp_path_factory.mktemp("work")
+    shutil.copytree(BENCH_SPECS, work / "specs")
+    (work / "tables").mkdir()
+    for name in ("S3", "D12", "C5", "A5", "S5"):
+        save_table(table_factory(name), work / "tables" / f"{name}.json")
+    for name, table in spec_tables.items():
+        save_table(table, work / "tables" / f"{name}.json")
+    return work
+
+
+def _forbid_groups(monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("a group was looked up or enumerated")
+
+    for module in (cli, groups):
+        for name in ("load_catalog", "enumerate_group", "conjugacy_data"):
+            monkeypatch.setattr(module, name, enumerated)
+
+
+class TestTableOnly:
+    @pytest.mark.parametrize("argv", TABLE_JOBS, ids=" ".join)
+    def test_prints_what_the_group_form_prints(self, capsys, monkeypatch, bench_work, argv):
+        monkeypatch.chdir(bench_work)
+        assert main(argv) == 0
+        named = capsys.readouterr().out
+        i = next(i for i, w in enumerate(argv) if w in ("--group", "--spec-file"))
+        _forbid_groups(monkeypatch)
+        assert main(argv[:i] + argv[i + 2:]) == 0
+        assert capsys.readouterr().out == named
+
+    @pytest.mark.parametrize(
+        "command",
+        ["table", "gamma -n 2", "recover", "defect -p 3", "pelements -p 3", "blocks -p 3",
+         "counterexample -p 3"],
+    )
+    def test_enumerates_no_group(self, capsys, monkeypatch, bench_work, command):
+        _forbid_groups(monkeypatch)
+        argv = [*command.split(), "--table-file", str(bench_work / "tables" / "S3.json")]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert (report["group"], report["order"]) == ("S3", 6)
+
+
 def test_runtime_is_stdlib_only():
     # -S keeps site-packages off the path and skips .pth start-up imports;
     # the star import loads every module of the lazy package namespace
@@ -708,7 +792,7 @@ ARGUMENT_PARSER = {"argparse", "gettext", "locale"}
     [
         "recover", "recover --real", "gamma -n 4", "defect -p 3 -n 3",
         "pelements -p 5", "blocks -p 5", "counterexample -p 5", "table",
-        "recover --spec-file S6.json",
+        "recover --spec-file S6.json", "recover --table-file",
     ],
 )
 def test_command_imports_only_what_it_runs(tmp_path, command):
@@ -718,6 +802,9 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
         source = [words.pop(-2), os.path.join(BENCH_SPECS, words.pop())]
     path = tmp_path / "table.json"
     assert main(["table", *source, "--save", str(path)]) == 0
+    if "--table-file" in words:  # the file alone, with no group to vouch for it
+        words.remove("--table-file")
+        source = []
     imported = _imports([*words, *source, "--table-file", str(path)])
     assert "chartab.tables" in imported
     # a loaded table needs no Dixon-Schneider split, and size recovery
@@ -735,7 +822,7 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
         unused.add("chartab.duality")
     else:
         unused |= {"chartab.blocks", "chartab.reduction", "chartab.finite_field"}
-    if source[0] == "--spec-file":
+    if source[:1] != ["--group"]:
         # only the bundled catalog is read through importlib.resources
         unused |= {"importlib.resources", "zipfile"}
     assert not imported & unused

@@ -13,6 +13,8 @@ from chartab.cyclo import (
 )
 from chartab.errors import FormatError, NonIntegralValueError, OrderMismatchError
 
+from conftest import cyclotomic_by_division
+
 
 def eval_poly_at_root(poly, e):
     total = Cyclotomic.zero(e)
@@ -30,7 +32,7 @@ class TestCyclotomicPolynomial:
         assert cyclotomic_polynomial(4) == (1, 0, 1)  # x^2 + 1
 
     def test_order_six(self):
-        # exact division of x^6 - 1 by the lower cyclotomic polynomials
+        # (x^6 - 1)(x - 1) / ((x^3 - 1)(x^2 - 1))
         assert cyclotomic_polynomial(6) == (1, -1, 1)  # x^2 - x + 1
 
     def test_degree_is_totient(self):
@@ -48,6 +50,14 @@ class TestCyclotomicPolynomial:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             cyclotomic_polynomial(0)
+
+    def test_closed_form_matches_exact_division_up_to_400(self):
+        for e in range(1, 401):
+            assert cyclotomic_polynomial(e) == cyclotomic_by_division(e), e
+
+    @pytest.mark.parametrize("e", [840, 1260, 1320])
+    def test_closed_form_matches_exact_division(self, e):
+        assert cyclotomic_polynomial(e) == cyclotomic_by_division(e)
 
 
 class TestRootPower:
@@ -299,3 +309,9 @@ class TestSerialization:
     def test_missing_keys_rejected(self):
         with pytest.raises(FormatError):
             Cyclotomic.from_dict({"e": 6, "num": [1, 0]})
+
+
+class TestDisplay:
+    def test_negative_leading_term_keeps_its_sign(self):
+        assert str(Cyclotomic(3, [-1, -1])) == "-1 - E(3)"
+        assert str(-root_power(5, 2)) == "-E(5)^2"

@@ -1,9 +1,11 @@
+import json
 import os
 
 import pytest
 
 from chartab import blocks, classfuncs, duality, groups, tables, verify
 from chartab.arith import divisors
+from chartab.cli import main
 from chartab.classfuncs import ClassFunction
 from chartab.cyclo import root_power
 from chartab.duality import SizeSpectrum, recover_class_sizes, recover_real_class_sizes
@@ -171,6 +173,23 @@ def test_table_integrity_reports_a_builder_error(monkeypatch):
     row = _row(verify.verify_catalog(["S3"]), "table-integrity")
     assert not row.ok
     assert row.detail == "TableIntegrityError: eigenvector vanishes at the identity class"
+
+
+def test_a_group_whose_table_fails_fails_every_row(monkeypatch, capsys):
+    honest = verify.compute_table
+
+    def failing_for_s3(group, cd):
+        if group.name == "S3":
+            raise TableIntegrityError("orthogonality violated")
+        return honest(group, cd)
+
+    monkeypatch.setattr(verify, "compute_table", failing_for_s3)
+    assert main(["verify"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 126
+    failed = [check for check in checks if not check["ok"]]
+    assert [check["group"] for check in failed] == ["S3"] * 9
+    assert {check["detail"] for check in failed} == {"TableIntegrityError: orthogonality violated"}
 
 
 def test_one_validation_per_table(monkeypatch):
