@@ -72,6 +72,8 @@ def _resolve_table(args):
     """
     path = args.table_file
     if args.group is None and args.spec_file is None:
+        if args.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {args.cap}")
         return load_table(path)
     group, cd = _resolve_group(args)
     if path is None:
@@ -300,27 +302,25 @@ def _cmd_blocks(args):
 
 
 def _cmd_counterexample(args):
-    from .blocks import alt_normalizer_report, principal_block_members, strunkov_analog_gamma
+    from .blocks import alt_normalizer_report
 
     table, rmap = _resolve_reduction(args)
+    alt = alt_normalizer_report(table, rmap)
     if args.alt_normalizer:
-        results = {"group": table.group_name, **alt_normalizer_report(table, rmap).as_dict()}
-        report = _report("counterexample", table, {"p": args.p, "alt_normalizer": True}, results)
-        _emit(report, args.human)
-        return EXIT_OK
-    block = principal_block_members(table, rmap).members
-    values = [strunkov_analog_gamma(table, row, block) for row in table.rows]
-    bound = args.p * p_part(table.data.order, args.p)
-    results = {
-        "p": args.p,
-        "principal_block": list(block),
-        "gamma_psi": values,
-        "modulus": bound,
-        "residues": [v % bound for v in values],
-    }
-    verdicts = {"all_divisible": all(v % bound == 0 for v in values)}
-    report = _report("counterexample", table, {"p": args.p}, results, verdicts)
-    _emit(report, args.human)
+        inputs = {"p": args.p, "alt_normalizer": True}
+        results, verdicts = {"group": table.group_name, **alt.as_dict()}, None
+    else:
+        inputs = {"p": args.p}
+        bound = alt.p_times_order_p_part
+        results = {
+            "p": args.p,
+            "principal_block": list(alt.block),
+            "gamma_psi": list(alt.gamma_values),
+            "modulus": bound,
+            "residues": [v % bound for v in alt.gamma_values],
+        }
+        verdicts = {"all_divisible": all(alt.divisible_by_p_times_p_part)}
+    _emit(_report("counterexample", table, inputs, results, verdicts), args.human)
     return EXIT_OK
 
 

@@ -6,8 +6,9 @@ basis is an integral basis of the ring of integers of Q(eps_e), so every
 algebraic integer of the field has exactly one such form: two values are
 equal iff their coefficient tuples are equal, and a value is a rational
 integer iff only coefficient 0 is nonzero.  Character values are algebraic
-integers, so the ring never needs a denominator; a non-integer coefficient
-raises NonIntegralValueError, and division is exact or an error.
+integers, so the ring never needs a denominator: coefficients and scalar
+operands are ints, any other coefficient raises NonIntegralValueError, and
+division is exact or an error.
 
 Cyclotomic polynomials come in closed form, from products and exact
 quotients of binomials x^d - 1, so no polynomial factorization is needed.
@@ -85,33 +86,20 @@ def _reduce(e: int, poly: list[int]) -> tuple[int, ...]:
     return tuple(poly[:d])
 
 
-def _rational(x) -> bool:
-    """Whether x is a Rational; only an x other than an int imports `numbers`."""
-    if type(x) is int:
-        return True
-    from numbers import Rational
-
-    return isinstance(x, Rational)
-
-
-def _integer(c) -> int:
-    if _rational(c) and c.denominator == 1:
-        return int(c)
-    raise NonIntegralValueError(f"coefficient {c} is not an integer")
-
-
 def _integers(coeffs) -> list[int]:
     cs = list(coeffs)
-    if all(type(c) is int for c in cs):
-        return cs
-    return [_integer(c) for c in cs]
+    for c in cs:
+        if type(c) is not int:
+            raise NonIntegralValueError(f"coefficient {c} is not an integer")
+    return cs
 
 
 class Cyclotomic:
     """Immutable element of Z[eps_e] in canonical power-basis form.
 
-    Coefficients must be integers (ints, or rationals with denominator 1);
-    anything else raises NonIntegralValueError.
+    Coefficients must be ints; anything else raises NonIntegralValueError.
+    The other operand of +, -, * and == is a Cyclotomic of the same order
+    or an int.
     """
 
     __slots__ = ("e", "coeffs")
@@ -150,10 +138,8 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, e: int, r) -> "Cyclotomic":
-        """The rational integer r; NonIntegralValueError for any other rational."""
-        cs = [0] * euler_phi(e)
-        cs[0] = _integer(r)
-        return cls._make(e, tuple(cs))
+        """The int r; NonIntegralValueError for anything else."""
+        return cls._make(e, tuple(_integers([r]) + [0] * (euler_phi(e) - 1)))
 
     @classmethod
     def from_poly(cls, e: int, coeffs) -> "Cyclotomic":
@@ -177,10 +163,6 @@ class Cyclotomic:
             )
         if type(other) is int:
             return Cyclotomic._make(self.e, (self.coeffs[0] + other,) + self.coeffs[1:])
-        if _rational(other):
-            cs = list(self.coeffs)
-            cs[0] += other
-            return Cyclotomic(self.e, cs)
         return NotImplemented
 
     __radd__ = __add__
@@ -191,7 +173,7 @@ class Cyclotomic:
     def __sub__(self, other):
         if type(other) is int:
             return Cyclotomic._make(self.e, (self.coeffs[0] - other,) + self.coeffs[1:])
-        if isinstance(other, Cyclotomic) or _rational(other):
+        if isinstance(other, Cyclotomic):
             return self + (-other)
         return NotImplemented
 
@@ -211,8 +193,6 @@ class Cyclotomic:
             return Cyclotomic._make(self.e, _reduce(self.e, conv))
         if type(other) is int:
             return Cyclotomic._make(self.e, tuple(c * other for c in self.coeffs))
-        if _rational(other):
-            return Cyclotomic(self.e, [c * other for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -238,7 +218,7 @@ class Cyclotomic:
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
             return self.e == other.e and self.coeffs == other.coeffs
-        if _rational(other):
+        if type(other) is int:
             return self.is_rational() and self.coeffs[0] == other
         return NotImplemented
 

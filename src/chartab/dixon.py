@@ -221,7 +221,7 @@ def _build_table(group: Group, cd: ConjugacyData, prime: int | None) -> Characte
     """
     data = cd.data
     k = cd.k
-    e = group.exponent
+    e = data.exponent
     if prime is None:
         q = dixon_prime(e, group.order)
     elif _admissible(prime, e, group.order):

@@ -8,7 +8,10 @@ first); inverses are looked up once in `Group.inverse_index`.  A conjugacy
 class is the orbit of an element under conjugation by the generators, found
 breadth-first in |G| * |gens| conjugations.  Classes are ordered by (size,
 smallest member), so the identity class is always class 0 and two runs over
-the same spec produce identical orderings.  Commutator counts come from the
+the same spec produce identical orderings.  A `Group` holds only its elements,
+their index and their inverses; the class facts live in `ClassData`, and each
+class's order, inverse class and power map come from one walk x, x^2, ... back
+to 1 over the powers of its representative x.  Commutator counts come from the
 structure constants of the class sums, in k * |G| products, not |G|^2 pairs.
 """
 
@@ -144,9 +147,7 @@ class Group:
         self.generators = generators
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.order = len(self.elements)
-        # g^-1 sends g[x] back to x and has the order of g, so each inverse
-        # pair is looked up, and its order computed, once
-        orders = [0] * self.order
+        # g^-1 sends g[x] back to x, so each inverse pair is looked up once
         inverse_index = [-1] * self.order
         inv = [0] * len(self.elements[0])
         for i, g in enumerate(self.elements):
@@ -155,9 +156,6 @@ class Group:
                     inv[y] = x
                 j = self.index[tuple(inv)]
                 inverse_index[i], inverse_index[j] = j, i
-                orders[i] = orders[j] = lcm(*(len(c) for c in _cycles(g)))
-        self.element_orders = tuple(orders)
-        self.exponent = lcm(*orders)
         self.inverse_index = tuple(inverse_index)
 
     def mul(self, i: int, j: int) -> int:
@@ -195,7 +193,11 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
 
 
 class ClassData(NamedTuple):
-    """The class-level facts shared by class functions and character tables."""
+    """The class-level facts shared by class functions and character tables.
+
+    For a group they come from `ConjugacyData`'s walk over the powers of each
+    representative; a table file carries them and `load_table` checks them.
+    """
 
     order: int
     exponent: int
@@ -224,6 +226,10 @@ class ClassData(NamedTuple):
 class ConjugacyData:
     """Conjugacy classes of an enumerated group, ordered by (size, first member).
 
+    `data` comes from one walk per representative x: the classes of x, x^2,
+    ... up to the return to 1 give the order of x, its inverse class (the
+    last step) and its power-map row, repeated out to the exponent, the lcm
+    of the orders.  The walks take as many products as the orders sum to.
     Also holds each class matrix `class_matrix` has built for it.
     """
 
@@ -262,24 +268,23 @@ class ConjugacyData:
         self.representatives = tuple(m[0] for m in members)
         self.k = len(members)
         self._class_matrices: list[tuple[tuple[int, ...], ...] | None] = [None] * self.k
-        power_map = []
+        # row[t] is the class of x^t, t below the order of x
+        cycles = []
         for rep in self.representatives:
-            x = elements[rep]
-            cur = elements[0]
-            row = []
-            for _ in range(group.exponent):
-                row.append(self.class_of[index[cur]])
+            x = cur = elements[rep]
+            row = [0]
+            while cur != elements[0]:
+                row.append(class_of[index[cur]])
                 cur = _compose(cur, x)
-            power_map.append(tuple(row))
+            cycles.append(row)
+        exponent = lcm(*map(len, cycles))
         self.data = ClassData(
-            order=group.order,
-            exponent=group.exponent,
+            order=n,
+            exponent=exponent,
             sizes=tuple(len(m) for m in members),
-            rep_orders=tuple(group.element_orders[rep] for rep in self.representatives),
-            inverse_class=tuple(
-                self.class_of[group.inverse_index[rep]] for rep in self.representatives
-            ),
-            power_map=tuple(power_map),
+            rep_orders=tuple(map(len, cycles)),
+            inverse_class=tuple(row[-1] for row in cycles),
+            power_map=tuple(tuple(row * (exponent // len(row))) for row in cycles),
         )
 
     def __repr__(self):

@@ -80,8 +80,8 @@ def _check_table(
     # compute_table has already validated the table; what is left to check is
     # that a different Dixon prime gives the same table.  The second table is
     # not validated: equal to a valid table it is valid, and unequal it fails
-    q1 = dixon_prime(group.exponent, group.order)
-    q2 = dixon_prime(group.exponent, group.order, above=q1)
+    q1 = dixon_prime(table.data.exponent, group.order)
+    q2 = dixon_prime(table.data.exponent, group.order, above=q1)
     if _build_table(group, cd, prime=q2) != table:
         return f"table changed between primes {q1} and {q2}"
     return ""
@@ -144,7 +144,7 @@ def _check_congruences(
     spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
 ) -> str:
     for p in prime_factors(group.order):
-        rmap = build_reduction(group.exponent, p)
+        rmap = build_reduction(table.data.exponent, p)
         # p_element_flags raises on criterion disagreement, and
         # principal_block_members if the trivial character leaves the block
         p_element_flags(table, rmap)
@@ -174,7 +174,7 @@ def _check_counterexample(
     # the S3 / p=3 block-sum computation; exploratory elsewhere
     if group.name != "S3":
         return ""
-    report = alt_normalizer_report(table, build_reduction(group.exponent, 3))
+    report = alt_normalizer_report(table, build_reduction(table.data.exponent, 3))
     values = list(report.gamma_values)
     if sorted(values) != [153, 153, 279]:
         return f"block-sum values changed: {values}"

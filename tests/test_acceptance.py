@@ -63,7 +63,7 @@ def criterion(number, description, budget_seconds):
 def test_criterion_1_s3_counterexample_divisible_by_nine():
     with criterion(1, "S3 block-sum multiplicities are 153, 153, 279, all = 0 mod 9", 1.0):
         group, cd, table = prepared("S3")
-        rmap = build_reduction(group.exponent, 3)
+        rmap = build_reduction(cd.data.exponent, 3)
         block = principal_block_members(table, rmap).members
         values = [strunkov_analog_gamma(table, row, block) for row in table.rows]
         assert values == [153, 153, 279]
@@ -73,7 +73,7 @@ def test_criterion_1_s3_counterexample_divisible_by_nine():
 def test_criterion_2_s3_principal_block_is_everything():
     with criterion(2, "S3 principal 3-block contains all of Irr(S3)", 1.0):
         group, cd, table = prepared("S3")
-        report = principal_block_members(table, build_reduction(group.exponent, 3))
+        report = principal_block_members(table, build_reduction(cd.data.exponent, 3))
         assert report.members == tuple(range(table.data.k))
 
 
@@ -129,8 +129,8 @@ def test_criterion_6_table_integrity_for_whole_catalog():
             assert sum(d * d for d in table.degrees) == group.order, name
             for row in table.rows:
                 assert all(type(c) is int for v in row.values for c in v.coeffs), name
-            q1 = dixon_prime(group.exponent, group.order)
-            q2 = dixon_prime(group.exponent, group.order, above=q1)
+            q1 = dixon_prime(cd.data.exponent, group.order)
+            q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
             assert compute_table(group, cd, prime=q2) == table, name
 
 
@@ -171,7 +171,7 @@ def test_criterion_8_oracle_cross_checks():
             group, cd, table = prepared(name)
             for n, counts in enumerate(commutator_counts(cd, 2), start=1):
                 for c in range(cd.k):
-                    total = Cyclotomic.zero(group.exponent)
+                    total = Cyclotomic.zero(cd.data.exponent)
                     for row in table.rows:
                         total = total + row.values[c] * (
                             group.order // row.degree
@@ -180,4 +180,4 @@ def test_criterion_8_oracle_cross_checks():
                     assert counts[c] == formula, (name, n, c)
             for p in prime_factors(group.order):
                 # raises if the congruence and order tests disagree
-                p_element_flags(table, build_reduction(group.exponent, p))
+                p_element_flags(table, build_reduction(cd.data.exponent, p))

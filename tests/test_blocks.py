@@ -34,7 +34,7 @@ from conftest import (
 @pytest.fixture()
 def s3(group_factory, table_factory):
     group, cd = group_factory("S3")
-    return group, cd, table_factory("S3"), build_reduction(group.exponent, 3)
+    return group, cd, table_factory("S3"), build_reduction(cd.data.exponent, 3)
 
 
 class TestIsPElement:
@@ -55,7 +55,7 @@ class TestIsPElement:
         group, cd = group_factory(name)
         table = table_factory(name)
         for p in prime_factors(group.order):
-            rmap = build_reduction(group.exponent, p)
+            rmap = build_reduction(table.data.exponent, p)
             # p_element_flags itself raises if the two tests disagree
             flags = p_element_flags(table, rmap)
             for i in range(cd.k):
@@ -123,7 +123,7 @@ class TestPrincipalBlock:
     def test_c2_p3_only_trivial(self, group_factory, table_factory):
         group, cd = group_factory("C2")
         table = table_factory("C2")
-        report = principal_block_members(table, build_reduction(group.exponent, 3))
+        report = principal_block_members(table, build_reduction(table.data.exponent, 3))
         assert report.members == (0,)
         assert report.failures == ((1, 1),)
 
@@ -132,7 +132,7 @@ class TestPrincipalBlock:
         group, cd = group_factory(name)
         table = table_factory(name)
         for p in (2, 3, 5, 7):
-            report = principal_block_members(table, build_reduction(group.exponent, p))
+            report = principal_block_members(table, build_reduction(table.data.exponent, p))
             assert report.member_flags[0]
             assert report.members
 
@@ -214,12 +214,12 @@ class TestStrunkovAnalog:
         # test_factorization_identity_by_naive_expansion
         group, cd = group_factory("C2")
         table = table_factory("C2")
-        block = principal_block_members(table, build_reduction(group.exponent, 2)).members
+        block = principal_block_members(table, build_reduction(table.data.exponent, 2)).members
         values = [strunkov_analog_gamma(table, row, block) for row in table.rows]
         assert values == [8, 8]
         group_t, cd_t = group_factory("trivial")
         table_t = table_factory("trivial")
-        block_t = principal_block_members(table_t, build_reduction(group_t.exponent, 2)).members
+        block_t = principal_block_members(table_t, build_reduction(table_t.data.exponent, 2)).members
         assert strunkov_analog_gamma(table_t, table_t.rows[0], block_t) == 1
 
     def test_empty_block_rejected(self, s3):
@@ -292,7 +292,7 @@ class TestAltNormalizerReport:
     def test_d12_report_is_exploratory(self, group_factory, table_factory):
         group, cd = group_factory("D12")
         table = table_factory("D12")
-        report = alt_normalizer_report(table, build_reduction(group.exponent, 3))
+        report = alt_normalizer_report(table, build_reduction(table.data.exponent, 3))
         assert len(report.gamma_values) == table.data.k
         assert len(report.divisible_by_degree_sum) == table.data.k
         data = report.as_dict()
@@ -303,7 +303,7 @@ class TestAltNormalizerReport:
     def test_trivial_group(self, group_factory, table_factory):
         group, cd = group_factory("trivial")
         table = table_factory("trivial")
-        report = alt_normalizer_report(table, build_reduction(group.exponent, 2))
+        report = alt_normalizer_report(table, build_reduction(table.data.exponent, 2))
         assert report.gamma_values == (1,)
         assert report.block == (0,)
 

@@ -727,6 +727,12 @@ def _forbid_groups(monkeypatch):
             monkeypatch.setattr(module, name, enumerated)
 
 
+TABLE_COMMANDS = [
+    "table", "gamma -n 2", "recover", "defect -p 3", "pelements -p 3", "blocks -p 3",
+    "counterexample -p 3",
+]
+
+
 class TestTableOnly:
     @pytest.mark.parametrize("argv", TABLE_JOBS, ids=" ".join)
     def test_prints_what_the_group_form_prints(self, capsys, monkeypatch, bench_work, argv):
@@ -738,17 +744,22 @@ class TestTableOnly:
         assert main(argv[:i] + argv[i + 2:]) == 0
         assert capsys.readouterr().out == named
 
-    @pytest.mark.parametrize(
-        "command",
-        ["table", "gamma -n 2", "recover", "defect -p 3", "pelements -p 3", "blocks -p 3",
-         "counterexample -p 3"],
-    )
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
     def test_enumerates_no_group(self, capsys, monkeypatch, bench_work, command):
         _forbid_groups(monkeypatch)
         argv = [*command.split(), "--table-file", str(bench_work / "tables" / "S3.json")]
         code, report = run_json(capsys, argv)
         assert code == 0
         assert (report["group"], report["order"]) == ("S3", 6)
+
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_cap_below_one_rejected(self, capsys, tmp_path, command):
+        # refused as the group form refuses it, before the file is even read
+        assert main([*command.split(), "--group", "S3", "--cap", "0"]) == 5
+        named = capsys.readouterr().err
+        missing = str(tmp_path / "missing.json")
+        assert main([*command.split(), "--table-file", missing, "--cap", "0"]) == 5
+        assert capsys.readouterr().err == named == "error: cap must be at least 1, got 0\n"
 
 
 def test_runtime_is_stdlib_only():

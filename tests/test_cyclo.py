@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -101,15 +102,23 @@ class TestArithmetic:
     def test_scalar_operations(self):
         z = root_power(8, 1)
         assert 2 * z == z + z
-        assert Fraction(1, 2) * (z + z) == z
         assert z - 1 == z + (-1)
+        with pytest.raises(TypeError):
+            Fraction(1, 2) * (z + z)
 
     @pytest.mark.parametrize("other", [0, 5, -7, 10**30, True, Fraction(3, 1)])
     def test_integer_sum_and_difference_match_the_constructor(self, other):
-        # type(other) is int takes a fast path; bool and Fraction do not, and
-        # all of them must give what the checking constructor gives
+        # an int gives what the checking constructor gives; a bool or a
+        # Fraction, even an integral one, is not an operand
         for e in (1, 4, 6, 15):
             z = Cyclotomic(e, range(2, euler_phi(e) + 2))
+            if type(other) is not int:
+                for op in (operator.add, operator.sub):
+                    with pytest.raises(TypeError):
+                        op(z, other)
+                    with pytest.raises(TypeError):
+                        op(other, z)
+                continue
             head, *tail = z.coeffs
             expected = (
                 (z + other, [head + other, *tail]),
@@ -123,9 +132,11 @@ class TestArithmetic:
 
     def test_non_integral_sum_and_difference_rejected(self):
         z = root_power(6, 1)
-        for op in (z.__add__, z.__sub__, z.__radd__, z.__rsub__):
-            with pytest.raises(NonIntegralValueError):
-                op(Fraction(1, 2))
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(z, Fraction(1, 2))
+            with pytest.raises(TypeError):
+                op(Fraction(1, 2), z)
 
     def test_power_operator(self):
         z = root_power(5, 1)
@@ -279,7 +290,7 @@ class TestSerialization:
         z = root_power(12, 5) * 3 + 2
         assert Cyclotomic.from_dict(z.to_dict()) == z
         assert z.to_dict()["den"] == [1, 1, 1, 1]
-        with pytest.raises(NonIntegralValueError):
+        with pytest.raises(TypeError):
             root_power(12, 5) * Fraction(3, 7)
 
     def test_expected_order_enforced(self):

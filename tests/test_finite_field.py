@@ -248,9 +248,9 @@ class TestOrders:
 
     def test_primitive_root_of_dixon_primes(self, group_factory):
         for name in ALL_GROUPS:
-            group, _ = group_factory(name)
-            q1 = dixon_prime(group.exponent, group.order)
-            for q in (q1, dixon_prime(group.exponent, group.order, above=q1)):
+            group, cd = group_factory(name)
+            q1 = dixon_prime(cd.data.exponent, group.order)
+            for q in (q1, dixon_prime(cd.data.exponent, group.order, above=q1)):
                 brute = next(
                     g for g in range(1, q)
                     if all(pow(g, t, q) != 1 for t in range(1, q - 1))
@@ -375,8 +375,8 @@ class TestReduceModM:
     def test_matches_horner(self, group_factory, name):
         # the matrix form, and the rational fast path, against evaluating
         # sum_t c_t x^t in GF(p)[x] / (Phi_m mod p), at every p dividing |G|
-        group, _ = group_factory(name)
-        e = group.exponent
+        group, cd = group_factory(name)
+        e = cd.data.exponent
         rng = random.Random(e)
         for p in prime_factors(group.order):
             r = build_reduction(e, p)

@@ -1,4 +1,5 @@
 import os
+from math import lcm
 
 import pytest
 
@@ -20,11 +21,12 @@ from chartab.groups import (
 )
 from chartab.tables import compute_table
 
-from conftest import ALL_GROUPS
+from conftest import ALL_GROUPS, SPEC_GROUPS
 
 BENCH_SPECS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "specs"
 )
+M11 = GroupSpec("M11", 11, ("(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"))
 
 
 class TestParseCycles:
@@ -67,8 +69,8 @@ class TestParseCycles:
 
 
 class TestPermutation:
-    # group elements are image tuples; products, inverses and orders are
-    # read through the enumerated group
+    # group elements are image tuples; products and inverses are read through
+    # the enumerated group, orders through its classes
     def test_composition_order(self):
         # (1 2) then (2 3) sends 1 -> 2 -> 3
         group = enumerate_group(GroupSpec("S3", 3, ("(1 2)", "(2 3)")))
@@ -83,18 +85,36 @@ class TestPermutation:
 
     def test_order(self):
         group = enumerate_group(GroupSpec("C6", 5, ("(1 2 3)(4 5)",)))
-        assert group.element_orders[group.index[parse_cycles("(1 2 3)(4 5)", 5)]] == 6
+        cd = conjugacy_data(group)
+        assert cd.data.rep_orders[cd.class_of[group.index[parse_cycles("(1 2 3)(4 5)", 5)]]] == 6
 
-    @pytest.mark.parametrize("name", ALL_GROUPS)
-    def test_orders_and_inverses_by_repeated_products(self, group_factory, name):
-        group, _ = group_factory(name)
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS + ("M11",))
+    def test_orders_and_inverses_by_repeated_products(self, group_factory, spec_groups, name):
+        # the walk over a representative's powers against group.mul: every
+        # element's order, each class's inverse class, its whole power-map
+        # row and the exponent
+        if name == "M11":
+            group = enumerate_group(M11, cap=8000)
+            cd = conjugacy_data(group)
+        else:
+            group, cd = spec_groups[name] if name in SPEC_GROUPS else group_factory(name)
+        data = cd.data
+        orders = []
         for i in range(group.order):
             power, order = i, 1
             while power != 0:
                 power = group.mul(power, i)
                 order += 1
-            assert group.element_orders[i] == order
+            orders.append(order)
+            assert data.rep_orders[cd.class_of[i]] == order
             assert group.mul(group.inverse_index[i], i) == 0
+        assert data.exponent == lcm(*orders)
+        for c, rep in enumerate(cd.representatives):
+            assert data.inverse_class[c] == cd.class_of[group.inverse_index[rep]]
+            power = 0
+            for t in range(data.exponent):
+                assert data.power_class(c, t) == cd.class_of[power], (c, t)
+                power = group.mul(power, rep)
 
 
 class TestEnumerate:
@@ -110,7 +130,7 @@ class TestEnumerate:
     def test_q8_regular_representation(self):
         g = catalog_group("Q8")
         assert g.order == 8
-        assert g.exponent == 4
+        assert conjugacy_data(g).data.exponent == 4
 
     def test_identity_is_element_zero(self):
         for name in ("S3", "Q8", "A4"):
@@ -171,7 +191,7 @@ class TestConjugacyData:
         for i in range(cd.k):
             assert cd.data.power_class(i, 1) == i
             assert cd.data.power_class(i, 0) == 0
-            assert cd.data.power_class(i, group.exponent) == 0
+            assert cd.data.power_class(i, cd.data.exponent) == 0
             assert cd.data.power_class(i, cd.data.rep_orders[i]) == 0
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
@@ -243,9 +263,6 @@ class TestClassMultCoefficients:
         assert coeffs[0] == 3  # each of the 3 transpositions is self-inverse
 
 
-SPEC_GROUPS = ("S6", "A6", "GL32")
-
-
 @pytest.fixture(scope="module")
 def spec_groups():
     out = {}
@@ -307,7 +324,7 @@ class TestCommutatorCounts:
         for n in (1, 2, 3):
             for c in range(cd.k):
                 # |G|^(2n-1) sum_chi chi(g) / chi(1)^(2n-1), with |G| / chi(1) an int
-                total = Cyclotomic.zero(group.exponent)
+                total = Cyclotomic.zero(cd.data.exponent)
                 for row in table.rows:
                     total = total + row.values[c] * (group.order // row.degree) ** (2 * n - 1)
                 assert counts[n - 1][c] == as_rational_integer(total), (name, n, c)

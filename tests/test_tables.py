@@ -166,8 +166,8 @@ class TestComputeTable:
     def test_prime_independence_small(self, group_factory, table_factory, name):
         group, cd = group_factory(name)
         table = table_factory(name)
-        q1 = dixon_prime(group.exponent, group.order)
-        q2 = dixon_prime(group.exponent, group.order, above=q1)
+        q1 = dixon_prime(cd.data.exponent, group.order)
+        q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
         assert compute_table(group, cd, prime=q2) == table
 
     @pytest.mark.parametrize(
@@ -182,8 +182,8 @@ class TestComputeTable:
     def test_prime_independence_bench(self, name, degree, generators, first_prime):
         group = enumerate_group(GroupSpec(name, degree, generators))
         cd = conjugacy_data(group)
-        q1 = dixon_prime(group.exponent, group.order)
-        q2 = dixon_prime(group.exponent, group.order, above=q1)
+        q1 = dixon_prime(cd.data.exponent, group.order)
+        q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
         assert q1 == first_prime
         table = compute_table(group, cd, prime=q1)
         assert len(table.rows) == cd.k
@@ -322,7 +322,7 @@ class TestEigenspaceSplit:
         if name == C2_4.name:
             group = enumerate_group(C2_4)
             cd = conjugacy_data(group)
-            assert (cd.k, dixon_prime(group.exponent, group.order)) == (16, 11)
+            assert (cd.k, dixon_prime(cd.data.exponent, group.order)) == (16, 11)
         else:
             group, cd = group_factory(name)
         split = dixon._split_subspace
@@ -333,8 +333,8 @@ class TestEigenspaceSplit:
             calls.append((args, out))
             return out
 
-        q1 = dixon_prime(group.exponent, group.order)
-        q2 = dixon_prime(group.exponent, group.order, above=q1)
+        q1 = dixon_prime(cd.data.exponent, group.order)
+        q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
         for q in (q1, q2):
             calls.clear()
             monkeypatch.setattr(dixon, "_split_subspace", recorded)
@@ -356,8 +356,8 @@ class TestEigenspaceSplit:
             return out
 
         monkeypatch.setattr(dixon, "_nullspace", recorded)
-        q1 = dixon_prime(group.exponent, group.order)
-        q2 = dixon_prime(group.exponent, group.order, above=q1)
+        q1 = dixon_prime(cd.data.exponent, group.order)
+        q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
         for q in (q1, q2):
             compute_table(group, cd, prime=q)
         assert 0 not in sizes

@@ -152,14 +152,15 @@ def test_table_integrity_reports_a_changed_value(monkeypatch):
         table = honest(group, cd, prime)
         rows = list(table.rows)
         values = list(rows[-1].values)
-        values[1] = values[1] + root_power(group.exponent, 1)
+        values[1] = values[1] + root_power(table.data.exponent, 1)
         rows[-1] = ClassFunction(tuple(values), table.data)
         return CharacterTable(table.group_name, table.data, tuple(rows))
 
     monkeypatch.setattr(verify, "_build_table", changed)
     group = enumerate_group(load_catalog()["S3"])
-    q1 = dixon_prime(group.exponent, group.order)
-    q2 = dixon_prime(group.exponent, group.order, above=q1)
+    e = conjugacy_data(group).data.exponent
+    q1 = dixon_prime(e, group.order)
+    q2 = dixon_prime(e, group.order, above=q1)
     row = _row(verify.verify_catalog(["S3"]), "table-integrity")
     assert not row.ok
     assert row.detail == f"table changed between primes {q1} and {q2}"
