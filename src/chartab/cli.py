@@ -32,10 +32,10 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_ELEMENT_CAP,
+    catalog_group,
     conjugacy_data,
     cycle_string,
     enumerate_group,
-    load_catalog,
     load_group_spec,
 )
 from .tables import CharacterTable, compute_table, load_table, save_table, table_to_dict
@@ -54,13 +54,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 def _resolve_group(args):
     if args.group is not None:
-        specs = load_catalog()
-        if args.group not in specs:
-            raise UnknownGroupError(args.group)
-        spec = specs[args.group]
+        group = catalog_group(args.group, cap=args.cap)
     else:
-        spec = load_group_spec(args.spec_file)
-    group = enumerate_group(spec, cap=args.cap)
+        group = enumerate_group(load_group_spec(args.spec_file), cap=args.cap)
     return group, conjugacy_data(group)
 
 
@@ -327,12 +323,7 @@ def _cmd_counterexample(args):
 def _cmd_verify(args):
     from .verify import verify_catalog
 
-    names = None
-    if args.group is not None:
-        if args.group not in load_catalog():
-            raise UnknownGroupError(args.group)
-        names = [args.group]
-    results = verify_catalog(names)
+    results = verify_catalog(None if args.group is None else [args.group])
     ok = all(r.ok for r in results)
     if args.human:
         for r in results:
@@ -345,7 +336,7 @@ def _cmd_verify(args):
     else:
         report = {
             "command": "verify",
-            "groups": names or list(load_catalog()),
+            "groups": list(dict.fromkeys(r.group for r in results)),
             "checks": [r.as_dict() for r in results],
             "verdicts": {"all_passed": ok},
         }

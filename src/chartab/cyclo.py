@@ -223,6 +223,8 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
+        if self.is_rational():  # equal to its int, so hashed as one
+            return hash(self.coeffs[0])
         return hash((self.e, self.coeffs))
 
     def __bool__(self):

@@ -18,6 +18,7 @@ structure constants of the class sums, in k * |G| products, not |G|^2 pairs.
 from __future__ import annotations
 
 import json
+import os
 import re
 from math import lcm
 from operator import itemgetter
@@ -356,13 +357,11 @@ def commutator_counts(cd: ConjugacyData, length: int) -> tuple[tuple[int, ...], 
 
 def load_catalog() -> dict[str, GroupSpec]:
     """The bundled group catalog, in file order."""
-    from importlib import resources  # only catalog jobs pay for zipfile and pathlib
-
-    text = resources.files("chartab").joinpath("data/catalog.json").read_text()
-    return parse_catalog(text)
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+    return parse_catalog(__loader__.get_data(path))
 
 
-def parse_catalog(text: str) -> dict[str, GroupSpec]:
+def parse_catalog(text: str | bytes) -> dict[str, GroupSpec]:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

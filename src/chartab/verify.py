@@ -20,7 +20,7 @@ from .duality import (
     recover_class_sizes,
     recover_real_class_sizes,
 )
-from .errors import InconsistentSequenceError
+from .errors import InconsistentSequenceError, UnknownGroupError
 from .groups import (
     ConjugacyData,
     Group,
@@ -205,6 +205,8 @@ def verify_catalog(names=None) -> list[CheckResult]:
         names = list(specs)
     results = []
     for name in names:
+        if name not in specs:
+            raise UnknownGroupError(name)
         spec = specs[name]
         try:
             group = enumerate_group(spec)

@@ -437,6 +437,10 @@ class TestErrors:
         assert code == 3
         assert "unknown group" in err
 
+    def test_verify_unknown_group(self, capsys):
+        assert main(["verify", "--group", "NOPE"]) == 3
+        assert capsys.readouterr() == ("", "error: unknown group 'NOPE'\n")
+
     def test_malformed_spec_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"name": "bad", "degree": 3, "generators": ["(1 2"]}')
@@ -723,8 +727,9 @@ def _forbid_groups(monkeypatch):
         raise AssertionError("a group was looked up or enumerated")
 
     for module in (cli, groups):
-        for name in ("load_catalog", "enumerate_group", "conjugacy_data"):
+        for name in ("catalog_group", "enumerate_group", "conjugacy_data"):
             monkeypatch.setattr(module, name, enumerated)
+    monkeypatch.setattr(groups, "load_catalog", enumerated)
 
 
 TABLE_COMMANDS = [
@@ -796,6 +801,8 @@ def _imports(argv):
 
 # argparse, and what it loads to translate its messages
 ARGUMENT_PARSER = {"argparse", "gettext", "locale"}
+# importlib.resources and what it loads; the catalog is read through the loader
+CATALOG_READER = {"importlib.resources", "zipfile", "pathlib", "tempfile"}
 
 
 @pytest.mark.parametrize(
@@ -833,10 +840,7 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
         unused.add("chartab.duality")
     else:
         unused |= {"chartab.blocks", "chartab.reduction", "chartab.finite_field"}
-    if source[:1] != ["--group"]:
-        # only the bundled catalog is read through importlib.resources
-        unused |= {"importlib.resources", "zipfile"}
-    assert not imported & unused
+    assert not imported & (unused | CATALOG_READER)
 
 
 def test_closed_stdout_is_not_an_error():
@@ -855,6 +859,23 @@ def test_closed_stdout_is_not_an_error():
 @pytest.mark.parametrize("argv", ["classes --group S5", "verify --group S3"])
 def test_command_line_parsed_without_argparse(argv):
     assert not _imports(argv.split()) & ARGUMENT_PARSER
+
+
+@pytest.mark.parametrize("argv", ["classes --group S3", "verify --group S3"])
+def test_catalog_read_through_the_loader(argv):
+    assert not _imports(argv.split()) & CATALOG_READER
+
+
+def test_zipped_install_reads_the_catalog(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
+    archive = shutil.make_archive(str(tmp_path / "chartab"), "zip", src, "chartab")
+    for argv in (["classes", "--group", "S3"], ["verify", "--group", "S3"]):
+        zipped = subprocess.run(
+            [sys.executable, "-m", "chartab", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": archive},
+        )
+        assert zipped.returncode == 0, zipped.stderr
+        assert zipped.stdout == run_module(argv).stdout
 
 
 def test_computing_a_table_imports_the_split():

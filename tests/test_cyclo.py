@@ -93,6 +93,14 @@ class TestArithmetic:
     def test_inverse_pair(self):
         assert root_power(6, 1) * root_power(6, 5) == 1
 
+    def test_equal_values_hash_equal(self):
+        three = Cyclotomic.from_rational(6, 3)
+        assert three == 3 and hash(three) == hash(3)
+        assert len({three, 3}) == 1
+        assert {3: "a"}.get(three) == "a"
+        z = root_power(6, 1) + 2
+        assert z == Cyclotomic(6, z.coeffs) and hash(z) == hash(Cyclotomic(6, z.coeffs))
+
     def test_order_mismatch_rejected(self):
         with pytest.raises(OrderMismatchError):
             root_power(6, 1) + root_power(4, 1)

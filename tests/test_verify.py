@@ -9,7 +9,7 @@ from chartab.cli import main
 from chartab.classfuncs import ClassFunction
 from chartab.cyclo import root_power
 from chartab.duality import SizeSpectrum, recover_class_sizes, recover_real_class_sizes
-from chartab.errors import TableIntegrityError
+from chartab.errors import TableIntegrityError, UnknownGroupError
 from chartab.groups import conjugacy_data, enumerate_group, load_catalog, load_group_spec
 from chartab.tables import CharacterTable, dixon_prime
 from chartab.verify import _check_determinism, _check_identities, _check_recovery
@@ -254,3 +254,22 @@ def test_class_matrices_and_central_characters_built_once(monkeypatch):
     # between them, and the S3 counterexample row reduces at p = 3 again
     info = blocks._central_characters.cache_info()
     assert (info.misses, info.hits) == (13, 22 + 1 - 13)
+
+
+def test_unknown_group_raises_unknown_group_error():
+    with pytest.raises(UnknownGroupError):
+        verify.verify_catalog(["NOPE"])
+
+
+def test_verify_reads_the_catalog_once(monkeypatch, capsys):
+    calls = []
+    parse = groups.parse_catalog
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(groups, "parse_catalog", counted)
+    assert main(["verify", "--group", "S3"]) == 0
+    assert json.loads(capsys.readouterr().out)["groups"] == ["S3"]
+    assert len(calls) == 1
