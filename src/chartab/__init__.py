@@ -38,7 +38,7 @@ _EXPORTS = {
     "groups": (
         "ClassData", "ConjugacyData", "Group", "GroupSpec", "catalog_group",
         "class_matrix", "commutator_counts", "conjugacy_data", "cycle_string",
-        "enumerate_group", "load_catalog", "parse_cycles", "real_classes",
+        "enumerate_group", "load_catalog", "parse_cycles",
     ),
     "reduction": ("ReductionMap", "build_reduction", "reduce_mod_M"),
     "tables": (

@@ -57,7 +57,7 @@ def _resolve_group(args):
         group = catalog_group(args.group, cap=args.cap)
     else:
         group = enumerate_group(load_group_spec(args.spec_file), cap=args.cap)
-    return group, conjugacy_data(group)
+    return conjugacy_data(group)
 
 
 def _resolve_table(args):
@@ -71,15 +71,16 @@ def _resolve_table(args):
         if args.cap < 1:
             raise ValueError(f"cap must be at least 1, got {args.cap}")
         return load_table(path)
-    group, cd = _resolve_group(args)
+    cd = _resolve_group(args)
     if path is None:
-        return compute_table(group, cd)
+        return compute_table(cd)
     table = load_table(path)
+    name = cd.group.name
     if table.data != cd.data:
         raise FormatError(
-            f"table file {path!r} does not match the class data of group {group.name!r}"
+            f"table file {path!r} does not match the class data of group {name!r}"
         )
-    return CharacterTable(group.name, table.data, table.rows, table.provenance)
+    return CharacterTable(name, table.data, table.rows, table.provenance)
 
 
 def _report(command, table, inputs, results, verdicts=None):
@@ -137,8 +138,8 @@ def _flat(value) -> str:
 
 
 def _cmd_classes(args):
-    group, cd = _resolve_group(args)
-    data = cd.data
+    cd = _resolve_group(args)
+    group, data = cd.group, cd.data
     results = {
         "class_count": cd.k,
         "sizes": list(data.sizes),
@@ -150,7 +151,7 @@ def _cmd_classes(args):
         "exponent": data.exponent,
     }
     report = {
-        "command": "classes", "group": group.name, "order": group.order,
+        "command": "classes", "group": group.name, "order": data.order,
         "table_provenance": None, "inputs": {}, "results": results, "verdicts": {},
     }
     _emit(report, args.human)

@@ -22,7 +22,7 @@ from .arith import primitive_root
 from .classfuncs import ClassFunction
 from .cyclo import Cyclotomic
 from .errors import EigensplitError, TableIntegrityError
-from .groups import ConjugacyData, Group, class_matrix
+from .groups import ConjugacyData, class_matrix
 from .tables import CharacterTable, _admissible, dixon_prime
 
 
@@ -204,8 +204,8 @@ def _apply_split(matrix, spaces, q: int):
 # -- the table computation ----------------------------------------------
 
 
-def _build_table(group: Group, cd: ConjugacyData, prime: int | None) -> CharacterTable:
-    """The character table as the Dixon-Schneider split gives it, not validated.
+def _build_table(cd: ConjugacyData, prime: int | None) -> CharacterTable:
+    """Table of `cd.group` as the Dixon-Schneider split gives it, not validated.
 
     The class-sum matrices over GF(q) are split into common one-dimensional
     eigenspaces; each eigenvector, scaled to 1 at the identity class, carries
@@ -220,15 +220,14 @@ def _build_table(group: Group, cd: ConjugacyData, prime: int | None) -> Characte
     `dixon_prime`; otherwise ValueError.
     """
     data = cd.data
-    k = cd.k
-    e = data.exponent
+    k, e, order = cd.k, data.exponent, data.order
     if prime is None:
-        q = dixon_prime(e, group.order)
-    elif _admissible(prime, e, group.order):
+        q = dixon_prime(e, order)
+    elif _admissible(prime, e, order):
         q = prime
     else:
         raise ValueError(
-            f"{prime} is not an admissible Dixon prime for order {group.order} "
+            f"{prime} is not an admissible Dixon prime for order {order} "
             f"and exponent {e}"
         )
     # lazily: the split stops at the first matrix that leaves every space 1-d
@@ -250,7 +249,7 @@ def _build_table(group: Group, cd: ConjugacyData, prime: int | None) -> Characte
         scale = pow(vec[0], -1, q)
         omega = [v * scale % q for v in vec]
         norm = sum(omega[i] * omega[data.inverse_class[i]] * size_inv[i] for i in range(k))
-        degree = _sqrt_below_half(group.order * pow(norm, -1, q) % q, q)
+        degree = _sqrt_below_half(order * pow(norm, -1, q) % q, q)
         theta = [degree * omega[i] * size_inv[i] % q for i in range(k)]
         values = []
         for j in range(k):
@@ -269,7 +268,7 @@ def _build_table(group: Group, cd: ConjugacyData, prime: int | None) -> Characte
         rows.append(ClassFunction(tuple(values), data))
 
     return CharacterTable(
-        group_name=group.name,
+        group_name=cd.group.name,
         data=data,
         rows=tuple(_sort_rows(rows)),
         provenance=f"computed (dixon prime {q})",

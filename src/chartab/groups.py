@@ -127,9 +127,6 @@ class GroupSpec(NamedTuple):
             raise FormatError(f"generators must be a list of cycle strings: {data!r}")
         return cls(name=name, degree=degree, generators=tuple(generators))
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "degree": self.degree, "generators": list(self.generators)}
-
 
 class Group:
     """Fully enumerated permutation group with a fixed element ordering.
@@ -161,9 +158,6 @@ class Group:
 
     def mul(self, i: int, j: int) -> int:
         return self.index[_compose(self.elements[i], self.elements[j])]
-
-    def __len__(self):
-        return self.order
 
     def __repr__(self):
         return f"Group({self.name!r}, order={self.order})"
@@ -294,11 +288,6 @@ class ConjugacyData:
 
 def conjugacy_data(group: Group) -> ConjugacyData:
     return ConjugacyData(group)
-
-
-def real_classes(data: ClassData) -> list[int]:
-    """Indices of classes equal to their inverse class."""
-    return [i for i, flag in enumerate(data.real_flags) if flag]
 
 
 def class_matrix(cd: ConjugacyData, i: int) -> tuple[tuple[int, ...], ...]:

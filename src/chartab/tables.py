@@ -17,7 +17,7 @@ from .arith import euler_phi, is_prime
 from .classfuncs import ClassFunction, _scaled_inner
 from .cyclo import Cyclotomic
 from .errors import FormatError, NonIntegralValueError, TableIntegrityError
-from .groups import ClassData, ConjugacyData, Group
+from .groups import ClassData, ConjugacyData
 
 
 class CharacterTable:
@@ -88,15 +88,15 @@ def dixon_prime(e: int, order: int, above: int = 0) -> int:
 # -- the table computation ----------------------------------------------
 
 
-def compute_table(group: Group, cd: ConjugacyData, prime: int | None = None) -> CharacterTable:
-    """Exact character table of an enumerated group, validated.
+def compute_table(cd: ConjugacyData, prime: int | None = None) -> CharacterTable:
+    """Exact character table of the group `cd` holds the classes of, validated.
 
     Built by `dixon._build_table` at the Dixon prime `prime` (by default the
     least admissible one, see `dixon_prime`), then checked by `validate_table`.
     """
     from .dixon import _build_table  # only computing a table needs the split
 
-    table = _build_table(group, cd, prime)
+    table = _build_table(cd, prime)
     validate_table(table)
     return table
 

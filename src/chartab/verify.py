@@ -23,7 +23,6 @@ from .duality import (
 from .errors import InconsistentSequenceError, UnknownGroupError
 from .groups import (
     ConjugacyData,
-    Group,
     GroupSpec,
     class_matrix,
     commutator_counts,
@@ -49,9 +48,7 @@ class CheckResult(NamedTuple):
         return out
 
 
-def _check_class_structure(
-    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
-) -> str:
+def _check_class_structure(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
     sizes = cd.data.sizes
     for i in range(cd.k):
         for j, coeffs in enumerate(class_matrix(cd, i)):
@@ -61,12 +58,10 @@ def _check_class_structure(
     return ""
 
 
-def _check_determinism(
-    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
-) -> str:
+def _check_determinism(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
     # the spec itself, not a catalog lookup, so spec-file groups are checked too
     again = enumerate_group(spec)
-    if again.elements != group.elements:
+    if again.elements != cd.group.elements:
         return "element ordering changed between runs"
     cd2 = conjugacy_data(again)
     if (cd2.class_of, cd2.data) != (cd.class_of, cd.data):
@@ -74,22 +69,19 @@ def _check_determinism(
     return ""
 
 
-def _check_table(
-    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
-) -> str:
+def _check_table(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
     # compute_table has already validated the table; what is left to check is
     # that a different Dixon prime gives the same table.  The second table is
     # not validated: equal to a valid table it is valid, and unequal it fails
-    q1 = dixon_prime(table.data.exponent, group.order)
-    q2 = dixon_prime(table.data.exponent, group.order, above=q1)
-    if _build_table(group, cd, prime=q2) != table:
+    data = table.data
+    q1 = dixon_prime(data.exponent, data.order)
+    q2 = dixon_prime(data.exponent, data.order, above=q1)
+    if _build_table(cd, prime=q2) != table:
         return f"table changed between primes {q1} and {q2}"
     return ""
 
 
-def _check_identities(
-    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
-) -> str:
+def _check_identities(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
     # an orthonormal integral table need not consist of characters: a negative
     # multiplicity is the one identity failure validate_table lets through
     ns = range(1, 6)
@@ -102,36 +94,32 @@ def _check_identities(
     return ""
 
 
-def _check_recovery(
-    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
-) -> str:
+def _check_recovery(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
     # _recover solves on the first d terms and only checks the rest, so one
     # success with d + 3 terms means the same spectrum with d, d + 1 and
     # d + 2; the per-length loop runs on failure, to name the first length
-    d = len(divisors(group.order))
     data = cd.data
+    d = len(divisors(data.order))
     real_sizes = [s for s, r in zip(data.sizes, data.real_flags) if r]
     for label, sequence, recover, sizes in (
         ("class-size", gamma_sequence, recover_class_sizes, data.sizes),
         ("real class-size", delta_sequence, recover_real_class_sizes, real_sizes),
     ):
         seq = sequence(table, d + 3)
-        actual = SizeSpectrum.from_sizes(group.order, sizes)
+        actual = SizeSpectrum.from_sizes(data.order, sizes)
         try:
-            if recover(seq, group.order) == actual:
+            if recover(seq, data.order) == actual:
                 continue
         except InconsistentSequenceError:
             pass
         for length in range(d, d + 4):
-            if recover(seq[:length], group.order) != actual:
+            if recover(seq[:length], data.order) != actual:
                 return f"{label} recovery failed with {length} terms"
     return ""
 
 
-def _check_defect(
-    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
-) -> str:
-    for p in prime_factors(group.order):
+def _check_defect(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
+    for p in prime_factors(table.data.order):
         for n in (2, 3):
             for real in (False, True):
                 report = defect_zero_by_characters(table, p, n, real)
@@ -140,10 +128,8 @@ def _check_defect(
     return ""
 
 
-def _check_congruences(
-    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
-) -> str:
-    for p in prime_factors(group.order):
+def _check_congruences(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
+    for p in prime_factors(table.data.order):
         rmap = build_reduction(table.data.exponent, p)
         # p_element_flags raises on criterion disagreement, and
         # principal_block_members if the trivial character leaves the block
@@ -152,27 +138,20 @@ def _check_congruences(
     return ""
 
 
-def _check_commutator_oracle(
-    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
-) -> str:
-    # N_n(g) = sum_chi chi(g) (|G| / chi(1))^(2n-1), summed on power-basis
-    # coefficients: a rational integer has only coefficient 0 nonzero
+def _check_commutator_oracle(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
+    # N_n(g) = sum_chi chi(g) (|G| / chi(1))^(2n-1)
+    order = table.data.order
     for n, counts in enumerate(commutator_counts(cd, 2), start=1):
-        weights = [(group.order // row.degree) ** (2 * n - 1) for row in table.rows]
+        weights = [(order // row.degree) ** (2 * n - 1) for row in table.rows]
         for c, count in enumerate(counts):
-            total = [0] * len(table.rows[0].values[c].coeffs)
-            for w, row in zip(weights, table.rows):
-                total = [t + w * x for t, x in zip(total, row.values[c].coeffs)]
-            if total[0] != count or any(total[1:]):
+            if sum(w * row.values[c] for w, row in zip(weights, table.rows)) != count:
                 return f"commutator count mismatch at class {c}, n={n}"
     return ""
 
 
-def _check_counterexample(
-    spec: GroupSpec, group: Group, cd: ConjugacyData, table: CharacterTable
-) -> str:
+def _check_counterexample(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
     # the S3 / p=3 block-sum computation; exploratory elsewhere
-    if group.name != "S3":
+    if table.group_name != "S3":
         return ""
     report = alt_normalizer_report(table, build_reduction(table.data.exponent, 3))
     values = list(report.gamma_values)
@@ -183,8 +162,8 @@ def _check_counterexample(
     return ""
 
 
-# Each check gets the spec the group was enumerated from, the group, its
-# classes and its table, and returns "" or what failed.
+# Each check gets the spec the group was enumerated from, its classes (which
+# hold the group) and its table, and returns "" or what failed.
 _CHECKS = (
     ("class-structure", _check_class_structure),
     ("determinism", _check_determinism),
@@ -209,15 +188,14 @@ def verify_catalog(names=None) -> list[CheckResult]:
             raise UnknownGroupError(name)
         spec = specs[name]
         try:
-            group = enumerate_group(spec)
-            cd = conjugacy_data(group)
-            table = compute_table(group, cd)
+            cd = conjugacy_data(enumerate_group(spec))
+            table = compute_table(cd)
             failed = ""
         except Exception as exc:  # a group that cannot be set up fails every check
             failed = f"{type(exc).__name__}: {exc}"
         for check_name, fn in _CHECKS:
             try:
-                detail = failed or fn(spec, group, cd, table)
+                detail = failed or fn(spec, cd, table)
             except Exception as exc:  # a raising check is a failing check
                 detail = f"{type(exc).__name__}: {exc}"
             results.append(

@@ -52,8 +52,7 @@ def table_factory(group_factory):
 
     def get(name):
         if name not in cache:
-            group, cd = group_factory(name)
-            cache[name] = compute_table(group, cd)
+            cache[name] = compute_table(group_factory(name)[1])
         return cache[name]
 
     return get
@@ -65,7 +64,7 @@ def spec_tables():
     out = {}
     for name in SPEC_GROUPS:
         group = enumerate_group(load_group_spec(os.path.join(BENCH_SPECS, f"{name}.json")))
-        out[name] = compute_table(group, conjugacy_data(group))
+        out[name] = compute_table(conjugacy_data(group))
     return out
 
 

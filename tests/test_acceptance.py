@@ -40,7 +40,7 @@ CATALOG = tuple(load_catalog())
 def prepared(name):
     group = enumerate_group(load_catalog()[name])
     cd = conjugacy_data(group)
-    return group, cd, compute_table(group, cd)
+    return group, cd, compute_table(cd)
 
 
 @contextmanager
@@ -124,14 +124,14 @@ def test_criterion_6_table_integrity_for_whole_catalog():
         for name in CATALOG:
             group = enumerate_group(load_catalog()[name])
             cd = conjugacy_data(group)
-            table = compute_table(group, cd)
+            table = compute_table(cd)
             assert verify_orthogonality(table) == [], name
             assert sum(d * d for d in table.degrees) == group.order, name
             for row in table.rows:
                 assert all(type(c) is int for v in row.values for c in v.coeffs), name
             q1 = dixon_prime(cd.data.exponent, group.order)
             q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
-            assert compute_table(group, cd, prime=q2) == table, name
+            assert compute_table(cd, prime=q2) == table, name
 
 
 def test_criterion_7_identity_suite_for_whole_catalog():

@@ -254,7 +254,7 @@ class TestGamma:
         assert report["results"]["gamma"][0] > 0
 
     def test_n_checked_before_the_table(self, capsys, monkeypatch):
-        def no_table(group, cd):
+        def no_table(cd):
             raise AssertionError("the table was built")
 
         monkeypatch.setattr(cli, "compute_table", no_table)
@@ -281,7 +281,7 @@ class TestRecover:
         assert report["results"]["recovered_spectrum"] == [[1, 2]]
 
     def test_extra_terms_checked_before_the_table(self, capsys, monkeypatch):
-        def no_table(group, cd):
+        def no_table(cd):
             raise AssertionError("the table was built")
 
         monkeypatch.setattr(cli, "compute_table", no_table)

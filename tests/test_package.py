@@ -1,8 +1,14 @@
+import ast
 import importlib
+import inspect
+import os
+import pkgutil
 
 import pytest
 
 import chartab
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def test_every_exported_name_is_its_module_attribute():
@@ -12,7 +18,7 @@ def test_every_exported_name_is_its_module_attribute():
 
 
 def test_namespace_lists_and_star_imports_the_exports():
-    assert len(chartab.__all__) == 57
+    assert len(chartab.__all__) == 56
     assert set(chartab.__all__) <= set(dir(chartab))
     namespace = {}
     exec("from chartab import *", namespace)
@@ -35,3 +41,52 @@ def test_tables_and_their_parts_are_immutable(table_factory, part, attr):
         setattr(obj, attr, ())
     with pytest.raises(AttributeError):
         delattr(obj, attr)
+
+
+# each expression README's Library example annotates, with the value its
+# comment gives
+LIBRARY_VALUES = (
+    ("table.degrees", "(1, 1, 2)"),
+    ("gamma(2, table.rows[0])", "11"),
+    ("seq", "[3, 11, 49, 251]"),
+    ("recover_class_sizes(seq, 6).as_dict()", "{1: 1, 2: 1, 3: 1}"),
+    ("p_element_flags(table, rmap)", "(True, True, False)"),
+    ("principal_block_members(table, rmap).members", "(0, 1, 2)"),
+)
+
+
+def test_readme_library_example_runs():
+    with open(README, encoding="utf-8") as fh:
+        library = fh.read().split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    for expr, value in LIBRARY_VALUES:
+        assert f"# {value}" in block, value
+        assert eval(expr, namespace) == ast.literal_eval(value), expr
+
+
+def _functions():
+    """Every function and method defined in a chartab module, private ones too."""
+    for info in pkgutil.iter_modules(chartab.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"chartab.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj):
+                yield from (f for f in vars(obj).values() if inspect.isfunction(f))
+
+
+def test_no_function_takes_a_group_and_its_classes():
+    # a ConjugacyData holds its group, so a (group, cd) pair can only disagree
+    functions = list(_functions())
+    assert any(f.__name__ == "_build_table" for f in functions)
+    both = [
+        f.__qualname__ for f in functions
+        if {"group", "cd"} <= set(inspect.signature(f).parameters)
+    ]
+    assert both == []

@@ -168,7 +168,7 @@ class TestComputeTable:
         table = table_factory(name)
         q1 = dixon_prime(cd.data.exponent, group.order)
         q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
-        assert compute_table(group, cd, prime=q2) == table
+        assert compute_table(cd, prime=q2) == table
 
     @pytest.mark.parametrize(
         "name, degree, generators, first_prime",
@@ -185,9 +185,9 @@ class TestComputeTable:
         q1 = dixon_prime(cd.data.exponent, group.order)
         q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
         assert q1 == first_prime
-        table = compute_table(group, cd, prime=q1)
+        table = compute_table(cd, prime=q1)
         assert len(table.rows) == cd.k
-        assert compute_table(group, cd, prime=q2) == table
+        assert compute_table(cd, prime=q2) == table
 
     # 4 is not prime, 3 divides |S3|, 5 is not 1 mod 6 (S3) or mod 12 (S4),
     # and 5^2 <= 4 |D8| although 5 = 1 mod 4
@@ -195,14 +195,14 @@ class TestComputeTable:
         "name, prime", [("S3", 3), ("S3", 4), ("S3", 5), ("S4", 5), ("D8", 5)]
     )
     def test_inadmissible_prime_rejected(self, group_factory, name, prime):
-        group, cd = group_factory(name)
+        _, cd = group_factory(name)
         with pytest.raises(ValueError, match="admissible"):
-            compute_table(group, cd, prime=prime)
+            compute_table(cd, prime=prime)
 
     def test_trivial_group_admits_three(self, group_factory, table_factory):
         # e = 1: 3 = 1 (mod e) although 3 % e != 1
-        group, cd = group_factory("trivial")
-        assert compute_table(group, cd, prime=3) == table_factory("trivial")
+        _, cd = group_factory("trivial")
+        assert compute_table(cd, prime=3) == table_factory("trivial")
 
     def test_identity_column_is_degrees(self, table_factory):
         table = table_factory("S4")
@@ -338,11 +338,11 @@ class TestEigenspaceSplit:
         for q in (q1, q2):
             calls.clear()
             monkeypatch.setattr(dixon, "_split_subspace", recorded)
-            table = compute_table(group, cd, prime=q)
+            table = compute_table(cd, prime=q)
             for args, out in calls:
                 assert out == _lambda_scan_split(*args)
             monkeypatch.setattr(dixon, "_split_subspace", _lambda_scan_split)
-            assert compute_table(group, cd, prime=q) == table
+            assert compute_table(cd, prime=q) == table
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_every_null_space_is_an_eigenspace(self, group_factory, monkeypatch, name):
@@ -359,7 +359,7 @@ class TestEigenspaceSplit:
         q1 = dixon_prime(cd.data.exponent, group.order)
         q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
         for q in (q1, q2):
-            compute_table(group, cd, prime=q)
+            compute_table(cd, prime=q)
         assert 0 not in sizes
 
 

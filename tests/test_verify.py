@@ -24,38 +24,38 @@ BENCH_SPECS = os.path.join(
 def test_identities_reports_negative_multiplicity(group_factory, table_factory):
     # S3 with its sign row negated: still orthonormal and integral, but
     # gamma(1, -sign) = -1
-    group, cd = group_factory("S3")
+    _, cd = group_factory("S3")
     table = table_factory("S3")
     rows = list(table.rows)
     rows[1] = cf_mul(rows[1], -1)
     corrupt = CharacterTable(table.group_name, table.data, tuple(rows))
     spec = load_catalog()["S3"]
-    assert _check_identities(spec, group, cd, corrupt) == "negative multiplicity for row 1 at n=1"
+    assert _check_identities(spec, cd, corrupt) == "negative multiplicity for row 1 at n=1"
 
 
 def test_determinism_for_a_group_outside_the_catalog():
     spec = load_group_spec(os.path.join(BENCH_SPECS, "S6.json"))
     assert spec.name not in load_catalog()
-    group = enumerate_group(spec)
     # the check compares enumerations only and never reads the table
-    assert _check_determinism(spec, group, conjugacy_data(group), None) == ""
+    assert _check_determinism(spec, conjugacy_data(enumerate_group(spec)), None) == ""
 
 
-def per_length_recovery(spec, group, cd, table):
+def per_length_recovery(spec, cd, table):
     # _check_recovery as it was before the single solve: every length from d
     # to d + 3, gamma side first
-    d = len(divisors(group.order))
+    order = cd.data.order
+    d = len(divisors(order))
     seq = verify.gamma_sequence(table, d + 3)
-    actual = SizeSpectrum.from_sizes(group.order, cd.data.sizes)
+    actual = SizeSpectrum.from_sizes(order, cd.data.sizes)
     for length in range(d, d + 4):
-        if recover_class_sizes(seq[:length], group.order) != actual:
+        if recover_class_sizes(seq[:length], order) != actual:
             return f"class-size recovery failed with {length} terms"
     dseq = verify.delta_sequence(table, d + 3)
     real_actual = SizeSpectrum.from_sizes(
-        group.order, [s for s, r in zip(cd.data.sizes, cd.data.real_flags) if r]
+        order, [s for s, r in zip(cd.data.sizes, cd.data.real_flags) if r]
     )
     for length in range(d, d + 4):
-        if recover_real_class_sizes(dseq[:length], group.order) != real_actual:
+        if recover_real_class_sizes(dseq[:length], order) != real_actual:
             return f"real class-size recovery failed with {length} terms"
     return ""
 
@@ -72,10 +72,10 @@ def outcome(check, *args):
 def test_recovery_failure_reported_as_per_length(
     monkeypatch, group_factory, table_factory, name, sequence
 ):
-    group, cd = group_factory(name)
+    _, cd = group_factory(name)
     table = table_factory(name)
     spec = load_catalog()[name]
-    d = len(divisors(group.order))
+    d = len(divisors(cd.data.order))
     honest = getattr(verify, sequence)
     for term in range(1, d + 4):  # corrupt one term at a time
         def corrupt(table, length, term=term):
@@ -84,8 +84,8 @@ def test_recovery_failure_reported_as_per_length(
             return seq
 
         monkeypatch.setattr(verify, sequence, corrupt)
-        got = outcome(_check_recovery, spec, group, cd, table)
-        assert got == outcome(per_length_recovery, spec, group, cd, table)
+        got = outcome(_check_recovery, spec, cd, table)
+        assert got == outcome(per_length_recovery, spec, cd, table)
         if term == d + 2:
             # the first d terms still solve to the right spectrum, so the
             # surplus check names the corrupt term
@@ -102,7 +102,7 @@ def test_recovery_reports_a_wrong_spectrum(
     # the first d terms of A4's sequences solve to another spectrum of order
     # 12; with D12's own surplus terms the d + 3 solve raises instead, and
     # the per-length loop still names length d
-    group, cd = group_factory("D12")
+    _, cd = group_factory("D12")
     spec = load_catalog()["D12"]
     table = table_factory("D12")
     d = len(divisors(12))
@@ -112,8 +112,8 @@ def test_recovery_reports_a_wrong_spectrum(
         return honest(table_factory("A4"), d) + honest(table_factory(surplus), length)[d:]
 
     monkeypatch.setattr(verify, sequence, mixed)
-    got = _check_recovery(spec, group, cd, table)
-    assert got == per_length_recovery(spec, group, cd, table)
+    got = _check_recovery(spec, cd, table)
+    assert got == per_length_recovery(spec, cd, table)
     label = "class-size" if sequence == "gamma_sequence" else "real class-size"
     assert got == f"{label} recovery failed with {d} terms"
 
@@ -148,8 +148,8 @@ def test_table_integrity_reports_a_changed_value(monkeypatch):
     # it must still fail the row
     honest = verify._build_table
 
-    def changed(group, cd, prime):
-        table = honest(group, cd, prime)
+    def changed(cd, prime):
+        table = honest(cd, prime)
         rows = list(table.rows)
         values = list(rows[-1].values)
         values[1] = values[1] + root_power(table.data.exponent, 1)
@@ -157,17 +157,16 @@ def test_table_integrity_reports_a_changed_value(monkeypatch):
         return CharacterTable(table.group_name, table.data, tuple(rows))
 
     monkeypatch.setattr(verify, "_build_table", changed)
-    group = enumerate_group(load_catalog()["S3"])
-    e = conjugacy_data(group).data.exponent
-    q1 = dixon_prime(e, group.order)
-    q2 = dixon_prime(e, group.order, above=q1)
+    data = conjugacy_data(enumerate_group(load_catalog()["S3"])).data
+    q1 = dixon_prime(data.exponent, data.order)
+    q2 = dixon_prime(data.exponent, data.order, above=q1)
     row = _row(verify.verify_catalog(["S3"]), "table-integrity")
     assert not row.ok
     assert row.detail == f"table changed between primes {q1} and {q2}"
 
 
 def test_table_integrity_reports_a_builder_error(monkeypatch):
-    def failing(group, cd, prime):
+    def failing(cd, prime):
         raise TableIntegrityError("eigenvector vanishes at the identity class")
 
     monkeypatch.setattr(verify, "_build_table", failing)
@@ -179,10 +178,10 @@ def test_table_integrity_reports_a_builder_error(monkeypatch):
 def test_a_group_whose_table_fails_fails_every_row(monkeypatch, capsys):
     honest = verify.compute_table
 
-    def failing_for_s3(group, cd):
-        if group.name == "S3":
+    def failing_for_s3(cd):
+        if cd.group.name == "S3":
             raise TableIntegrityError("orthogonality violated")
-        return honest(group, cd)
+        return honest(cd)
 
     monkeypatch.setattr(verify, "compute_table", failing_for_s3)
     assert main(["verify"]) == 1
