@@ -26,8 +26,8 @@ products add up to pi^n pointwise.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .arith import p_part
 from .classfuncs import ClassFunction, _scaled_inner
@@ -79,13 +79,14 @@ def _central_characters(table: CharacterTable) -> tuple[tuple[Cyclotomic, ...], 
     )
 
 
-class BlockReport(NamedTuple):
-    """Principal-block membership verdicts for every irreducible character."""
+class BlockReport(namedtuple("BlockReport", "p members member_flags failures")):
+    """Principal-block membership verdicts for every irreducible character.
 
-    p: int
-    members: tuple[int, ...]          # row indices in the principal block
-    member_flags: tuple[bool, ...]
-    failures: tuple[tuple[int, int], ...]  # (row, class) congruence witnesses
+    `members` holds the row indices in the principal block, `member_flags`
+    one bool per row, and `failures` the (row, class) congruence witnesses.
+    """
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -143,22 +144,23 @@ def strunkov_analog_gamma(
     return as_rational_integer(_scaled_inner(block_sum, psi, weights))
 
 
-class AltNormalizerReport(NamedTuple):
+class AltNormalizerReport(
+    namedtuple(
+        "AltNormalizerReport",
+        "p block gamma_values p_times_order_p_part block_degree_sum"
+        " block_degree_sum_p_part divisible_by_p_times_p_part"
+        " divisible_by_degree_sum divisible_by_degree_sum_p_part",
+    )
+):
     """Divisibility of gamma(psi) by several candidate normalizing quantities.
 
     Purely exploratory: the report records which divisibility statements hold
     for each irreducible psi and asserts nothing about them.
+    `block_degree_sum` is the sum of phi(1)^2 over the block; each
+    `divisible_by_*` field holds one bool per row.
     """
 
-    p: int
-    block: tuple[int, ...]
-    gamma_values: tuple[int, ...]
-    p_times_order_p_part: int
-    block_degree_sum: int            # sum of phi(1)^2 over the block
-    block_degree_sum_p_part: int
-    divisible_by_p_times_p_part: tuple[bool, ...]
-    divisible_by_degree_sum: tuple[bool, ...]
-    divisible_by_degree_sum_p_part: tuple[bool, ...]
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

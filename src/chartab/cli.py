@@ -6,11 +6,12 @@ from.  Reports are deterministic for fixed inputs.
 
 Each `python -m chartab` run is one short process whose mathematics often
 takes less time than starting the interpreter and importing the package.
-So only the modules every command needs (arith, errors, groups and tables)
-are imported here; each handler imports the rest of what it runs, and a
-`recover` job never loads the reduction mod p, blocks or the verify suite.
-`tables` loads a `--table-file`; only when a table is computed does
-`tables.compute_table` import the Dixon-Schneider split from `dixon`.
+So only the modules every command needs (errors and groups) are imported
+here; each handler imports the rest of what it runs.  `classes`, `-h` and a
+usage error load no table code, and a `recover` job never loads the
+reduction mod p, blocks or the verify suite.  `tables` loads a
+`--table-file`; only when a table is computed does `tables.compute_table`
+import the Dixon-Schneider split from `dixon`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .arith import divisors, is_prime, p_part
 from .errors import (
     CapExceededError,
     EigensplitError,
@@ -38,7 +38,6 @@ from .groups import (
     enumerate_group,
     load_group_spec,
 )
-from .tables import CharacterTable, compute_table, load_table, save_table, table_to_dict
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -66,6 +65,8 @@ def _resolve_table(args):
     A named group is enumerated to compute its table or to vouch for the file,
     which must then hold the group's class data; the table takes its name.
     """
+    from .tables import CharacterTable, compute_table, load_table
+
     path = args.table_file
     if args.group is None and args.spec_file is None:
         if args.cap < 1:
@@ -159,6 +160,8 @@ def _cmd_classes(args):
 
 
 def _cmd_table(args):
+    from .tables import save_table, table_to_dict
+
     table = _resolve_table(args)
     if args.save:
         save_table(table, args.save)
@@ -199,6 +202,7 @@ def _cmd_gamma(args):
 
 
 def _cmd_recover(args):
+    from .arith import divisors
     from .duality import (
         SizeSpectrum,
         check_length,
@@ -237,6 +241,8 @@ def _cmd_recover(args):
 
 
 def _require_prime(p):
+    from .arith import is_prime
+
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
@@ -266,6 +272,7 @@ def _resolve_reduction(args):
 
 
 def _cmd_pelements(args):
+    from .arith import p_part
     from .blocks import p_element_flags
 
     table, rmap = _resolve_reduction(args)

@@ -12,7 +12,7 @@ the real-restricted sequence recovers the sizes of real classes only.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .arith import divisors, is_prime, p_part
 from .classfuncs import MAX_POWER, _multiplicities, _nonnegative, delta, gamma
@@ -21,11 +21,14 @@ from .groups import ClassData
 from .tables import CharacterTable
 
 
-class SizeSpectrum(NamedTuple):
-    """How many conjugacy classes there are of each size."""
+class SizeSpectrum(namedtuple("SizeSpectrum", "order counts")):
+    """How many conjugacy classes there are of each size.
 
-    order: int
-    counts: tuple[tuple[int, int], ...]  # (size, count), ascending sizes
+    `order` is the group order; `counts` holds (size, count) pairs, ascending
+    sizes.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_mapping(cls, order: int, mapping: dict[int, int]) -> "SizeSpectrum":
@@ -167,16 +170,20 @@ def defect_zero_direct(data: ClassData, p: int) -> list[int]:
     ]
 
 
-class DefectReport(NamedTuple):
-    """Both sides of the defect-0 detection for one (p, n, real) choice."""
+class DefectReport(
+    namedtuple(
+        "DefectReport",
+        "p n real residues defect_zero_classes character_side direct_side",
+    )
+):
+    """Both sides of the defect-0 detection for one (p, n, real) choice.
 
-    p: int
-    n: int
-    real: bool
-    residues: tuple[int, ...]         # gamma_n(phi) mod p (delta_n when real)
-    defect_zero_classes: tuple[int, ...]
-    character_side: bool              # some residue is nonzero
-    direct_side: bool                 # some (real) class has p-defect 0
+    `residues` holds gamma_n(phi) mod p for each row (delta_n when real);
+    `character_side` says some residue is nonzero, and `direct_side` that
+    some (real) class has p-defect 0.
+    """
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

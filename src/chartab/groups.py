@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import namedtuple
 from math import lcm
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import CapExceededError, CycleSyntaxError, FormatError, UnknownGroupError
 
@@ -104,12 +104,14 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     return tuple(images)
 
 
-class GroupSpec(NamedTuple):
-    """Generator description of a permutation group."""
+class GroupSpec(namedtuple("GroupSpec", "name degree generators")):
+    """Generator description of a permutation group.
 
-    name: str
-    degree: int
-    generators: tuple[str, ...]
+    `name` is a str, `degree` the int number of points and `generators` a
+    tuple of cycle strings.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupSpec":
@@ -187,19 +189,19 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     return Group(spec.name, elements, gens)
 
 
-class ClassData(NamedTuple):
+class ClassData(
+    namedtuple("ClassData", "order exponent sizes rep_orders inverse_class power_map")
+):
     """The class-level facts shared by class functions and character tables.
 
     For a group they come from `ConjugacyData`'s walk over the powers of each
     representative; a table file carries them and `load_table` checks them.
+    `order` and `exponent` are ints; `sizes`, `rep_orders` and `inverse_class`
+    are tuples of ints, one per class; `power_map[i][t]` is the class of
+    rep(i)^t for t below the exponent.
     """
 
-    order: int
-    exponent: int
-    sizes: tuple[int, ...]
-    rep_orders: tuple[int, ...]
-    inverse_class: tuple[int, ...]
-    power_map: tuple[tuple[int, ...], ...]  # power_map[i][t]: class of rep(i)^t
+    __slots__ = ()
 
     @property
     def k(self) -> int:

@@ -27,8 +27,8 @@ is x^0 = 1, so its image is (c mod p, 0, ..., 0).
 from __future__ import annotations
 
 from functools import lru_cache
+from collections import namedtuple
 from operator import mul
-from typing import NamedTuple
 
 from .arith import euler_phi, is_prime, multiplicative_order, p_part
 from .cyclo import Cyclotomic, cyclotomic_polynomial
@@ -36,14 +36,14 @@ from .errors import OrderMismatchError
 from .finite_field import powers_of_x
 
 
-class ReductionMap(NamedTuple):
-    """Ring homomorphism data: integer coefficients mod p, eps -> x mod poly."""
+class ReductionMap(namedtuple("ReductionMap", "e p m f poly")):
+    """Ring homomorphism data: integer coefficients mod p, eps -> x mod poly.
 
-    e: int
-    p: int
-    m: int                   # the p-free part of e
-    f: int                   # degree of each residue field over GF(p)
-    poly: tuple[int, ...]    # Phi_m mod p, constant term first
+    `m` is the p-free part of e, `f` the degree of each residue field over
+    GF(p), and `poly` Phi_m mod p, constant term first.
+    """
+
+    __slots__ = ()
 
 
 def build_reduction(e: int, p: int) -> ReductionMap:

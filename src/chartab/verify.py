@@ -7,7 +7,7 @@ pytest suite covers the same ground with finer-grained assertions.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .arith import divisors, prime_factors
 from .blocks import alt_normalizer_report, p_element_flags, principal_block_members
@@ -35,11 +35,10 @@ from .reduction import build_reduction
 from .tables import CharacterTable, compute_table, dixon_prime
 
 
-class CheckResult(NamedTuple):
-    group: str
-    check: str
-    ok: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "group check ok detail", defaults=("",))):
+    """One check of the suite on one group; `detail` says why it failed."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         out = {"group": self.group, "check": self.check, "ok": self.ok}

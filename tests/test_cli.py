@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import chartab
-from chartab import cli, groups
+from chartab import cli, groups, tables
 from chartab.arith import MR_LIMIT
 from chartab.classfuncs import MAX_POWER
 from chartab.cli import main
@@ -257,7 +257,7 @@ class TestGamma:
         def no_table(cd):
             raise AssertionError("the table was built")
 
-        monkeypatch.setattr(cli, "compute_table", no_table)
+        monkeypatch.setattr(tables, "compute_table", no_table)
         for n in (0, MAX_POWER + 1):
             assert main(["gamma", "--group", "S5", "-n", str(n)]) == 5
             assert "n must be" in capsys.readouterr().err
@@ -284,7 +284,7 @@ class TestRecover:
         def no_table(cd):
             raise AssertionError("the table was built")
 
-        monkeypatch.setattr(cli, "compute_table", no_table)
+        monkeypatch.setattr(tables, "compute_table", no_table)
         assert main(["recover", "--group", "S3", "--extra-terms", "-5"]) == 5
         assert "--extra-terms must be at least 0, got -5" in capsys.readouterr().err
         assert main(["recover", "--group", "S3", "--extra-terms", str(MAX_POWER)]) == 5
@@ -482,6 +482,23 @@ class TestErrors:
         code = main(["table", "--group", "S3", "--table-file", str(path)])
         capsys.readouterr()
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "recover --table-file {missing}",
+            "recover --group S3 --table-file {missing}",
+            "classes --spec-file {missing}",
+            "table --spec-file {missing}",
+            "table --group S3 --save {missing_dir}",
+        ],
+    )
+    def test_unreadable_file_exits_5(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing.json"
+        words = argv.format(missing=missing, missing_dir=tmp_path / "nowhere" / "t.json")
+        assert main(words.split()) == 5
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: [Errno 2] ")
 
 
 # the options each command's help must name, besides -h
@@ -784,7 +801,7 @@ def test_runtime_is_stdlib_only():
     assert proc.stdout.strip() == "[]"
 
 
-def _imports(argv):
+def _imports(argv, code=0):
     """Modules a `python -m chartab` run imports; -S skips site start-up, so
     every import -X importtime lists is chartab's."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
@@ -792,7 +809,7 @@ def _imports(argv):
         [sys.executable, "-S", "-X", "importtime", "-m", "chartab", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return {
         line.rpartition("|")[2].strip()
         for line in proc.stderr.splitlines() if line.startswith("import time:")
@@ -829,7 +846,7 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
     # solves on ints
     unused = {
         "chartab.verify", "chartab.dixon", "fractions", "decimal", "dataclasses", "inspect",
-        "numbers", *ARGUMENT_PARSER,
+        "numbers", "typing", *ARGUMENT_PARSER,
     }
     if importlib.util.find_spec("_sha256") is not None:
         # the provenance digest comes from the builtin module, without OpenSSL
@@ -841,6 +858,24 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
     else:
         unused |= {"chartab.blocks", "chartab.reduction", "chartab.finite_field"}
     assert not imported & (unused | CATALOG_READER)
+
+
+# the table layer and its arithmetic, which only the table commands run
+TABLE_LAYER = {"chartab.tables", "chartab.classfuncs", "chartab.cyclo", "chartab.arith"}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("classes --group S3", 0), ("classes --spec-file S6.json", 0),
+        ("-h", 0), ("table -h", 0), ("nonsense", 2),
+    ],
+)
+def test_no_table_command_imports_the_table_layer(argv, code):
+    words = argv.split()
+    if "--spec-file" in words:
+        words.append(os.path.join(BENCH_SPECS, words.pop()))
+    assert not _imports(words, code) & (TABLE_LAYER | {"typing"})
 
 
 def test_closed_stdout_is_not_an_error():

@@ -43,6 +43,38 @@ def test_tables_and_their_parts_are_immutable(table_factory, part, attr):
         delattr(obj, attr)
 
 
+# each record's fields in order: the tuple that `==`, hashing and `as_dict` see
+RECORD_FIELDS = {
+    "GroupSpec": "name degree generators",
+    "ClassData": "order exponent sizes rep_orders inverse_class power_map",
+    "SizeSpectrum": "order counts",
+    "DefectReport": "p n real residues defect_zero_classes character_side direct_side",
+    "BlockReport": "p members member_flags failures",
+    "AltNormalizerReport": (
+        "p block gamma_values p_times_order_p_part block_degree_sum block_degree_sum_p_part"
+        " divisible_by_p_times_p_part divisible_by_degree_sum divisible_by_degree_sum_p_part"
+    ),
+    "ReductionMap": "e p m f poly",
+    "CheckResult": "group check ok detail",
+}
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_records_are_named_tuples_without_attributes(name):
+    cls = getattr(chartab, name)
+    assert cls._fields == tuple(RECORD_FIELDS[name].split())
+    record = cls(*range(len(cls._fields)))
+    assert record == tuple(record) and hash(record) == hash(tuple(record))
+    changed = record._replace(**{cls._fields[0]: -1})
+    assert type(changed) is cls and changed[1:] == record[1:]
+    with pytest.raises(AttributeError):
+        record.new_attribute = 1
+
+
+def test_check_result_detail_defaults_to_empty():
+    assert chartab.CheckResult("S3", "identities", True) == ("S3", "identities", True, "")
+
+
 # each expression README's Library example annotates, with the value its
 # comment gives
 LIBRARY_VALUES = (
