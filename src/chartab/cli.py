@@ -50,6 +50,17 @@ EXIT_INTEGRITY = 7
 EXIT_INCONSISTENT = 8
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
+# (error types, exit code), first match first: FormatError,
+# InconsistentSequenceError and NonIntegralValueError are also ValueErrors
+ERRORS = (
+    (UnknownGroupError, EXIT_UNKNOWN_GROUP),
+    (FormatError, EXIT_FORMAT),
+    (CapExceededError, EXIT_CAP_EXCEEDED),
+    (InconsistentSequenceError, EXIT_INCONSISTENT),
+    ((TableIntegrityError, EigensplitError, NonIntegralValueError), EXIT_INTEGRITY),
+    ((ValueError, OSError), EXIT_BAD_PARAMETER),
+)
+
 
 def _resolve_group(args):
     if args.group is not None:
@@ -84,8 +95,8 @@ def _resolve_table(args):
     return CharacterTable(name, table.data, table.rows, table.provenance)
 
 
-def _report(command, table, inputs, results, verdicts=None):
-    return {
+def _finish(args, command, table, inputs, results, verdicts=None):
+    report = {
         "command": command,
         "group": table.group_name,
         "order": table.data.order,
@@ -94,6 +105,8 @@ def _report(command, table, inputs, results, verdicts=None):
         "results": results,
         "verdicts": verdicts or {},
     }
+    _emit(report, args.human)
+    return EXIT_OK
 
 
 def _emit(report, human: bool) -> None:
@@ -178,9 +191,7 @@ def _cmd_table(args):
         if args.save:
             print(f"saved to {args.save}")
         return EXIT_OK
-    report = _report("table", table, {"saved_to": args.save}, results)
-    _emit(report, False)
-    return EXIT_OK
+    return _finish(args, "table", table, {"saved_to": args.save}, results)
 
 
 def _cmd_gamma(args):
@@ -196,9 +207,7 @@ def _cmd_gamma(args):
         "gamma": gammas,
         "delta": deltas,
     }
-    report = _report("gamma", table, {"n": args.n}, results)
-    _emit(report, args.human)
-    return EXIT_OK
+    return _finish(args, "gamma", table, {"n": args.n}, results)
 
 
 def _cmd_recover(args):
@@ -218,16 +227,15 @@ def _cmd_recover(args):
     table = _resolve_table(args)
     data = table.data
     length = len(divisors(data.order)) + args.extra_terms
-    if args.real:
-        seq = delta_sequence(table, length)
-        spectrum = recover_real_class_sizes(seq, data.order)
-        actual = SizeSpectrum.from_sizes(
-            data.order, [s for s, r in zip(data.sizes, data.real_flags) if r]
-        )
-    else:
-        seq = gamma_sequence(table, length)
-        spectrum = recover_class_sizes(seq, data.order)
-        actual = SizeSpectrum.from_sizes(data.order, data.sizes)
+    sequence, recover = (
+        (delta_sequence, recover_real_class_sizes) if args.real
+        else (gamma_sequence, recover_class_sizes)
+    )
+    seq = sequence(table, length)
+    spectrum = recover(seq, data.order)
+    actual = SizeSpectrum.from_sizes(
+        data.order, [s for s, r in zip(data.sizes, data.real_flags) if r or not args.real]
+    )
     results = {
         "real": args.real,
         "sequence": seq,
@@ -235,9 +243,7 @@ def _cmd_recover(args):
         "actual_spectrum": [list(pair) for pair in actual.counts],
     }
     verdicts = {"matches_group": spectrum == actual}
-    report = _report("recover", table, {"real": args.real}, results, verdicts)
-    _emit(report, args.human)
-    return EXIT_OK
+    return _finish(args, "recover", table, {"real": args.real}, results, verdicts)
 
 
 def _require_prime(p):
@@ -254,12 +260,10 @@ def _cmd_defect(args):
     table = _resolve_table(args)
     results = defect_zero_by_characters(table, args.p, args.n, args.real).as_dict()
     verdicts = results.pop("verdicts")
-    report = _report(
-        "defect", table, {"p": args.p, "n": args.n, "real": args.real},
+    return _finish(
+        args, "defect", table, {"p": args.p, "n": args.n, "real": args.real},
         {"group": table.group_name, **results}, verdicts,
     )
-    _emit(report, args.human)
-    return EXIT_OK
 
 
 def _resolve_reduction(args):
@@ -286,9 +290,7 @@ def _cmd_pelements(args):
         "p_element_classes": [i for i, f in enumerate(congruence) if f],
     }
     verdicts = {"tests_agree": congruence == direct}
-    report = _report("pelements", table, {"p": args.p}, results, verdicts)
-    _emit(report, args.human)
-    return EXIT_OK
+    return _finish(args, "pelements", table, {"p": args.p}, results, verdicts)
 
 
 def _cmd_blocks(args):
@@ -297,12 +299,10 @@ def _cmd_blocks(args):
     table, rmap = _resolve_reduction(args)
     rep = principal_block_members(table, rmap)
     results = {"group": table.group_name, **rep.as_dict(), "degrees": list(table.degrees)}
-    report = _report(
-        "blocks", table, {"p": args.p}, results,
+    return _finish(
+        args, "blocks", table, {"p": args.p}, results,
         {"all_characters_in_block": len(rep.members) == table.data.k},
     )
-    _emit(report, args.human)
-    return EXIT_OK
 
 
 def _cmd_counterexample(args):
@@ -324,8 +324,7 @@ def _cmd_counterexample(args):
             "residues": [v % bound for v in alt.gamma_values],
         }
         verdicts = {"all_divisible": all(alt.divisible_by_p_times_p_part)}
-    _emit(_report("counterexample", table, inputs, results, verdicts), args.human)
-    return EXIT_OK
+    return _finish(args, "counterexample", table, inputs, results, verdicts)
 
 
 def _cmd_verify(args):
@@ -495,24 +494,12 @@ def main(argv=None) -> int:
         # flush of what is still buffered cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except UnknownGroupError as exc:
-        print(f"error: unknown group {exc.args[0]!r}", file=sys.stderr)
-        return EXIT_UNKNOWN_GROUP
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP_EXCEEDED
-    except InconsistentSequenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except (TableIntegrityError, EigensplitError, NonIntegralValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMETER
+    except Exception as exc:
+        for types, code in ERRORS:
+            if isinstance(exc, types):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -207,13 +207,11 @@ def defect_zero_by_characters(
     real: bool = False,
 ) -> DefectReport:
     """Compare the residue criterion with the direct size test for defect 0."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    direct = defect_zero_direct(table.data, p)  # raises unless p is prime
     if n < 2:
         raise ValueError(f"the residue criterion needs n >= 2, got {n}")
     fn = delta if real else gamma
     residues = tuple(fn(n, row) % p for row in table.rows)
-    direct = defect_zero_direct(table.data, p)
     if real:
         direct = [i for i in direct if table.data.real_flags[i]]
     return DefectReport(

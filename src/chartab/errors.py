@@ -16,6 +16,9 @@ class CycleSyntaxError(FormatError):
 class UnknownGroupError(ChartabError, KeyError):
     """Requested group name is not in the catalog."""
 
+    def __str__(self):
+        return f"unknown group {self.args[0]!r}"
+
 
 class CapExceededError(ChartabError):
     """A group enumeration exceeded its element cap."""

@@ -1,7 +1,7 @@
 import os
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -244,3 +244,93 @@ def residue_roots(e, p):
         if gcd(j, m) == 1:
             roots.add(power)
     return poly, sorted(roots)
+
+
+# -- a symmetric-group oracle: partitions, beta-sets and hooks -------------
+
+
+def partitions(n, largest=None):
+    """The partitions of n, parts descending, each a tuple."""
+    largest = n if largest is None else largest
+    if n == 0:
+        return [()]
+    return [
+        (first, *rest)
+        for first in range(min(n, largest), 0, -1)
+        for rest in partitions(n - first, first)
+    ]
+
+
+def beta_set(partition):
+    """The first-column hook lengths lambda_i + r - i, r the number of parts."""
+    r = len(partition)
+    return frozenset(part + r - 1 - i for i, part in enumerate(partition))
+
+
+def from_beta_set(beta):
+    """The partition of a beta-set, zero parts dropped."""
+    r = len(beta)
+    parts = (b - (r - 1 - i) for i, b in enumerate(sorted(beta, reverse=True)))
+    return tuple(part for part in parts if part)
+
+
+@lru_cache(maxsize=None)
+def murnaghan_nakayama(beta, cycle_type):
+    """chi^lambda at a permutation of the given cycle type, lambda given by beta.
+
+    A rim hook of length m is a bead b of beta moved to the gap b - m; its
+    sign is -1 to the number of beads strictly between the two.
+    """
+    if not cycle_type:
+        return 1
+    m, rest = cycle_type[0], cycle_type[1:]
+    total = 0
+    for b in beta:
+        if b >= m and b - m not in beta:
+            sign = (-1) ** sum(b - m < c < b for c in beta)
+            total += sign * murnaghan_nakayama(beta - {b} | {b - m}, rest)
+    return total
+
+
+def z_mu(cycle_type):
+    """The centralizer order prod_i i^(m_i) m_i! of a permutation of that cycle type."""
+    out = 1
+    for length in set(cycle_type):
+        m = cycle_type.count(length)
+        out *= length**m * factorial(m)
+    return out
+
+
+def hook_lengths(partition):
+    conjugate = [sum(part > j for part in partition) for j in range(partition[0])]
+    return [
+        part - j + conjugate[j] - i - 1
+        for i, part in enumerate(partition) for j in range(part)
+    ]
+
+
+def p_core(partition, p):
+    """The partition left once every p-hook is removed: beads slid up p at a time."""
+    beta = set(beta_set(partition))
+    moved = True
+    while moved:
+        moved = False
+        for b in sorted(beta):
+            if b >= p and b - p not in beta:
+                beta = beta - {b} | {b - p}
+                moved = True
+    return from_beta_set(beta)
+
+
+def cycle_type(images):
+    """Cycle lengths of a permutation given by its images, descending."""
+    seen, lengths = set(), []
+    for start in range(len(images)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = images[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))

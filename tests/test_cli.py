@@ -22,6 +22,8 @@ from chartab.tables import save_table
 from conftest import MISTYPED_FIELDS
 
 LARGE_PRIME = str(10**18 + 3)
+# the directory this process imports chartab from
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
 
 
 def run_json(capsys, argv):
@@ -32,8 +34,7 @@ def run_json(capsys, argv):
 
 def run_module(argv, timeout=None):
     """Run `python -m chartab` in a child that imports the same chartab as this process."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "chartab", *argv], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=timeout,
@@ -792,22 +793,20 @@ def test_runtime_is_stdlib_only():
         "print(sorted({m.partition('.')[0] for m in sys.modules} "
         "- set(sys.stdlib_module_names) - {'__main__', 'chartab'}))"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-def _imports(argv, code=0):
+def _imports(argv, code=0, python=sys.executable):
     """Modules a `python -m chartab` run imports; -S skips site start-up, so
     every import -X importtime lists is chartab's."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "chartab", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        [python, "-S", "-X", "importtime", "-m", "chartab", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == code, proc.stderr
     return {
@@ -848,7 +847,7 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
         "chartab.verify", "chartab.dixon", "fractions", "decimal", "dataclasses", "inspect",
         "numbers", "typing", *ARGUMENT_PARSER,
     }
-    if importlib.util.find_spec("_sha256") is not None:
+    if any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
         # the provenance digest comes from the builtin module, without OpenSSL
         unused |= {"hashlib", "_hashlib"}
     if command.split()[0] in ("pelements", "blocks", "counterexample"):
@@ -878,12 +877,32 @@ def test_no_table_command_imports_the_table_layer(argv, code):
     assert not _imports(words, code) & (TABLE_LAYER | {"typing"})
 
 
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_supported_python(tmp_path, version):
+    # pyproject.toml promises Python 3.10 and later; each of these found on
+    # PATH must print the pinned bytes and digest a table file without OpenSSL
+    python = shutil.which(f"python{version}")
+    probe = python and subprocess.run([python, "-c", ""], capture_output=True, timeout=60)
+    if not probe or probe.returncode:
+        pytest.skip(f"python{version} does not start")
+    for argv, digest in (("verify", "978b3ea7b7b16501"), ("table --group S5", "55c5fe8ee4be9bad")):
+        proc = subprocess.run(
+            [python, "-m", "chartab", *argv.split()], capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest()[:16] == digest, argv
+    path = tmp_path / "S5.json"
+    assert main(["table", "--group", "S5", "--save", str(path)]) == 0
+    imported = _imports(["recover", "--table-file", str(path)], python=python)
+    assert not imported & {"hashlib", "_hashlib"}
+
+
 def test_closed_stdout_is_not_an_error():
     # the reader of stdout goes away at once, as `chartab verify | head -0` would
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "chartab", "verify"], stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC},
     )
     proc.stdout.close()
     _, err = proc.communicate(timeout=30)
@@ -902,8 +921,7 @@ def test_catalog_read_through_the_loader(argv):
 
 
 def test_zipped_install_reads_the_catalog(tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chartab.__file__)))
-    archive = shutil.make_archive(str(tmp_path / "chartab"), "zip", src, "chartab")
+    archive = shutil.make_archive(str(tmp_path / "chartab"), "zip", SRC, "chartab")
     for argv in (["classes", "--group", "S3"], ["verify", "--group", "S3"]):
         zipped = subprocess.run(
             [sys.executable, "-m", "chartab", *argv], capture_output=True, text=True,

@@ -416,8 +416,10 @@ class TestTableFiles:
     @pytest.mark.parametrize("builtin", (True, False), ids=("builtin", "hashlib"))
     def test_provenance_is_the_file_digest(self, table_factory, tmp_path, monkeypatch, builtin):
         if not builtin:
-            # None in sys.modules makes `import _sha256` raise ImportError
+            # None in sys.modules makes `import _sha256` raise ImportError;
+            # CPython 3.12 renamed the module _sha2
             monkeypatch.setitem(sys.modules, "_sha256", None)
+            monkeypatch.setitem(sys.modules, "_sha2", None)
         path = tmp_path / "s4.json"
         save_table(table_factory("S4"), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
@@ -496,6 +498,25 @@ class TestTableFiles:
         data = table_to_dict(table_factory("S3"))
         data["class_sizes"] = sizes
         with pytest.raises(TableIntegrityError, match="positive divisors"):
+            table_from_dict(data)
+
+    def test_rep_order_not_dividing_the_order_rejected(self, monkeypatch):
+        # a group of order 2 with a class of prime order P passes every other
+        # check; the power map's composition check alone takes pi(P) * P steps
+        P = 8009
+        one, minus_one = Cyclotomic.one(P).to_dict(), Cyclotomic.from_rational(P, -1).to_dict()
+        data = {
+            "group": "lagrange", "order": 2, "exponent": P, "class_sizes": [1, 1],
+            "rep_orders": [1, P], "inverse_class": [0, 1],
+            "power_map": [[0] * P, [0] + [1] * (P - 1)],
+            "rows": [[one, one], [one, minus_one]],
+        }
+
+        def composition_started(p):
+            raise AssertionError("the composition check ran")
+
+        monkeypatch.setattr(tables, "is_prime", composition_started)
+        with pytest.raises(TableIntegrityError, match="rep order 8009, which does not divide"):
             table_from_dict(data)
 
     def test_galois_action_violation_rejected(self, table_factory):
