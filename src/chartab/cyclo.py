@@ -109,15 +109,15 @@ class Cyclotomic:
         cs = tuple(_integers(coeffs))
         if len(cs) != d:
             raise ValueError(f"order {e} needs {d} coefficients, got {len(cs)}")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "coeffs", cs)
+        _set_e(self, e)
+        _set_coeffs(self, cs)
 
     @classmethod
     def _make(cls, e: int, coeffs: tuple[int, ...]) -> "Cyclotomic":
         """Wrap canonical int coefficients without re-checking them."""
         out = object.__new__(cls)
-        object.__setattr__(out, "e", e)
-        object.__setattr__(out, "coeffs", coeffs)
+        _set_e(out, e)
+        _set_coeffs(out, coeffs)
         return out
 
     def __setattr__(self, name, value):
@@ -312,6 +312,11 @@ class Cyclotomic:
         for c, text in terms[1:]:
             out += (" - " if c < 0 else " + ") + text
         return out
+
+
+# the slots' own setters, which the immutability guard of __setattr__ does not cover
+_set_e = Cyclotomic.e.__set__
+_set_coeffs = Cyclotomic.coeffs.__set__
 
 
 def root_power(e: int, j: int) -> Cyclotomic:

@@ -13,7 +13,7 @@ import json
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import euler_phi, is_prime
+from .arith import euler_phi, is_prime, prime_factors
 from .classfuncs import ClassFunction, _scaled_inner
 from .cyclo import Cyclotomic
 from .errors import FormatError, NonIntegralValueError, TableIntegrityError
@@ -156,53 +156,54 @@ def validate_table(table: CharacterTable) -> None:
     """Raise TableIntegrityError unless every table invariant holds exactly.
 
     One row per class and values in Z[eps_e] are the caller's to check, as
-    `table_from_dict` and `dixon._build_table` do.  The Galois action
-    chi(g^s) = sigma_s(chi(g)) is checked at every class for s in a
-    generating set of the units mod e only.  That suffices: the power map is
-    checked first to repeat and compose, so g^(st) ~ (g^s)^t, and if the
-    action holds for s and for t at every class then
-    chi(g^(st)) = chi((g^s)^t) = sigma_t(chi(g^s)) = sigma_t(sigma_s(chi(g)))
-    = sigma_(st)(chi(g)); induction on the length of a product of generators
-    covers every unit.
+    `table_from_dict` and `dixon._build_table` do.  The checks linear in k
+    run first, orthogonality last.
+
+    The power map P composes, P(P(i, s), t) = P(i, st), and the Galois
+    action chi(g^s) = sigma_s(chi(g)) holds, for every s once they hold for
+    s among the primes dividing e and the unit generators, where they are
+    checked.  Products of these are all of Z/e: s = d u mod e, with
+    d = gcd(s, e) and u a unit lifting s/d mod e/d.  If s and s' pass at
+    every class, so does ss', since
+    P(P(i, ss'), t) = P(P(P(i, s), s'), t) = P(P(i, s), s't) = P(i, ss't)
+    and chi(g^(ss')) = chi((g^s)^s') = sigma_s'(sigma_s(chi(g))).  At a
+    class of order o, P(i, s) must have order o / gcd(s, o), a divisor of
+    o, so both sides repeat with period o in t and t < o suffices.
     """
     data = table.data
     if sum(data.sizes) != data.order:
         raise TableIntegrityError("class sizes do not sum to the group order")
     if any(s < 1 or data.order % s for s in data.sizes):
         raise TableIntegrityError("class sizes must be positive divisors of the group order")
-    _validate_power_map(data)
-    units = _unit_generators(data.exponent)
-    first = table.rows[0]
-    if not all(v == 1 for v in first.values):
+    if not all(v == 1 for v in table.rows[0].values):
         raise TableIntegrityError("row 0 is not the trivial character")
     for idx, row in enumerate(table.rows):
         if row.degree < 1 or data.order % row.degree:
             raise TableIntegrityError(
                 f"row {idx} has degree {row.degree}, not a positive divisor of the order"
             )
+    if sum(d * d for d in table.degrees) != data.order:
+        raise TableIntegrityError("sum of squared degrees differs from the group order")
+    _validate_power_map(data)
+    units = _unit_generators(data.exponent)
+    for idx, row in enumerate(table.rows):
         for i, value in enumerate(row.values):
-            # chi(g^s) = sigma_s(chi(g)) for generators s of the units mod e
             for s in units:
                 if row.values[data.power_class(i, s)] != value.galois(s):
                     raise TableIntegrityError(
                         f"row {idx}: value at class {i} to the power {s} is not "
                         f"its Galois image"
                     )
-    if sum(d * d for d in table.degrees) != data.order:
-        raise TableIntegrityError("sum of squared degrees differs from the group order")
     violations = verify_orthogonality(table)
     if violations:
         raise TableIntegrityError(f"orthogonality violated: {violations[:3]}")
 
 
 def _validate_power_map(data: ClassData) -> None:
-    """Row i of the power map runs identity, class i, ..., inverse class, and
-    first returns to the identity at rep_orders[i]; their lcm is the exponent.
-
-    Row i must also repeat with period o = rep_orders[i] (g^(s+o) = g^s) and
-    compose: (g^s)^p ~ g^(sp) for every s < o and every prime p < e, which by
-    the periodicity covers every s.  With the t = 0, 1 entries this gives
-    (g^s)^t ~ g^(st) for all t, by induction on the prime factors of t.
+    """Row i of the power map runs identity, class i, ..., inverse class,
+    first returns to the identity at rep_orders[i], a divisor of the group
+    order, and repeats with that period; the exponent is their lcm.  The rows
+    compose, checked as `validate_table` says.
     """
     e = data.exponent
     for i in range(data.k):
@@ -232,15 +233,16 @@ def _validate_power_map(data: ClassData) -> None:
             )
     if e != lcm(*data.rep_orders):
         raise TableIntegrityError("the exponent is not the lcm of the rep orders")
-    for p in range(2, e):
-        if not is_prime(p):
-            continue
-        to_the_p = [row[p] for row in data.power_map]  # class c -> class of rep(c)^p
+    for s in (*prime_factors(e), *_unit_generators(e)):
         for i, (row, o) in enumerate(zip(data.power_map, data.rep_orders)):
-            if any(to_the_p[row[s]] != row[s * p % o] for s in range(o)):
+            c = row[s % e]  # the class of g^s
+            to_the_t = data.power_map[c]
+            if data.rep_orders[c] != o // gcd(s, o) or any(
+                to_the_t[t] != row[s * t % o] for t in range(o)
+            ):
                 raise TableIntegrityError(
-                    f"power map of class {i} does not compose: some (g^s)^{p} is "
-                    f"not in the class of g^({p}s)"
+                    f"power map of class {i} does not compose: some (g^{s})^t is "
+                    f"not in the class of g^({s}t)"
                 )
 
 

@@ -68,6 +68,19 @@ def spec_tables():
     return out
 
 
+# -- a power-map oracle: the definition of composition ---------------------
+
+
+def composes(data):
+    """Whether the class of (g^s)^t is the class of g^(st) for every class g
+    and every s and t mod e: the definition, checked at every pair."""
+    e, rows = data.exponent, data.power_map
+    return all(
+        rows[row[s]][t] == row[s * t % e]
+        for s in range(e) for row in rows for t in range(e)
+    )
+
+
 # -- a cyclotomic-polynomial oracle: exact division by the lower ones ------
 
 

@@ -3,7 +3,8 @@ import itertools
 import json
 import random
 import sys
-from math import gcd
+import time
+from math import gcd, lcm
 
 import pytest
 
@@ -12,7 +13,7 @@ from chartab.arith import euler_phi
 from chartab.classfuncs import ClassFunction
 from chartab.cyclo import Cyclotomic, root_power
 from chartab.errors import FormatError, TableIntegrityError
-from chartab.groups import GroupSpec, conjugacy_data, enumerate_group
+from chartab.groups import ClassData, GroupSpec, conjugacy_data, enumerate_group
 from chartab.tables import (
     CharacterTable,
     compute_table,
@@ -25,7 +26,7 @@ from chartab.tables import (
     verify_orthogonality,
 )
 
-from conftest import ALL_GROUPS, MISTYPED_FIELDS, cf_mul
+from conftest import ALL_GROUPS, MISTYPED_FIELDS, SPEC_GROUPS, cf_mul, composes
 
 
 def _all_powers_identity(data):
@@ -512,10 +513,12 @@ class TestTableFiles:
             "rows": [[one, one], [one, minus_one]],
         }
 
-        def composition_started(p):
+        def composition_started(e):
             raise AssertionError("the composition check ran")
 
-        monkeypatch.setattr(tables, "is_prime", composition_started)
+        # the composition loop starts by listing its generators
+        monkeypatch.setattr(tables, "prime_factors", composition_started)
+        monkeypatch.setattr(tables, "_unit_generators", composition_started)
         with pytest.raises(TableIntegrityError, match="rep order 8009, which does not divide"):
             table_from_dict(data)
 
@@ -557,3 +560,128 @@ class TestTableFiles:
         loaded = load_table(path)
         assert verify_orthogonality(loaded) == []
         assert loaded.degrees == (1, 1, 1, 1, 2)
+
+
+def _accepts(data):
+    try:
+        tables._validate_power_map(data)
+    except TableIntegrityError:
+        return False
+    return True
+
+
+def _small_maps(k, largest):
+    """Every power map on k classes, class 0 the identity, whose other classes
+    have orders from 2 to `largest` and whose rows pass the row checks: row i
+    is 0, i, then non-identity classes up to its order o, repeated with
+    period o out to e, the lcm of the orders."""
+    for orders in itertools.product(range(2, largest + 1), repeat=k - 1):
+        e = lcm(*orders)
+        heads = [
+            [(0, i, *middle) for middle in itertools.product(range(1, k), repeat=o - 2)]
+            for i, o in enumerate(orders, start=1)
+        ]
+        for chosen in itertools.product(*heads):
+            rows = ((0,) * e,) + tuple(head * (e // len(head)) for head in chosen)
+            yield ClassData(
+                order=e, exponent=e, sizes=(1,) * k, rep_orders=(1, *orders),
+                inverse_class=tuple(row[-1] for row in rows), power_map=rows,
+            )
+
+
+def _sylvester_record():
+    """A table that passes every check linear in k but the sum of squared
+    degrees: six classes whose sizes n/a, for Sylvester's 1/2 + 1/3 + 1/7 +
+    1/43 + 1/1807 = 1 - 1/n, sum to n = 1806 * 1807; rep orders 1, 1807, 139,
+    13, 2 and 3; g^t in the class of order o / gcd(t, o); every row trivial."""
+    n = 1806 * 1807
+    orders = (1, 1807, 139, 13, 2, 3)
+    e = lcm(*orders)
+    by_order = {o: i for i, o in enumerate(orders)}
+    one = Cyclotomic.one(e).to_dict()
+    return {
+        "group": "sylvester", "order": n, "exponent": e,
+        "class_sizes": [n // a for a in (n, 2, 3, 7, 43, 1807)],
+        "rep_orders": list(orders), "inverse_class": list(range(6)),
+        "power_map": [[by_order[o // gcd(t, o)] for t in range(e)] for o in orders],
+        "rows": [[one] * 6 for _ in orders],
+    }
+
+
+class TestPowerMapComposition:
+    """Composition is checked on the primes dividing e and the unit generators;
+    `composes` checks it at every s and t."""
+
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS)
+    def test_real_maps_compose_and_load(self, table_factory, spec_tables, name):
+        table = spec_tables[name] if name in SPEC_GROUPS else table_factory(name)
+        assert composes(table.data)
+        assert table_from_dict(table_to_dict(table)) == table
+
+    def test_agrees_with_the_definition_on_every_small_map(self):
+        # e runs over 2 to 8 and 10 to 56: one prime or up to three, and unit
+        # groups cyclic (e = 5, 7) or not (e = 8, 12, 24)
+        verdicts = []
+        for k in (2, 3):
+            for data in _small_maps(k, 8):
+                verdict = _accepts(data)
+                assert verdict == composes(data), data.power_map
+                verdicts.append(verdict)
+        assert len(verdicts) == 16136
+        assert sum(verdicts) == 25
+
+    def test_agrees_with_the_definition_on_corrupted_real_maps(self, table_factory, spec_tables):
+        # each corruption moves one residue class t = r (mod o) of one row to
+        # another non-identity class, keeping the row checks satisfied
+        rng = random.Random(3030)
+        names = ALL_GROUPS[2:] + SPEC_GROUPS  # every group with a class of order 3 or more
+        rejected = 0
+        for _ in range(300):
+            name = rng.choice(names)
+            data = (spec_tables[name] if name in SPEC_GROUPS else table_factory(name)).data
+            i = rng.choice([c for c, o in enumerate(data.rep_orders) if o >= 3])
+            o, row = data.rep_orders[i], list(data.power_map[i])
+            r = rng.randrange(2, o)
+            new = rng.choice([c for c in range(1, data.k) if c != row[r]])
+            row[r::o] = [new] * len(row[r::o])
+            power_map = list(data.power_map)
+            power_map[i] = tuple(row)
+            inverse = list(data.inverse_class)
+            inverse[i] = row[-1]
+            bad = data._replace(power_map=tuple(power_map), inverse_class=tuple(inverse))
+            assert _accepts(bad) == composes(bad), (name, i, r, new)
+            rejected += not composes(bad)
+        assert 250 < rejected < 300  # both verdicts occur
+
+    def test_sylvester_table_refused_before_the_power_map(self, monkeypatch):
+        def power_map_checked(data):
+            raise AssertionError("the power map was checked first")
+
+        monkeypatch.setattr(tables, "_validate_power_map", power_map_checked)
+        with pytest.raises(TableIntegrityError, match="sum of squared degrees"):
+            table_from_dict(_sylvester_record())
+
+    def test_sylvester_power_map_checked_in_time(self):
+        record = _sylvester_record()
+        data = ClassData(
+            order=record["order"], exponent=record["exponent"],
+            sizes=tuple(record["class_sizes"]), rep_orders=tuple(record["rep_orders"]),
+            inverse_class=tuple(record["inverse_class"]),
+            power_map=tuple(map(tuple, record["power_map"])),
+        )
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            tables._validate_power_map(data)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05
+
+    def test_table_load_tests_no_primality(self, table_factory, tmp_path, monkeypatch):
+        def primality_tested(n):
+            raise AssertionError("is_prime ran during a load")
+
+        monkeypatch.setattr(tables, "is_prime", primality_tested)
+        for name in ("C5", "S4", "A5", "S5"):
+            path = tmp_path / f"{name}.json"
+            save_table(table_factory(name), path)
+            assert load_table(path) == table_factory(name)
