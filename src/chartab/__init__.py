@@ -23,7 +23,7 @@ _EXPORTS = {
         "strunkov_analog_gamma",
     ),
     "classfuncs": ("ClassFunction", "delta", "gamma"),
-    "cyclo": ("Cyclotomic", "as_rational_integer", "cyclotomic_polynomial", "root_power"),
+    "cyclo": ("Cyclotomic", "as_rational_integer", "cyclotomic_polynomial"),
     "duality": (
         "DefectReport", "SizeSpectrum", "defect_zero_by_characters",
         "defect_zero_direct", "delta_sequence", "gamma_sequence",

@@ -129,6 +129,7 @@ def _multiplicities(phi: ClassFunction, ns, real_only: bool):
     a rational integer.
     """
     pairs, rational = _collapse(phi, real_only)
+    e = phi.data.exponent
     for n in ns:
         if rational:
             yield sum(c ** (n - 1) * u[0] for c, u in pairs)
@@ -136,7 +137,7 @@ def _multiplicities(phi: ClassFunction, ns, real_only: bool):
             weights = [c ** (n - 1) for c, _ in pairs]
             columns = zip(*(u for _, u in pairs))
             total = tuple(sum(map(mul, weights, column)) for column in columns)
-            yield as_rational_integer(Cyclotomic._make(phi.data.exponent, total))
+            yield as_rational_integer(Cyclotomic._make(e, total))
 
 
 def _nonnegative(values) -> list[int]:

@@ -319,13 +319,6 @@ _set_e = Cyclotomic.e.__set__
 _set_coeffs = Cyclotomic.coeffs.__set__
 
 
-def root_power(e: int, j: int) -> Cyclotomic:
-    """eps_e^j in canonical form (j taken mod e)."""
-    if e < 1:
-        raise ValueError(f"order must be positive, got {e}")
-    return Cyclotomic.from_poly(e, [0] * (j % e) + [1])
-
-
 def as_rational_integer(z: Cyclotomic) -> int:
     """The value as a plain integer; raises if it is not a rational integer."""
     if not z.is_rational():

@@ -239,6 +239,7 @@ def _build_table(cd: ConjugacyData, prime: int | None) -> CharacterTable:
         raise EigensplitError(f"expected {k} eigenvectors, found {len(eigvecs)}")
 
     size_inv = [pow(s, -1, q) for s in data.sizes]
+    inverse = data.inverse_class
     z = pow(primitive_root(q), (q - 1) // e, q)
     z_inv_pows = [pow(z, -t, q) for t in range(e)]
 
@@ -248,17 +249,17 @@ def _build_table(cd: ConjugacyData, prime: int | None) -> CharacterTable:
             raise TableIntegrityError("eigenvector vanishes at the identity class")
         scale = pow(vec[0], -1, q)
         omega = [v * scale % q for v in vec]
-        norm = sum(omega[i] * omega[data.inverse_class[i]] * size_inv[i] for i in range(k))
+        norm = sum(omega[i] * omega[inverse[i]] * size_inv[i] for i in range(k))
         degree = _sqrt_below_half(order * pow(norm, -1, q) % q, q)
         theta = [degree * omega[i] * size_inv[i] % q for i in range(k)]
         values = []
-        for j in range(k):
+        for walk in data.power_map:
             # theta(g^s) has period o, so only the powers eps^(t e/o) occur:
             # a length-o transform with root z^(e/o) finds their counts
-            o = data.rep_orders[j]
+            o = len(walk)
             step = e // o
             o_inv = pow(o, -1, q)
-            theta_pow = [theta[data.power_map[j][s]] for s in range(o)]
+            theta_pow = [theta[c] for c in walk]
             poly = [0] * e
             for t in range(o):
                 poly[t * step] = o_inv * sum(

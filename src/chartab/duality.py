@@ -45,12 +45,6 @@ class SizeSpectrum(namedtuple("SizeSpectrum", "order counts")):
     def as_dict(self) -> dict[int, int]:
         return dict(self.counts)
 
-    def total_elements(self) -> int:
-        return sum(size * count for size, count in self.counts)
-
-    def class_count(self) -> int:
-        return sum(count for _, count in self.counts)
-
 
 def _solve_vandermonde(nodes: list[int], rhs: list[int]) -> list[int | Fraction]:
     """Exact solve of sum_i x_i * nodes_i^(n-1) = rhs[n-1] for distinct nodes.

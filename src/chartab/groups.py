@@ -9,10 +9,11 @@ class is the orbit of an element under conjugation by the generators, found
 breadth-first in |G| * |gens| conjugations.  Classes are ordered by (size,
 smallest member), so the identity class is always class 0 and two runs over
 the same spec produce identical orderings.  A `Group` holds only its elements,
-their index and their inverses; the class facts live in `ClassData`, and each
-class's order, inverse class and power map come from one walk x, x^2, ... back
-to 1 over the powers of its representative x.  Commutator counts come from the
-structure constants of the class sums, in k * |G| products, not |G|^2 pairs.
+their index and their inverses; the class facts live in `ClassData`, which
+stores one walk 1, x, x^2, ... over the powers of each representative x and
+reads its class's order, inverse class and power map off it.  Commutator
+counts come from the structure constants of the class sums, in k * |G|
+products, not |G|^2 pairs.
 """
 
 from __future__ import annotations
@@ -158,9 +159,6 @@ class Group:
                 inverse_index[i], inverse_index[j] = j, i
         self.inverse_index = tuple(inverse_index)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.index[_compose(self.elements[i], self.elements[j])]
-
     def __repr__(self):
         return f"Group({self.name!r}, order={self.order})"
 
@@ -189,16 +187,16 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     return Group(spec.name, elements, gens)
 
 
-class ClassData(
-    namedtuple("ClassData", "order exponent sizes rep_orders inverse_class power_map")
-):
+class ClassData(namedtuple("ClassData", "order sizes power_map")):
     """The class-level facts shared by class functions and character tables.
 
-    For a group they come from `ConjugacyData`'s walk over the powers of each
-    representative; a table file carries them and `load_table` checks them.
-    `order` and `exponent` are ints; `sizes`, `rep_orders` and `inverse_class`
-    are tuples of ints, one per class; `power_map[i][t]` is the class of
-    rep(i)^t for t below the exponent.
+    `order` is the group order, `sizes` a tuple of class sizes and
+    `power_map[i]` the walk of class i: the classes of g^0, g^1, ...,
+    g^(o-1) for g in class i, o its order.  Each walk is the one record of
+    its class's order (its length), its inverse class (its last entry) and
+    its power map; the exponent is the lcm of the orders.  For a group the
+    walks come from `ConjugacyData`; a table file carries them written out
+    to the exponent, and `load_table` checks them.
     """
 
     __slots__ = ()
@@ -208,25 +206,38 @@ class ClassData(
         return len(self.sizes)
 
     @property
+    def rep_orders(self) -> tuple[int, ...]:
+        return tuple(map(len, self.power_map))
+
+    @property
+    def inverse_class(self) -> tuple[int, ...]:
+        return tuple(row[-1] for row in self.power_map)
+
+    @property
+    def exponent(self) -> int:
+        return lcm(*map(len, self.power_map))
+
+    @property
     def centralizer_orders(self) -> tuple[int, ...]:
         return tuple(self.order // s for s in self.sizes)
 
     @property
     def real_flags(self) -> tuple[bool, ...]:
-        return tuple(self.inverse_class[i] == i for i in range(self.k))
+        return tuple(row[-1] == i for i, row in enumerate(self.power_map))
 
     def power_class(self, i: int, t: int) -> int:
-        """Class of rep(i)^t; t is taken mod the exponent."""
-        return self.power_map[i][t % self.exponent]
+        """Class of rep(i)^t; t is taken mod the order of rep(i)."""
+        row = self.power_map[i]
+        return row[t % len(row)]
 
 
 class ConjugacyData:
     """Conjugacy classes of an enumerated group, ordered by (size, first member).
 
-    `data` comes from one walk per representative x: the classes of x, x^2,
-    ... up to the return to 1 give the order of x, its inverse class (the
-    last step) and its power-map row, repeated out to the exponent, the lcm
-    of the orders.  The walks take as many products as the orders sum to.
+    `data` holds one walk per representative x: the classes of 1, x, x^2,
+    ... up to the return to 1, which give the order of x, its inverse class
+    (the last step) and its power map.  The walks take as many products as
+    the orders sum to.
     Also holds each class matrix `class_matrix` has built for it.
     """
 
@@ -266,22 +277,16 @@ class ConjugacyData:
         self.k = len(members)
         self._class_matrices: list[tuple[tuple[int, ...], ...] | None] = [None] * self.k
         # row[t] is the class of x^t, t below the order of x
-        cycles = []
+        walks = []
         for rep in self.representatives:
             x = cur = elements[rep]
             row = [0]
             while cur != elements[0]:
                 row.append(class_of[index[cur]])
                 cur = _compose(cur, x)
-            cycles.append(row)
-        exponent = lcm(*map(len, cycles))
+            walks.append(tuple(row))
         self.data = ClassData(
-            order=n,
-            exponent=exponent,
-            sizes=tuple(len(m) for m in members),
-            rep_orders=tuple(map(len, cycles)),
-            inverse_class=tuple(row[-1] for row in cycles),
-            power_map=tuple(tuple(row * (exponent // len(row))) for row in cycles),
+            order=n, sizes=tuple(len(m) for m in members), power_map=tuple(walks)
         )
 
     def __repr__(self):

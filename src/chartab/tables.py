@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .arith import euler_phi, is_prime, prime_factors
 from .classfuncs import ClassFunction, _scaled_inner
@@ -167,8 +167,9 @@ def validate_table(table: CharacterTable) -> None:
     every class, so does ss', since
     P(P(i, ss'), t) = P(P(P(i, s), s'), t) = P(P(i, s), s't) = P(i, ss't)
     and chi(g^(ss')) = chi((g^s)^s') = sigma_s'(sigma_s(chi(g))).  At a
-    class of order o, P(i, s) must have order o / gcd(s, o), a divisor of
-    o, so both sides repeat with period o in t and t < o suffices.
+    class of order o, g^s has order o / gcd(s, o), and both sides repeat
+    with that period in t: so the walk of P(i, s), whose length is that
+    order, must equal P(i, st) for t below o / gcd(s, o).
     """
     data = table.data
     if sum(data.sizes) != data.order:
@@ -200,46 +201,32 @@ def validate_table(table: CharacterTable) -> None:
 
 
 def _validate_power_map(data: ClassData) -> None:
-    """Row i of the power map runs identity, class i, ..., inverse class,
-    first returns to the identity at rep_orders[i], a divisor of the group
-    order, and repeats with that period; the exponent is their lcm.  The rows
-    compose, checked as `validate_table` says.
+    """Walk i starts with the identity and class i and does not return to the
+    identity, so its length is the order of class i, which must divide the
+    group order.  The walks compose, checked as `validate_table` says.  The
+    inverse classes and the exponent are read off the walks, so they cannot
+    disagree with them.
     """
-    e = data.exponent
-    for i in range(data.k):
-        if data.power_class(i, 0) != 0 or data.power_class(i, 1) != i:
+    for i, row in enumerate(data.power_map):
+        if row[0] != 0 or data.power_class(i, 1) != i:
             raise TableIntegrityError(
                 f"power map of class {i} does not start with the identity and class {i}"
             )
-        if data.power_class(i, -1) != data.inverse_class[i]:
+        if 0 in row[1:]:
             raise TableIntegrityError(
-                f"power map of class {i} does not end at its inverse class"
+                f"power map of class {i} reaches the identity before its rep order {len(row)}"
             )
-        first = next(t for t in range(1, e + 1) if data.power_class(i, t) == 0)
-        if data.rep_orders[i] != first:
+        if data.order % len(row):
             raise TableIntegrityError(
-                f"class {i} has rep order {data.rep_orders[i]}, but its power map "
-                f"first reaches the identity at {first}"
-            )
-        if data.order % first:
-            raise TableIntegrityError(
-                f"class {i} has rep order {first}, which does not divide the "
+                f"class {i} has rep order {len(row)}, which does not divide the "
                 f"group order {data.order}"
             )
-        row = data.power_map[i]
-        if row[first:] != row[: e - first]:
-            raise TableIntegrityError(
-                f"power map of class {i} does not repeat with period {first}"
-            )
-    if e != lcm(*data.rep_orders):
-        raise TableIntegrityError("the exponent is not the lcm of the rep orders")
+    e = data.exponent
     for s in (*prime_factors(e), *_unit_generators(e)):
-        for i, (row, o) in enumerate(zip(data.power_map, data.rep_orders)):
-            c = row[s % e]  # the class of g^s
-            to_the_t = data.power_map[c]
-            if data.rep_orders[c] != o // gcd(s, o) or any(
-                to_the_t[t] != row[s * t % o] for t in range(o)
-            ):
+        for i, row in enumerate(data.power_map):
+            o = len(row)
+            # the walk of g^s against g^(st) over its one period
+            if data.power_map[row[s % o]] != tuple(row[s * t % o] for t in range(o // gcd(s, o))):
                 raise TableIntegrityError(
                     f"power map of class {i} does not compose: some (g^{s})^t is "
                     f"not in the class of g^({s}t)"
@@ -250,15 +237,18 @@ def _validate_power_map(data: ClassData) -> None:
 
 
 def table_to_dict(table: CharacterTable) -> dict:
+    """The file record: each walk is written out to the exponent, beside the
+    rep orders, inverse classes and exponent read off the walks."""
     data = table.data
+    e = data.exponent
     return {
         "group": table.group_name,
         "order": data.order,
-        "exponent": data.exponent,
+        "exponent": e,
         "class_sizes": list(data.sizes),
         "rep_orders": list(data.rep_orders),
         "inverse_class": list(data.inverse_class),
-        "power_map": [list(row) for row in data.power_map],
+        "power_map": [list(row) * (e // len(row)) for row in data.power_map],
         "rows": [[v.to_dict() for v in row.values] for row in table.rows],
     }
 
@@ -310,14 +300,21 @@ def table_from_dict(data: dict, provenance: str = "dict") -> CharacterTable:
         not isinstance(row, list) or len(row) != k for row in raw_rows
     ):
         raise FormatError(f"rows must be a {k} x {k} matrix of cyclotomic records")
-    class_data = ClassData(
-        order=order,
-        exponent=exponent,
-        sizes=tuple(sizes),
-        rep_orders=tuple(data["rep_orders"]),
-        inverse_class=tuple(data["inverse_class"]),
-        power_map=tuple(tuple(row) for row in pm),
-    )
+    # each row is its class's walk repeated out to the exponent: cut it to one period
+    walks = []
+    for i, (row, o, inverse) in enumerate(zip(pm, data["rep_orders"], data["inverse_class"])):
+        if o < 1 or exponent % o:
+            raise TableIntegrityError(
+                f"class {i} has rep order {o}, not a positive divisor of the exponent {exponent}"
+            )
+        if row[o:] != row[:-o]:
+            raise TableIntegrityError(f"power map of class {i} does not repeat with period {o}")
+        if row[o - 1] != inverse:
+            raise TableIntegrityError(f"power map of class {i} does not end at its inverse class")
+        walks.append(tuple(row[:o]))
+    class_data = ClassData(order=order, sizes=tuple(sizes), power_map=tuple(walks))
+    if class_data.exponent != exponent:
+        raise TableIntegrityError("the exponent is not the lcm of the rep orders")
     rows = tuple(
         ClassFunction(
             tuple(_value_from_dict(rec, exponent, r, i) for i, rec in enumerate(row)),

@@ -68,16 +68,30 @@ def spec_tables():
     return out
 
 
+# -- products and roots of unity, for tests that need one of each ----------
+
+
+def mul(group, i, j):
+    """Index of the product of elements i and j, element i applied first."""
+    a, b = group.elements[i], group.elements[j]
+    return group.index[tuple(b[x] for x in a)]
+
+
+def root_power(e, j):
+    """eps_e^j in canonical form (j taken mod e)."""
+    return Cyclotomic.from_poly(e, [0] * (j % e) + [1])
+
+
 # -- a power-map oracle: the definition of composition ---------------------
 
 
 def composes(data):
     """Whether the class of (g^s)^t is the class of g^(st) for every class g
     and every s and t mod e: the definition, checked at every pair."""
-    e, rows = data.exponent, data.power_map
+    e, power = data.exponent, data.power_class
     return all(
-        rows[row[s]][t] == row[s * t % e]
-        for s in range(e) for row in rows for t in range(e)
+        power(power(i, s), t) == power(i, s * t)
+        for s in range(e) for i in range(data.k) for t in range(e)
     )
 
 

@@ -68,15 +68,15 @@ class TestIsPElement:
     def test_order_disagreement_raises(self, s3):
         # claim the transpositions have order 3: the congruence test says no
         _, cd, table, rmap = s3
-        transpositions = cd.data.sizes.index(3)
-        orders = list(table.data.rep_orders)
-        orders[transpositions] = 3
+        t = cd.data.sizes.index(3)
+        walks = list(table.data.power_map)
+        walks[t] = (0, t, t)
         lying = CharacterTable(
-            table.group_name, table.data._replace(rep_orders=tuple(orders)), table.rows
+            table.group_name, table.data._replace(power_map=tuple(walks)), table.rows
         )
         with pytest.raises(
             TableIntegrityError,
-            match=f"disagree on class {transpositions} for p=3",
+            match=f"disagree on class {t} for p=3",
         ):
             p_element_flags(lying, rmap)
 

@@ -1,7 +1,7 @@
 import pytest
 
 from chartab.classfuncs import MAX_POWER, ClassFunction, delta, gamma
-from chartab.cyclo import Cyclotomic, as_rational_integer, root_power
+from chartab.cyclo import Cyclotomic, as_rational_integer
 from chartab.errors import ClassDataMismatchError, NonIntegralValueError, TableIntegrityError
 from chartab.tables import CharacterTable, validate_table
 
@@ -15,6 +15,7 @@ from conftest import (
     pi_character,
     power,
     psi_character,
+    root_power,
 )
 
 
@@ -91,8 +92,11 @@ class TestPsiCharacter:
 
     def test_corrupt_table_detected(self, table_factory):
         table = table_factory("C4")
-        # lie about which classes are real: the table no longer validates
-        data = table.data._replace(inverse_class=(0, 1, 2, 3))
+        # lie about which classes are real, through walks ending at their own
+        # class: the table no longer validates
+        walks = tuple(row[:-1] + (i,) for i, row in enumerate(table.data.power_map))
+        data = table.data._replace(power_map=walks)
+        assert all(data.real_flags) and not all(table.data.real_flags)
         lying = CharacterTable(
             group_name=table.group_name,
             data=data,

@@ -65,6 +65,17 @@ class TestClasses:
         assert report["results"]["sizes"] == [1] * 7
 
 
+# an entry of a saved S3 table, whose exponent is 6, that disagrees with the
+# power map: class 1 holds the 3-cycles and class 2 the transpositions
+FACTS_OFF_THE_WALKS = {
+    "rep-order-zero": ("rep_orders", 1, 0),
+    "rep-order-negative": ("rep_orders", 1, -3),
+    "rep-order-above-exponent": ("rep_orders", 1, 12),
+    "rep-order-not-dividing-exponent": ("rep_orders", 1, 4),
+    "inverse-class": ("inverse_class", 2, 1),
+}
+
+
 class TestTable:
     def test_json_report_contains_table(self, capsys):
         code, report = run_json(capsys, ["table", "--group", "S3"])
@@ -138,6 +149,19 @@ class TestTable:
         code = main(["table", "--group", "S4", "--table-file", str(path)])
         assert "error: power map of class" in capsys.readouterr().err
         assert code == 7
+
+    @pytest.mark.parametrize("case", sorted(FACTS_OFF_THE_WALKS))
+    def test_class_fact_disagreeing_with_the_power_map_rejected(self, capsys, tmp_path, case):
+        key, index, value = FACTS_OFF_THE_WALKS[case]
+        path = tmp_path / "s3.json"
+        run_json(capsys, ["table", "--group", "S3", "--save", str(path)])
+        data = json.loads(path.read_text())
+        data[key][index] = value
+        path.write_text(json.dumps(data))
+        code = main(["table", "--group", "S3", "--table-file", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 7
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_integral_value_rejected(self, capsys, tmp_path):
         path = tmp_path / "s3.json"

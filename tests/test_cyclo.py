@@ -6,15 +6,10 @@ from math import gcd
 import pytest
 
 from chartab.arith import euler_phi
-from chartab.cyclo import (
-    Cyclotomic,
-    as_rational_integer,
-    cyclotomic_polynomial,
-    root_power,
-)
+from chartab.cyclo import Cyclotomic, as_rational_integer, cyclotomic_polynomial
 from chartab.errors import FormatError, NonIntegralValueError, OrderMismatchError
 
-from conftest import cyclotomic_by_division
+from conftest import cyclotomic_by_division, root_power
 
 
 def eval_poly_at_root(poly, e):

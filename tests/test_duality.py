@@ -198,8 +198,8 @@ class TestSizeSpectrum:
     def test_counts_are_sorted_and_positive(self):
         spec = SizeSpectrum.from_sizes(12, [4, 1, 3, 4])
         assert spec.counts == ((1, 1), (3, 1), (4, 2))
-        assert spec.total_elements() == 12
-        assert spec.class_count() == 4
+        assert sum(size * count for size, count in spec.counts) == 12
+        assert sum(count for _, count in spec.counts) == 4
 
     def test_equality_ignores_construction_path(self):
         a = SizeSpectrum.from_sizes(6, [1, 2, 3])

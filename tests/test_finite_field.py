@@ -15,7 +15,7 @@ from chartab.arith import (
     prime_factors,
     primitive_root,
 )
-from chartab.cyclo import Cyclotomic, cyclotomic_polynomial, root_power
+from chartab.cyclo import Cyclotomic, cyclotomic_polynomial
 from chartab.errors import NonIntegralValueError, OrderMismatchError
 from chartab.finite_field import powers_of_x
 from chartab.reduction import build_reduction, reduce_mod_M
@@ -29,6 +29,7 @@ from conftest import (
     horner,
     irreducible_polynomial,
     residue_roots,
+    root_power,
 )
 
 

@@ -20,7 +20,7 @@ from chartab.groups import (
 )
 from chartab.tables import compute_table
 
-from conftest import ALL_GROUPS, SPEC_GROUPS
+from conftest import ALL_GROUPS, SPEC_GROUPS, mul
 
 BENCH_SPECS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "specs"
@@ -75,7 +75,7 @@ class TestPermutation:
         group = enumerate_group(GroupSpec("S3", 3, ("(1 2)", "(2 3)")))
         a = group.index[parse_cycles("(1 2)", 3)]
         b = group.index[parse_cycles("(2 3)", 3)]
-        assert group.elements[group.mul(a, b)] == parse_cycles("(1 3 2)", 3)
+        assert group.elements[mul(group, a, b)] == parse_cycles("(1 3 2)", 3)
 
     def test_inverse(self):
         group = enumerate_group(GroupSpec("C4", 4, ("(1 2 3 4)",)))
@@ -102,18 +102,18 @@ class TestPermutation:
         for i in range(group.order):
             power, order = i, 1
             while power != 0:
-                power = group.mul(power, i)
+                power = mul(group, power, i)
                 order += 1
             orders.append(order)
             assert data.rep_orders[cd.class_of[i]] == order
-            assert group.mul(group.inverse_index[i], i) == 0
+            assert mul(group, group.inverse_index[i], i) == 0
         assert data.exponent == lcm(*orders)
         for c, rep in enumerate(cd.representatives):
             assert data.inverse_class[c] == cd.class_of[group.inverse_index[rep]]
             power = 0
             for t in range(data.exponent):
                 assert data.power_class(c, t) == cd.class_of[power], (c, t)
-                power = group.mul(power, rep)
+                power = mul(group, power, rep)
 
 
 class TestEnumerate:
@@ -207,7 +207,7 @@ class TestConjugacyData:
         group, cd = group_factory(name)
         inv = group.inverse_index
         for x in range(group.order):
-            orbit = {group.mul(group.mul(inv[g], x), g) for g in range(group.order)}
+            orbit = {mul(group, mul(group, inv[g], x), g) for g in range(group.order)}
             assert set(cd.members[cd.class_of[x]]) == orbit
 
     def test_real_classes(self, group_factory):
@@ -337,17 +337,17 @@ def brute_commutator_counts(group, n):
     commutator x, N_2(t) = sum_x N_1(x) N_1(x^-1 t).
     """
     size = group.order
-    mul = [[group.mul(i, j) for j in range(size)] for i in range(size)]
+    prod = [[mul(group, i, j) for j in range(size)] for i in range(size)]
     inv = group.inverse_index
     once = [0] * size
     for a in range(size):
-        row_a, row_ai = mul[a], mul[inv[a]]
+        row_a, row_ai = prod[a], prod[inv[a]]
         for b in range(size):
-            once[mul[row_ai[inv[b]]][row_a[b]]] += 1
+            once[prod[row_ai[inv[b]]][row_a[b]]] += 1
     if n == 1:
         return tuple(once)
     return tuple(
-        sum(once[x] * once[mul[inv[x]][t]] for x in range(size) if once[x])
+        sum(once[x] * once[prod[inv[x]][t]] for x in range(size) if once[x])
         for t in range(size)
     )
 
@@ -356,10 +356,10 @@ def _per_target_count(group, t_idx, n):
     """The slowest oracle: one target at a time, and for n = 2 every
     quadruple of elements."""
     size = group.order
-    mul = [[group.mul(i, j) for j in range(size)] for i in range(size)]
+    prod = [[mul(group, i, j) for j in range(size)] for i in range(size)]
     inv = group.inverse_index
     comm = [
-        [mul[mul[inv[a]][inv[b]]][mul[a][b]] for b in range(size)]
+        [prod[prod[inv[a]][inv[b]]][prod[a][b]] for b in range(size)]
         for a in range(size)
     ]
     if n == 1:
@@ -369,7 +369,7 @@ def _per_target_count(group, t_idx, n):
         for c1 in comm[a1]:
             for a2 in range(size):
                 for c2 in comm[a2]:
-                    if mul[c1][c2] == t_idx:
+                    if prod[c1][c2] == t_idx:
                         count += 1
     return count
 

@@ -18,7 +18,7 @@ def test_every_exported_name_is_its_module_attribute():
 
 
 def test_namespace_lists_and_star_imports_the_exports():
-    assert len(chartab.__all__) == 56
+    assert len(chartab.__all__) == 55
     assert set(chartab.__all__) <= set(dir(chartab))
     namespace = {}
     exec("from chartab import *", namespace)
@@ -46,7 +46,7 @@ def test_tables_and_their_parts_are_immutable(table_factory, part, attr):
 # each record's fields in order: the tuple that `==`, hashing and `as_dict` see
 RECORD_FIELDS = {
     "GroupSpec": "name degree generators",
-    "ClassData": "order exponent sizes rep_orders inverse_class power_map",
+    "ClassData": "order sizes power_map",
     "SizeSpectrum": "order counts",
     "DefectReport": "p n real residues defect_zero_classes character_side direct_side",
     "BlockReport": "p members member_flags failures",

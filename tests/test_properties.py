@@ -7,6 +7,8 @@ st = hypothesis.strategies
 
 from chartab.groups import GroupSpec, conjugacy_data, cycle_string, enumerate_group  # noqa: E402
 
+from conftest import mul  # noqa: E402
+
 
 @st.composite
 def group_specs(draw):
@@ -18,7 +20,7 @@ def group_specs(draw):
 def _orbit(group, x):
     """The class of element x as its orbit under conjugation by every element."""
     inv = group.inverse_index
-    return {group.mul(group.mul(inv[g], x), g) for g in range(group.order)}
+    return {mul(group, mul(group, inv[g], x), g) for g in range(group.order)}
 
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)

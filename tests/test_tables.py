@@ -11,9 +11,11 @@ import pytest
 from chartab import dixon, tables
 from chartab.arith import euler_phi
 from chartab.classfuncs import ClassFunction
-from chartab.cyclo import Cyclotomic, root_power
+from chartab.cyclo import Cyclotomic
 from chartab.errors import FormatError, TableIntegrityError
-from chartab.groups import ClassData, GroupSpec, conjugacy_data, enumerate_group
+from chartab.groups import (
+    ClassData, GroupSpec, conjugacy_data, enumerate_group, load_group_spec,
+)
 from chartab.tables import (
     CharacterTable,
     compute_table,
@@ -26,7 +28,10 @@ from chartab.tables import (
     verify_orthogonality,
 )
 
-from conftest import ALL_GROUPS, MISTYPED_FIELDS, SPEC_GROUPS, cf_mul, composes
+from conftest import (
+    ALL_GROUPS, BENCH_SPECS, MISTYPED_FIELDS, SPEC_GROUPS, cf_mul, composes, cycle_type,
+    root_power,
+)
 
 
 def _all_powers_identity(data):
@@ -85,6 +90,19 @@ POWER_MAP_CORRUPTIONS = {
     "exponent": ("trivial", _exponent),
     "period": ("S4", _period),
     "composition": ("S4", _composition),
+}
+
+
+# sha256 prefixes of the files `save_table` writes, each power-map row a
+# walk written out to the exponent; a writer that leaves the walks at their
+# own length changes every file but the trivial group's
+SAVED_FILE_DIGESTS = {
+    "trivial": "db27df994aa7013f", "C2": "d459b95197c29715", "C3": "b73a3e9bb1e1f260",
+    "C4": "d031ac14e76315de", "C5": "21f613f1b66452d6", "C6": "f52cb9b6e8c58984",
+    "S3": "7d0de51d21f880f7", "D8": "009ec673c3adee7d", "Q8": "2ba075509f91a7bd",
+    "D12": "3a2e09315b4f8e1f", "A4": "8edaeab24b97a205", "S4": "a6116a255417cba3",
+    "A5": "ebc24b81c526379a", "S5": "8556985921d02cb1", "S6": "048f0bf7de1199ee",
+    "A6": "03e38ddf65b7265c", "GL32": "8aa93c6dfcdf86dc",
 }
 
 
@@ -414,6 +432,30 @@ class TestTableFiles:
             assert loaded == table
             assert loaded.provenance.startswith("file sha256:")
 
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS)
+    def test_saved_file_bytes_pinned(self, table_factory, spec_tables, tmp_path, name):
+        table = spec_tables[name] if name in SPEC_GROUPS else table_factory(name)
+        path = tmp_path / f"{name}.json"
+        save_table(table, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == SAVED_FILE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS)
+    def test_class_data_holds_one_period_per_class(
+        self, group_factory, table_factory, spec_tables, tmp_path, name
+    ):
+        # sum_i o_i power-map entries, not k * e: walk i has the order of
+        # representative i, the lcm of its cycle lengths
+        if name in SPEC_GROUPS:
+            table = spec_tables[name]
+            cd = conjugacy_data(enumerate_group(load_group_spec(f"{BENCH_SPECS}/{name}.json")))
+        else:
+            table, cd = table_factory(name), group_factory(name)[1]
+        orders = [lcm(*cycle_type(cd.group.elements[r])) for r in cd.representatives]
+        path = tmp_path / f"{name}.json"
+        save_table(table, path)
+        for data in (cd.data, load_table(path).data):
+            assert [len(row) for row in data.power_map] == orders
+
     @pytest.mark.parametrize("builtin", (True, False), ids=("builtin", "hashlib"))
     def test_provenance_is_the_file_digest(self, table_factory, tmp_path, monkeypatch, builtin):
         if not builtin:
@@ -572,21 +614,16 @@ def _accepts(data):
 
 def _small_maps(k, largest):
     """Every power map on k classes, class 0 the identity, whose other classes
-    have orders from 2 to `largest` and whose rows pass the row checks: row i
-    is 0, i, then non-identity classes up to its order o, repeated with
-    period o out to e, the lcm of the orders."""
+    have orders from 2 to `largest` and whose walks pass the row checks: walk
+    i is 0, i, then non-identity classes up to its order o; the group order
+    is e, the lcm of the orders."""
     for orders in itertools.product(range(2, largest + 1), repeat=k - 1):
-        e = lcm(*orders)
-        heads = [
+        walks = [
             [(0, i, *middle) for middle in itertools.product(range(1, k), repeat=o - 2)]
             for i, o in enumerate(orders, start=1)
         ]
-        for chosen in itertools.product(*heads):
-            rows = ((0,) * e,) + tuple(head * (e // len(head)) for head in chosen)
-            yield ClassData(
-                order=e, exponent=e, sizes=(1,) * k, rep_orders=(1, *orders),
-                inverse_class=tuple(row[-1] for row in rows), power_map=rows,
-            )
+        for chosen in itertools.product(*walks):
+            yield ClassData(order=lcm(*orders), sizes=(1,) * k, power_map=((0,), *chosen))
 
 
 def _sylvester_record():
@@ -631,8 +668,8 @@ class TestPowerMapComposition:
         assert sum(verdicts) == 25
 
     def test_agrees_with_the_definition_on_corrupted_real_maps(self, table_factory, spec_tables):
-        # each corruption moves one residue class t = r (mod o) of one row to
-        # another non-identity class, keeping the row checks satisfied
+        # each corruption moves entry r >= 2 of one walk to another
+        # non-identity class, keeping the row checks satisfied
         rng = random.Random(3030)
         names = ALL_GROUPS[2:] + SPEC_GROUPS  # every group with a class of order 3 or more
         rejected = 0
@@ -643,12 +680,10 @@ class TestPowerMapComposition:
             o, row = data.rep_orders[i], list(data.power_map[i])
             r = rng.randrange(2, o)
             new = rng.choice([c for c in range(1, data.k) if c != row[r]])
-            row[r::o] = [new] * len(row[r::o])
+            row[r] = new
             power_map = list(data.power_map)
             power_map[i] = tuple(row)
-            inverse = list(data.inverse_class)
-            inverse[i] = row[-1]
-            bad = data._replace(power_map=tuple(power_map), inverse_class=tuple(inverse))
+            bad = data._replace(power_map=tuple(power_map))
             assert _accepts(bad) == composes(bad), (name, i, r, new)
             rejected += not composes(bad)
         assert 250 < rejected < 300  # both verdicts occur
@@ -664,10 +699,10 @@ class TestPowerMapComposition:
     def test_sylvester_power_map_checked_in_time(self):
         record = _sylvester_record()
         data = ClassData(
-            order=record["order"], exponent=record["exponent"],
-            sizes=tuple(record["class_sizes"]), rep_orders=tuple(record["rep_orders"]),
-            inverse_class=tuple(record["inverse_class"]),
-            power_map=tuple(map(tuple, record["power_map"])),
+            order=record["order"], sizes=tuple(record["class_sizes"]),
+            power_map=tuple(
+                tuple(row[:o]) for row, o in zip(record["power_map"], record["rep_orders"])
+            ),
         )
         best = float("inf")
         for _ in range(3):

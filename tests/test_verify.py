@@ -7,14 +7,13 @@ from chartab import blocks, classfuncs, duality, groups, tables, verify
 from chartab.arith import divisors
 from chartab.cli import main
 from chartab.classfuncs import ClassFunction
-from chartab.cyclo import root_power
 from chartab.duality import SizeSpectrum, recover_class_sizes, recover_real_class_sizes
 from chartab.errors import TableIntegrityError, UnknownGroupError
 from chartab.groups import conjugacy_data, enumerate_group, load_catalog, load_group_spec
 from chartab.tables import CharacterTable, dixon_prime
 from chartab.verify import _check_determinism, _check_identities, _check_recovery
 
-from conftest import cf_mul
+from conftest import cf_mul, root_power
 
 BENCH_SPECS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "specs"
