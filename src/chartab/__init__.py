@@ -27,11 +27,11 @@ _EXPORTS = {
     "duality": (
         "DefectReport", "SizeSpectrum", "defect_zero_by_characters",
         "defect_zero_direct", "delta_sequence", "gamma_sequence",
-        "recover_class_sizes", "recover_real_class_sizes",
+        "recover_class_sizes", "recover_from_table", "recover_real_class_sizes",
     ),
     "errors": (
         "CapExceededError", "ChartabError", "ClassDataMismatchError",
-        "CycleSyntaxError", "EigensplitError", "FormatError",
+        "CycleSyntaxError", "FormatError",
         "InconsistentSequenceError", "NonIntegralValueError", "OrderMismatchError",
         "TableIntegrityError", "UnknownGroupError",
     ),

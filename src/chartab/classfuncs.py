@@ -150,18 +150,33 @@ def _nonnegative(values) -> list[int]:
     return out
 
 
-# Largest n for gamma and delta; n sets the work done, and 2000^999 has 3298
-# digits, so for a group under the default element cap every multiplicity
-# prints within Python's 4300-digit int-to-str limit.
+# Largest n of gamma and delta, and longest sequence of them; n sets the work.
 MAX_POWER = 1000
+# Every gamma_n(chi) and delta_n(chi) is below |G|^n, as sum_chi gamma_n(chi)
+# chi(1) = |G|^n, so each prints within CPython's 4300-digit int-to-str limit
+# when |G|^n < 10^4300; under the default element cap, 2000^1000 has 3302.
+PRINTABLE_DIGITS = 4300
 
 
-def check_power(n: int) -> None:
+def check_power(n: int, what: str = "n") -> None:
     """Raise ValueError unless 1 <= n <= MAX_POWER."""
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise ValueError(f"{what} must be at least 1, got {n}")
     if n > MAX_POWER:
-        raise ValueError(f"n must be at most {MAX_POWER}, got {n}")
+        raise ValueError(f"{what} must be at most {MAX_POWER}, got {n}")
+
+
+def check_printable(n: int, order: int, what: str = "n") -> None:
+    """Raise ValueError, naming the largest n the order allows, if
+    order^n >= 10^PRINTABLE_DIGITS: an n-th multiplicity might not print."""
+    largest = n
+    while order ** largest >= 10 ** PRINTABLE_DIGITS:
+        largest -= 1
+    if largest < n:
+        raise ValueError(
+            f"{what} must be at most {largest} for order {order}, got {n}: a "
+            f"multiplicity could exceed {PRINTABLE_DIGITS} digits"
+        )
 
 
 def gamma(n: int, phi: ClassFunction) -> int:

@@ -23,7 +23,6 @@ from types import SimpleNamespace
 
 from .errors import (
     CapExceededError,
-    EigensplitError,
     FormatError,
     InconsistentSequenceError,
     NonIntegralValueError,
@@ -57,7 +56,7 @@ ERRORS = (
     (FormatError, EXIT_FORMAT),
     (CapExceededError, EXIT_CAP_EXCEEDED),
     (InconsistentSequenceError, EXIT_INCONSISTENT),
-    ((TableIntegrityError, EigensplitError, NonIntegralValueError), EXIT_INTEGRITY),
+    ((TableIntegrityError, NonIntegralValueError), EXIT_INTEGRITY),
     ((ValueError, OSError), EXIT_BAD_PARAMETER),
 )
 
@@ -195,10 +194,11 @@ def _cmd_table(args):
 
 
 def _cmd_gamma(args):
-    from .classfuncs import check_power, delta, gamma
+    from .classfuncs import check_power, check_printable, delta, gamma
 
     check_power(args.n)
     table = _resolve_table(args)
+    check_printable(args.n, table.data.order)
     gammas = [gamma(args.n, row) for row in table.rows]
     deltas = [delta(args.n, row) for row in table.rows]
     results = {
@@ -211,31 +211,14 @@ def _cmd_gamma(args):
 
 
 def _cmd_recover(args):
-    from .arith import divisors
-    from .duality import (
-        SizeSpectrum,
-        check_length,
-        delta_sequence,
-        gamma_sequence,
-        recover_class_sizes,
-        recover_real_class_sizes,
-    )
+    from .classfuncs import check_power
+    from .duality import recover_from_table
 
     if args.extra_terms < 0:
         raise ValueError(f"--extra-terms must be at least 0, got {args.extra_terms}")
-    check_length(1 + args.extra_terms)  # every order has at least one divisor
+    check_power(1 + args.extra_terms, "sequence length")  # every order has a divisor
     table = _resolve_table(args)
-    data = table.data
-    length = len(divisors(data.order)) + args.extra_terms
-    sequence, recover = (
-        (delta_sequence, recover_real_class_sizes) if args.real
-        else (gamma_sequence, recover_class_sizes)
-    )
-    seq = sequence(table, length)
-    spectrum = recover(seq, data.order)
-    actual = SizeSpectrum.from_sizes(
-        data.order, [s for s, r in zip(data.sizes, data.real_flags) if r or not args.real]
-    )
+    seq, spectrum, actual = recover_from_table(table, args.real, args.extra_terms)
     results = {
         "real": args.real,
         "sequence": seq,
@@ -254,9 +237,10 @@ def _require_prime(p):
 
 
 def _cmd_defect(args):
-    from .duality import defect_zero_by_characters
+    from .duality import check_defect_power, defect_zero_by_characters
 
     _require_prime(args.p)
+    check_defect_power(args.n)
     table = _resolve_table(args)
     results = defect_zero_by_characters(table, args.p, args.n, args.real).as_dict()
     verdicts = results.pop("verdicts")

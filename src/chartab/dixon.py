@@ -21,7 +21,7 @@ from __future__ import annotations
 from .arith import primitive_root
 from .classfuncs import ClassFunction
 from .cyclo import Cyclotomic
-from .errors import EigensplitError, TableIntegrityError
+from .errors import TableIntegrityError
 from .groups import ConjugacyData, class_matrix
 from .tables import CharacterTable, _admissible, dixon_prime
 
@@ -236,7 +236,7 @@ def _build_table(cd: ConjugacyData, prime: int | None) -> CharacterTable:
     )
     eigvecs = _common_eigenvectors(matrices, k, q)
     if len(eigvecs) != k:
-        raise EigensplitError(f"expected {k} eigenvectors, found {len(eigvecs)}")
+        raise TableIntegrityError(f"expected {k} eigenvectors, found {len(eigvecs)}")
 
     size_inv = [pow(s, -1, q) for s in data.sizes]
     inverse = data.inverse_class

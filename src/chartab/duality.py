@@ -8,6 +8,8 @@ matrix is of Vandermonde type in the distinct C_i, hence non-singular.  Class
 sizes divide the group order, so the unknowns can be restricted to divisor
 sizes, shrinking the system to d(|G|) equations.  The same solve applied to
 the real-restricted sequence recovers the sizes of real classes only.
+`recover_from_table` alone sets how many terms a table's recovery reads, for
+the `recover` command and the `verify` suite: d(|G|) and a verified surplus.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .arith import divisors, is_prime, p_part
-from .classfuncs import MAX_POWER, _multiplicities, _nonnegative, delta, gamma
+from .classfuncs import _multiplicities, _nonnegative, check_power, check_printable, delta, gamma
 from .errors import InconsistentSequenceError
 from .groups import ClassData
 from .tables import CharacterTable
@@ -132,16 +134,8 @@ def recover_real_class_sizes(delta_seq, order: int) -> SizeSpectrum:
     return _recover(delta_seq, order, full_cover=False)
 
 
-def check_length(length: int) -> None:
-    """Raise ValueError unless 1 <= length <= MAX_POWER."""
-    if length < 1:
-        raise ValueError(f"sequence length must be at least 1, got {length}")
-    if length > MAX_POWER:
-        raise ValueError(f"sequence length must be at most {MAX_POWER}, got {length}")
-
-
 def _sequence(table: CharacterTable, length: int, real_only: bool) -> list[int]:
-    check_length(length)
+    check_power(length, "sequence length")
     return _nonnegative(_multiplicities(table.rows[0], range(1, length + 1), real_only))
 
 
@@ -152,6 +146,31 @@ def gamma_sequence(table: CharacterTable, length: int) -> list[int]:
 
 def delta_sequence(table: CharacterTable, length: int) -> list[int]:
     return _sequence(table, length, real_only=True)
+
+
+def recover_from_table(table: CharacterTable, real: bool = False, extra_terms: int = 3):
+    """(sequence, recovered, actual): the first d(|G|) + extra_terms terms of
+    gamma (of delta if real), the spectrum of class sizes (real class sizes)
+    solved from them, and the table's own; ValueError before any term is
+    computed if there would be more than MAX_POWER or the last might not print.
+    """
+    data = table.data
+    length = len(divisors(data.order)) + extra_terms
+    check_power(length, "sequence length")
+    check_printable(length, data.order, "sequence length")
+    sequence = (delta_sequence if real else gamma_sequence)(table, length)
+    recovered = _recover(sequence, data.order, full_cover=not real)
+    actual = SizeSpectrum.from_sizes(
+        data.order, [s for s, r in zip(data.sizes, data.real_flags) if r or not real]
+    )
+    return sequence, recovered, actual
+
+
+def check_defect_power(n: int) -> None:
+    """Raise ValueError unless 2 <= n <= MAX_POWER: the residue criterion's n."""
+    if n < 2:
+        raise ValueError(f"the residue criterion needs n >= 2, got {n}")
+    check_power(n)
 
 
 def defect_zero_direct(data: ClassData, p: int) -> list[int]:
@@ -202,8 +221,7 @@ def defect_zero_by_characters(
 ) -> DefectReport:
     """Compare the residue criterion with the direct size test for defect 0."""
     direct = defect_zero_direct(table.data, p)  # raises unless p is prime
-    if n < 2:
-        raise ValueError(f"the residue criterion needs n >= 2, got {n}")
+    check_defect_power(n)
     fn = delta if real else gamma
     residues = tuple(fn(n, row) % p for row in table.rows)
     if real:

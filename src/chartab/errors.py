@@ -42,7 +42,3 @@ class InconsistentSequenceError(ChartabError, ValueError):
 
 class TableIntegrityError(ChartabError):
     """A character table (or a quantity derived from one) failed an exact self-check."""
-
-
-class EigensplitError(ChartabError):
-    """Simultaneous eigenspace splitting failed to reach one-dimensional spaces."""

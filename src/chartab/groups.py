@@ -357,11 +357,18 @@ def load_catalog() -> dict[str, GroupSpec]:
     return parse_catalog(__loader__.get_data(path))
 
 
-def parse_catalog(text: str | bytes) -> dict[str, GroupSpec]:
+def _read_json(raw: str | bytes, what: str):
+    """The value the JSON text raw holds, else FormatError "<what> is not valid
+    JSON": ValueError covers bad syntax, bytes that are not UTF-8 and an int
+    past CPython's 4300-digit limit, RecursionError a value nested too deeply."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"catalog is not valid JSON: {exc}") from exc
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def parse_catalog(text: str | bytes) -> dict[str, GroupSpec]:
+    raw = _read_json(text, "catalog")
     if not isinstance(raw, list):
         raise FormatError("catalog must be a JSON list of group specs")
     out: dict[str, GroupSpec] = {}
@@ -376,12 +383,7 @@ def parse_catalog(text: str | bytes) -> dict[str, GroupSpec]:
 def load_group_spec(path) -> GroupSpec:
     """Read a single group spec from a JSON file."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        data = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"group spec file is not valid JSON: {exc}") from exc
-    return GroupSpec.from_dict(data)
+        return GroupSpec.from_dict(_read_json(fh.read(), "group spec file"))
 
 
 def catalog_group(name: str, cap: int = DEFAULT_ELEMENT_CAP) -> Group:

@@ -17,7 +17,7 @@ from .arith import euler_phi, is_prime, prime_factors
 from .classfuncs import ClassFunction, _scaled_inner
 from .cyclo import Cyclotomic
 from .errors import FormatError, NonIntegralValueError, TableIntegrityError
-from .groups import ClassData, ConjugacyData
+from .groups import ClassData, ConjugacyData, _read_json
 
 
 class CharacterTable:
@@ -350,8 +350,4 @@ def load_table(path) -> CharacterTable:
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = sha256(raw).hexdigest()
-    try:
-        data = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"table file is not valid JSON: {exc}") from exc
-    return table_from_dict(data, provenance=f"file sha256:{digest[:16]}")
+    return table_from_dict(_read_json(raw, "table file"), provenance=f"file sha256:{digest[:16]}")

@@ -9,17 +9,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .arith import divisors, prime_factors
+from .arith import prime_factors
 from .blocks import alt_normalizer_report, p_element_flags, principal_block_members
 from .classfuncs import _multiplicities
-from .duality import (
-    SizeSpectrum,
-    defect_zero_by_characters,
-    delta_sequence,
-    gamma_sequence,
-    recover_class_sizes,
-    recover_real_class_sizes,
-)
+from .duality import defect_zero_by_characters, recover_from_table
 from .errors import InconsistentSequenceError, UnknownGroupError
 from .groups import (
     ConjugacyData,
@@ -94,26 +87,20 @@ def _check_identities(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable)
 
 
 def _check_recovery(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
-    # _recover solves on the first d terms and only checks the rest, so one
-    # success with d + 3 terms means the same spectrum with d, d + 1 and
-    # d + 2; the per-length loop runs on failure, to name the first length
-    data = cd.data
-    d = len(divisors(data.order))
-    real_sizes = [s for s, r in zip(data.sizes, data.real_flags) if r]
-    for label, sequence, recover, sizes in (
-        ("class-size", gamma_sequence, recover_class_sizes, data.sizes),
-        ("real class-size", delta_sequence, recover_real_class_sizes, real_sizes),
-    ):
-        seq = sequence(table, d + 3)
-        actual = SizeSpectrum.from_sizes(data.order, sizes)
+    # the recovery solves on the first d = d(|G|) terms and only checks the rest,
+    # so one success with d + 3 terms means the same spectrum with d to d + 2;
+    # on failure each length from d up is recovered again, to name the first
+    for label, real in (("class-size", False), ("real class-size", True)):
         try:
-            if recover(seq, data.order) == actual:
+            _, recovered, actual = recover_from_table(table, real)
+            if recovered == actual:
                 continue
         except InconsistentSequenceError:
             pass
-        for length in range(d, d + 4):
-            if recover(seq[:length], data.order) != actual:
-                return f"{label} recovery failed with {length} terms"
+        for extra_terms in range(4):
+            seq, recovered, actual = recover_from_table(table, real, extra_terms)
+            if recovered != actual:
+                return f"{label} recovery failed with {len(seq)} terms"
     return ""
 
 

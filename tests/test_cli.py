@@ -14,12 +14,14 @@ import pytest
 import chartab
 from chartab import cli, groups, tables
 from chartab.arith import MR_LIMIT
+from chartab import classfuncs, duality
 from chartab.classfuncs import MAX_POWER
 from chartab.cli import main
-from chartab.groups import MAX_DEGREE
-from chartab.tables import save_table
+from chartab.duality import recover_from_table
+from chartab.groups import MAX_DEGREE, GroupSpec, conjugacy_data, enumerate_group
+from chartab.tables import compute_table, save_table
 
-from conftest import MISTYPED_FIELDS
+from conftest import ALL_GROUPS, MISTYPED_FIELDS, SPEC_GROUPS
 
 LARGE_PRIME = str(10**18 + 3)
 # the directory this process imports chartab from
@@ -322,6 +324,25 @@ class TestRecover:
         assert proc.returncode == 5
         assert f"at most {MAX_POWER}" in proc.stderr
 
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS)
+    def test_prints_recover_from_table(
+        self, capsys, tmp_path, table_factory, spec_tables, name, real
+    ):
+        table = spec_tables[name] if name in SPEC_GROUPS else table_factory(name)
+        path = tmp_path / "table.json"
+        save_table(table, path)
+        code, report = run_json(capsys, ["recover", "--table-file", str(path)] + ["--real"] * real)
+        assert code == 0
+        sequence, recovered, actual = recover_from_table(table, real)
+        assert report["results"] == {
+            "real": real,
+            "sequence": sequence,
+            "recovered_spectrum": [list(pair) for pair in recovered.counts],
+            "actual_spectrum": [list(pair) for pair in actual.counts],
+        }
+        assert report["verdicts"] == {"matches_group": recovered == actual}
+
 
 class TestDefect:
     def test_s3(self, capsys):
@@ -345,6 +366,65 @@ class TestDefect:
     def test_large_non_prime_or_undecided_rejected(self, capsys, p):
         assert main(["defect", "--group", "S3", "-p", p]) == 5
         capsys.readouterr()
+
+    @pytest.mark.parametrize("source", [["--group", "NOPE"], ["--table-file", "{bad}"]])
+    @pytest.mark.parametrize("n, message", [
+        ("0", "the residue criterion needs n >= 2, got 0"),
+        ("1", "the residue criterion needs n >= 2, got 1"),
+        (str(MAX_POWER + 1), f"n must be at most {MAX_POWER}, got {MAX_POWER + 1}"),
+    ])
+    def test_n_checked_before_the_group_or_the_file(self, capsys, tmp_path, source, n, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad")
+        argv = ["defect", "-p", "3", "-n", n, *(w.format(bad=bad) for w in source)]
+        assert main(argv) == 5
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def s8_table_file(tmp_path_factory):
+    """S8 (order 40,320) saved as a table file: the smallest symmetric group
+    with n <= MAX_POWER whose multiplicities could pass 4300 digits."""
+    spec = GroupSpec.from_dict(
+        {"name": "S8", "degree": 8, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]}
+    )
+    path = tmp_path_factory.mktemp("s8") / "S8.json"
+    save_table(compute_table(conjugacy_data(enumerate_group(spec, cap=200_000))), path)
+    return str(path)
+
+
+class TestPrintableBound:
+    # every multiplicity is below |G|^n, and 40320^933 < 10^4300 <= 40320^934
+    def test_largest_printable_n(self, capsys, s8_table_file):
+        code, report = run_json(capsys, ["gamma", "-n", "933", "--table-file", s8_table_file])
+        assert code == 0
+        assert max(report["results"]["gamma"]) < 40320 ** 933
+
+    @pytest.mark.parametrize("argv, message", [
+        ("gamma -n 934", "n must be at most 933 for order 40320, got 934"),
+        ("gamma -n 1000", "n must be at most 933 for order 40320, got 1000"),
+        # d(40320) = 96 terms and 900 more
+        ("recover --extra-terms 900",
+         "sequence length must be at most 933 for order 40320, got 996"),
+    ])
+    def test_refused_before_any_multiplicity(
+        self, capsys, monkeypatch, s8_table_file, argv, message
+    ):
+        def no_terms(*args):
+            raise AssertionError("a multiplicity was computed")
+
+        monkeypatch.setattr(classfuncs, "_multiplicities", no_terms)
+        monkeypatch.setattr(duality, "_multiplicities", no_terms)
+        assert main([*argv.split(), "--table-file", s8_table_file]) == 5
+        assert capsys.readouterr() == (
+            "", f"error: {message}: a multiplicity could exceed 4300 digits\n"
+        )
+
+    def test_defect_prints_residues_only(self, capsys, s8_table_file):
+        argv = ["defect", "-p", "3", "-n", str(MAX_POWER), "--table-file", s8_table_file]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert all(0 <= r < 3 for r in report["results"]["residues_mod_p"])
 
 
 class TestPElements:
@@ -479,6 +559,23 @@ class TestErrors:
         assert main(["recover", "--group", "S3", "--table-file", str(path)]) == 4
         assert main(["classes", "--spec-file", str(path)]) == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize("content", [
+        "[" * 200_000 + "]" * 200_000,
+        '{"name": "S3", "degree": ' + "9" * 5001 + ', "generators": []}',
+    ], ids=["nested-200000-deep", "int-of-5001-digits"])
+    @pytest.mark.parametrize("option, what", [
+        ("--spec-file", "group spec file"), ("--table-file", "table file"),
+    ])
+    def test_json_past_the_decoder_limits_is_malformed(
+        self, capsys, tmp_path, content, option, what
+    ):
+        path = tmp_path / "limit.json"
+        path.write_text(content)
+        assert main(["table", option, str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {what} is not valid JSON: ") and err.count("\n") == 1
 
     def test_spec_degree_above_the_limit(self, capsys, tmp_path):
         path = tmp_path / "wide.json"

@@ -194,6 +194,19 @@ class TestSequenceLength:
         assert len(gamma_sequence(table_factory("S3"), MAX_POWER)) == MAX_POWER
 
 
+class TestRecoverFromTable:
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("extra_terms", [0, 3])
+    def test_reads_the_divisor_count_plus_extra_terms(self, table_factory, real, extra_terms):
+        table = table_factory("D12")
+        sequence, recovered, actual = duality.recover_from_table(table, real, extra_terms)
+        length = len(divisors(12)) + extra_terms
+        assert sequence == (delta_sequence if real else gamma_sequence)(table, length)
+        assert recovered == actual
+        sizes = [s for s, r in zip(table.data.sizes, table.data.real_flags) if r or not real]
+        assert actual == SizeSpectrum.from_sizes(12, sizes)
+
+
 class TestSizeSpectrum:
     def test_counts_are_sorted_and_positive(self):
         spec = SizeSpectrum.from_sizes(12, [4, 1, 3, 4])
@@ -265,6 +278,10 @@ class TestDefectZeroByCharacters:
         _, cd = group_factory("S3")
         with pytest.raises(ValueError):
             defect_zero_by_characters(table_factory("S3"), 4, 2)
+
+    def test_n_above_max_power_rejected(self, table_factory):
+        with pytest.raises(ValueError, match=f"at most {MAX_POWER}, got {MAX_POWER + 1}"):
+            defect_zero_by_characters(table_factory("S3"), 3, MAX_POWER + 1)
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_biconditional_sweep(self, group_factory, table_factory, name):

@@ -44,12 +44,12 @@ def per_length_recovery(spec, cd, table):
     # to d + 3, gamma side first
     order = cd.data.order
     d = len(divisors(order))
-    seq = verify.gamma_sequence(table, d + 3)
+    seq = duality.gamma_sequence(table, d + 3)
     actual = SizeSpectrum.from_sizes(order, cd.data.sizes)
     for length in range(d, d + 4):
         if recover_class_sizes(seq[:length], order) != actual:
             return f"class-size recovery failed with {length} terms"
-    dseq = verify.delta_sequence(table, d + 3)
+    dseq = duality.delta_sequence(table, d + 3)
     real_actual = SizeSpectrum.from_sizes(
         order, [s for s, r in zip(cd.data.sizes, cd.data.real_flags) if r]
     )
@@ -75,14 +75,16 @@ def test_recovery_failure_reported_as_per_length(
     table = table_factory(name)
     spec = load_catalog()[name]
     d = len(divisors(cd.data.order))
-    honest = getattr(verify, sequence)
+    honest = getattr(duality, sequence)
     for term in range(1, d + 4):  # corrupt one term at a time
         def corrupt(table, length, term=term):
+            # as if sliced from one corrupt sequence of d + 3 terms
             seq = honest(table, length)
-            seq[term - 1] += 1
+            if term <= length:
+                seq[term - 1] += 1
             return seq
 
-        monkeypatch.setattr(verify, sequence, corrupt)
+        monkeypatch.setattr(duality, sequence, corrupt)
         got = outcome(_check_recovery, spec, cd, table)
         assert got == outcome(per_length_recovery, spec, cd, table)
         if term == d + 2:
@@ -105,12 +107,12 @@ def test_recovery_reports_a_wrong_spectrum(
     spec = load_catalog()["D12"]
     table = table_factory("D12")
     d = len(divisors(12))
-    honest = getattr(verify, sequence)
+    honest = getattr(duality, sequence)
 
     def mixed(table, length):
         return honest(table_factory("A4"), d) + honest(table_factory(surplus), length)[d:]
 
-    monkeypatch.setattr(verify, sequence, mixed)
+    monkeypatch.setattr(duality, sequence, mixed)
     got = _check_recovery(spec, cd, table)
     assert got == per_length_recovery(spec, cd, table)
     label = "class-size" if sequence == "gamma_sequence" else "real class-size"
