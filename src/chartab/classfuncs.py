@@ -11,25 +11,23 @@ weighted row-sum formula: since |K_i| c_i = |G|, the inner product
 [phi, pi^n] reduces to the sum over classes of c_i^(n-1) phi(g_i), and
 [phi, psi^n] to the same sum over the real classes.
 
-Only the centralizer order of a class enters that sum, and the power basis is
-linear, so it equals sum over c of c^(n-1) u_c, where the int vector u_c is
-the sum of the coefficients of phi over the classes with centralizer order c.
-The u_c are collapsed once per (row, real_only) and cached; every n is then an
-evaluation on plain ints.  For a character the u_c are rational, that is only
-coordinate 0 is nonzero: g -> g^s with s prime to the exponent permutes the
-classes of each centralizer order (and the real ones among them), and
-phi(g^s) = sigma_s(phi(g)), so each u_c is fixed by every Galois automorphism.
-Then the multiplicity is exactly rational for every n.  Any other class
-function is summed coordinate by coordinate at each n and must be a rational
-integer there.
+Only the centralizer order of a class enters that sum, so it equals the sum
+over c of c^(n-1) u_c, where u_c is the sum of the values of phi over the
+classes with centralizer order c.  The u_c are collapsed once per
+(row, real_only) and cached.  For a character every u_c is rational:
+g -> g^s with s prime to the exponent permutes the classes of each
+centralizer order (and the real ones among them), and
+phi(g^s) = sigma_s(phi(g)), so each u_c is fixed by every Galois
+automorphism.  A rational u_c is kept as its int, and every n is then an
+evaluation on plain ints.  Any other class function is summed in Z[eps] at
+each n and must be a rational integer there.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 
-from .cyclo import Cyclotomic, as_rational_integer
+from .cyclo import Cyclotomic, as_rational_integer, conj_weighted_sum
 from .errors import ClassDataMismatchError, TableIntegrityError
 from .groups import ClassData
 
@@ -87,39 +85,25 @@ def _scaled_inner(
 ) -> Cyclotomic:
     """The sum over classes of w_K phi(g_K) conj(theta(g_K)), exactly; the
     weights w_K default to the class sizes |K|, which gives |G| [phi, theta].
-
-    The products are accumulated as one int polynomial modulo x^e - 1, using
-    conj(eps^t) = eps^(-t), and reduced to canonical form once.
     """
     phi._check(theta)
-    e = phi.data.exponent
-    acc = [0] * e
-    for w, a, b in zip(weights or phi.data.sizes, phi.values, theta.values):
-        b_terms = [(t, y) for t, y in enumerate(b.coeffs) if y]
-        for s, x in enumerate(a.coeffs):
-            if x:
-                x *= w
-                for t, y in b_terms:
-                    acc[(s - t) % e] += x * y
-    return Cyclotomic.from_poly(e, acc)
+    data = phi.data
+    return conj_weighted_sum(data.exponent, weights or data.sizes, phi.values, theta.values)
 
 
 @lru_cache(maxsize=256)  # bounded; verify over the catalog holds 122 entries
-def _collapse(
-    phi: ClassFunction, real_only: bool
-) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], bool]:
-    """The pairs (c, u_c), u_c the coefficients of phi summed over the
-    classes (real classes if real_only) of centralizer order c, and whether
-    every u_c is rational.
+def _collapse(phi: ClassFunction, real_only: bool) -> tuple[tuple[int, int | Cyclotomic], ...]:
+    """The pairs (c, u_c), u_c the values of phi summed over the classes
+    (real classes if real_only) of centralizer order c, as an int when rational.
     """
     data = phi.data
-    zero = Cyclotomic.zero(data.exponent)
     sums: dict[int, Cyclotomic] = {}
     for c, real, v in zip(data.centralizer_orders, data.real_flags, phi.values):
         if real or not real_only:
-            sums[c] = sums.get(c, zero) + v
-    pairs = tuple((c, u.coeffs) for c, u in sums.items())
-    return pairs, all(u.is_rational() for u in sums.values())
+            sums[c] = sums.get(c, 0) + v
+    return tuple(
+        (c, as_rational_integer(u) if u.is_rational() else u) for c, u in sums.items()
+    )
 
 
 def _multiplicities(phi: ClassFunction, ns, real_only: bool):
@@ -128,16 +112,10 @@ def _multiplicities(phi: ClassFunction, ns, real_only: bool):
     The values are not checked for sign; NonIntegralValueError if one is not
     a rational integer.
     """
-    pairs, rational = _collapse(phi, real_only)
-    e = phi.data.exponent
+    pairs = _collapse(phi, real_only)
     for n in ns:
-        if rational:
-            yield sum(c ** (n - 1) * u[0] for c, u in pairs)
-        else:
-            weights = [c ** (n - 1) for c, _ in pairs]
-            columns = zip(*(u for _, u in pairs))
-            total = tuple(sum(map(mul, weights, column)) for column in columns)
-            yield as_rational_integer(Cyclotomic._make(e, total))
+        total = sum(c ** (n - 1) * u for c, u in pairs)
+        yield total if type(total) is int else as_rational_integer(total)
 
 
 def _nonnegative(values) -> list[int]:

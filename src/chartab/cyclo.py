@@ -10,6 +10,10 @@ integers, so the ring never needs a denominator: coefficients and scalar
 operands are ints, any other coefficient raises NonIntegralValueError, and
 division is exact or an error.
 
+This module alone makes values from ints, through Cyclotomic(e, coeffs), and
+alone does arithmetic on coefficient tuples, the sums across classes of
+`conj_weighted_sum` included; other modules call it or read values.
+
 Cyclotomic polynomials come in closed form, from products and exact
 quotients of binomials x^d - 1, so no polynomial factorization is needed.
 """
@@ -68,13 +72,13 @@ def _reduce(e: int, poly: list[int]) -> tuple[int, ...]:
     Folds modulo x^e - 1, then divides by the monic e-th cyclotomic
     polynomial from the top, touching only its nonzero coefficients.
     """
+    d = euler_phi(e)  # first: an order below 1 is a ValueError
+    tail = _phi_tail(e)
     if len(poly) > e:
         folded = poly[:e]
         for j in range(e, len(poly)):
             folded[j % e] += poly[j]
         poly = folded
-    d = euler_phi(e)
-    tail = _phi_tail(e)
     for i in range(len(poly) - 1, d - 1, -1):
         c = poly[i]
         if c:
@@ -97,7 +101,9 @@ def _integers(coeffs) -> list[int]:
 class Cyclotomic:
     """Immutable element of Z[eps_e] in canonical power-basis form.
 
-    Coefficients must be ints; anything else raises NonIntegralValueError.
+    Cyclotomic(e, coeffs) is sum_j coeffs[j] eps^j for int coefficients of
+    any length, reduced: Cyclotomic(e, []) is 0 and Cyclotomic(e, [r]) the
+    int r.  Anything but an int raises NonIntegralValueError.
     The other operand of +, -, * and == is a Cyclotomic of the same order
     or an int.
     """
@@ -105,12 +111,8 @@ class Cyclotomic:
     __slots__ = ("e", "coeffs")
 
     def __init__(self, e: int, coeffs):
-        d = euler_phi(e)
-        cs = tuple(_integers(coeffs))
-        if len(cs) != d:
-            raise ValueError(f"order {e} needs {d} coefficients, got {len(cs)}")
         _set_e(self, e)
-        _set_coeffs(self, cs)
+        _set_coeffs(self, _reduce(e, _integers(coeffs)))
 
     @classmethod
     def _make(cls, e: int, coeffs: tuple[int, ...]) -> "Cyclotomic":
@@ -125,26 +127,6 @@ class Cyclotomic:
 
     def __delattr__(self, name):
         raise AttributeError("Cyclotomic values are immutable")
-
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def zero(cls, e: int) -> "Cyclotomic":
-        return cls._make(e, (0,) * euler_phi(e))
-
-    @classmethod
-    def one(cls, e: int) -> "Cyclotomic":
-        return cls.from_rational(e, 1)
-
-    @classmethod
-    def from_rational(cls, e: int, r) -> "Cyclotomic":
-        """The int r; NonIntegralValueError for anything else."""
-        return cls._make(e, tuple(_integers([r]) + [0] * (euler_phi(e) - 1)))
-
-    @classmethod
-    def from_poly(cls, e: int, coeffs) -> "Cyclotomic":
-        """Build from int coefficients of powers eps^0, eps^1, ... (any length)."""
-        return cls._make(e, _reduce(e, _integers(coeffs)))
 
     # -- ring operations ----------------------------------------------
 
@@ -206,7 +188,7 @@ class Cyclotomic:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only non-negative integer powers are supported")
-        out = Cyclotomic.one(self.e)
+        out = Cyclotomic(self.e, [1])
         base = self
         while n:
             if n & 1:
@@ -326,3 +308,20 @@ def as_rational_integer(z: Cyclotomic) -> int:
             f"not a rational integer: coefficients {[str(c) for c in z.coeffs]}"
         )
     return z.coeffs[0]
+
+
+def conj_weighted_sum(e: int, weights, xs, ys) -> Cyclotomic:
+    """The sum of w x conj(y) over the triples (w, x, y), values of order e.
+
+    The products are accumulated as one int polynomial modulo x^e - 1, using
+    conj(eps^t) = eps^(-t), and reduced to canonical form once.
+    """
+    acc = [0] * e
+    for w, a, b in zip(weights, xs, ys):
+        b_terms = [(t, y) for t, y in enumerate(b.coeffs) if y]
+        for s, x in enumerate(a.coeffs):
+            if x:
+                x *= w
+                for t, y in b_terms:
+                    acc[(s - t) % e] += x * y
+    return Cyclotomic._make(e, _reduce(e, acc))

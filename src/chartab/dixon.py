@@ -265,7 +265,7 @@ def _build_table(cd: ConjugacyData, prime: int | None) -> CharacterTable:
                 poly[t * step] = o_inv * sum(
                     theta_pow[s] * z_inv_pows[t * s * step % e] for s in range(o)
                 ) % q
-            values.append(Cyclotomic.from_poly(e, poly))
+            values.append(Cyclotomic(e, poly))
         rows.append(ClassFunction(tuple(values), data))
 
     return CharacterTable(

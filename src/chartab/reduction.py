@@ -80,7 +80,7 @@ def reduce_mod_M(z: Cyclotomic, rmap: ReductionMap) -> tuple[int, ...]:
     if z.e != rmap.e:
         raise OrderMismatchError(f"value of order {z.e} under a map for order {rmap.e}")
     cs = z.coeffs
-    if not any(cs[1:]):
+    if z.is_rational():
         return _integer_image(cs[0], rmap)
     p = rmap.p
     return tuple(sum(map(mul, cs, row)) % p for row in _images(rmap))

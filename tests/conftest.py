@@ -79,7 +79,7 @@ def mul(group, i, j):
 
 def root_power(e, j):
     """eps_e^j in canonical form (j taken mod e)."""
-    return Cyclotomic.from_poly(e, [0] * (j % e) + [1])
+    return Cyclotomic(e, [0] * (j % e) + [1])
 
 
 # -- a power-map oracle: the definition of composition ---------------------
@@ -136,13 +136,13 @@ def cf_add(a, b):
 
 
 def all_ones(data):
-    return ClassFunction(tuple(Cyclotomic.one(data.exponent) for _ in range(data.k)), data)
+    return ClassFunction(tuple(Cyclotomic(data.exponent, [1]) for _ in range(data.k)), data)
 
 
 def pi_character(data):
     """The conjugation character: centralizer order on each class."""
     return ClassFunction(
-        tuple(Cyclotomic.from_rational(data.exponent, c) for c in data.centralizer_orders),
+        tuple(Cyclotomic(data.exponent, [c]) for c in data.centralizer_orders),
         data,
     )
 
@@ -152,7 +152,7 @@ def psi_character(data):
     classes and 0 elsewhere, by column orthogonality of g against g^-1."""
     return ClassFunction(
         tuple(
-            Cyclotomic.from_rational(data.exponent, c if real else 0)
+            Cyclotomic(data.exponent, [c if real else 0])
             for c, real in zip(data.centralizer_orders, data.real_flags)
         ),
         data,
@@ -173,7 +173,7 @@ def inner(phi, theta):
     """(1/|G|) sum over classes of |K| phi(g_K) conj(theta(g_K)), one
     Cyclotomic product per class."""
     phi._check(theta)
-    total = Cyclotomic.zero(phi.data.exponent)
+    total = Cyclotomic(phi.data.exponent, [])
     for size, a, b in zip(phi.data.sizes, phi.values, theta.values):
         total = total + a * b.conjugate() * size
     return total / phi.data.order
@@ -361,3 +361,34 @@ def cycle_type(images):
         if length:
             lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+# -- PSL(2,q) by Jordan and Schur ------------------------------------------
+#
+# PSL(2,q), q an odd prime, acts on the projective line through x -> x + 1
+# and x -> -1/x, the point x labelled x + 1 and infinity labelled q + 1
+# (Dornhoff, Group Representation Theory A, section 38).
+
+PSL2_PRIMES = (11, 13, 17, 19)
+
+
+def psl2_spec(q):
+    """The group spec record of PSL(2,q) on the q + 1 points of the line."""
+    shift = "(" + " ".join(str(x + 1) for x in range(q)) + ")"
+    pairs = [(0, q)] + [(x, -pow(x, -1, q) % q) for x in range(1, q)]
+    flip = "".join(f"({x + 1} {y + 1})" for x, y in pairs if x < y)
+    return {"name": f"PSL2_{q}", "degree": q + 1, "generators": [shift, flip]}
+
+
+def psl2_order(q):
+    return q * (q * q - 1) // 2
+
+
+def psl2_degrees(q):
+    """The sorted degrees: 1, q, two of (q +- 1)/2, and q + 1 and q - 1 each
+    about q/4 times, which makes (q + 5)/2 of them."""
+    if q % 4 == 1:
+        half, plus, minus = (q + 1) // 2, (q - 5) // 4, (q - 1) // 4
+    else:
+        half, plus, minus = (q - 1) // 2, (q - 3) // 4, (q - 3) // 4
+    return sorted([1, q, half, half] + [q + 1] * plus + [q - 1] * minus)

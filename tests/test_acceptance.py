@@ -141,7 +141,7 @@ def test_criterion_7_identity_suite_for_whole_catalog():
             data = table.data
             pi = pi_character(cd.data)
             total = ClassFunction(
-                tuple(Cyclotomic.zero(data.exponent) for _ in range(data.k)), data
+                tuple(Cyclotomic(data.exponent, []) for _ in range(data.k)), data
             )
             for row in table.rows:
                 conj_row = ClassFunction(
@@ -151,7 +151,7 @@ def test_criterion_7_identity_suite_for_whole_catalog():
             assert total == pi, name
             psi = psi_character(data)
             squares = ClassFunction(
-                tuple(Cyclotomic.zero(data.exponent) for _ in range(data.k)), data
+                tuple(Cyclotomic(data.exponent, []) for _ in range(data.k)), data
             )
             for row in table.rows:
                 squares = cf_add(squares, cf_mul(row, row))
@@ -171,7 +171,7 @@ def test_criterion_8_oracle_cross_checks():
             group, cd, table = prepared(name)
             for n, counts in enumerate(commutator_counts(cd, 2), start=1):
                 for c in range(cd.k):
-                    total = Cyclotomic.zero(cd.data.exponent)
+                    total = Cyclotomic(cd.data.exponent, [])
                     for row in table.rows:
                         total = total + row.values[c] * (
                             group.order // row.degree

@@ -107,7 +107,7 @@ class TestCentralCharacter:
     def test_non_integral_detected(self, s3):
         _, cd, table, _ = s3
         # the trivial character's values with degree 4 at the identity
-        values = (Cyclotomic.from_rational(table.data.exponent, 4),) + table.rows[0].values[1:]
+        values = (Cyclotomic(table.data.exponent, [4]),) + table.rows[0].values[1:]
         fake = ClassFunction(values, table.data)
         with pytest.raises(NonIntegralValueError):
             central_character(fake, cd.data.sizes.index(3))
@@ -246,7 +246,7 @@ class TestStrunkovAnalog:
             for row in table.rows
         ]
         acc = ClassFunction(
-            tuple(Cyclotomic.zero(data.exponent) for _ in range(data.k)), data
+            tuple(Cyclotomic(data.exponent, []) for _ in range(data.k)), data
         )
         for c1 in range(table.data.k):
             for c2 in range(table.data.k):

@@ -21,7 +21,7 @@ from chartab.duality import recover_from_table
 from chartab.groups import MAX_DEGREE, GroupSpec, conjugacy_data, enumerate_group
 from chartab.tables import compute_table, save_table
 
-from conftest import ALL_GROUPS, MISTYPED_FIELDS, SPEC_GROUPS
+from conftest import ALL_GROUPS, MISTYPED_FIELDS, PSL2_PRIMES, SPEC_GROUPS, psl2_spec
 
 LARGE_PRIME = str(10**18 + 3)
 # the directory this process imports chartab from
@@ -785,7 +785,9 @@ BENCH_SPECS = os.path.join(
 # is the only command that evaluates strunkov_analog_gamma on a group with two
 # classes, and "classes" the only one that prints representative cycles.
 # {specs} is the bench's spec directory, {tmp} holds the S6 table as
-# `table --spec-file {specs}/S6.json --save` writes it.
+# `table --spec-file {specs}/S6.json --save` writes it and the PSL(2,q) spec
+# files of `psl2_spec`; the PSL(2,q) tables are the Jordan-Schur groups of
+# test_tables, from q = 17 above the default element cap.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -818,13 +820,20 @@ BENCH_SPECS = os.path.join(
         # the witnesses that fail mod some maximal ideal over 11: 36 pairs,
         # where reduction mod one ideal found 34 (9c865eba4d2b76f9)
         ("blocks --spec-file {specs}/A6.json -p 11", "1aac005e70166df0"),
+        ("table --spec-file {tmp}/PSL2_11.json", "9ffbdc3dc4d49bc1"),
+        ("table --spec-file {tmp}/PSL2_13.json", "6ef569bca0a15374"),
+        ("table --spec-file {tmp}/PSL2_17.json --cap 200000", "3cc323f8d4a41437"),
+        ("table --spec-file {tmp}/PSL2_19.json --cap 200000", "292e2e0a1ee33e21"),
     ],
 )
 def test_output_bytes_pinned(capsys, tmp_path, argv, digest):
-    if "{tmp}" in argv:
+    if "{tmp}/S6.json" in argv:
         save = ["table", "--spec-file", os.path.join(BENCH_SPECS, "S6.json")]
         assert main([*save, "--save", str(tmp_path / "S6.json")]) == 0
         capsys.readouterr()
+    for q in PSL2_PRIMES:
+        if f"{{tmp}}/PSL2_{q}.json" in argv:
+            (tmp_path / f"PSL2_{q}.json").write_text(json.dumps(psl2_spec(q)))
     argv = [word.format(specs=BENCH_SPECS, tmp=tmp_path) for word in argv.split()]
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -13,7 +13,7 @@ from conftest import cyclotomic_by_division, root_power
 
 
 def eval_poly_at_root(poly, e):
-    total = Cyclotomic.zero(e)
+    total = Cyclotomic(e, [])
     for k, c in enumerate(poly):
         if c:
             total = total + c * root_power(e, k)
@@ -81,7 +81,7 @@ class TestArithmetic:
 
     def test_additive_identity(self):
         z = Cyclotomic(6, [2, -3])
-        assert z + Cyclotomic.zero(6) == z
+        assert z + Cyclotomic(6, []) == z
         with pytest.raises(NonIntegralValueError):
             Cyclotomic(6, [Fraction(1, 2), Fraction(-3)])
 
@@ -89,7 +89,7 @@ class TestArithmetic:
         assert root_power(6, 1) * root_power(6, 5) == 1
 
     def test_equal_values_hash_equal(self):
-        three = Cyclotomic.from_rational(6, 3)
+        three = Cyclotomic(6, [3])
         assert three == 3 and hash(three) == hash(3)
         assert len({three, 3}) == 1
         assert {3: "a"}.get(three) == "a"
@@ -173,10 +173,10 @@ class TestConjugate:
 
     def test_rationals_fixed(self):
         for r in (0, 1, -7, 3):
-            z = Cyclotomic.from_rational(12, r)
+            z = Cyclotomic(12, [r])
             assert z.conjugate() == z
         with pytest.raises(NonIntegralValueError):
-            Cyclotomic.from_rational(12, Fraction(3, 5))
+            Cyclotomic(12, [Fraction(3, 5)])
 
     def test_sixth_root(self):
         e6 = root_power(6, 1)
@@ -235,7 +235,7 @@ class TestGalois:
 
 class TestRationalIntegerExtraction:
     def test_plain_one(self):
-        assert as_rational_integer(Cyclotomic.one(6)) == 1
+        assert as_rational_integer(Cyclotomic(6, [1])) == 1
 
     def test_sum_collapses(self):
         e6 = root_power(6, 1)
@@ -248,14 +248,14 @@ class TestRationalIntegerExtraction:
 
     def test_half_rejected(self):
         with pytest.raises(NonIntegralValueError):
-            as_rational_integer(Cyclotomic.from_rational(4, Fraction(1, 2)))
+            as_rational_integer(Cyclotomic(4, [Fraction(1, 2)]))
 
 
 class TestCanonicalForm:
     def test_equality_iff_difference_vanishes(self):
         e6 = root_power(6, 1)
         a = e6 * e6 * e6          # -1 after reduction
-        b = Cyclotomic.from_rational(6, -1)
+        b = Cyclotomic(6, [-1])
         assert a == b
         assert not (a - b)
         assert a != b + 1
@@ -271,11 +271,16 @@ class TestCanonicalForm:
                 assert all(type(c) is int for c in z.coeffs)
 
     def test_is_rational_integer(self):
-        assert Cyclotomic.from_rational(6, 4).is_rational()
-        assert as_rational_integer(Cyclotomic.from_rational(6, 4)) == 4
+        assert Cyclotomic(6, [4]).is_rational()
+        assert as_rational_integer(Cyclotomic(6, [4])) == 4
         with pytest.raises(NonIntegralValueError):
-            Cyclotomic.from_rational(6, Fraction(1, 3))
+            Cyclotomic(6, [Fraction(1, 3)])
         assert not root_power(6, 1).is_rational()
+
+    @pytest.mark.parametrize("e, coeffs", [(0, []), (0, [1]), (-3, [1, 2])])
+    def test_order_below_one_rejected(self, e, coeffs):
+        with pytest.raises(ValueError, match="cannot factor"):
+            Cyclotomic(e, coeffs)
 
     @pytest.mark.parametrize("attr", ["e", "coeffs", "new_attribute"])
     def test_immutable(self, attr):
@@ -329,3 +334,7 @@ class TestDisplay:
     def test_negative_leading_term_keeps_its_sign(self):
         assert str(Cyclotomic(3, [-1, -1])) == "-1 - E(3)"
         assert str(-root_power(5, 2)) == "-E(5)^2"
+
+    def test_coefficients_and_powers(self):
+        assert str(Cyclotomic(3, [0, 2])) == "2*E(3)"
+        assert str(Cyclotomic(12, [1, -3, 0, 2])) == "1 - 3*E(12) + 2*E(12)^3"

@@ -176,11 +176,10 @@ class TestSequenceLength:
     def test_length_checked_before_any_term(self, table_factory, monkeypatch, sequence):
         table = table_factory("S3")
 
-        def no_terms(n, phi):
+        def no_terms(phi, ns, real_only):
             raise AssertionError("a term was computed")
 
-        monkeypatch.setattr(duality, "gamma", no_terms)
-        monkeypatch.setattr(duality, "delta", no_terms)
+        monkeypatch.setattr(duality, "_multiplicities", no_terms)
         with pytest.raises(ValueError, match="at most"):
             sequence(table, MAX_POWER + 1)
 

@@ -124,9 +124,9 @@ def _check_against_roots(rmap, roots, rng):
     values = [Cyclotomic(e, [rng.randint(-30, 30) for _ in range(d)]) for _ in range(4)]
     values += [z * p for z in values[:2]]
     # in the radical: Phi_m(eps) lies in every ideal over p
-    values.append(Cyclotomic.from_poly(e, cyclotomic_polynomial(m)) * values[0])
+    values.append(Cyclotomic(e, cyclotomic_polynomial(m)) * values[0])
     # in the ideal of the first root only, unless it is the only ideal
-    values.append(Cyclotomic.from_poly(e, _minimal_polynomial(roots[0], p, field)))
+    values.append(Cyclotomic(e, _minimal_polynomial(roots[0], p, field)))
     values += [values[-1] * z for z in values[:2]]
     partial = 0
     for z in values:
@@ -341,7 +341,7 @@ class TestBuildReduction:
             r = build_reduction(e, p)
             assert (r.m, r.f, len(r.poly) - 1) == (m, f, euler_phi(m))
             # eps^m is a root of unity of p-power order, which is 1 mod p
-            one = reduce_mod_M(Cyclotomic.one(e), r)
+            one = reduce_mod_M(Cyclotomic(e, [1]), r)
             assert reduce_mod_M(root_power(e, m), r) == one
             for q in prime_factors(m):
                 assert reduce_mod_M(root_power(e, m // q), r) != one
@@ -350,7 +350,7 @@ class TestBuildReduction:
 class TestReduceModM:
     def test_unital(self):
         r = build_reduction(6, 5)
-        assert reduce_mod_M(Cyclotomic.one(6), r) == (1, 0)
+        assert reduce_mod_M(Cyclotomic(6, [1]), r) == (1, 0)
 
     def test_sixth_root_mod_three(self):
         r = build_reduction(6, 3)
@@ -358,7 +358,7 @@ class TestReduceModM:
 
     def test_characteristic_kills_p(self):
         r = build_reduction(6, 3)
-        assert reduce_mod_M(Cyclotomic.from_rational(6, 3), r) == (0,)
+        assert reduce_mod_M(Cyclotomic(6, [3]), r) == (0,)
 
     def test_homomorphism_sampled(self):
         rng = random.Random(9)
@@ -382,7 +382,7 @@ class TestReduceModM:
         for p in prime_factors(group.order):
             r = build_reduction(e, p)
             rationals = (0, 1, -1, p, -p, 3 * p, -2 * p - 1, rng.randint(-500, -2))
-            values = [Cyclotomic.from_rational(e, c) for c in rationals]
+            values = [Cyclotomic(e, [c]) for c in rationals]
             values += [
                 Cyclotomic(e, [rng.randint(-50, 50) for _ in range(euler_phi(e))])
                 for _ in range(10)
@@ -397,7 +397,7 @@ class TestReduceModM:
         from fractions import Fraction
 
         with pytest.raises(NonIntegralValueError):
-            reduce_mod_M(Cyclotomic.from_rational(6, Fraction(1, 2)), r)
+            reduce_mod_M(Cyclotomic(6, [Fraction(1, 2)]), r)
 
     def test_order_mismatch_rejected(self):
         r = build_reduction(6, 3)

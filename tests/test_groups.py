@@ -1,9 +1,11 @@
+import json
 import os
 from math import lcm
 
 import pytest
 
 from chartab import groups
+from chartab.cli import main
 from chartab.cyclo import Cyclotomic, as_rational_integer
 from chartab.errors import CapExceededError, CycleSyntaxError, FormatError, UnknownGroupError
 from chartab.groups import (
@@ -53,6 +55,8 @@ class TestParseCycles:
         for text in ("(1 2", "1 2)", "(1 2) x", "(1 2)(", ""):
             with pytest.raises(CycleSyntaxError):
                 parse_cycles(text, 3)
+        with pytest.raises(CycleSyntaxError, match="non-integer point"):
+            parse_cycles("(1 a)", 3)
 
     def test_fixed_point_cycle(self):
         assert parse_cycles("(2)", 3) == (0, 1, 2)
@@ -323,7 +327,7 @@ class TestCommutatorCounts:
         for n in (1, 2, 3):
             for c in range(cd.k):
                 # |G|^(2n-1) sum_chi chi(g) / chi(1)^(2n-1), with |G| / chi(1) an int
-                total = Cyclotomic.zero(cd.data.exponent)
+                total = Cyclotomic(cd.data.exponent, [])
                 for row in table.rows:
                     total = total + row.values[c] * (group.order // row.degree) ** (2 * n - 1)
                 assert counts[n - 1][c] == as_rational_integer(total), (name, n, c)
@@ -389,11 +393,19 @@ class TestCatalog:
             group, _ = group_factory(name)
             assert group.order == order
 
-    def test_spec_validation(self):
+    def test_spec_validation(self, capsys, tmp_path):
         with pytest.raises(FormatError):
             GroupSpec.from_dict({"name": "x", "degree": 3})
         with pytest.raises(FormatError):
             GroupSpec.from_dict({"name": "x", "degree": 0, "generators": []})
+        # one string is not a list of cycle strings, though it iterates
+        spec = {"name": "x", "degree": 3, "generators": "(1 2)"}
+        with pytest.raises(FormatError, match="generators must be a list"):
+            GroupSpec.from_dict(spec)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["classes", "--spec-file", str(path)]) == 4
+        assert "generators must be a list" in capsys.readouterr().err
 
     def test_degree_bounded(self):
         spec = {"name": "C2", "degree": groups.MAX_DEGREE, "generators": ["(1 2)"]}

@@ -122,3 +122,33 @@ def test_no_function_takes_a_group_and_its_classes():
         if {"group", "cd"} <= set(inspect.signature(f).parameters)
     ]
     assert both == []
+
+
+# cyclo alone builds values from ints and does arithmetic on coefficient
+# tuples; outside it, .coeffs is read by the reduction's dot products and the
+# canonical row order only
+PRIVATE_TO_CYCLO = {"_make", "_reduce", "_integers"}
+COEFFS_READERS = {("reduction", "reduce_mod_M"), ("dixon", "_sort_rows")}
+
+
+def test_only_cyclo_touches_coefficients():
+    src = os.path.dirname(chartab.__file__)
+    found = []
+    for filename in sorted(os.listdir(src)):
+        if not filename.endswith(".py") or filename == "cyclo.py":
+            continue
+        module = filename[:-3]
+        with open(os.path.join(src, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                if name in PRIVATE_TO_CYCLO or (
+                    isinstance(node, ast.Attribute) and name == "coeffs"
+                    and (module, owner) not in COEFFS_READERS
+                ):
+                    found.append(f"{module}.{owner}: {name}")
+    assert found == []

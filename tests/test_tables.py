@@ -29,8 +29,8 @@ from chartab.tables import (
 )
 
 from conftest import (
-    ALL_GROUPS, BENCH_SPECS, MISTYPED_FIELDS, SPEC_GROUPS, cf_mul, composes, cycle_type,
-    root_power,
+    ALL_GROUPS, BENCH_SPECS, MISTYPED_FIELDS, PSL2_PRIMES, SPEC_GROUPS, cf_mul, composes,
+    cycle_type, psl2_degrees, psl2_order, psl2_spec, root_power,
 )
 
 
@@ -40,14 +40,21 @@ def _all_powers_identity(data):
     data["power_map"] = [[0] * data["exponent"] for _ in data["power_map"]]
 
 
+def _set_every_period(data, i, t, c):
+    # power t of class i set to class c in every period of its written-out walk
+    row = data["power_map"][i]
+    row[t :: data["rep_orders"][i]] = [c] * (len(row) // data["rep_orders"][i])
+
+
 def _zeroth_power(data):
     i = data["rep_orders"].index(2)
-    data["power_map"][i][0] = i
+    _set_every_period(data, i, 0, i)
 
 
 def _first_power(data):
-    i, j = data["rep_orders"].index(2), data["rep_orders"].index(3)
-    data["power_map"][i][1] = j
+    # g^1 of a 3-cycle set to the transpositions; g^2 still ends at its inverse
+    i, j = data["rep_orders"].index(3), data["rep_orders"].index(2)
+    _set_every_period(data, i, 1, j)
 
 
 def _rep_order(data):
@@ -56,14 +63,14 @@ def _rep_order(data):
 
 def _last_power(data):
     i = data["rep_orders"].index(3)
-    data["power_map"][i][-1] = 0
+    _set_every_period(data, i, 2, 0)
 
 
 def _exponent(data):
     # the trivial group written over Q(E(2)): every check but the lcm holds
     data["exponent"] = 2
     data["power_map"] = [[0, 0]]
-    data["rows"] = [[Cyclotomic.one(2).to_dict()]]
+    data["rows"] = [[Cyclotomic(2, [1]).to_dict()]]
 
 
 def _period(data):
@@ -80,16 +87,32 @@ def _composition(data):
         data["power_map"][i][t] = i
 
 
-# each corruption breaks exactly one power-map invariant of a well-formed file
+# each corruption breaks exactly one power-map invariant of a well-formed
+# file: (group, corruption, the message of the check that refuses it)
 POWER_MAP_CORRUPTIONS = {
-    "all-powers-identity": ("S4", _all_powers_identity),
-    "zeroth-power": ("S3", _zeroth_power),
-    "first-power": ("S3", _first_power),
-    "rep-order": ("S3", _rep_order),
-    "last-power": ("S3", _last_power),
-    "exponent": ("trivial", _exponent),
-    "period": ("S4", _period),
-    "composition": ("S4", _composition),
+    "all-powers-identity": (
+        "S4", _all_powers_identity, "power map of class 1 does not end at its inverse class"
+    ),
+    "zeroth-power": (
+        "S3", _zeroth_power,
+        "power map of class 2 does not start with the identity and class 2",
+    ),
+    "first-power": (
+        "S3", _first_power,
+        "power map of class 1 does not start with the identity and class 1",
+    ),
+    "rep-order": (
+        "S3", _rep_order, "power map of class 1 reaches the identity before its rep order 6"
+    ),
+    "last-power": (
+        "S3", _last_power, "power map of class 1 does not end at its inverse class"
+    ),
+    "exponent": ("trivial", _exponent, "the exponent is not the lcm of the rep orders"),
+    "period": ("S4", _period, "power map of class 3 does not repeat with period 4"),
+    "composition": (
+        "S4", _composition,
+        "power map of class 3 does not compose: some (g^2)^t is not in the class of g^(2t)",
+    ),
 }
 
 
@@ -136,7 +159,7 @@ class TestDixonPrime:
 class TestComputeTable:
     def test_c2_rows(self, table_factory):
         table = table_factory("C2")
-        one = Cyclotomic.one(2)
+        one = Cyclotomic(2, [1])
         assert table.rows[0].values == (one, one)
         assert table.rows[1].values == (one, -one)
 
@@ -149,7 +172,7 @@ class TestComputeTable:
             [2, -1, 0],
         ]
         for row, exp in zip(table.rows, expected):
-            assert [v for v in row.values] == [Cyclotomic.from_rational(6, x) for x in exp]
+            assert [v for v in row.values] == [Cyclotomic(6, [x]) for x in exp]
 
     def test_a5_degrees(self, table_factory):
         table = table_factory("A5")
@@ -226,7 +249,7 @@ class TestComputeTable:
     def test_identity_column_is_degrees(self, table_factory):
         table = table_factory("S4")
         assert tuple(v for v in (row.values[0] for row in table.rows)) == tuple(
-            Cyclotomic.from_rational(12, d) for d in table.degrees
+            Cyclotomic(12, [d]) for d in table.degrees
         )
 
 
@@ -527,13 +550,14 @@ class TestTableFiles:
 
     @pytest.mark.parametrize("case", sorted(POWER_MAP_CORRUPTIONS))
     def test_inconsistent_power_map_rejected(self, table_factory, tmp_path, case):
-        name, corrupt = POWER_MAP_CORRUPTIONS[case]
+        name, corrupt, message = POWER_MAP_CORRUPTIONS[case]
         data = table_to_dict(table_factory(name))
         corrupt(data)
         path = tmp_path / "powers.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(TableIntegrityError):
+        with pytest.raises(TableIntegrityError) as exc:
             load_table(path)
+        assert str(exc.value) == message
 
     # each sums to |S3| = 6, and in the last two every other size divides 6
     @pytest.mark.parametrize("sizes", ([1, 0, 5], [0, 3, 3], [-1, 1, 6]))
@@ -547,7 +571,7 @@ class TestTableFiles:
         # a group of order 2 with a class of prime order P passes every other
         # check; the power map's composition check alone takes pi(P) * P steps
         P = 8009
-        one, minus_one = Cyclotomic.one(P).to_dict(), Cyclotomic.from_rational(P, -1).to_dict()
+        one, minus_one = Cyclotomic(P, [1]).to_dict(), Cyclotomic(P, [-1]).to_dict()
         data = {
             "group": "lagrange", "order": 2, "exponent": P, "class_sizes": [1, 1],
             "rep_orders": [1, P], "inverse_class": [0, 1],
@@ -635,7 +659,7 @@ def _sylvester_record():
     orders = (1, 1807, 139, 13, 2, 3)
     e = lcm(*orders)
     by_order = {o: i for i, o in enumerate(orders)}
-    one = Cyclotomic.one(e).to_dict()
+    one = Cyclotomic(e, [1]).to_dict()
     return {
         "group": "sylvester", "order": n, "exponent": e,
         "class_sizes": [n // a for a in (n, 2, 3, 7, 43, 1807)],
@@ -720,3 +744,15 @@ class TestPowerMapComposition:
             path = tmp_path / f"{name}.json"
             save_table(table_factory(name), path)
             assert load_table(path) == table_factory(name)
+
+
+@pytest.mark.parametrize("q", PSL2_PRIMES)
+def test_psl2_matches_jordan_and_schur(tmp_path, q):
+    # the closed form goes through no class matrix; from q = 17 the group is
+    # above the default element cap
+    path = tmp_path / f"PSL2_{q}.json"
+    path.write_text(json.dumps(psl2_spec(q)))
+    table = compute_table(conjugacy_data(enumerate_group(load_group_spec(path), cap=200_000)))
+    assert table.data.order == psl2_order(q)
+    assert table.data.k == (q + 5) // 2
+    assert sorted(table.degrees) == psl2_degrees(q)
