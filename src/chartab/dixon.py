@@ -9,11 +9,13 @@ Each split finds its eigenvalues as the GF(q) roots of the characteristic
 polynomial of the restricted action and computes one null space per root.
 Everything is deterministic: the roots are taken in ascending order and rows
 are sorted (trivial character first, then by degree and coefficient order),
-so recomputing with a different admissible prime yields a literally equal
-table.
+so recomputing with a different admissible prime yields literally equal
+rows.
 
-`tables.compute_table` imports this module on its first call, so a job that
-only loads a table file never compiles it.
+`_build_table` returns the rows alone.  `tables.compute_table` picks and
+checks the prime, wraps the rows in a table and validates it; it imports this
+module on its first call, so a job that only loads a table file never
+compiles it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .classfuncs import ClassFunction
 from .cyclo import Cyclotomic
 from .errors import TableIntegrityError
 from .groups import ConjugacyData, class_matrix
-from .tables import CharacterTable, _admissible, dixon_prime
 
 
 # -- linear algebra over GF(q) ------------------------------------------
@@ -204,8 +205,9 @@ def _apply_split(matrix, spaces, q: int):
 # -- the table computation ----------------------------------------------
 
 
-def _build_table(cd: ConjugacyData, prime: int | None) -> CharacterTable:
-    """Table of `cd.group` as the Dixon-Schneider split gives it, not validated.
+def _build_table(cd: ConjugacyData, q: int) -> tuple[ClassFunction, ...]:
+    """Rows of the table of `cd.group` as the split at the admissible prime q
+    gives them, in `_sort_rows` order, not validated.
 
     The class-sum matrices over GF(q) are split into common one-dimensional
     eigenspaces; each eigenvector, scaled to 1 at the identity class, carries
@@ -216,20 +218,9 @@ def _build_table(cd: ConjugacyData, prime: int | None) -> CharacterTable:
     and each value is lifted to a cyclotomic integer through the counts of
     eigenvalue multiplicities m_t = (1/o) sum_{s<o} chi(g^s) z^(-t s e/o)
     mod q, o the order of g, as chi(g) = sum_t m_t eps^(t e/o).
-    A caller-supplied `prime` must be admissible in the sense of
-    `dixon_prime`; otherwise ValueError.
     """
     data = cd.data
     k, e, order = cd.k, data.exponent, data.order
-    if prime is None:
-        q = dixon_prime(e, order)
-    elif _admissible(prime, e, order):
-        q = prime
-    else:
-        raise ValueError(
-            f"{prime} is not an admissible Dixon prime for order {order} "
-            f"and exponent {e}"
-        )
     # lazily: the split stops at the first matrix that leaves every space 1-d
     matrices = (
         [[a % q for a in row] for row in class_matrix(cd, i)] for i in range(1, k)
@@ -267,13 +258,7 @@ def _build_table(cd: ConjugacyData, prime: int | None) -> CharacterTable:
                 ) % q
             values.append(Cyclotomic(e, poly))
         rows.append(ClassFunction(tuple(values), data))
-
-    return CharacterTable(
-        group_name=cd.group.name,
-        data=data,
-        rows=tuple(_sort_rows(rows)),
-        provenance=f"computed (dixon prime {q})",
-    )
+    return tuple(_sort_rows(rows))
 
 
 def _sqrt_below_half(x: int, q: int) -> int:

@@ -135,6 +135,7 @@ class Group:
     """Fully enumerated permutation group with a fixed element ordering.
 
     `generators` must generate the group; conjugacy classes are their orbits.
+    `index` maps each element to its position in `elements`.
     """
 
     def __init__(
@@ -142,11 +143,12 @@ class Group:
         name: str,
         elements: list[tuple[int, ...]],
         generators: tuple[tuple[int, ...], ...],
+        index: dict[tuple[int, ...], int],
     ):
         self.name = name
         self.elements = tuple(elements)
         self.generators = generators
-        self.index = {g: i for i, g in enumerate(self.elements)}
+        self.index = index
         self.order = len(self.elements)
         # g^-1 sends g[x] back to x, so each inverse pair is looked up once
         inverse_index = [-1] * self.order
@@ -184,7 +186,7 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
                     )
                 index[h] = len(elements)
                 elements.append(h)
-    return Group(spec.name, elements, gens)
+    return Group(spec.name, elements, gens, index)
 
 
 class ClassData(namedtuple("ClassData", "order sizes power_map")):

@@ -1,10 +1,11 @@
 """Exact irreducible character tables: the table type, validation, files.
 
-`compute_table` builds a table with the Dixon-Schneider split of
-`chartab.dixon`, imported on its first call, and validates it; `load_table`
-reads a saved table and re-verifies every invariant, so externally produced
-tables are usable with the verifiers without trusting their source.  A job
-that only loads a table file never compiles the split.
+`compute_table` picks and checks the Dixon prime, takes the rows from the
+Dixon-Schneider split of `chartab.dixon`, imported on its first call, and
+validates the table; `load_table` reads a saved table and re-verifies every
+invariant, so externally produced tables are usable with the verifiers
+without trusting their source.  A job that only loads a table file never
+compiles the split.
 """
 
 from __future__ import annotations
@@ -91,12 +92,23 @@ def dixon_prime(e: int, order: int, above: int = 0) -> int:
 def compute_table(cd: ConjugacyData, prime: int | None = None) -> CharacterTable:
     """Exact character table of the group `cd` holds the classes of, validated.
 
-    Built by `dixon._build_table` at the Dixon prime `prime` (by default the
-    least admissible one, see `dixon_prime`), then checked by `validate_table`.
+    The rows come from `dixon._build_table` at the Dixon prime `prime`, by
+    default the least admissible one (see `dixon_prime`); a `prime` that is
+    not admissible is a ValueError.  The table is checked by `validate_table`.
     """
     from .dixon import _build_table  # only computing a table needs the split
 
-    table = _build_table(cd, prime)
+    data = cd.data
+    e, order = data.exponent, data.order
+    if prime is None:
+        prime = dixon_prime(e, order)
+    elif not _admissible(prime, e, order):
+        raise ValueError(
+            f"{prime} is not an admissible Dixon prime for order {order} and exponent {e}"
+        )
+    table = CharacterTable(
+        cd.group.name, data, _build_table(cd, prime), f"computed (dixon prime {prime})"
+    )
     validate_table(table)
     return table
 
@@ -179,9 +191,9 @@ def validate_table(table: CharacterTable) -> None:
     if not all(v == 1 for v in table.rows[0].values):
         raise TableIntegrityError("row 0 is not the trivial character")
     for idx, row in enumerate(table.rows):
-        if row.degree < 1 or data.order % row.degree:
+        if not row.values[0].is_rational() or row.degree < 1 or data.order % row.degree:
             raise TableIntegrityError(
-                f"row {idx} has degree {row.degree}, not a positive divisor of the order"
+                f"row {idx} has degree {row.values[0]}, not a positive divisor of the order"
             )
     if sum(d * d for d in table.degrees) != data.order:
         raise TableIntegrityError("sum of squared degrees differs from the group order")

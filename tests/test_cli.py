@@ -18,6 +18,7 @@ from chartab import classfuncs, duality
 from chartab.classfuncs import MAX_POWER
 from chartab.cli import main
 from chartab.duality import recover_from_table
+from chartab.errors import FormatError, TableIntegrityError
 from chartab.groups import MAX_DEGREE, GroupSpec, conjugacy_data, enumerate_group
 from chartab.tables import compute_table, save_table
 
@@ -752,6 +753,40 @@ def test_every_int_leaf_off_by_one_is_refused(capsys, tmp_path):
                 loaded.append(((*outer, last), step, code))
     capsys.readouterr()
     assert loaded == []
+
+
+def test_every_value_replaced_by_another_of_its_table_is_refused(
+    capsys, tmp_path, table_factory, spec_tables
+):
+    # each value record, at the identity class or not, replaced whole by each
+    # other record of the same table; every hundredth file goes through the CLI
+    path = tmp_path / "corrupt.json"
+    loaded, codes, tried = [], [], 0
+    for name in ("C3", "C5", "A4", "A5", "Q8", "D8", "S4", "GL32", "A6"):
+        table = spec_tables[name] if name in SPEC_GROUPS else table_factory(name)
+        text = json.dumps(tables.table_to_dict(table))
+        rows = json.loads(text)["rows"]
+        records = sorted({json.dumps(rec) for row in rows for rec in row})
+        for r, row in enumerate(rows):
+            for i, rec in enumerate(row):
+                for other in records:
+                    if other == json.dumps(rec):
+                        continue
+                    data = json.loads(text)
+                    data["rows"][r][i] = json.loads(other)
+                    tried += 1
+                    try:
+                        tables.table_from_dict(data)
+                        loaded.append((name, r, i, other))
+                    except (TableIntegrityError, FormatError):
+                        pass
+                    if tried % 100 == 0:
+                        path.write_text(json.dumps(data))
+                        codes.append(main(["recover", "--table-file", str(path)]))
+    capsys.readouterr()
+    assert loaded == []
+    assert tried == 1487
+    assert len(codes) == 14 and set(codes) <= {4, 7}
 
 
 class TestVerify:

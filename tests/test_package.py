@@ -152,3 +152,56 @@ def test_only_cyclo_touches_coefficients():
                 ):
                     found.append(f"{module}.{owner}: {name}")
     assert found == []
+
+
+
+def _package_imports():
+    """Module -> the chartab modules it imports, at module level or in a function."""
+    src = os.path.dirname(chartab.__file__)
+    modules = {name[:-3] for name in os.listdir(src) if name.endswith(".py")}
+    graph = {}
+    for module in sorted(modules):
+        with open(os.path.join(src, f"{module}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                paths = [alias.name.split(".") for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                paths = [["chartab", *(node.module or "").split(".")]]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                paths = [node.module.split(".")]
+            else:
+                continue
+            for path in paths:
+                if path[0] != "chartab":
+                    continue
+                if len(path) > 1 and path[1]:
+                    targets.add(path[1])
+                else:  # `from . import x` and `from chartab import x` name modules
+                    targets.update(alias.name for alias in node.names)
+        graph[module] = targets & modules - {module}
+    return graph
+
+
+def test_package_imports_have_no_cycle():
+    # each module is a layer: none imports, at any depth, a module that
+    # imports it back; the first cycle found is named in the failure
+    graph = _package_imports()
+    assert "dixon" in graph["tables"]  # an import inside a function counts
+    done, path = set(), []
+
+    def cycle_from(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module not in done:
+            path.append(module)
+            for target in sorted(graph[module]):
+                cycle = cycle_from(target)
+                if cycle:
+                    return cycle
+            path.pop()
+            done.add(module)
+        return None
+
+    assert next(filter(None, map(cycle_from, sorted(graph))), None) is None
