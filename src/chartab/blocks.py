@@ -21,7 +21,10 @@ On top of the block structure sits a Strunkov-style counting quantity
 gamma(psi): the multiplicity of psi in pi^3 times the sum of the principal
 block characters, which expands to the full triple sum over |chi1 chi2|^2
 |chi3|^2 phi because the squared absolute values of all n-fold character
-products add up to pi^n pointwise.
+products add up to pi^n pointwise.  `alt_normalizer_report` gives these
+values beside three candidate normalizers and records no verdict:
+`chartab.cli`, which alone renders this module's reports, works out which
+normalizer divides which value.
 """
 
 from __future__ import annotations
@@ -88,14 +91,6 @@ class BlockReport(namedtuple("BlockReport", "p members member_flags failures")):
 
     __slots__ = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "members": list(self.members),
-            "member_flags": list(self.member_flags),
-            "failure_witnesses": [list(pair) for pair in self.failures],
-        }
-
 
 def principal_block_members(table: CharacterTable, rmap: ReductionMap) -> BlockReport:
     """Characters whose central character is congruent to the class sizes mod M.
@@ -148,36 +143,17 @@ class AltNormalizerReport(
     namedtuple(
         "AltNormalizerReport",
         "p block gamma_values p_times_order_p_part block_degree_sum"
-        " block_degree_sum_p_part divisible_by_p_times_p_part"
-        " divisible_by_degree_sum divisible_by_degree_sum_p_part",
+        " block_degree_sum_p_part",
     )
 ):
-    """Divisibility of gamma(psi) by several candidate normalizing quantities.
+    """gamma(psi) for every irreducible psi beside three candidate normalizers.
 
-    Purely exploratory: the report records which divisibility statements hold
-    for each irreducible psi and asserts nothing about them.
-    `block_degree_sum` is the sum of phi(1)^2 over the block; each
-    `divisible_by_*` field holds one bool per row.
+    Purely exploratory: which normalizers divide which values is read off
+    `gamma_values`, and the report asserts nothing about it.
+    `block_degree_sum` is the sum of phi(1)^2 over the block.
     """
 
     __slots__ = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "block": list(self.block),
-            "gamma_values": list(self.gamma_values),
-            "normalizers": {
-                "p_times_order_p_part": self.p_times_order_p_part,
-                "block_degree_sum": self.block_degree_sum,
-                "block_degree_sum_p_part": self.block_degree_sum_p_part,
-            },
-            "divisibility": {
-                "p_times_order_p_part": list(self.divisible_by_p_times_p_part),
-                "block_degree_sum": list(self.divisible_by_degree_sum),
-                "block_degree_sum_p_part": list(self.divisible_by_degree_sum_p_part),
-            },
-        }
 
 
 def alt_normalizer_report(table: CharacterTable, rmap: ReductionMap) -> AltNormalizerReport:
@@ -196,7 +172,4 @@ def alt_normalizer_report(table: CharacterTable, rmap: ReductionMap) -> AltNorma
         p_times_order_p_part=bound,
         block_degree_sum=degree_sum,
         block_degree_sum_p_part=degree_sum_p,
-        divisible_by_p_times_p_part=tuple(v % bound == 0 for v in values),
-        divisible_by_degree_sum=tuple(v % degree_sum == 0 for v in values),
-        divisible_by_degree_sum_p_part=tuple(v % degree_sum_p == 0 for v in values),
     )

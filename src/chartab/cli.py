@@ -242,12 +242,17 @@ def _cmd_defect(args):
     _require_prime(args.p)
     check_defect_power(args.n)
     table = _resolve_table(args)
-    results = defect_zero_by_characters(table, args.p, args.n, args.real).as_dict()
-    verdicts = results.pop("verdicts")
-    return _finish(
-        args, "defect", table, {"p": args.p, "n": args.n, "real": args.real},
-        {"group": table.group_name, **results}, verdicts,
-    )
+    rep = defect_zero_by_characters(table, args.p, args.n, args.real)
+    inputs = {"p": args.p, "n": args.n, "real": args.real}
+    results = {
+        "group": table.group_name, **inputs, "residues_mod_p": list(rep.residues),
+        "defect_zero_classes": list(rep.defect_zero_classes),
+    }
+    verdicts = {
+        "character_side": rep.character_side, "direct_side": rep.direct_side,
+        "agree": rep.character_side == rep.direct_side,
+    }
+    return _finish(args, "defect", table, inputs, results, verdicts)
 
 
 def _resolve_reduction(args):
@@ -282,7 +287,12 @@ def _cmd_blocks(args):
 
     table, rmap = _resolve_reduction(args)
     rep = principal_block_members(table, rmap)
-    results = {"group": table.group_name, **rep.as_dict(), "degrees": list(table.degrees)}
+    results = {
+        "group": table.group_name, "p": rep.p, "members": list(rep.members),
+        "member_flags": list(rep.member_flags),
+        "failure_witnesses": [list(pair) for pair in rep.failures],
+        "degrees": list(table.degrees),
+    }
     return _finish(
         args, "blocks", table, {"p": args.p}, results,
         {"all_characters_in_block": len(rep.members) == table.data.k},
@@ -296,7 +306,18 @@ def _cmd_counterexample(args):
     alt = alt_normalizer_report(table, rmap)
     if args.alt_normalizer:
         inputs = {"p": args.p, "alt_normalizer": True}
-        results, verdicts = {"group": table.group_name, **alt.as_dict()}, None
+        normalizers = {
+            "p_times_order_p_part": alt.p_times_order_p_part,
+            "block_degree_sum": alt.block_degree_sum,
+            "block_degree_sum_p_part": alt.block_degree_sum_p_part,
+        }
+        results, verdicts = {
+            "group": table.group_name, "p": args.p, "block": list(alt.block),
+            "gamma_values": list(alt.gamma_values), "normalizers": normalizers,
+            "divisibility": {
+                name: [v % n == 0 for v in alt.gamma_values] for name, n in normalizers.items()
+            },
+        }, None
     else:
         inputs = {"p": args.p}
         bound = alt.p_times_order_p_part
@@ -307,7 +328,7 @@ def _cmd_counterexample(args):
             "modulus": bound,
             "residues": [v % bound for v in alt.gamma_values],
         }
-        verdicts = {"all_divisible": all(alt.divisible_by_p_times_p_part)}
+        verdicts = {"all_divisible": not any(results["residues"])}
     return _finish(args, "counterexample", table, inputs, results, verdicts)
 
 
@@ -328,7 +349,11 @@ def _cmd_verify(args):
         report = {
             "command": "verify",
             "groups": list(dict.fromkeys(r.group for r in results)),
-            "checks": [r.as_dict() for r in results],
+            "checks": [
+                {"group": r.group, "check": r.check, "ok": r.ok}
+                | ({"detail": r.detail} if r.detail else {})
+                for r in results
+            ],
             "verdicts": {"all_passed": ok},
         }
         print(json.dumps(report, indent=2))

@@ -12,7 +12,8 @@ division is exact or an error.
 
 This module alone makes values from ints, through Cyclotomic(e, coeffs), and
 alone does arithmetic on coefficient tuples, the sums across classes of
-`conj_weighted_sum` included; other modules call it or read values.
+`conj_weighted_sum` included; other modules call it or read values.  The
+file record of a value is read and written by `chartab.tables` alone.
 
 Cyclotomic polynomials come in closed form, from products and exact
 quotients of binomials x^d - 1, so no polynomial factorization is needed.
@@ -21,10 +22,9 @@ quotients of binomials x^d - 1, so no polynomial factorization is needed.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from .arith import euler_phi, prime_factors
-from .errors import FormatError, NonIntegralValueError, OrderMismatchError
+from .errors import NonIntegralValueError, OrderMismatchError
 
 
 @lru_cache(maxsize=None)
@@ -230,43 +230,6 @@ class Cyclotomic:
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
-
-    # -- serialization ------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"e": self.e, "num": list(self.coeffs), "den": [1] * len(self.coeffs)}
-
-    @classmethod
-    def from_dict(cls, data: dict, expect_e: int | None = None) -> "Cyclotomic":
-        """Deserialize, insisting on canonical form (lowest terms, right length).
-
-        A malformed record is a FormatError; a well-formed one with a
-        denominator other than 1 is not in Z[eps_e] (NonIntegralValueError).
-        """
-        try:
-            e = data["e"]
-            num = data["num"]
-            den = data["den"]
-        except (TypeError, KeyError) as exc:
-            raise FormatError(f"bad cyclotomic record: {data!r}") from exc
-        if type(e) is not int or e < 1:
-            raise FormatError(f"bad cyclotomic order: {e!r}")
-        if expect_e is not None and e != expect_e:
-            raise FormatError(f"cyclotomic order {e} where {expect_e} is required")
-        d = euler_phi(e)
-        if not isinstance(num, list) or not isinstance(den, list) or not (
-            len(num) == len(den) == d
-        ):
-            raise FormatError(f"order {e} needs {d} numerators and denominators")
-        for n, m in zip(num, den):
-            if type(n) is not int or type(m) is not int or m < 1:
-                raise FormatError(f"bad coefficient {n}/{m}")
-            if gcd(n, m) != 1:
-                raise FormatError(f"coefficient {n}/{m} is not in lowest terms")
-        for n, m in zip(num, den):
-            if m != 1:
-                raise NonIntegralValueError(f"coefficient {n}/{m} is not an integer")
-        return cls._make(e, tuple(num))
 
     # -- display --------------------------------------------------------
 

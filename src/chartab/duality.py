@@ -198,20 +198,6 @@ class DefectReport(
 
     __slots__ = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "real": self.real,
-            "residues_mod_p": list(self.residues),
-            "defect_zero_classes": list(self.defect_zero_classes),
-            "verdicts": {
-                "character_side": self.character_side,
-                "direct_side": self.direct_side,
-                "agree": self.character_side == self.direct_side,
-            },
-        }
-
 
 def defect_zero_by_characters(
     table: CharacterTable,

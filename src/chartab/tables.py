@@ -5,7 +5,8 @@ Dixon-Schneider split of `chartab.dixon`, imported on its first call, and
 validates the table; `load_table` reads a saved table and re-verifies every
 invariant, so externally produced tables are usable with the verifiers
 without trusting their source.  A job that only loads a table file never
-compiles the split.
+compiles the split.  This module alone reads and writes table files, their
+value records {"e", "num", "den"} included.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd
 from .arith import euler_phi, is_prime, prime_factors
 from .classfuncs import ClassFunction, _scaled_inner
 from .cyclo import Cyclotomic
-from .errors import FormatError, NonIntegralValueError, TableIntegrityError
+from .errors import FormatError, TableIntegrityError
 from .groups import ClassData, ConjugacyData, _read_json
 
 
@@ -168,8 +169,9 @@ def validate_table(table: CharacterTable) -> None:
     """Raise TableIntegrityError unless every table invariant holds exactly.
 
     One row per class and values in Z[eps_e] are the caller's to check, as
-    `table_from_dict` and `dixon._build_table` do.  The checks linear in k
-    run first, orthogonality last.
+    `table_from_dict` and `dixon._build_table` do.  Every row must be over
+    the table's class data.  The checks linear in k run first, orthogonality
+    last.
 
     The power map P composes, P(P(i, s), t) = P(i, st), and the Galois
     action chi(g^s) = sigma_s(chi(g)) holds, for every s once they hold for
@@ -184,6 +186,9 @@ def validate_table(table: CharacterTable) -> None:
     order, must equal P(i, st) for t below o / gcd(s, o).
     """
     data = table.data
+    for idx, row in enumerate(table.rows):
+        if row.data != data:
+            raise TableIntegrityError(f"row {idx} is over other class data than the table")
     if sum(data.sizes) != data.order:
         raise TableIntegrityError("class sizes do not sum to the group order")
     if any(s < 1 or data.order % s for s in data.sizes):
@@ -250,7 +255,8 @@ def _validate_power_map(data: ClassData) -> None:
 
 def table_to_dict(table: CharacterTable) -> dict:
     """The file record: each walk is written out to the exponent, beside the
-    rep orders, inverse classes and exponent read off the walks."""
+    rep orders, inverse classes and exponent read off the walks, and each
+    value is written as its phi(e) coefficients over denominators of 1."""
     data = table.data
     e = data.exponent
     return {
@@ -261,7 +267,10 @@ def table_to_dict(table: CharacterTable) -> dict:
         "rep_orders": list(data.rep_orders),
         "inverse_class": list(data.inverse_class),
         "power_map": [list(row) * (e // len(row)) for row in data.power_map],
-        "rows": [[v.to_dict() for v in row.values] for row in table.rows],
+        "rows": [
+            [{"e": v.e, "num": list(v.coeffs), "den": [1] * len(v.coeffs)} for v in row.values]
+            for row in table.rows
+        ],
     }
 
 
@@ -341,11 +350,29 @@ def table_from_dict(data: dict, provenance: str = "dict") -> CharacterTable:
     return table
 
 
-def _value_from_dict(rec, exponent: int, r: int, i: int) -> Cyclotomic:
+def _value_from_dict(rec, e: int, r: int, i: int) -> Cyclotomic:
+    """The value in row r, class i: a record in canonical form (order e, phi(e)
+    coefficients in lowest terms), else a FormatError; den other than 1 is
+    not in Z[eps_e], so a TableIntegrityError."""
     try:
-        return Cyclotomic.from_dict(rec, expect_e=exponent)
-    except NonIntegralValueError as exc:
-        raise TableIntegrityError(f"row {r} value {i} is not an algebraic integer") from exc
+        order, num, den = rec["e"], rec["num"], rec["den"]
+    except (TypeError, KeyError) as exc:
+        raise FormatError(f"bad cyclotomic record: {rec!r}") from exc
+    if type(order) is not int or order < 1:
+        raise FormatError(f"bad cyclotomic order: {order!r}")
+    if order != e:
+        raise FormatError(f"cyclotomic order {order} where {e} is required")
+    d = euler_phi(e)
+    if not isinstance(num, list) or not isinstance(den, list) or not len(num) == len(den) == d:
+        raise FormatError(f"order {e} needs {d} numerators and denominators")
+    for n, m in zip(num, den):
+        if type(n) is not int or type(m) is not int or m < 1:
+            raise FormatError(f"bad coefficient {n}/{m}")
+        if m != 1 and gcd(n, m) != 1:
+            raise FormatError(f"coefficient {n}/{m} is not in lowest terms")
+    if any(m != 1 for m in den):
+        raise TableIntegrityError(f"row {r} value {i} is not an algebraic integer")
+    return Cyclotomic(e, num)
 
 
 def load_table(path) -> CharacterTable:

@@ -33,12 +33,6 @@ class CheckResult(namedtuple("CheckResult", "group check ok detail", defaults=("
 
     __slots__ = ()
 
-    def as_dict(self) -> dict:
-        out = {"group": self.group, "check": self.check, "ok": self.ok}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
 
 def _check_class_structure(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
     sizes = cd.data.sizes

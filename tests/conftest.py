@@ -5,6 +5,7 @@ from math import factorial, gcd
 
 import pytest
 
+from chartab.arith import euler_phi
 from chartab.classfuncs import ClassFunction
 from chartab.cyclo import Cyclotomic, cyclotomic_polynomial
 from chartab.groups import conjugacy_data, enumerate_group, load_catalog, load_group_spec
@@ -80,6 +81,12 @@ def mul(group, i, j):
 def root_power(e, j):
     """eps_e^j in canonical form (j taken mod e)."""
     return Cyclotomic(e, [0] * (j % e) + [1])
+
+
+def value_record(e, r):
+    """The table-file record of the int r as a value of order e."""
+    d = euler_phi(e)
+    return {"e": e, "num": [r] + [0] * (d - 1), "den": [1] * d}
 
 
 # -- a power-map oracle: the definition of composition ---------------------

@@ -859,6 +859,13 @@ BENCH_SPECS = os.path.join(
         ("table --spec-file {tmp}/PSL2_13.json", "6ef569bca0a15374"),
         ("table --spec-file {tmp}/PSL2_17.json --cap 200000", "3cc323f8d4a41437"),
         ("table --spec-file {tmp}/PSL2_19.json --cap 200000", "292e2e0a1ee33e21"),
+        # the layout of every report that `cli` renders, the defect report's included
+        ("defect --group S5 -p 3 -n 3", "8603a2ccd857046c"),
+        ("defect --group S5 -p 3 -n 3 --real", "bc049ea625330760"),
+        ("defect --group S5 -p 3 -n 3 --human", "a33d93e6230f5ca7"),
+        ("blocks --group S5 -p 13 --human", "5ddc0d64724fc6ab"),
+        ("counterexample --group D12 -p 3 --alt-normalizer --human", "e29c5745a485e626"),
+        ("verify --group S3 --human", "fa9c06e392c51b73"),
     ],
 )
 def test_output_bytes_pinned(capsys, tmp_path, argv, digest):

@@ -7,7 +7,7 @@ import pytest
 
 from chartab.arith import euler_phi
 from chartab.cyclo import Cyclotomic, as_rational_integer, cyclotomic_polynomial
-from chartab.errors import FormatError, NonIntegralValueError, OrderMismatchError
+from chartab.errors import NonIntegralValueError, OrderMismatchError
 
 from conftest import cyclotomic_by_division, root_power
 
@@ -291,43 +291,6 @@ class TestCanonicalForm:
         with pytest.raises(AttributeError):
             delattr(z, attr)
         assert (z.e, z.coeffs) == (6, (0, 1))
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        z = root_power(12, 5) * 3 + 2
-        assert Cyclotomic.from_dict(z.to_dict()) == z
-        assert z.to_dict()["den"] == [1, 1, 1, 1]
-        with pytest.raises(TypeError):
-            root_power(12, 5) * Fraction(3, 7)
-
-    def test_expected_order_enforced(self):
-        z = root_power(6, 1)
-        with pytest.raises(FormatError):
-            Cyclotomic.from_dict(z.to_dict(), expect_e=12)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(FormatError):
-            Cyclotomic.from_dict({"e": 6, "num": [1], "den": [1]})
-
-    def test_non_lowest_terms_rejected(self):
-        with pytest.raises(FormatError):
-            Cyclotomic.from_dict({"e": 6, "num": [2, 0], "den": [4, 1]})
-
-    def test_non_integral_record_rejected(self):
-        # well-formed and in lowest terms, but 1/2 is not in Z[eps_6]
-        with pytest.raises(NonIntegralValueError):
-            Cyclotomic.from_dict({"e": 6, "num": [1, 0], "den": [2, 1]})
-
-    def test_bad_denominator_rejected(self):
-        with pytest.raises(FormatError):
-            Cyclotomic.from_dict({"e": 6, "num": [1, 0], "den": [-1, 1]})
-        with pytest.raises(FormatError):
-            Cyclotomic.from_dict({"e": 6, "num": [1, 0], "den": [0, 1]})
-
-    def test_missing_keys_rejected(self):
-        with pytest.raises(FormatError):
-            Cyclotomic.from_dict({"e": 6, "num": [1, 0]})
 
 
 class TestDisplay:

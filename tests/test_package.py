@@ -43,7 +43,7 @@ def test_tables_and_their_parts_are_immutable(table_factory, part, attr):
         delattr(obj, attr)
 
 
-# each record's fields in order: the tuple that `==`, hashing and `as_dict` see
+# each record's fields in order: the tuple that `==` and hashing see
 RECORD_FIELDS = {
     "GroupSpec": "name degree generators",
     "ClassData": "order sizes power_map",
@@ -52,7 +52,6 @@ RECORD_FIELDS = {
     "BlockReport": "p members member_flags failures",
     "AltNormalizerReport": (
         "p block gamma_values p_times_order_p_part block_degree_sum block_degree_sum_p_part"
-        " divisible_by_p_times_p_part divisible_by_degree_sum divisible_by_degree_sum_p_part"
     ),
     "ReductionMap": "e p m f poly",
     "CheckResult": "group check ok detail",
@@ -125,10 +124,12 @@ def test_no_function_takes_a_group_and_its_classes():
 
 
 # cyclo alone builds values from ints and does arithmetic on coefficient
-# tuples; outside it, .coeffs is read by the reduction's dot products and the
-# canonical row order only
+# tuples; outside it, .coeffs is read by the reduction's dot products, the
+# canonical row order and the table file's value records only
 PRIVATE_TO_CYCLO = {"_make", "_reduce", "_integers"}
-COEFFS_READERS = {("reduction", "reduce_mod_M"), ("dixon", "_sort_rows")}
+COEFFS_READERS = {
+    ("reduction", "reduce_mod_M"), ("dixon", "_sort_rows"), ("tables", "table_to_dict"),
+}
 
 
 def test_only_cyclo_touches_coefficients():
@@ -153,6 +154,30 @@ def test_only_cyclo_touches_coefficients():
                     found.append(f"{module}.{owner}: {name}")
     assert found == []
 
+
+# tables alone reads and writes the value records of a table file, and cli
+# alone turns the values and reports into JSON
+SERIALIZATION_METHODS = ("to_dict", "from_dict", "as_dict")
+RECORDS_WITHOUT_SERIALIZATION = (
+    "Cyclotomic", "DefectReport", "BlockReport", "AltNormalizerReport", "CheckResult",
+)
+
+
+def test_each_format_has_one_owner():
+    src = os.path.dirname(chartab.__file__)
+    found = []
+    for filename in sorted(os.listdir(src)):
+        if not filename.endswith(".py") or filename == "tables.py":
+            continue
+        with open(os.path.join(src, filename), encoding="utf-8") as fh:
+            text = fh.read()
+        found += [
+            f"{filename}: {key}" for key in ('"num"', "'num'", '"den"', "'den'") if key in text
+        ]
+    for name in RECORDS_WITHOUT_SERIALIZATION:
+        cls = getattr(chartab, name)
+        found += [f"{name}.{m}" for m in SERIALIZATION_METHODS if hasattr(cls, m)]
+    assert found == []
 
 
 def _package_imports():

@@ -10,6 +10,7 @@ import pytest
 
 from chartab import dixon, tables
 from chartab.arith import euler_phi
+from chartab.cli import main
 from chartab.classfuncs import ClassFunction
 from chartab.cyclo import Cyclotomic
 from chartab.errors import FormatError, TableIntegrityError
@@ -30,7 +31,7 @@ from chartab.tables import (
 
 from conftest import (
     ALL_GROUPS, BENCH_SPECS, MISTYPED_FIELDS, PSL2_PRIMES, SPEC_GROUPS, cf_mul, composes,
-    cycle_type, psl2_degrees, psl2_order, psl2_spec, root_power,
+    cycle_type, psl2_degrees, psl2_order, psl2_spec, root_power, value_record,
 )
 
 
@@ -70,7 +71,7 @@ def _exponent(data):
     # the trivial group written over Q(E(2)): every check but the lcm holds
     data["exponent"] = 2
     data["power_map"] = [[0, 0]]
-    data["rows"] = [[Cyclotomic(2, [1]).to_dict()]]
+    data["rows"] = [[value_record(2, 1)]]
 
 
 def _period(data):
@@ -444,6 +445,14 @@ class TestOrthogonality:
                 with pytest.raises(TableIntegrityError):
                     validate_table(bad)
 
+    def test_rows_over_other_class_data_rejected(self, table_factory):
+        # S3's sizes swapped in the table's data alone: they still sum to 6
+        # and divide it, and the rows, over the true sizes, are orthonormal
+        table = table_factory("S3")
+        bad = CharacterTable("S3", table.data._replace(sizes=(1, 3, 2)), table.rows)
+        with pytest.raises(TableIntegrityError, match="row 0 is over other class data"):
+            validate_table(bad)
+
 
 class TestTableFiles:
     def test_round_trip(self, table_factory, tmp_path):
@@ -571,7 +580,7 @@ class TestTableFiles:
         # a group of order 2 with a class of prime order P passes every other
         # check; the power map's composition check alone takes pi(P) * P steps
         P = 8009
-        one, minus_one = Cyclotomic(P, [1]).to_dict(), Cyclotomic(P, [-1]).to_dict()
+        one, minus_one = value_record(P, 1), value_record(P, -1)
         data = {
             "group": "lagrange", "order": 2, "exponent": P, "class_sizes": [1, 1],
             "rep_orders": [1, P], "inverse_class": [0, 1],
@@ -628,6 +637,65 @@ class TestTableFiles:
         assert loaded.degrees == (1, 1, 1, 1, 2)
 
 
+# a value record of a saved S3 table (order 6), each broken in one way: the
+# record, the error a loader raises, its message and a command's exit code
+BAD_VALUE_RECORDS = {
+    "wrong-order": (
+        {"e": 12, "num": [1, 0, 0, 0], "den": [1, 1, 1, 1]}, FormatError,
+        "cyclotomic order 12 where 6 is required", 4,
+    ),
+    "wrong-length": (
+        {"e": 6, "num": [1], "den": [1]}, FormatError,
+        "order 6 needs 2 numerators and denominators", 4,
+    ),
+    "not-lowest-terms": (
+        {"e": 6, "num": [2, 0], "den": [4, 1]}, FormatError,
+        "coefficient 2/4 is not in lowest terms", 4,
+    ),
+    # well-formed and in lowest terms, but 1/2 is not in Z[eps_6]
+    "not-integral": (
+        {"e": 6, "num": [1, 0], "den": [2, 1]}, TableIntegrityError,
+        "row 1 value 1 is not an algebraic integer", 7,
+    ),
+    "negative-den": (
+        {"e": 6, "num": [1, 0], "den": [-1, 1]}, FormatError, "bad coefficient 1/-1", 4,
+    ),
+    "zero-den": ({"e": 6, "num": [1, 0], "den": [0, 1]}, FormatError, "bad coefficient 1/0", 4),
+    # the whole record is checked for form before a denominator is found not 1
+    "not-integral-then-zero-den": (
+        {"e": 6, "num": [1, 0], "den": [2, 0]}, FormatError, "bad coefficient 0/0", 4,
+    ),
+    "missing-key": (
+        {"e": 6, "num": [1, 0]}, FormatError, "bad cyclotomic record: {'e': 6, 'num': [1, 0]}", 4,
+    ),
+}
+
+
+class TestValueRecords:
+    def test_round_trip(self, table_factory):
+        # an irrational value of order 12, put in a row of S4 (exponent 12)
+        table = table_factory("S4")
+        z = root_power(12, 5) * 3 + 2
+        row = ClassFunction((z, *table.rows[1].values[1:]), table.data)
+        rows = (table.rows[0], row, *table.rows[2:])
+        record = table_to_dict(CharacterTable("S4", table.data, rows))["rows"][1][0]
+        assert record == {"e": 12, "num": list(z.coeffs), "den": [1, 1, 1, 1]}
+        assert tables._value_from_dict(record, 12, 1, 0) == z
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUE_RECORDS))
+    def test_bad_record_refused(self, capsys, table_factory, tmp_path, case):
+        record, error, message, code = BAD_VALUE_RECORDS[case]
+        data = table_to_dict(table_factory("S3"))
+        data["rows"][1][1] = record
+        with pytest.raises(error) as exc:
+            table_from_dict(data)
+        assert str(exc.value) == message
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps(data))
+        assert main(["table", "--table-file", str(path)]) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def _accepts(data):
     try:
         tables._validate_power_map(data)
@@ -659,7 +727,7 @@ def _sylvester_record():
     orders = (1, 1807, 139, 13, 2, 3)
     e = lcm(*orders)
     by_order = {o: i for i, o in enumerate(orders)}
-    one = Cyclotomic(e, [1]).to_dict()
+    one = value_record(e, 1)
     return {
         "group": "sylvester", "order": n, "exponent": e,
         "class_sizes": [n // a for a in (n, 2, 3, 7, 43, 1807)],
