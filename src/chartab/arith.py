@@ -38,6 +38,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is prime: the one check of a user's prime p."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
 def prime_factors(n: int) -> dict[int, int]:
     """Factor n >= 1 into {prime: exponent}."""
     if n < 1:
@@ -84,23 +90,19 @@ def p_part(n: int, p: int) -> int:
     return part
 
 
-def order_dividing(n: int, is_one) -> int:
-    """Order of an element x whose order divides n, where is_one(k) tells x^k = 1.
-
-    For each prime r | n, divide by r while the power stays the identity.
-    """
-    order = n
-    for r in prime_factors(n):
-        while order % r == 0 and is_one(order // r):
-            order //= r
-    return order
-
-
 def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/n)*; requires gcd(a, n) = 1."""
+    """Order of a in (Z/n)*; requires gcd(a, n) = 1.
+
+    The order divides phi(n): for each prime r | phi(n), divide by r while
+    the power stays 1.
+    """
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    return order_dividing(euler_phi(n), lambda k: pow(a, k, n) == 1)
+    order = phi = euler_phi(n)
+    for r in prime_factors(phi):
+        while order % r == 0 and pow(a, order // r, n) == 1:
+            order //= r
+    return order
 
 
 @lru_cache(maxsize=None)

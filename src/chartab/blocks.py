@@ -33,9 +33,9 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .arith import p_part
-from .classfuncs import ClassFunction, _scaled_inner
-from .cyclo import Cyclotomic, as_rational_integer
-from .errors import TableIntegrityError
+from .classfuncs import ClassFunction
+from .cyclo import Cyclotomic, as_rational_integer, conj_weighted_sum
+from .errors import ClassDataMismatchError, TableIntegrityError
 from .reduction import ReductionMap, _integer_image, reduce_mod_M
 from .tables import CharacterTable
 
@@ -133,10 +133,12 @@ def strunkov_analog_gamma(
     if not block:
         raise ValueError("the character block must not be empty")
     data = table.data
+    if psi.data != data:
+        raise ClassDataMismatchError("class functions over different class data")
     columns = zip(*(table.rows[r].values for r in block))
-    block_sum = ClassFunction(tuple(sum(col[1:], col[0]) for col in columns), data)
-    weights = tuple(c * c for c in data.centralizer_orders)
-    return as_rational_integer(_scaled_inner(block_sum, psi, weights))
+    block_sum = [sum(col[1:], col[0]) for col in columns]
+    weights = [c * c for c in data.centralizer_orders]
+    return as_rational_integer(conj_weighted_sum(data.exponent, weights, block_sum, psi.values))
 
 
 class AltNormalizerReport(

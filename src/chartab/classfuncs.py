@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclo import Cyclotomic, as_rational_integer, conj_weighted_sum
-from .errors import ClassDataMismatchError, TableIntegrityError
+from .cyclo import Cyclotomic, as_rational_integer
+from .errors import TableIntegrityError
 from .groups import ClassData
 
 
@@ -74,21 +74,6 @@ class ClassFunction:
     def degree(self) -> int:
         """The value at the identity class, as a rational integer."""
         return as_rational_integer(self.values[0])
-
-    def _check(self, other: "ClassFunction") -> None:
-        if self.data != other.data:
-            raise ClassDataMismatchError("class functions over different class data")
-
-
-def _scaled_inner(
-    phi: ClassFunction, theta: ClassFunction, weights: tuple[int, ...] | None = None
-) -> Cyclotomic:
-    """The sum over classes of w_K phi(g_K) conj(theta(g_K)), exactly; the
-    weights w_K default to the class sizes |K|, which gives |G| [phi, theta].
-    """
-    phi._check(theta)
-    data = phi.data
-    return conj_weighted_sum(data.exponent, weights or data.sizes, phi.values, theta.values)
 
 
 @lru_cache(maxsize=256)  # bounded; verify over the catalog holds 122 entries

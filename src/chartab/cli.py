@@ -32,6 +32,7 @@ from .errors import (
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     catalog_group,
+    check_cap,
     conjugacy_data,
     cycle_string,
     enumerate_group,
@@ -79,8 +80,7 @@ def _resolve_table(args):
 
     path = args.table_file
     if args.group is None and args.spec_file is None:
-        if args.cap < 1:
-            raise ValueError(f"cap must be at least 1, got {args.cap}")
+        check_cap(args.cap)
         return load_table(path)
     cd = _resolve_group(args)
     if path is None:
@@ -212,13 +212,14 @@ def _cmd_gamma(args):
 
 def _cmd_recover(args):
     from .classfuncs import check_power
-    from .duality import recover_from_table
+    from .duality import EXTRA_TERMS, recover_from_table
 
-    if args.extra_terms < 0:
-        raise ValueError(f"--extra-terms must be at least 0, got {args.extra_terms}")
-    check_power(1 + args.extra_terms, "sequence length")  # every order has a divisor
+    extra_terms = EXTRA_TERMS if args.extra_terms is None else args.extra_terms
+    if extra_terms < 0:
+        raise ValueError(f"--extra-terms must be at least 0, got {extra_terms}")
+    check_power(1 + extra_terms, "sequence length")  # every order has a divisor
     table = _resolve_table(args)
-    seq, spectrum, actual = recover_from_table(table, args.real, args.extra_terms)
+    seq, spectrum, actual = recover_from_table(table, args.real, extra_terms)
     results = {
         "real": args.real,
         "sequence": seq,
@@ -229,17 +230,11 @@ def _cmd_recover(args):
     return _finish(args, "recover", table, {"real": args.real}, results, verdicts)
 
 
-def _require_prime(p):
-    from .arith import is_prime
-
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-
-
 def _cmd_defect(args):
+    from .arith import require_prime
     from .duality import check_defect_power, defect_zero_by_characters
 
-    _require_prime(args.p)
+    require_prime(args.p)
     check_defect_power(args.n)
     table = _resolve_table(args)
     rep = defect_zero_by_characters(table, args.p, args.n, args.real)
@@ -257,9 +252,10 @@ def _cmd_defect(args):
 
 def _resolve_reduction(args):
     """The table and the reduction map mod the ideals over `-p`."""
+    from .arith import require_prime
     from .reduction import build_reduction
 
-    _require_prime(args.p)
+    require_prime(args.p)
     table = _resolve_table(args)
     return table, build_reduction(table.data.exponent, args.p)
 
@@ -390,7 +386,7 @@ COMMANDS = {
               (*_TABLE, ("-n", int, REQUIRED, "power of the class function"))),
     "recover": (_cmd_recover, "recover class sizes from the multiplicity sequence", (
         *_TABLE, ("--real", None, False, "recover real class sizes instead"),
-        ("--extra-terms", int, 3, "surplus sequence terms to verify beyond the divisor count"),
+        ("--extra-terms", int, None, "surplus sequence terms to verify beyond the divisor count"),
     )),
     "defect": (_cmd_defect, "defect-0 detection: residues vs direct test", (
         *_TABLE, _PRIME, ("-n", int, 2, "power (at least 2)"),

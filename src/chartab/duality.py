@@ -9,18 +9,23 @@ sizes divide the group order, so the unknowns can be restricted to divisor
 sizes, shrinking the system to d(|G|) equations.  The same solve applied to
 the real-restricted sequence recovers the sizes of real classes only.
 `recover_from_table` alone sets how many terms a table's recovery reads, for
-the `recover` command and the `verify` suite: d(|G|) and a verified surplus.
+the `recover` command and the `verify` suite: d(|G|) and a verified surplus,
+`EXTRA_TERMS` unless the caller asks for another.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .arith import divisors, is_prime, p_part
+from .arith import divisors, p_part, require_prime
 from .classfuncs import _multiplicities, _nonnegative, check_power, check_printable, delta, gamma
 from .errors import InconsistentSequenceError
 from .groups import ClassData
 from .tables import CharacterTable
+
+
+# Sequence terms a table's recovery reads beyond d(|G|), each one checked
+EXTRA_TERMS = 3
 
 
 class SizeSpectrum(namedtuple("SizeSpectrum", "order counts")):
@@ -148,7 +153,7 @@ def delta_sequence(table: CharacterTable, length: int) -> list[int]:
     return _sequence(table, length, real_only=True)
 
 
-def recover_from_table(table: CharacterTable, real: bool = False, extra_terms: int = 3):
+def recover_from_table(table: CharacterTable, real: bool = False, extra_terms: int = EXTRA_TERMS):
     """(sequence, recovered, actual): the first d(|G|) + extra_terms terms of
     gamma (of delta if real), the spectrum of class sizes (real class sizes)
     solved from them, and the table's own; ValueError before any term is
@@ -175,8 +180,7 @@ def check_defect_power(n: int) -> None:
 
 def defect_zero_direct(data: ClassData, p: int) -> list[int]:
     """Classes whose size carries the full p-part of the group order."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     return [
         i for i, size in enumerate(data.sizes)
         if p_part(size, p) == p_part(data.order, p)

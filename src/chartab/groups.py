@@ -165,10 +165,15 @@ class Group:
         return f"Group({self.name!r}, order={self.order})"
 
 
-def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
-    """Breadth-first closure of the generators, sorted generator application."""
+def check_cap(cap: int) -> None:
+    """Raise ValueError unless the element cap is at least 1."""
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
+
+
+def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
+    """Breadth-first closure of the generators, sorted generator application."""
+    check_cap(cap)
     gens = tuple(sorted({parse_cycles(text, spec.degree) for text in spec.generators}))
     ident = tuple(range(spec.degree))
     elements = [ident]

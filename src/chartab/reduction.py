@@ -30,7 +30,7 @@ from functools import lru_cache
 from collections import namedtuple
 from operator import mul
 
-from .arith import euler_phi, is_prime, multiplicative_order, p_part
+from .arith import euler_phi, multiplicative_order, p_part, require_prime
 from .cyclo import Cyclotomic, cyclotomic_polynomial
 from .errors import OrderMismatchError
 from .finite_field import powers_of_x
@@ -48,8 +48,7 @@ class ReductionMap(namedtuple("ReductionMap", "e p m f poly")):
 
 def build_reduction(e: int, p: int) -> ReductionMap:
     """The reduction of Z[eps_e] modulo the radical of p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if e < 1:
         raise ValueError(f"order must be positive, got {e}")
     m = e // p_part(e, p)

@@ -16,8 +16,8 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import euler_phi, is_prime, prime_factors
-from .classfuncs import ClassFunction, _scaled_inner
-from .cyclo import Cyclotomic
+from .classfuncs import ClassFunction
+from .cyclo import Cyclotomic, conj_weighted_sum
 from .errors import FormatError, TableIntegrityError
 from .groups import ClassData, ConjugacyData, _read_json
 
@@ -124,15 +124,16 @@ def verify_orthogonality(table: CharacterTable) -> list[dict]:
     conj(chi_b(g_i)) must equal |G| when a == b and 0 otherwise; a violation's
     "value" is that scaled sum.  For a square table X with D = diag(|K_i|),
     X D X* = |G| I gives X* X = |G| D^-1, so the column relations hold as soon
-    as the row relations do and are not checked separately.
+    as the row relations do and are not checked separately.  The sums read
+    the table's class data, which `validate_table` has checked every row is over.
     """
     violations = []
     rows = table.rows
-    order = table.data.order
+    data = table.data
     for a in range(len(rows)):
         for b in range(a, len(rows)):
-            total = _scaled_inner(rows[a], rows[b])
-            if total != (order if a == b else 0):
+            total = conj_weighted_sum(data.exponent, data.sizes, rows[a].values, rows[b].values)
+            if total != (data.order if a == b else 0):
                 violations.append(
                     {"kind": "row", "first": a, "second": b, "value": str(total)}
                 )

@@ -12,7 +12,7 @@ from collections import namedtuple
 from .arith import prime_factors
 from .blocks import alt_normalizer_report, p_element_flags, principal_block_members
 from .classfuncs import _multiplicities
-from .duality import defect_zero_by_characters, recover_from_table
+from .duality import EXTRA_TERMS, defect_zero_by_characters, recover_from_table
 from .errors import InconsistentSequenceError, UnknownGroupError
 from .groups import (
     ConjugacyData,
@@ -56,9 +56,10 @@ def _check_determinism(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable
 
 
 def _check_table(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
-    # compute_table has already validated the table; what is left to check is
-    # that a different Dixon prime gives the same rows.  They are compared
-    # unvalidated: equal to a valid table's rows they are valid, else the row fails
+    # the set-up built and validated the table at the least Dixon prime q1;
+    # what is left to check is that the next one, q2, gives the same rows.
+    # They are compared unvalidated: equal to a valid table's rows they are
+    # valid, else the row fails
     data = table.data
     q1 = dixon_prime(data.exponent, data.order)
     q2 = dixon_prime(data.exponent, data.order, above=q1)
@@ -81,9 +82,10 @@ def _check_identities(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable)
 
 
 def _check_recovery(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
-    # the recovery solves on the first d = d(|G|) terms and only checks the rest,
-    # so one success with d + 3 terms means the same spectrum with d to d + 2;
-    # on failure each length from d up is recovered again, to name the first
+    # the recovery solves on the first d = d(|G|) terms and only checks the
+    # surplus, so one success with the whole surplus means the same spectrum
+    # with any shorter one; on failure each length from d up is recovered
+    # again, to name the first
     for label, real in (("class-size", False), ("real class-size", True)):
         try:
             _, recovered, actual = recover_from_table(table, real)
@@ -91,7 +93,7 @@ def _check_recovery(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -
                 continue
         except InconsistentSequenceError:
             pass
-        for extra_terms in range(4):
+        for extra_terms in range(EXTRA_TERMS + 1):
             seq, recovered, actual = recover_from_table(table, real, extra_terms)
             if recovered != actual:
                 return f"{label} recovery failed with {len(seq)} terms"
@@ -169,7 +171,7 @@ def verify_catalog(names=None) -> list[CheckResult]:
         spec = specs[name]
         try:
             cd = conjugacy_data(enumerate_group(spec))
-            table = compute_table(cd)
+            table = compute_table(cd, dixon_prime(cd.data.exponent, cd.data.order))
             failed = ""
         except Exception as exc:  # a group that cannot be set up fails every check
             failed = f"{type(exc).__name__}: {exc}"

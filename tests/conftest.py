@@ -8,6 +8,7 @@ import pytest
 from chartab.arith import euler_phi
 from chartab.classfuncs import ClassFunction
 from chartab.cyclo import Cyclotomic, cyclotomic_polynomial
+from chartab.errors import ClassDataMismatchError
 from chartab.groups import conjugacy_data, enumerate_group, load_catalog, load_group_spec
 from chartab.tables import compute_table
 
@@ -128,17 +129,23 @@ def cyclotomic_by_division(e):
 # -- a class-function oracle: pointwise arithmetic and the inner product ----
 
 
+def same_data(a, b):
+    """Raise ClassDataMismatchError unless a and b are over the same class data."""
+    if a.data != b.data:
+        raise ClassDataMismatchError("class functions over different class data")
+
+
 def cf_mul(a, b):
     """The pointwise product of two class functions, or of one and an int."""
     if isinstance(b, int):
         return ClassFunction(tuple(v * b for v in a.values), a.data)
-    a._check(b)
+    same_data(a, b)
     return ClassFunction(tuple(x * y for x, y in zip(a.values, b.values)), a.data)
 
 
 def cf_add(a, b):
     """The pointwise sum of two class functions."""
-    a._check(b)
+    same_data(a, b)
     return ClassFunction(tuple(x + y for x, y in zip(a.values, b.values)), a.data)
 
 
@@ -179,7 +186,7 @@ def power(a, n):
 def inner(phi, theta):
     """(1/|G|) sum over classes of |K| phi(g_K) conj(theta(g_K)), one
     Cyclotomic product per class."""
-    phi._check(theta)
+    same_data(phi, theta)
     total = Cyclotomic(phi.data.exponent, [])
     for size, a, b in zip(phi.data.sizes, phi.values, theta.values):
         total = total + a * b.conjugate() * size

@@ -13,7 +13,7 @@ import pytest
 
 import chartab
 from chartab import cli, groups, tables
-from chartab.arith import MR_LIMIT
+from chartab.arith import MR_LIMIT, divisors
 from chartab import classfuncs, duality
 from chartab.classfuncs import MAX_POWER
 from chartab.cli import main
@@ -307,6 +307,13 @@ class TestRecover:
         code, report = run_json(capsys, ["recover", "--group", "C4", "--real"])
         assert code == 0
         assert report["results"]["recovered_spectrum"] == [[1, 2]]
+
+    def test_default_surplus_is_extra_terms(self, capsys):
+        # the default is duality's, read when the command runs, not the parser's
+        assert cli._parse(["recover", "--group", "S5"])[1].extra_terms is None
+        code, report = run_json(capsys, ["recover", "--group", "S5"])
+        assert code == 0
+        assert len(report["results"]["sequence"]) == len(divisors(120)) + duality.EXTRA_TERMS == 19
 
     def test_extra_terms_checked_before_the_table(self, capsys, monkeypatch):
         def no_table(cd):
@@ -736,21 +743,23 @@ def _int_leaves(node, path=()):
 
 
 def test_every_int_leaf_off_by_one_is_refused(capsys, tmp_path):
-    saved = tmp_path / "s4.json"
-    assert main(["table", "--group", "S4", "--save", str(saved)]) == 0
-    text = saved.read_text()
-    leaves = list(_int_leaves(json.loads(text)))
-    assert len(leaves) == 302
+    # the values of S4 and D12 are rational, and A5 has (1 + sqrt(5))/2
+    saved = tmp_path / "saved.json"
     path = tmp_path / "corrupt.json"
     loaded = []
-    for *outer, last in leaves:
-        for step in (1, -1):
-            data = json.loads(text)
-            functools.reduce(operator.getitem, outer, data)[last] += step
-            path.write_text(json.dumps(data))
-            code = main(["recover", "--group", "S4", "--table-file", str(path)])
-            if code not in (4, 7):
-                loaded.append(((*outer, last), step, code))
+    for name, count in (("S4", 302), ("D12", 236), ("A5", 592)):
+        assert main(["table", "--group", name, "--save", str(saved)]) == 0
+        text = saved.read_text()
+        leaves = list(_int_leaves(json.loads(text)))
+        assert len(leaves) == count
+        for *outer, last in leaves:
+            for step in (1, -1):
+                data = json.loads(text)
+                functools.reduce(operator.getitem, outer, data)[last] += step
+                path.write_text(json.dumps(data))
+                code = main(["recover", "--group", name, "--table-file", str(path)])
+                if code not in (4, 7):
+                    loaded.append((name, (*outer, last), step, code))
     capsys.readouterr()
     assert loaded == []
 
@@ -955,6 +964,13 @@ class TestTableOnly:
         missing = str(tmp_path / "missing.json")
         assert main([*command.split(), "--table-file", missing, "--cap", "0"]) == 5
         assert capsys.readouterr().err == named == "error: cap must be at least 1, got 0\n"
+
+    def test_cap_refused_by_the_groups_rule(self, capsys, tmp_path):
+        with pytest.raises(ValueError) as exc:
+            groups.check_cap(0)
+        missing = str(tmp_path / "missing.json")
+        assert main(["recover", "--table-file", missing, "--cap", "0"]) == 5
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_runtime_is_stdlib_only():

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -205,6 +206,12 @@ class TestRecoverFromTable:
         sizes = [s for s, r in zip(table.data.sizes, table.data.real_flags) if r or not real]
         assert actual == SizeSpectrum.from_sizes(12, sizes)
 
+    def test_default_surplus_is_extra_terms(self, table_factory):
+        default = inspect.signature(duality.recover_from_table).parameters["extra_terms"].default
+        assert default is duality.EXTRA_TERMS == 3
+        sequence, _, _ = duality.recover_from_table(table_factory("D12"))
+        assert len(sequence) == len(divisors(12)) + duality.EXTRA_TERMS
+
 
 class TestSizeSpectrum:
     def test_counts_are_sorted_and_positive(self):
@@ -246,7 +253,7 @@ class TestDefectZeroDirect:
 
     def test_non_prime_rejected(self, group_factory):
         _, cd = group_factory("S3")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^p must be prime, got 6$"):
             defect_zero_direct(cd.data, 6)
 
 

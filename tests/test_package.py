@@ -230,3 +230,41 @@ def test_package_imports_have_no_cycle():
         return None
 
     assert next(filter(None, map(cycle_from, sorted(graph))), None) is None
+
+
+# the private names a module may import from another chartab module, as
+# (importer, source, name); an import of any other _name across modules fails
+PRIVATE_IMPORTS = {
+    ("tables", "groups", "_read_json"),
+    ("tables", "dixon", "_build_table"),
+    ("verify", "dixon", "_build_table"),
+    ("duality", "classfuncs", "_multiplicities"),
+    ("verify", "classfuncs", "_multiplicities"),
+    ("duality", "classfuncs", "_nonnegative"),
+    ("blocks", "reduction", "_integer_image"),
+}
+
+
+def test_private_names_are_imported_only_where_listed():
+    src = os.path.dirname(chartab.__file__)
+    found = set()
+    for filename in sorted(os.listdir(src)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(src, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):  # imports inside functions count
+            if not isinstance(node, ast.ImportFrom) or node.level > 1:
+                continue
+            path = (node.module or "").split(".")
+            if node.level == 1:
+                path = ["chartab", *path]
+            if path[0] != "chartab":
+                continue
+            source = path[1] if len(path) > 1 and path[1] else "chartab"
+            found |= {
+                (filename[:-3], source, alias.name)
+                for alias in node.names if alias.name.startswith("_")
+            }
+    assert ("tables", "dixon", "_build_table") in found  # the scan sees function bodies
+    assert found - PRIVATE_IMPORTS == set()

@@ -508,14 +508,6 @@ class TestTableFiles:
         with pytest.raises(TableIntegrityError):
             load_table(path)
 
-    def test_non_canonical_value_rejected(self, table_factory, tmp_path):
-        data = table_to_dict(table_factory("S3"))
-        data["rows"][0][0] = {"e": 6, "num": [2, 0], "den": [2, 1]}
-        path = tmp_path / "noncanon.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(FormatError):
-            load_table(path)
-
     def test_non_integral_value_rejected(self, table_factory, tmp_path):
         # in lowest terms, so well-formed, but 1/2 is not an algebraic integer
         data = table_to_dict(table_factory("S3"))
@@ -651,6 +643,11 @@ BAD_VALUE_RECORDS = {
     "not-lowest-terms": (
         {"e": 6, "num": [2, 0], "den": [4, 1]}, FormatError,
         "coefficient 2/4 is not in lowest terms", 4,
+    ),
+    # the integer 1 written as 2/2: canonical records only
+    "non-canonical": (
+        {"e": 6, "num": [2, 0], "den": [2, 1]}, FormatError,
+        "coefficient 2/2 is not in lowest terms", 4,
     ),
     # well-formed and in lowest terms, but 1/2 is not in Z[eps_6]
     "not-integral": (

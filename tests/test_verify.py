@@ -165,6 +165,27 @@ def test_table_integrity_reports_a_changed_value(monkeypatch):
     assert row.detail == f"table changed between primes {q1} and {q2}"
 
 
+def test_table_integrity_compares_the_set_up_prime_with_another(monkeypatch):
+    # the set-up names its Dixon prime, so the row cannot end up comparing a
+    # table with itself, whatever compute_table's default prime is
+    set_up, checked = [], []
+    compute, build = verify.compute_table, verify._build_table
+
+    def recording_compute(cd, prime):
+        set_up.append(prime)
+        return compute(cd, prime)
+
+    def recording_build(cd, q):
+        checked.append(q)
+        return build(cd, q)
+
+    monkeypatch.setattr(verify, "compute_table", recording_compute)
+    monkeypatch.setattr(verify, "_build_table", recording_build)
+    assert _row(verify.verify_catalog(["S3"]), "table-integrity").ok
+    assert set_up == [dixon_prime(6, 6)]
+    assert len(checked) == 1 and checked != set_up
+
+
 def test_table_integrity_reports_a_builder_error(monkeypatch):
     def failing(cd, prime):
         raise TableIntegrityError("eigenvector vanishes at the identity class")
@@ -178,10 +199,10 @@ def test_table_integrity_reports_a_builder_error(monkeypatch):
 def test_a_group_whose_table_fails_fails_every_row(monkeypatch, capsys):
     honest = verify.compute_table
 
-    def failing_for_s3(cd):
+    def failing_for_s3(cd, prime):
         if cd.group.name == "S3":
             raise TableIntegrityError("orthogonality violated")
-        return honest(cd)
+        return honest(cd, prime)
 
     monkeypatch.setattr(verify, "compute_table", failing_for_s3)
     assert main(["verify"]) == 1
