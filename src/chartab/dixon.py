@@ -29,13 +29,12 @@ from .groups import ConjugacyData, class_matrix
 
 # -- linear algebra over GF(q) ------------------------------------------
 # GF(q) values are plain ints in [0, q); every function reduces with % q.
+# A subspace is (basis, pivots): vector j is 1 at pivots[j], 0 at the other pivots.
 
 
 def _rref(rows: list[list[int]], q: int):
     """Reduced row echelon form over GF(q); returns (rows, pivot columns)."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -58,8 +57,9 @@ def _rref(rows: list[list[int]], q: int):
 
 
 def _nullspace(matrix: list[list[int]], q: int):
-    """Basis of the right null space, in RREF by construction."""
-    n = len(matrix)
+    """(basis, free columns) of the right null space, the basis reduced at
+    the free columns but not RREF: [[1, 1]] gives ([[q - 1, 1]], [1])."""
+    n = len(matrix[0])
     rref, pivots = _rref(matrix, q)
     free = [c for c in range(n) if c not in pivots]
     basis = []
@@ -69,11 +69,11 @@ def _nullspace(matrix: list[list[int]], q: int):
         for r, pc in enumerate(pivots):
             vec[pc] = -rref[r][fc] % q
         basis.append(vec)
-    return basis
+    return basis, free
 
 
 def _coords_in_basis(basis, pivots, vec, q: int):
-    """Coordinates of vec in an RREF basis of a subspace containing it."""
+    """Coordinates of vec in a basis reduced at `pivots` of a subspace containing it."""
     coords = [vec[c] for c in pivots]
     residue = list(vec)
     for coef, bvec in zip(coords, basis):
@@ -143,7 +143,8 @@ def _split_subspace(matrix, basis, pivots, q: int):
     """Split an invariant subspace into eigenspaces of the matrix, ascending eigenvalue.
 
     The eigenvalues are the GF(q) roots of the characteristic polynomial of
-    the restricted action, so one null space is computed per eigenvalue.
+    the restricted action, so one null space is computed per eigenvalue.  A
+    kernel reduced at its free columns c maps to a space reduced at pivots[c].
     """
     d = len(basis)
     # the matrix of the action restricted to the subspace, in basis coordinates
@@ -162,7 +163,7 @@ def _split_subspace(matrix, basis, pivots, q: int):
             [(a - (lam if i == j else 0)) % q for j, a in enumerate(row)]
             for i, row in enumerate(action)
         ]
-        kernel = _nullspace(shifted, q)
+        kernel, free = _nullspace(shifted, q)
         ambient = []
         for kv in kernel:
             vec = [0] * len(basis[0])
@@ -170,7 +171,7 @@ def _split_subspace(matrix, basis, pivots, q: int):
                 if coef:
                     vec = [(x + coef * y) % q for x, y in zip(vec, bvec)]
             ambient.append(vec)
-        out.append(_rref(ambient, q))
+        out.append((ambient, [pivots[c] for c in free]))
         found += len(kernel)
     if found != d:
         raise TableIntegrityError("class matrix not diagonalizable (internal bug)")
@@ -184,22 +185,18 @@ def _common_eigenvectors(matrices, k: int, q: int):
     split semisimple, so once every class matrix has been applied each common
     eigenspace is one-dimensional (Dixon 1967; Schneider 1990).
     """
-    spaces = [_rref([[int(i == j) for j in range(k)] for i in range(k)], q)]
+    spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
     for matrix in matrices:
-        spaces = _apply_split(matrix, spaces, q)
+        split = []
+        for basis, pivots in spaces:
+            if len(basis) == 1:
+                split.append((basis, pivots))
+            else:
+                split.extend(_split_subspace(matrix, basis, pivots, q))
+        spaces = split
         if all(len(basis) == 1 for basis, _ in spaces):
             break
     return [basis[0] for basis, _ in spaces]
-
-
-def _apply_split(matrix, spaces, q: int):
-    out = []
-    for basis, pivots in spaces:
-        if len(basis) == 1:
-            out.append((basis, pivots))
-        else:
-            out.extend(_split_subspace(matrix, basis, pivots, q))
-    return out
 
 
 # -- the table computation ----------------------------------------------

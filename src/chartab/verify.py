@@ -12,6 +12,7 @@ from collections import namedtuple
 from .arith import prime_factors
 from .blocks import alt_normalizer_report, p_element_flags, principal_block_members
 from .classfuncs import _multiplicities
+from .cyclo import Cyclotomic, conj_weighted_sum
 from .duality import EXTRA_TERMS, defect_zero_by_characters, recover_from_table
 from .errors import InconsistentSequenceError, UnknownGroupError
 from .groups import (
@@ -121,12 +122,14 @@ def _check_congruences(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable
 
 
 def _check_commutator_oracle(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
-    # N_n(g) = sum_chi chi(g) (|G| / chi(1))^(2n-1)
-    order = table.data.order
+    # N_n(g) = sum_chi chi(g) (|G| / chi(1))^(2n-1), one ring sum per column
+    order, e = table.data.order, table.data.exponent
+    ones = [Cyclotomic(e, [1])] * len(table.rows)
+    columns = list(zip(*(row.values for row in table.rows)))
     for n, counts in enumerate(commutator_counts(cd, 2), start=1):
         weights = [(order // row.degree) ** (2 * n - 1) for row in table.rows]
-        for c, count in enumerate(counts):
-            if sum(w * row.values[c] for w, row in zip(weights, table.rows)) != count:
+        for c, (count, column) in enumerate(zip(counts, columns)):
+            if conj_weighted_sum(e, weights, column, ones) != count:
                 return f"commutator count mismatch at class {c}, n={n}"
     return ""
 

@@ -336,7 +336,7 @@ def _lambda_scan_split(matrix, basis, pivots, q):
             [(action_cols[j][i] - (lam if i == j else 0)) % q for j in range(d)]
             for i in range(d)
         ]
-        kernel = dixon._nullspace(shifted, q)
+        kernel, _ = dixon._nullspace(shifted, q)
         if not kernel:
             continue
         ambient = []
@@ -383,7 +383,9 @@ class TestEigenspaceSplit:
             monkeypatch.setattr(dixon, "_split_subspace", recorded)
             table = compute_table(cd, prime=q)
             for args, out in calls:
-                assert out == _lambda_scan_split(*args)
+                # the split returns bases reduced at their pivots, not RREF,
+                # so each space is compared with the reference by its RREF
+                assert [dixon._rref(basis, q) for basis, _ in out] == _lambda_scan_split(*args)
             monkeypatch.setattr(dixon, "_split_subspace", _lambda_scan_split)
             assert compute_table(cd, prime=q) == table
 
@@ -395,7 +397,7 @@ class TestEigenspaceSplit:
 
         def recorded(matrix, q):
             out = nullspace(matrix, q)
-            sizes.append(len(out))
+            sizes.append(len(out[0]))
             return out
 
         monkeypatch.setattr(dixon, "_nullspace", recorded)
@@ -403,7 +405,45 @@ class TestEigenspaceSplit:
         q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
         for q in (q1, q2):
             compute_table(cd, prime=q)
-        assert 0 not in sizes
+        assert 0 not in sizes and bool(sizes) == (cd.k > 1)
+
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    def test_every_space_reduced_at_its_pivots(self, group_factory, monkeypatch, name):
+        # vector j of each space is 1 at pivots[j] and 0 at the other pivots,
+        # with no row reduction of its own: one _rref per null space
+        group, cd = group_factory(name)
+        split, nullspace, rref = dixon._split_subspace, dixon._nullspace, dixon._rref
+        spaces = []
+        counts = {"nullspace": 0, "rref": 0}
+
+        def recorded_split(*args):
+            out = split(*args)
+            spaces.extend(out)
+            return out
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(dixon, "_split_subspace", recorded_split)
+        monkeypatch.setattr(dixon, "_nullspace", counted("nullspace", nullspace))
+        monkeypatch.setattr(dixon, "_rref", counted("rref", rref))
+        q1 = dixon_prime(cd.data.exponent, group.order)
+        q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
+        for q in (q1, q2):
+            compute_table(cd, prime=q)
+        for basis, pivots in spaces:
+            assert len(pivots) == len(basis)
+            for j, vec in enumerate(basis):
+                assert [vec[p] for p in pivots] == [int(i == j) for i in range(len(pivots))]
+        assert counts["rref"] == counts["nullspace"]
+        assert (cd.k > 1) == bool(spaces)
+
+    def test_nullspace_reduced_at_free_columns_not_rref(self):
+        for q in (5, 7, 11):
+            assert dixon._nullspace([[1, 1]], q) == ([[q - 1, 1]], [1])
 
 
 class TestOrthogonality:
