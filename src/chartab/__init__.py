@@ -30,8 +30,7 @@ _EXPORTS = {
         "recover_class_sizes", "recover_from_table", "recover_real_class_sizes",
     ),
     "errors": (
-        "CapExceededError", "ChartabError", "ClassDataMismatchError",
-        "CycleSyntaxError", "FormatError",
+        "CapExceededError", "ChartabError", "CycleSyntaxError", "FormatError",
         "InconsistentSequenceError", "NonIntegralValueError", "OrderMismatchError",
         "TableIntegrityError", "UnknownGroupError",
     ),

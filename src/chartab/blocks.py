@@ -33,9 +33,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .arith import p_part
-from .classfuncs import ClassFunction
 from .cyclo import Cyclotomic, as_rational_integer, conj_weighted_sum
-from .errors import ClassDataMismatchError, TableIntegrityError
+from .errors import TableIntegrityError
 from .reduction import ReductionMap, _integer_image, reduce_mod_M
 from .tables import CharacterTable
 
@@ -65,20 +64,23 @@ def p_element_flags(table: CharacterTable, rmap: ReductionMap) -> tuple[bool, ..
     return tuple(flags)
 
 
-def central_character(chi: ClassFunction, class_index: int) -> Cyclotomic:
-    """|K| chi(g_K) / chi(1); NonIntegralValueError unless chi(1) divides |K| chi(g_K)."""
-    return chi.values[class_index] * chi.data.sizes[class_index] / chi.degree
+def central_character(table: CharacterTable, r: int, class_index: int) -> Cyclotomic:
+    """|K| chi(g_K) / chi(1) for chi row r of the table; NonIntegralValueError
+    unless chi(1) divides |K| chi(g_K)."""
+    chi = table.rows[r]
+    return chi.values[class_index] * table.data.sizes[class_index] / chi.degree
 
 
-@lru_cache(maxsize=32)  # bounded; verify over the catalog holds 14 entries
+@lru_cache(maxsize=32)  # bounded; verify over the catalog holds 13 entries
 def _central_characters(table: CharacterTable) -> tuple[tuple[Cyclotomic, ...], ...]:
-    """central_character(chi, K) for every row chi (outer) and class K (inner).
+    """central_character(table, r, K) for every row r (outer) and class K (inner).
 
     They do not depend on p, so each table computes them once for every map
     it is reduced under.
     """
     return tuple(
-        tuple(central_character(row, i) for i in range(table.data.k)) for row in table.rows
+        tuple(central_character(table, r, i) for i in range(table.data.k))
+        for r in range(len(table.rows))
     )
 
 
@@ -119,10 +121,9 @@ def principal_block_members(table: CharacterTable, rmap: ReductionMap) -> BlockR
     )
 
 
-def strunkov_analog_gamma(
-    table: CharacterTable, psi: ClassFunction, block: tuple[int, ...]
-) -> int:
-    """Multiplicity of psi in pi^3 times the sum of the block characters.
+def strunkov_analog_gamma(table: CharacterTable, psi_row: int, block: tuple[int, ...]) -> int:
+    """Multiplicity of psi, row psi_row of the table, in pi^3 times the sum of
+    the block characters.
 
     This equals the sum over chi1, chi2, chi3 and phi in the block of
     [psi, |chi1 chi2|^2 |chi3|^2 phi], because the inner sums over chi1, chi2
@@ -133,12 +134,11 @@ def strunkov_analog_gamma(
     if not block:
         raise ValueError("the character block must not be empty")
     data = table.data
-    if psi.data != data:
-        raise ClassDataMismatchError("class functions over different class data")
     columns = zip(*(table.rows[r].values for r in block))
     block_sum = [sum(col[1:], col[0]) for col in columns]
     weights = [c * c for c in data.centralizer_orders]
-    return as_rational_integer(conj_weighted_sum(data.exponent, weights, block_sum, psi.values))
+    psi = table.rows[psi_row].values
+    return as_rational_integer(conj_weighted_sum(data.exponent, weights, block_sum, psi))
 
 
 class AltNormalizerReport(
@@ -163,7 +163,7 @@ def alt_normalizer_report(table: CharacterTable, rmap: ReductionMap) -> AltNorma
     against three candidate normalizers."""
     p = rmap.p
     block = principal_block_members(table, rmap).members
-    values = tuple(strunkov_analog_gamma(table, row, block) for row in table.rows)
+    values = tuple(strunkov_analog_gamma(table, r, block) for r in range(len(table.rows)))
     bound = p * p_part(table.data.order, p)
     degree_sum = sum(table.rows[r].degree ** 2 for r in block)
     degree_sum_p = p_part(degree_sum, p)

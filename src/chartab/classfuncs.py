@@ -4,8 +4,8 @@ The multiplicities are taken in powers of two distinguished class functions:
 the character pi of the group acting on itself by conjugation, whose value on
 a class is the centralizer order, and psi, the sum of the squares of the
 irreducible characters, which equals the centralizer order on real classes
-and vanishes elsewhere.  Neither is built: a `ClassFunction` carries values
-and class data and no arithmetic.
+and vanishes elsewhere.  Neither is built: a `ClassFunction` is a table
+row, its values alone and no arithmetic; the class data are the table's.
 Multiplicities of irreducibles in powers of pi and psi are computed by the
 weighted row-sum formula: since |K_i| c_i = |G|, the inner product
 [phi, pi^n] reduces to the sum over classes of c_i^(n-1) phi(g_i), and
@@ -14,61 +14,28 @@ weighted row-sum formula: since |K_i| c_i = |G|, the inner product
 Only the centralizer order of a class enters that sum, so it equals the sum
 over c of c^(n-1) u_c, where u_c is the sum of the values of phi over the
 classes with centralizer order c.  The u_c are collapsed once per
-(row, real_only) and cached.  For a character every u_c is rational:
+(table, row, real_only) and cached.  For a character every u_c is rational:
 g -> g^s with s prime to the exponent permutes the classes of each
 centralizer order (and the real ones among them), and
 phi(g^s) = sigma_s(phi(g)), so each u_c is fixed by every Galois
-automorphism.  A rational u_c is kept as its int, and every n is then an
-evaluation on plain ints.  Any other class function is summed in Z[eps] at
-each n and must be a rational integer there.
+automorphism.  Each u_c is kept as its int, and every n is then an
+evaluation on plain ints.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .cyclo import Cyclotomic, as_rational_integer
 from .errors import TableIntegrityError
-from .groups import ClassData
 
 
-class ClassFunction:
-    """One cyclotomic value per conjugacy class; a table row is one of these.
+class ClassFunction(namedtuple("ClassFunction", "values")):
+    """One cyclotomic value per conjugacy class: a row of a `CharacterTable`,
+    whose `data` are the classes the values are over."""
 
-    Immutable: `values` and `data` are set by the constructor only, and the
-    hash, which reads every value and the whole `ClassData`, is computed on
-    the first `hash()` and kept.
-    """
-
-    __slots__ = ("values", "data", "_hash")
-
-    def __init__(self, values: tuple[Cyclotomic, ...], data: ClassData):
-        if len(values) != data.k:
-            raise ValueError(f"expected {data.k} values, got {len(values)}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ClassFunction is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ClassFunction is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        return self.values == other.values and self.data == other.data
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.values, self.data))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __repr__(self):
-        return f"ClassFunction(values={self.values!r}, data={self.data!r})"
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -76,31 +43,31 @@ class ClassFunction:
         return as_rational_integer(self.values[0])
 
 
-@lru_cache(maxsize=256)  # bounded; verify over the catalog holds 122 entries
-def _collapse(phi: ClassFunction, real_only: bool) -> tuple[tuple[int, int | Cyclotomic], ...]:
-    """The pairs (c, u_c), u_c the values of phi summed over the classes
-    (real classes if real_only) of centralizer order c, as an int when rational.
+# bounded; verify over the catalog holds 122 entries, one per (table, row, real_only)
+@lru_cache(maxsize=256)
+def _collapse(table, r: int, real_only: bool) -> tuple[tuple[int, int], ...]:
+    """The pairs (c, u_c), u_c the values of row r summed over the classes
+    (real classes if real_only) of centralizer order c, as an int;
+    NonIntegralValueError if one is not rational, which a validated table
+    rules out.
     """
-    data = phi.data
+    data = table.data
     sums: dict[int, Cyclotomic] = {}
-    for c, real, v in zip(data.centralizer_orders, data.real_flags, phi.values):
+    for c, real, v in zip(data.centralizer_orders, data.real_flags, table.rows[r].values):
         if real or not real_only:
             sums[c] = sums.get(c, 0) + v
-    return tuple(
-        (c, as_rational_integer(u) if u.is_rational() else u) for c, u in sums.items()
-    )
+    return tuple((c, as_rational_integer(u)) for c, u in sums.items())
 
 
-def _multiplicities(phi: ClassFunction, ns, real_only: bool):
-    """Yield [phi, pi^n] ([phi, psi^n] if real_only) for each n in ns, exactly.
+def _multiplicities(table, r: int, ns, real_only: bool):
+    """Yield [chi, pi^n] ([chi, psi^n] if real_only) for chi row r of the
+    table and each n in ns, exactly.
 
-    The values are not checked for sign; NonIntegralValueError if one is not
-    a rational integer.
+    The values are not checked for sign.
     """
-    pairs = _collapse(phi, real_only)
+    pairs = _collapse(table, r, real_only)
     for n in ns:
-        total = sum(c ** (n - 1) * u for c, u in pairs)
-        yield total if type(total) is int else as_rational_integer(total)
+        yield sum(c ** (n - 1) * u for c, u in pairs)
 
 
 def _nonnegative(values) -> list[int]:
@@ -142,13 +109,15 @@ def check_printable(n: int, order: int, what: str = "n") -> None:
         )
 
 
-def gamma(n: int, phi: ClassFunction) -> int:
-    """Multiplicity of phi in the n-th power of the conjugation character."""
+def gamma(n: int, table, r: int) -> int:
+    """Multiplicity of row r of the table in the n-th power of the
+    conjugation character."""
     check_power(n)
-    return _nonnegative(_multiplicities(phi, (n,), real_only=False))[0]
+    return _nonnegative(_multiplicities(table, r, (n,), real_only=False))[0]
 
 
-def delta(n: int, phi: ClassFunction) -> int:
-    """Multiplicity of phi in the n-th power of the squared-character sum."""
+def delta(n: int, table, r: int) -> int:
+    """Multiplicity of row r of the table in the n-th power of the
+    squared-character sum."""
     check_power(n)
-    return _nonnegative(_multiplicities(phi, (n,), real_only=True))[0]
+    return _nonnegative(_multiplicities(table, r, (n,), real_only=True))[0]

@@ -199,8 +199,8 @@ def _cmd_gamma(args):
     check_power(args.n)
     table = _resolve_table(args)
     check_printable(args.n, table.data.order)
-    gammas = [gamma(args.n, row) for row in table.rows]
-    deltas = [delta(args.n, row) for row in table.rows]
+    gammas = [gamma(args.n, table, r) for r in range(len(table.rows))]
+    deltas = [delta(args.n, table, r) for r in range(len(table.rows))]
     results = {
         "n": args.n,
         "degrees": list(table.degrees),

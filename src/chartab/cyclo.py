@@ -185,18 +185,6 @@ class Cyclotomic:
             raise NonIntegralValueError(f"({self}) / {n} is not an algebraic integer")
         return Cyclotomic._make(self.e, tuple(c // n for c in self.coeffs))
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are supported")
-        out = Cyclotomic(self.e, [1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
             return self.e == other.e and self.coeffs == other.coeffs
@@ -223,10 +211,6 @@ class Cyclotomic:
         for j, c in enumerate(self.coeffs):
             poly[j * s % e] += c
         return Cyclotomic._make(e, _reduce(e, poly))
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, the Galois twist eps -> eps^(-1)."""
-        return self.galois(-1)
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])

@@ -254,7 +254,7 @@ def _build_table(cd: ConjugacyData, q: int) -> tuple[ClassFunction, ...]:
                     theta_pow[s] * z_inv_pows[t * s * step % e] for s in range(o)
                 ) % q
             values.append(Cyclotomic(e, poly))
-        rows.append(ClassFunction(tuple(values), data))
+        rows.append(ClassFunction(tuple(values)))
     return tuple(_sort_rows(rows))
 
 

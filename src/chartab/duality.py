@@ -141,7 +141,7 @@ def recover_real_class_sizes(delta_seq, order: int) -> SizeSpectrum:
 
 def _sequence(table: CharacterTable, length: int, real_only: bool) -> list[int]:
     check_power(length, "sequence length")
-    return _nonnegative(_multiplicities(table.rows[0], range(1, length + 1), real_only))
+    return _nonnegative(_multiplicities(table, 0, range(1, length + 1), real_only))
 
 
 def gamma_sequence(table: CharacterTable, length: int) -> list[int]:
@@ -213,7 +213,7 @@ def defect_zero_by_characters(
     direct = defect_zero_direct(table.data, p)  # raises unless p is prime
     check_defect_power(n)
     fn = delta if real else gamma
-    residues = tuple(fn(n, row) % p for row in table.rows)
+    residues = tuple(fn(n, table, r) % p for r in range(len(table.rows)))
     if real:
         direct = [i for i in direct if table.data.real_flags[i]]
     return DefectReport(

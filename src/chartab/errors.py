@@ -28,10 +28,6 @@ class OrderMismatchError(ChartabError, ValueError):
     """Cyclotomic operands live in fields of different root-of-unity order."""
 
 
-class ClassDataMismatchError(ChartabError, ValueError):
-    """Class functions over different class data were combined."""
-
-
 class NonIntegralValueError(ChartabError, ValueError):
     """A value expected to be a rational integer (or algebraic integer) is not."""
 

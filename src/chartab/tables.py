@@ -26,10 +26,12 @@ class CharacterTable:
     """Irreducible characters, one class function over `data` per row.
 
     Immutable.  Two tables are equal when their group name, class data and
-    rows are; `provenance` (where the table came from) is not compared.
+    rows are; `provenance` (where the table came from) is not compared.  The
+    hash, which reads every value, is computed on the first `hash()` and
+    kept: the multiplicity and central-character caches are keyed by tables.
     """
 
-    __slots__ = ("group_name", "data", "rows", "provenance")
+    __slots__ = ("group_name", "data", "rows", "provenance", "_hash")
 
     def __init__(
         self, group_name: str, data: ClassData, rows: tuple[ClassFunction, ...],
@@ -54,7 +56,12 @@ class CharacterTable:
         )
 
     def __hash__(self):
-        return hash((self.group_name, self.data, self.rows))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.group_name, self.data, self.rows))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -124,8 +131,8 @@ def verify_orthogonality(table: CharacterTable) -> list[dict]:
     conj(chi_b(g_i)) must equal |G| when a == b and 0 otherwise; a violation's
     "value" is that scaled sum.  For a square table X with D = diag(|K_i|),
     X D X* = |G| I gives X* X = |G| D^-1, so the column relations hold as soon
-    as the row relations do and are not checked separately.  The sums read
-    the table's class data, which `validate_table` has checked every row is over.
+    as the row relations do and are not checked separately.  Every row must
+    hold one value per class, as `validate_table` checks first.
     """
     violations = []
     rows = table.rows
@@ -170,9 +177,9 @@ def validate_table(table: CharacterTable) -> None:
     """Raise TableIntegrityError unless every table invariant holds exactly.
 
     One row per class and values in Z[eps_e] are the caller's to check, as
-    `table_from_dict` and `dixon._build_table` do.  Every row must be over
-    the table's class data.  The checks linear in k run first, orthogonality
-    last.
+    `table_from_dict` and `dixon._build_table` do.  That every row holds one
+    value per class is checked first, then the other checks linear in k, and
+    orthogonality last.
 
     The power map P composes, P(P(i, s), t) = P(i, st), and the Galois
     action chi(g^s) = sigma_s(chi(g)) holds, for every s once they hold for
@@ -188,8 +195,10 @@ def validate_table(table: CharacterTable) -> None:
     """
     data = table.data
     for idx, row in enumerate(table.rows):
-        if row.data != data:
-            raise TableIntegrityError(f"row {idx} is over other class data than the table")
+        if len(row.values) != data.k:
+            raise TableIntegrityError(
+                f"row {idx} has {len(row.values)} values for {data.k} classes"
+            )
     if sum(data.sizes) != data.order:
         raise TableIntegrityError("class sizes do not sum to the group order")
     if any(s < 1 or data.order % s for s in data.sizes):
@@ -338,10 +347,7 @@ def table_from_dict(data: dict, provenance: str = "dict") -> CharacterTable:
     if class_data.exponent != exponent:
         raise TableIntegrityError("the exponent is not the lcm of the rep orders")
     rows = tuple(
-        ClassFunction(
-            tuple(_value_from_dict(rec, exponent, r, i) for i, rec in enumerate(row)),
-            class_data,
-        )
+        ClassFunction(tuple(_value_from_dict(rec, exponent, r, i) for i, rec in enumerate(row)))
         for r, row in enumerate(raw_rows)
     )
     table = CharacterTable(

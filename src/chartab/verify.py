@@ -73,9 +73,9 @@ def _check_identities(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable)
     # an orthonormal integral table need not consist of characters: a negative
     # multiplicity is the one identity failure validate_table lets through
     ns = range(1, 6)
-    for i, row in enumerate(table.rows):
-        gammas = _multiplicities(row, ns, False)
-        deltas = _multiplicities(row, ns, True)
+    for i in range(len(table.rows)):
+        gammas = _multiplicities(table, i, ns, False)
+        deltas = _multiplicities(table, i, ns, True)
         for n in ns:
             if next(gammas) < 0 or next(deltas) < 0:
                 return f"negative multiplicity for row {i} at n={n}"

@@ -1,4 +1,5 @@
 import os
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import factorial, gcd
@@ -6,9 +7,7 @@ from math import factorial, gcd
 import pytest
 
 from chartab.arith import euler_phi
-from chartab.classfuncs import ClassFunction
 from chartab.cyclo import Cyclotomic, cyclotomic_polynomial
-from chartab.errors import ClassDataMismatchError
 from chartab.groups import conjugacy_data, enumerate_group, load_catalog, load_group_spec
 from chartab.tables import compute_table
 
@@ -127,35 +126,49 @@ def cyclotomic_by_division(e):
 
 
 # -- a class-function oracle: pointwise arithmetic and the inner product ----
+#
+# A class function here is a test-local (values, data) pair, so the oracle
+# shares no representation with chartab, whose table rows hold values only.
+
+CF = namedtuple("CF", "values data")
 
 
-def same_data(a, b):
-    """Raise ClassDataMismatchError unless a and b are over the same class data."""
-    if a.data != b.data:
-        raise ClassDataMismatchError("class functions over different class data")
+def row_functions(table):
+    """The table's rows as (values, data) pairs over the table's class data."""
+    return [CF(row.values, table.data) for row in table.rows]
 
 
 def cf_mul(a, b):
     """The pointwise product of two class functions, or of one and an int."""
     if isinstance(b, int):
-        return ClassFunction(tuple(v * b for v in a.values), a.data)
-    same_data(a, b)
-    return ClassFunction(tuple(x * y for x, y in zip(a.values, b.values)), a.data)
+        return CF(tuple(v * b for v in a.values), a.data)
+    assert a.data == b.data, "class functions over different class data"
+    return CF(tuple(x * y for x, y in zip(a.values, b.values)), a.data)
 
 
 def cf_add(a, b):
     """The pointwise sum of two class functions."""
-    same_data(a, b)
-    return ClassFunction(tuple(x + y for x, y in zip(a.values, b.values)), a.data)
+    assert a.data == b.data, "class functions over different class data"
+    return CF(tuple(x + y for x, y in zip(a.values, b.values)), a.data)
+
+
+def cf_conj(a):
+    """The pointwise complex conjugate of a class function."""
+    return CF(tuple(v.galois(-1) for v in a.values), a.data)
+
+
+def constant(data, c):
+    """The class function with the int value c on every class."""
+    return CF(tuple(Cyclotomic(data.exponent, [c]) for _ in range(data.k)), data)
 
 
 def all_ones(data):
-    return ClassFunction(tuple(Cyclotomic(data.exponent, [1]) for _ in range(data.k)), data)
+    return constant(data, 1)
 
 
 def pi_character(data):
     """The conjugation character: centralizer order on each class."""
-    return ClassFunction(
+    return CF(
         tuple(Cyclotomic(data.exponent, [c]) for c in data.centralizer_orders),
         data,
     )
@@ -164,7 +177,7 @@ def pi_character(data):
 def psi_character(data):
     """Sum of the squared irreducible characters: centralizer order on real
     classes and 0 elsewhere, by column orthogonality of g against g^-1."""
-    return ClassFunction(
+    return CF(
         tuple(
             Cyclotomic(data.exponent, [c if real else 0])
             for c, real in zip(data.centralizer_orders, data.real_flags)
@@ -186,10 +199,10 @@ def power(a, n):
 def inner(phi, theta):
     """(1/|G|) sum over classes of |K| phi(g_K) conj(theta(g_K)), one
     Cyclotomic product per class."""
-    same_data(phi, theta)
+    assert phi.data == theta.data, "class functions over different class data"
     total = Cyclotomic(phi.data.exponent, [])
     for size, a, b in zip(phi.data.sizes, phi.values, theta.values):
-        total = total + a * b.conjugate() * size
+        total = total + a * b.galois(-1) * size
     return total / phi.data.order
 
 

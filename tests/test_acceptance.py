@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from chartab.arith import divisors, prime_factors
 from chartab.blocks import p_element_flags, principal_block_members, strunkov_analog_gamma
-from chartab.classfuncs import ClassFunction, delta, gamma
+from chartab.classfuncs import delta, gamma
 from chartab.cyclo import Cyclotomic, as_rational_integer
 from chartab.duality import (
     SizeSpectrum,
@@ -31,7 +31,17 @@ from chartab.groups import (
 from chartab.reduction import build_reduction
 from chartab.tables import compute_table, dixon_prime, verify_orthogonality
 
-from conftest import cf_add, cf_mul, inner, pi_character, power, psi_character
+from conftest import (
+    cf_add,
+    cf_conj,
+    cf_mul,
+    constant,
+    inner,
+    pi_character,
+    power,
+    psi_character,
+    row_functions,
+)
 
 CATALOG = tuple(load_catalog())
 
@@ -65,7 +75,7 @@ def test_criterion_1_s3_counterexample_divisible_by_nine():
         group, cd, table = prepared("S3")
         rmap = build_reduction(cd.data.exponent, 3)
         block = principal_block_members(table, rmap).members
-        values = [strunkov_analog_gamma(table, row, block) for row in table.rows]
+        values = [strunkov_analog_gamma(table, r, block) for r in range(len(table.rows))]
         assert values == [153, 153, 279]
         assert all(v % 9 == 0 for v in values)
 
@@ -84,7 +94,7 @@ def test_criterion_3_s3_transpositions_have_defect_zero():
         transpositions = cd.data.sizes.index(3)
         assert direct == [transpositions]
         assert cd.data.rep_orders[transpositions] == 2
-        assert gamma(2, table.rows[0]) == 11
+        assert gamma(2, table, 0) == 11
         report = defect_zero_by_characters(table, 3, 2)
         assert report.residues[0] == 2
         assert report.character_side
@@ -139,30 +149,24 @@ def test_criterion_7_identity_suite_for_whole_catalog():
         for name in CATALOG:
             group, cd, table = prepared(name)
             data = table.data
+            rows = row_functions(table)
             pi = pi_character(cd.data)
-            total = ClassFunction(
-                tuple(Cyclotomic(data.exponent, []) for _ in range(data.k)), data
-            )
-            for row in table.rows:
-                conj_row = ClassFunction(
-                    tuple(v.conjugate() for v in row.values), data
-                )
-                total = cf_add(total, cf_mul(row, conj_row))
+            total = constant(data, 0)
+            for row in rows:
+                total = cf_add(total, cf_mul(row, cf_conj(row)))
             assert total == pi, name
             psi = psi_character(data)
-            squares = ClassFunction(
-                tuple(Cyclotomic(data.exponent, []) for _ in range(data.k)), data
-            )
-            for row in table.rows:
+            squares = constant(data, 0)
+            for row in rows:
                 squares = cf_add(squares, cf_mul(row, row))
             assert squares == psi, name
             for n in range(0, 4):
                 for m in range(1, 4):
                     assert cf_mul(power(pi, n), power(psi, m)) == power(psi, n + m)
-            for row in table.rows:
+            for r, row in enumerate(rows):
                 for n in (1, 2, 3):
-                    assert gamma(n, row) == inner(row, power(pi, n)), name
-                    assert delta(n, row) == inner(row, power(psi, n)), name
+                    assert gamma(n, table, r) == inner(row, power(pi, n)), name
+                    assert delta(n, table, r) == inner(row, power(psi, n)), name
 
 
 def test_criterion_8_oracle_cross_checks():

@@ -141,12 +141,6 @@ class TestArithmetic:
             with pytest.raises(TypeError):
                 op(Fraction(1, 2), z)
 
-    def test_power_operator(self):
-        z = root_power(5, 1)
-        assert z**5 == 1
-        assert z**0 == 1
-        assert z**7 == root_power(5, 2)
-
     def test_ring_axioms_sampled(self):
         rng = random.Random(7)
         for _ in range(40):
@@ -169,25 +163,25 @@ class TestArithmetic:
 class TestConjugate:
     def test_imaginary_unit(self):
         i = root_power(4, 1)
-        assert i.conjugate() == -i
+        assert i.galois(-1) == -i
 
     def test_rationals_fixed(self):
         for r in (0, 1, -7, 3):
             z = Cyclotomic(12, [r])
-            assert z.conjugate() == z
+            assert z.galois(-1) == z
         with pytest.raises(NonIntegralValueError):
             Cyclotomic(12, [Fraction(3, 5)])
 
     def test_sixth_root(self):
         e6 = root_power(6, 1)
-        assert e6.conjugate() == 1 - e6
+        assert e6.galois(-1) == 1 - e6
 
     def test_involution(self):
         rng = random.Random(3)
         for e in (5, 8, 12, 30):
             d = euler_phi(e)
             z = Cyclotomic(e, [rng.randrange(-4, 5) for _ in range(d)])
-            assert z.conjugate().conjugate() == z
+            assert z.galois(-1).galois(-1) == z
 
     def test_multiplicative(self):
         rng = random.Random(5)
@@ -195,7 +189,7 @@ class TestConjugate:
             d = euler_phi(e)
             a = Cyclotomic(e, [rng.randrange(-4, 5) for _ in range(d)])
             b = Cyclotomic(e, [rng.randrange(-4, 5) for _ in range(d)])
-            assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+            assert (a * b).galois(-1) == a.galois(-1) * b.galois(-1)
 
 
 class TestGalois:
@@ -203,7 +197,7 @@ class TestGalois:
         rng = random.Random(11)
         for e in (3, 5, 8, 12, 60):
             z = Cyclotomic(e, [rng.randrange(-4, 5) for _ in range(euler_phi(e))])
-            assert z.galois(-1) == z.conjugate() == z.galois(e - 1)
+            assert z.galois(-1) == z.galois(e - 1)
             assert z.galois(1) == z
 
     def test_root_powers(self):

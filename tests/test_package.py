@@ -18,7 +18,7 @@ def test_every_exported_name_is_its_module_attribute():
 
 
 def test_namespace_lists_and_star_imports_the_exports():
-    assert len(chartab.__all__) == 55
+    assert len(chartab.__all__) == 54
     assert set(chartab.__all__) <= set(dir(chartab))
     namespace = {}
     exec("from chartab import *", namespace)
@@ -47,6 +47,7 @@ def test_tables_and_their_parts_are_immutable(table_factory, part, attr):
 RECORD_FIELDS = {
     "GroupSpec": "name degree generators",
     "ClassData": "order sizes power_map",
+    "ClassFunction": "values",
     "SizeSpectrum": "order counts",
     "DefectReport": "p n real residues defect_zero_classes character_side direct_side",
     "BlockReport": "p members member_flags failures",
@@ -78,7 +79,7 @@ def test_check_result_detail_defaults_to_empty():
 # comment gives
 LIBRARY_VALUES = (
     ("table.degrees", "(1, 1, 2)"),
-    ("gamma(2, table.rows[0])", "11"),
+    ("gamma(2, table, 0)", "11"),
     ("seq", "[3, 11, 49, 251]"),
     ("recover_class_sizes(seq, 6).as_dict()", "{1: 1, 2: 1, 3: 1}"),
     ("p_element_flags(table, rmap)", "(True, True, False)"),

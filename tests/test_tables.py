@@ -30,7 +30,7 @@ from chartab.tables import (
 )
 
 from conftest import (
-    ALL_GROUPS, BENCH_SPECS, MISTYPED_FIELDS, PSL2_PRIMES, SPEC_GROUPS, cf_mul, composes,
+    ALL_GROUPS, BENCH_SPECS, MISTYPED_FIELDS, PSL2_PRIMES, SPEC_GROUPS, composes,
     cycle_type, psl2_degrees, psl2_order, psl2_spec, root_power, value_record,
 )
 
@@ -454,14 +454,14 @@ class TestOrthogonality:
     def test_scaled_row_reported(self, table_factory):
         table = table_factory("S3")
         bad_rows = list(table.rows)
-        bad_rows[2] = cf_mul(bad_rows[2], 2)
+        bad_rows[2] = ClassFunction(tuple(2 * v for v in bad_rows[2].values))
         bad = CharacterTable(group_name=table.group_name, data=table.data, rows=tuple(bad_rows))
         violations = verify_orthogonality(bad)
         assert any(v["kind"] == "row" and v["first"] == 2 == v["second"] for v in violations)
 
     def test_violation_value_is_scaled_sum(self, table_factory):
         table = table_factory("S3")
-        rows = (table.rows[0], table.rows[1], cf_mul(table.rows[2], 2))
+        rows = (*table.rows[:2], ClassFunction(tuple(2 * v for v in table.rows[2].values)))
         bad = CharacterTable(group_name=table.group_name, data=table.data, rows=rows)
         # |G| [2 chi, 2 chi] = 6 * 4
         assert verify_orthogonality(bad) == [
@@ -477,7 +477,7 @@ class TestOrthogonality:
                 values = list(row.values)
                 values[i] = values[i] + 1
                 rows = list(table.rows)
-                rows[r] = ClassFunction(tuple(values), table.data)
+                rows[r] = ClassFunction(tuple(values))
                 bad = CharacterTable(
                     group_name=table.group_name, data=table.data, rows=tuple(rows)
                 )
@@ -487,10 +487,21 @@ class TestOrthogonality:
 
     def test_rows_over_other_class_data_rejected(self, table_factory):
         # S3's sizes swapped in the table's data alone: they still sum to 6
-        # and divide it, and the rows, over the true sizes, are orthonormal
+        # and divide it, but the rows are orthonormal over the true sizes only
         table = table_factory("S3")
         bad = CharacterTable("S3", table.data._replace(sizes=(1, 3, 2)), table.rows)
-        with pytest.raises(TableIntegrityError, match="row 0 is over other class data"):
+        with pytest.raises(TableIntegrityError, match="orthogonality violated"):
+            validate_table(bad)
+
+    def test_row_lengths_checked(self, table_factory):
+        # a short row and a long one: the orthogonality sums zip rows, so a
+        # short row would be summed over its first k - 1 classes alone
+        table = table_factory("S4")
+        rows = list(table.rows)
+        rows[1] = ClassFunction(rows[1].values[:-1])
+        rows[2] = ClassFunction(rows[2].values + rows[2].values[-1:])
+        bad = CharacterTable("S4", table.data, tuple(rows))
+        with pytest.raises(TableIntegrityError, match="row 1 has 4 values for 5 classes"):
             validate_table(bad)
 
 
@@ -713,7 +724,7 @@ class TestValueRecords:
         # an irrational value of order 12, put in a row of S4 (exponent 12)
         table = table_factory("S4")
         z = root_power(12, 5) * 3 + 2
-        row = ClassFunction((z, *table.rows[1].values[1:]), table.data)
+        row = ClassFunction((z, *table.rows[1].values[1:]))
         rows = (table.rows[0], row, *table.rows[2:])
         record = table_to_dict(CharacterTable("S4", table.data, rows))["rows"][1][0]
         assert record == {"e": 12, "num": list(z.coeffs), "den": [1, 1, 1, 1]}

@@ -13,7 +13,7 @@ from chartab.groups import conjugacy_data, enumerate_group, load_catalog, load_g
 from chartab.tables import CharacterTable, dixon_prime
 from chartab.verify import _check_determinism, _check_identities, _check_recovery
 
-from conftest import cf_mul, root_power
+from conftest import root_power
 
 BENCH_SPECS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "specs"
@@ -26,7 +26,7 @@ def test_identities_reports_negative_multiplicity(group_factory, table_factory):
     _, cd = group_factory("S3")
     table = table_factory("S3")
     rows = list(table.rows)
-    rows[1] = cf_mul(rows[1], -1)
+    rows[1] = ClassFunction(tuple(-v for v in rows[1].values))
     corrupt = CharacterTable(table.group_name, table.data, tuple(rows))
     spec = load_catalog()["S3"]
     assert _check_identities(spec, cd, corrupt) == "negative multiplicity for row 1 at n=1"
@@ -133,7 +133,7 @@ def test_one_collapse_per_row_and_one_solve_per_sequence(monkeypatch):
     assert all(r.ok for r in results)
     info = classfuncs._collapse.cache_info()
     rows = 5 + 5  # S4 and A5 have five classes each
-    # every (row, real_only) pair is collapsed exactly once
+    # every (table, row, real_only) triple is collapsed exactly once
     assert info.misses == info.currsize == 2 * rows
     # one gamma and one delta solve per group
     assert len(solves) == 4
@@ -153,7 +153,7 @@ def test_table_integrity_reports_a_changed_value(monkeypatch):
         rows = list(honest(cd, q))
         values = list(rows[-1].values)
         values[1] = values[1] + root_power(cd.data.exponent, 1)
-        rows[-1] = ClassFunction(tuple(values), cd.data)
+        rows[-1] = ClassFunction(tuple(values))
         return tuple(rows)
 
     monkeypatch.setattr(verify, "_build_table", changed)
