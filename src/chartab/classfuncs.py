@@ -32,8 +32,10 @@ from .errors import TableIntegrityError
 
 
 class ClassFunction(namedtuple("ClassFunction", "values")):
-    """One cyclotomic value per conjugacy class: a row of a `CharacterTable`,
-    whose `data` are the classes the values are over."""
+    """One cyclotomic value per conjugacy class: a row of a `CharacterTable`.
+
+    The row holds no class data; the classes it is over are its table's `data`.
+    """
 
     __slots__ = ()
 

@@ -12,8 +12,9 @@ division is exact or an error.
 
 This module alone makes values from ints, through Cyclotomic(e, coeffs), and
 alone does arithmetic on coefficient tuples, the sums across classes of
-`conj_weighted_sum` included; other modules call it or read values.  The
-file record of a value is read and written by `chartab.tables` alone.
+`conj_weighted_sum` and the remainders of `remainder` included; other modules
+call it or read values.  The file record of a value is read and written by
+`chartab.tables` alone.
 
 Cyclotomic polynomials come in closed form, from products and exact
 quotients of binomials x^d - 1, so no polynomial factorization is needed.
@@ -255,6 +256,19 @@ def as_rational_integer(z: Cyclotomic) -> int:
             f"not a rational integer: coefficients {[str(c) for c in z.coeffs]}"
         )
     return z.coeffs[0]
+
+
+def remainder(z: Cyclotomic, m: int, p: int) -> tuple[int, ...]:
+    """The phi(m) coefficients of z's power-basis polynomial modulo x^m - 1 and Phi_m, mod p.
+
+    For m | e the remainder over Z, before the coefficients are taken mod p,
+    is not a ring map Z[eps_e] -> Z[eps_m]: for m < e the remainder of a
+    product is not the product of the remainders.  Mod p, with e = m p^a, it
+    is one (see `reduction`).  A rational c gives (c mod p, 0, ..., 0).
+    """
+    if z.is_rational():
+        return (z.coeffs[0] % p,) + (0,) * (euler_phi(m) - 1)
+    return tuple(c % p for c in _reduce(m, list(z.coeffs)))
 
 
 def conj_weighted_sum(e: int, weights, xs, ys) -> Cyclotomic:

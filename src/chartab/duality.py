@@ -53,7 +53,7 @@ class SizeSpectrum(namedtuple("SizeSpectrum", "order counts")):
         return dict(self.counts)
 
 
-def _solve_vandermonde(nodes: list[int], rhs: list[int]) -> list[int | Fraction]:
+def _solve_vandermonde(nodes: list[int], rhs: list[int]) -> list:
     """Exact solve of sum_i x_i * nodes_i^(n-1) = rhs[n-1] for distinct nodes.
 
     Lagrange over the master polynomial P(z) = prod_i (z - nodes_i): with

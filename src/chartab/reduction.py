@@ -17,30 +17,28 @@ holds mod every M; and the principal block is the same mod every M (see
 residue field, choice of root or bound on the field size.
 
 An image is a phi(m)-tuple of ints in [0, p), the coefficients of a
-polynomial of degree < phi(m).  The map is Z-linear on the power basis 1,
-eps, ..., eps^(phi(e)-1), so `reduce_mod_M` applies it as a phi(m) x phi(e)
-integer matrix whose column t holds the coefficients of x^t mod Phi_m.  A
-rational integer c (only coefficient 0 nonzero) skips the matrix: column 0
-is x^0 = 1, so its image is (c mod p, 0, ..., 0).
+polynomial of degree < phi(m): `cyclo.remainder` at m and p.  Phi_m divides
+x^m - 1 in Z[x], so reducing sum_t c_t x^t modulo x^m - 1, then modulo the
+monic Phi_m, then mod p, gives its class modulo Phi_m mod p: the map
+eps -> x above.  Phi_e is Phi_m^phi(p^a) mod p, a multiple of Phi_m mod p,
+so the image does not depend on which representative of z modulo Phi_e the
+power basis holds.  Over Z the remainder is not a ring map; mod p it is.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from collections import namedtuple
-from operator import mul
 
 from .arith import euler_phi, multiplicative_order, p_part, require_prime
-from .cyclo import Cyclotomic, cyclotomic_polynomial
+from .cyclo import Cyclotomic, remainder
 from .errors import OrderMismatchError
-from .finite_field import powers_of_x
 
 
-class ReductionMap(namedtuple("ReductionMap", "e p m f poly")):
-    """Ring homomorphism data: integer coefficients mod p, eps -> x mod poly.
+class ReductionMap(namedtuple("ReductionMap", "e p m f")):
+    """Ring homomorphism data: integer coefficients mod p, eps -> x mod Phi_m.
 
-    `m` is the p-free part of e, `f` the degree of each residue field over
-    GF(p), and `poly` Phi_m mod p, constant term first.
+    `m` is the p-free part of e and `f` the degree of each residue field
+    over GF(p).
     """
 
     __slots__ = ()
@@ -53,33 +51,16 @@ def build_reduction(e: int, p: int) -> ReductionMap:
         raise ValueError(f"order must be positive, got {e}")
     m = e // p_part(e, p)
     f = 1 if m == 1 else multiplicative_order(p, m)
-    poly = tuple(c % p for c in cyclotomic_polynomial(m))
-    return ReductionMap(e=e, p=p, m=m, f=f, poly=poly)
-
-
-@lru_cache(maxsize=128)  # bounded: a long-lived caller may reduce at many primes
-def _images(rmap: ReductionMap) -> tuple[tuple[int, ...], ...]:
-    """The map's matrix: row k holds coefficient k of x^t for t < phi(e)."""
-    return tuple(zip(*powers_of_x(rmap.poly, rmap.p, euler_phi(rmap.e))))
+    return ReductionMap(e=e, p=p, m=m, f=f)
 
 
 def _integer_image(c: int, rmap: ReductionMap) -> tuple[int, ...]:
     """The image of the rational integer c."""
-    return (c % rmap.p,) + (0,) * (len(rmap.poly) - 2)
+    return (c % rmap.p,) + (0,) * (euler_phi(rmap.m) - 1)
 
 
 def reduce_mod_M(z: Cyclotomic, rmap: ReductionMap) -> tuple[int, ...]:
-    """Apply the homomorphism to a cyclotomic integer; the image is a phi(m)-tuple.
-
-    The map is Z-linear on the power basis: sum_t c_t eps^t goes to
-    sum_t c_t x^t, one integer dot product with a row of `_images(rmap)` per
-    coefficient of the result.  A rational integer goes to its
-    `_integer_image`, the same tuple, without the matrix.
-    """
+    """Apply the homomorphism to a cyclotomic integer; the image is a phi(m)-tuple."""
     if z.e != rmap.e:
         raise OrderMismatchError(f"value of order {z.e} under a map for order {rmap.e}")
-    cs = z.coeffs
-    if z.is_rational():
-        return _integer_image(cs[0], rmap)
-    p = rmap.p
-    return tuple(sum(map(mul, cs, row)) % p for row in _images(rmap))
+    return remainder(z, rmap.m, rmap.p)

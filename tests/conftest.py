@@ -206,7 +206,7 @@ def inner(phi, theta):
     return total / phi.data.order
 
 
-# -- a field oracle on tuples, independent of chartab.finite_field ----------
+# -- a field oracle on tuples, independent of chartab.reduction -----------
 #
 # field_mul and horner work in GF(p)[x] / (poly) for any monic poly, a field
 # or not, so they also check the reduction's ring GF(p)[x] / (Phi_m mod p).

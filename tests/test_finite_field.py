@@ -17,7 +17,6 @@ from chartab.arith import (
 )
 from chartab.cyclo import Cyclotomic, cyclotomic_polynomial
 from chartab.errors import NonIntegralValueError, OrderMismatchError
-from chartab.finite_field import powers_of_x
 from chartab.reduction import build_reduction, reduce_mod_M
 from chartab.tables import dixon_prime
 
@@ -91,9 +90,14 @@ ORACLE_PAIRS = [
 ]
 
 
+def _poly(rmap):
+    """Phi_m mod p, constant term first: the modulus of the map's ring."""
+    return tuple(c % rmap.p for c in cyclotomic_polynomial(rmap.m))
+
+
 def _x(rmap):
     """x in GF(p)[x] / (Phi_m mod p), the image of eps."""
-    return field_mul(field_one(rmap.poly), (0, 1), rmap.p, rmap.poly)
+    return field_mul(field_one(_poly(rmap)), (0, 1), rmap.p, _poly(rmap))
 
 
 def _minimal_polynomial(eta, p: int, poly) -> list[int]:
@@ -215,18 +219,6 @@ class TestExtensionField:
                 _power(a, 3, 3, poly), _power(b, 3, 3, poly), 3
             )
 
-    @pytest.mark.parametrize("p, f", [(2, 1), (7, 1), (2, 4), (3, 2), (3, 3), (5, 2)])
-    def test_multiply_and_power_match_oracle(self, p, f):
-        # powers_of_x against repeated multiplication by x, modulo the
-        # oracle's irreducible of degree f and modulo Phi_(p^f - 1) mod p,
-        # which splits into irreducibles of degree f
-        phi = tuple(c % p for c in cyclotomic_polynomial(p**f - 1))
-        for poly in (irreducible_polynomial(p, f), phi):
-            x = field_mul(field_one(poly), (0, 1), p, poly)
-            assert powers_of_x(poly, p, p**f + 1) == [
-                _power(x, n, p, poly) for n in range(p**f + 1)
-            ]
-
 
 class TestOrders:
     @pytest.mark.parametrize("p, f", [(2, 4), (3, 2), (5, 2), (7, 2)])
@@ -262,17 +254,17 @@ class TestOrders:
 class TestBuildReduction:
     def test_order_six_p_three(self):
         r = build_reduction(6, 3)
-        assert (r.m, r.f, r.poly) == (2, 1, (1, 1))  # Phi_2 = x + 1
+        assert (r.m, r.f, _poly(r)) == (2, 1, (1, 1))  # Phi_2 = x + 1
         assert reduce_mod_M(root_power(6, 1), r) == (2,)  # eps = -1 mod 3
 
     def test_power_of_p_collapses(self):
         r = build_reduction(4, 2)
-        assert (r.m, r.f, r.poly) == (1, 1, (1, 1))  # Phi_1 = x - 1 = x + 1 mod 2
+        assert (r.m, r.f, _poly(r)) == (1, 1, (1, 1))  # Phi_1 = x - 1 = x + 1 mod 2
         assert reduce_mod_M(root_power(4, 1), r) == (1,)
 
     def test_order_six_p_five(self):
         r = build_reduction(6, 5)
-        assert (r.m, r.f, r.poly) == (6, 2, (1, 4, 1))  # Phi_6 = x^2 - x + 1
+        assert (r.m, r.f, _poly(r)) == (6, 2, (1, 4, 1))  # Phi_6 = x^2 - x + 1
 
     def test_eta_invariants(self):
         # x, the image of eps, plays eta's part in every residue field at
@@ -282,13 +274,13 @@ class TestBuildReduction:
             (60, 13), (5, 7), (84, 5),
         ):
             r = build_reduction(e, p)
-            x = _x(r)
+            x, poly = _x(r), _poly(r)
             assert x == reduce_mod_M(root_power(e, 1), r)
-            assert _power(x, r.m, p, r.poly) == field_one(r.poly)
+            assert _power(x, r.m, p, poly) == field_one(poly)
             for q in prime_factors(r.m):
-                assert _power(x, r.m // q, p, r.poly) != field_one(r.poly)
-            assert not any(_phi_e_value(e, x, p, r.poly))
-            assert not any(horner(cyclotomic_polynomial(r.m), x, p, r.poly))
+                assert _power(x, r.m // q, p, poly) != field_one(poly)
+            assert not any(_phi_e_value(e, x, p, poly))
+            assert not any(horner(cyclotomic_polynomial(r.m), x, p, poly))
 
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError):
@@ -300,7 +292,7 @@ class TestBuildReduction:
         r = build_reduction(e, p)
         assert (r.m, r.f) == (m, f)
         assert residue_roots(e, p) == (poly, roots)
-        assert len(roots) == euler_phi(m) == len(r.poly) - 1
+        assert len(roots) == euler_phi(m) == len(_poly(r)) - 1
         _check_against_roots(r, roots, random.Random(e * p))
 
     # recorded with the linear scans, which took 4-31 s per pair
@@ -339,7 +331,7 @@ class TestBuildReduction:
             (6, 10**18 + 3, 6, 1),
         ):
             r = build_reduction(e, p)
-            assert (r.m, r.f, len(r.poly) - 1) == (m, f, euler_phi(m))
+            assert (r.m, r.f, len(_poly(r)) - 1) == (m, f, euler_phi(m))
             # eps^m is a root of unity of p-power order, which is 1 mod p
             one = reduce_mod_M(Cyclotomic(e, [1]), r)
             assert reduce_mod_M(root_power(e, m), r) == one
@@ -370,11 +362,11 @@ class TestReduceModM:
                 b = Cyclotomic(e, [rng.randrange(-9, 10) for _ in range(d)])
                 ra, rb = reduce_mod_M(a, r), reduce_mod_M(b, r)
                 assert reduce_mod_M(a + b, r) == _add(ra, rb, p)
-                assert reduce_mod_M(a * b, r) == field_mul(ra, rb, p, r.poly)
+                assert reduce_mod_M(a * b, r) == field_mul(ra, rb, p, _poly(r))
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_matches_horner(self, group_factory, name):
-        # the matrix form, and the rational fast path, against evaluating
+        # the remainder, and its rational fast path, against evaluating
         # sum_t c_t x^t in GF(p)[x] / (Phi_m mod p), at every p dividing |G|
         group, cd = group_factory(name)
         e = cd.data.exponent
@@ -389,8 +381,29 @@ class TestReduceModM:
             ]
             for z in values:
                 image = reduce_mod_M(z, r)
-                assert image == horner(z.coeffs, _x(r), p, r.poly)
+                assert image == horner(z.coeffs, _x(r), p, _poly(r))
                 assert len(image) == euler_phi(r.m) and all(0 <= c < p for c in image)
+
+    def test_matches_horner_past_the_catalog(self):
+        # exponents past the catalog's (all <= 60): GL(3,2)'s 84 and S7's 420,
+        # at every p dividing e and at 11, which divides neither; where
+        # phi(e) > m the remainder folds modulo x^m - 1 before dividing by Phi_m
+        folded = 0
+        for e in (84, 420):
+            d = euler_phi(e)
+            rng = random.Random(e)
+            for p in (*prime_factors(e), 11):
+                r = build_reduction(e, p)
+                folded += d > r.m
+                poly, x = _poly(r), _x(r)
+                values = [Cyclotomic(e, [rng.randint(-2 * p, -1)])]
+                values += [
+                    Cyclotomic(e, [rng.randint(-99, 99) for _ in range(d)])
+                    for _ in range(1 if r.m == e else 2)  # Horner at phi(m) = 96 is slow
+                ]
+                for z in values:
+                    assert reduce_mod_M(z, r) == horner(z.coeffs, x, p, poly)
+        assert folded == 4  # 84 at p = 2 and 7, 420 at p = 5 and 7
 
     def test_non_integral_rejected(self):
         r = build_reduction(6, 3)
