@@ -35,7 +35,7 @@ from functools import lru_cache
 from .arith import p_part
 from .cyclo import Cyclotomic, as_rational_integer, conj_weighted_sum
 from .errors import TableIntegrityError
-from .reduction import ReductionMap, _integer_image, reduce_mod_M
+from .reduction import ReductionMap, reduce_mod_M
 from .tables import CharacterTable
 
 
@@ -101,7 +101,7 @@ def principal_block_members(table: CharacterTable, rmap: ReductionMap) -> BlockR
     class) pairs that fail mod some M.
     """
     p = rmap.p
-    sizes = [_integer_image(size, rmap) for size in table.data.sizes]
+    sizes = [reduce_mod_M(Cyclotomic(rmap.e, [size]), rmap) for size in table.data.sizes]
     flags = []
     failures = []
     for r, central in enumerate(_central_characters(table)):

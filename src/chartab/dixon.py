@@ -5,8 +5,11 @@ prime field GF(q) with q = 1 (mod e), whose elements are plain ints in
 [0, q); the mod-q character values are read off the one-dimensional common
 eigenspaces, and each value is lifted back to a cyclotomic integer in
 Z[eps_e] by a discrete Fourier sum over the powers of its class.
-Each split finds its eigenvalues as the GF(q) roots of the characteristic
-polynomial of the restricted action and computes one null space per root.
+Each split reads the action restricted to a subspace at the pivot rows of
+its basis, since the class matrices commute and every subspace is invariant
+(see `_split_subspace`); it finds the eigenvalues as the GF(q) roots of the
+characteristic polynomial of that action and computes one null space per
+root.  The class matrices are used as built: each dot product reduces mod q.
 Everything is deterministic: the roots are taken in ascending order and rows
 are sorted (trivial character first, then by degree and coefficient order),
 so recomputing with a different admissible prime yields literally equal
@@ -72,18 +75,6 @@ def _nullspace(matrix: list[list[int]], q: int):
     return basis, free
 
 
-def _coords_in_basis(basis, pivots, vec, q: int):
-    """Coordinates of vec in a basis reduced at `pivots` of a subspace containing it."""
-    coords = [vec[c] for c in pivots]
-    residue = list(vec)
-    for coef, bvec in zip(coords, basis):
-        if coef:
-            residue = [(x - coef * y) % q for x, y in zip(residue, bvec)]
-    if any(residue):
-        raise TableIntegrityError("vector left the invariant subspace (internal bug)")
-    return coords
-
-
 def _charpoly(action: list[list[int]], q: int) -> list[int]:
     """Characteristic polynomial det(x I - A) over GF(q), low degree first.
 
@@ -142,20 +133,25 @@ def _roots(poly: list[int], q: int) -> list[int]:
 def _split_subspace(matrix, basis, pivots, q: int):
     """Split an invariant subspace into eigenspaces of the matrix, ascending eigenvalue.
 
+    The restricted action is read at the pivots alone.  Basis vector j is 1
+    at pivots[j] and 0 at the other pivots, so a vector of the span has its
+    coordinates at the pivots; M b lies in the span because the space is an
+    intersection of eigenspaces of class matrices, and M commutes with each
+    of them (the class algebra is commutative).  So coordinate a of M b_j is
+    (M b_j)[pivots[a]], and only the pivot rows of M are read.  Only a
+    corrupted class matrix fails to commute; catching one is left to the
+    eigenvector count, the diagonalizability guard and `validate_table`.
+
     The eigenvalues are the GF(q) roots of the characteristic polynomial of
     the restricted action, so one null space is computed per eigenvalue.  A
     kernel reduced at its free columns c maps to a space reduced at pivots[c].
     """
     d = len(basis)
-    # the matrix of the action restricted to the subspace, in basis coordinates
-    action_cols = []
-    for bvec in basis:
-        image = [
-            sum(row[c] * bvec[c] for c in range(len(bvec)) if bvec[c]) % q
-            for row in matrix
-        ]
-        action_cols.append(_coords_in_basis(basis, pivots, image, q))
-    action = [list(row) for row in zip(*action_cols)]
+    support = [[(c, x) for c, x in enumerate(bvec) if x] for bvec in basis]
+    action = [
+        [sum(row[c] * x for c, x in vec) % q for vec in support]
+        for row in (matrix[p] for p in pivots)
+    ]
     out = []
     found = 0
     for lam in _roots(_charpoly(action, q), q):
@@ -219,9 +215,7 @@ def _build_table(cd: ConjugacyData, q: int) -> tuple[ClassFunction, ...]:
     data = cd.data
     k, e, order = cd.k, data.exponent, data.order
     # lazily: the split stops at the first matrix that leaves every space 1-d
-    matrices = (
-        [[a % q for a in row] for row in class_matrix(cd, i)] for i in range(1, k)
-    )
+    matrices = (class_matrix(cd, i) for i in range(1, k))
     eigvecs = _common_eigenvectors(matrices, k, q)
     if len(eigvecs) != k:
         raise TableIntegrityError(f"expected {k} eigenvectors, found {len(eigvecs)}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .arith import euler_phi, multiplicative_order, p_part, require_prime
+from .arith import multiplicative_order, p_part, require_prime
 from .cyclo import Cyclotomic, remainder
 from .errors import OrderMismatchError
 
@@ -52,11 +52,6 @@ def build_reduction(e: int, p: int) -> ReductionMap:
     m = e // p_part(e, p)
     f = 1 if m == 1 else multiplicative_order(p, m)
     return ReductionMap(e=e, p=p, m=m, f=f)
-
-
-def _integer_image(c: int, rmap: ReductionMap) -> tuple[int, ...]:
-    """The image of the rational integer c."""
-    return (c % rmap.p,) + (0,) * (euler_phi(rmap.m) - 1)
 
 
 def reduce_mod_M(z: Cyclotomic, rmap: ReductionMap) -> tuple[int, ...]:

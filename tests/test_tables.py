@@ -320,15 +320,21 @@ class TestCharacteristicPolynomial:
 
 def _lambda_scan_split(matrix, basis, pivots, q):
     """The split the characteristic polynomial replaced: a null space for
-    every lambda in GF(q), from 0 up to the largest eigenvalue."""
+    every lambda in GF(q), from 0 up to the largest eigenvalue.
+
+    It computes the full image of each basis vector and asserts that the
+    image lies in the subspace, the invariance the split reads off the
+    pivot rows alone."""
     d = len(basis)
     action_cols = []
     for bvec in basis:
-        image = [
-            sum(row[c] * bvec[c] for c in range(len(bvec)) if bvec[c]) % q
-            for row in matrix
-        ]
-        action_cols.append(dixon._coords_in_basis(basis, pivots, image, q))
+        image = [sum(a * x for a, x in zip(row, bvec)) % q for row in matrix]
+        coords = [image[c] for c in pivots]
+        residue = image
+        for coef, b in zip(coords, basis):
+            residue = [(x - coef * y) % q for x, y in zip(residue, b)]
+        assert not any(residue), "a vector left the invariant subspace"
+        action_cols.append(coords)
     out = []
     found = 0
     for lam in range(q):
@@ -360,12 +366,15 @@ C2_4 = GroupSpec("C2^4", 8, ("(1 2)", "(3 4)", "(5 6)", "(7 8)"))
 
 
 class TestEigenspaceSplit:
-    @pytest.mark.parametrize("name", ALL_GROUPS + (C2_4.name,))
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS + (C2_4.name,))
     def test_same_split_and_table_as_lambda_scan(self, group_factory, monkeypatch, name):
         if name == C2_4.name:
             group = enumerate_group(C2_4)
             cd = conjugacy_data(group)
             assert (cd.k, dixon_prime(cd.data.exponent, group.order)) == (16, 11)
+        elif name in SPEC_GROUPS:
+            group = enumerate_group(load_group_spec(f"{BENCH_SPECS}/{name}.json"))
+            cd = conjugacy_data(group)
         else:
             group, cd = group_factory(name)
         split = dixon._split_subspace
@@ -444,6 +453,41 @@ class TestEigenspaceSplit:
     def test_nullspace_reduced_at_free_columns_not_rref(self):
         for q in (5, 7, 11):
             assert dixon._nullspace([[1, 1]], q) == ([[q - 1, 1]], [1])
+
+    def test_corrupted_class_matrix_never_gives_another_table(self, group_factory, monkeypatch):
+        # the split reads each action at the pivot rows only, so a class
+        # matrix with one entry off by one is not checked for invariance:
+        # the table must still come out honest or be refused, never differ
+        cds = [cd for _, cd in map(group_factory, ALL_GROUPS) if cd.k >= 5]
+        cds.append(conjugacy_data(enumerate_group(load_group_spec(f"{BENCH_SPECS}/GL32.json"))))
+        cases = [(cd, compute_table(cd)) for cd in cds]
+        honest_matrix = dixon.class_matrix
+        corrupt = {}
+
+        def corrupted(cd, i):
+            matrix = honest_matrix(cd, i)
+            if i != corrupt["i"]:
+                return matrix
+            rows = [list(row) for row in matrix]
+            rows[corrupt["j"]][corrupt["l"]] += 1
+            return rows
+
+        monkeypatch.setattr(dixon, "class_matrix", corrupted)
+        outcomes = {"honest": 0, "refused": 0, "wrong": []}
+        for cd, honest in cases:
+            for i, j, l in itertools.product((1, 2), range(cd.k), range(cd.k)):
+                corrupt.update(i=i, j=j, l=l)
+                try:
+                    table = compute_table(cd)
+                except TableIntegrityError:
+                    outcomes["refused"] += 1
+                    continue
+                if table == honest:
+                    outcomes["honest"] += 1
+                else:
+                    outcomes["wrong"].append((cd.group.name, i, j, l))
+        assert outcomes["wrong"] == []
+        assert outcomes["honest"] and outcomes["refused"]
 
 
 class TestOrthogonality:
