@@ -505,7 +505,3 @@ def main(argv=None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return code
         raise
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -102,8 +102,17 @@ def _check_recovery(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -
 
 
 def _check_defect(spec: GroupSpec, cd: ConjugacyData, table: CharacterTable) -> str:
+    """The defect-0 biconditional for every p | |G| and every n >= 2.
+
+    For n >= 2, [phi, pi^n] = sum_K c_K^(n-1) phi(g_K) over the classes K.
+    The terms with p | c_K lie in pZ[eps]; for the others c_K^(p-1) = 1 mod p
+    (Fermat), so the sums at n and n + p - 1 differ by an element of
+    pZ[eps] meet Z = pZ.  The residues mod p are thus periodic in n >= 2 with
+    period dividing p - 1, and n = 2, ..., p cover every n >= 2; the same
+    holds for [phi, psi^n] over the real classes.
+    """
     for p in prime_factors(table.data.order):
-        for n in (2, 3):
+        for n in range(2, p + 1):
             for real in (False, True):
                 report = defect_zero_by_characters(table, p, n, real)
                 if report.character_side != report.direct_side:

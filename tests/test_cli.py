@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import importlib.util
 import json
@@ -1096,6 +1097,36 @@ def test_closed_stdout_is_not_an_error():
     _, err = proc.communicate(timeout=30)
     assert proc.returncode == 141
     assert b"error:" not in err and b"Traceback" not in err
+
+
+# runs the entry as `python -m chartab` does, under an exit hook that reports
+# how many objects the interpreter's shutdown collections will skip
+FREEZE_PROBE = (
+    "import atexit, gc, runpy, sys; "
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr)); "
+    "runpy.run_module('chartab', run_name='__main__')"
+)
+
+
+def test_entry_point_freezes_the_heap_at_exit(capsys):
+    for argv, code in (
+        (["classes", "--group", "S3"], 0),
+        (["classes"], 2),
+        (["recover", "--group", "NOPE"], 3),
+    ):
+        frozen = gc.get_freeze_count()
+        assert main(argv) == code
+        assert gc.get_freeze_count() == frozen  # a library call leaves the heap alone
+        out = capsys.readouterr().out
+        child = subprocess.run(
+            [sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert (child.returncode, child.stdout) == (code, out)
+        # the hook ran, so the exit went through atexit, and found the heap frozen
+        *_, hook = child.stderr.splitlines()
+        label, count = hook.split()
+        assert label == "frozen" and int(count) > 0, child.stderr
 
 
 @pytest.mark.parametrize("argv", ["classes --group S5", "verify --group S3"])

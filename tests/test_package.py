@@ -102,8 +102,6 @@ def test_readme_library_example_runs():
 def _functions():
     """Every function and method defined in a chartab module, private ones too."""
     for info in pkgutil.iter_modules(chartab.__path__):
-        if info.name == "__main__":  # importing it runs the command line
-            continue
         module = importlib.import_module(f"chartab.{info.name}")
         for obj in vars(module).values():
             if getattr(obj, "__module__", None) != module.__name__:

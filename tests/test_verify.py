@@ -255,6 +255,23 @@ def test_commutator_oracle_checks_two_commutators_on_s5(monkeypatch):
     assert row.detail == "commutator count mismatch at class 6, n=2"  # the last of 7
 
 
+def test_defect_row_checks_every_n_up_to_p(monkeypatch):
+    # the residues have period dividing p - 1 in n >= 2, so the row checks
+    # n = 2, ..., p; a criterion that is wrong at n = 4 alone must fail it
+    honest = verify.defect_zero_by_characters
+
+    def lying_at_5_4(table, p, n, real=False):
+        report = honest(table, p, n, real)
+        if (p, n) == (5, 4):
+            return report._replace(character_side=not report.character_side)
+        return report
+
+    monkeypatch.setattr(verify, "defect_zero_by_characters", lying_at_5_4)
+    row = _row(verify.verify_catalog(["A5"]), "defect-biconditional")
+    assert not row.ok
+    assert row.detail == "biconditional fails for p=5, n=4, real=False"
+
+
 def test_class_matrices_and_central_characters_built_once(monkeypatch):
     built = []
     build = groups._build_class_matrix
