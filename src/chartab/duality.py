@@ -164,7 +164,7 @@ def recover_from_table(table: CharacterTable, real: bool = False, extra_terms: i
     check_power(length, "sequence length")
     check_printable(length, data.order, "sequence length")
     sequence = (delta_sequence if real else gamma_sequence)(table, length)
-    recovered = _recover(sequence, data.order, full_cover=not real)
+    recovered = (recover_real_class_sizes if real else recover_class_sizes)(sequence, data.order)
     actual = SizeSpectrum.from_sizes(
         data.order, [s for s, r in zip(data.sizes, data.real_flags) if r or not real]
     )

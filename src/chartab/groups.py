@@ -131,35 +131,19 @@ class GroupSpec(namedtuple("GroupSpec", "name degree generators")):
         return cls(name=name, degree=degree, generators=tuple(generators))
 
 
-class Group:
+class Group(namedtuple("Group", "name elements generators index inverse_index")):
     """Fully enumerated permutation group with a fixed element ordering.
 
     `generators` must generate the group; conjugacy classes are their orbits.
-    `index` maps each element to its position in `elements`.
+    `index` maps each element to its position in `elements`, `inverse_index`
+    each position to its inverse's.  `enumerate_group` builds it.
     """
 
-    def __init__(
-        self,
-        name: str,
-        elements: list[tuple[int, ...]],
-        generators: tuple[tuple[int, ...], ...],
-        index: dict[tuple[int, ...], int],
-    ):
-        self.name = name
-        self.elements = tuple(elements)
-        self.generators = generators
-        self.index = index
-        self.order = len(self.elements)
-        # g^-1 sends g[x] back to x, so each inverse pair is looked up once
-        inverse_index = [-1] * self.order
-        inv = [0] * len(self.elements[0])
-        for i, g in enumerate(self.elements):
-            if inverse_index[i] < 0:
-                for x, y in enumerate(g):
-                    inv[y] = x
-                j = self.index[tuple(inv)]
-                inverse_index[i], inverse_index[j] = j, i
-        self.inverse_index = tuple(inverse_index)
+    __slots__ = ()
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
     def __repr__(self):
         return f"Group({self.name!r}, order={self.order})"
@@ -191,7 +175,16 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
                     )
                 index[h] = len(elements)
                 elements.append(h)
-    return Group(spec.name, elements, gens, index)
+    # g^-1 sends g[x] back to x, so each inverse pair is looked up once
+    inverse_index = [-1] * len(elements)
+    inv = [0] * spec.degree
+    for i, g in enumerate(elements):
+        if inverse_index[i] < 0:
+            for x, y in enumerate(g):
+                inv[y] = x
+            j = index[tuple(inv)]
+            inverse_index[i], inverse_index[j] = j, i
+    return Group(spec.name, tuple(elements), gens, index, tuple(inverse_index))
 
 
 class ClassData(namedtuple("ClassData", "order sizes power_map")):
@@ -238,70 +231,67 @@ class ClassData(namedtuple("ClassData", "order sizes power_map")):
         return row[t % len(row)]
 
 
-class ConjugacyData:
+class ConjugacyData(namedtuple("ConjugacyData", "group class_of members data matrices")):
     """Conjugacy classes of an enumerated group, ordered by (size, first member).
 
-    `data` holds one walk per representative x: the classes of 1, x, x^2,
-    ... up to the return to 1, which give the order of x, its inverse class
-    (the last step) and its power map.  The walks take as many products as
-    the orders sum to.
-    Also holds each class matrix `class_matrix` has built for it.
+    `class_of[g]` is the class of element g, `members[i]` the sorted
+    elements of class i and `data` their walks.  `matrices[i]` is class i's
+    matrix once `class_matrix` has built it.  `conjugacy_data` builds it.
     """
 
-    def __init__(self, group: Group):
-        n = group.order
-        elements, index = group.elements, group.index
-        # x^s = s^-1 * x * s, applied left factor first
-        gens = [(s, elements[group.inverse_index[index[s]]]) for s in group.generators]
-        class_of = [-1] * n
-        members: list[tuple[int, ...]] = []
-        for start in range(n):
-            if class_of[start] >= 0:
-                continue
-            # the class of x is its orbit under conjugation by the generators;
-            # the loop visits the members it appends
-            c = len(members)
-            class_of[start] = c
-            orbit = [start]
-            for idx in orbit:
-                x = elements[idx]
-                for s, s_inv in gens:
-                    y = index[_compose(_compose(s_inv, x), s)]
-                    if class_of[y] < 0:
-                        class_of[y] = c
-                        orbit.append(y)
-            members.append(tuple(sorted(orbit)))
-        # canonical class order: by size, then by smallest member
-        perm = sorted(range(len(members)), key=lambda c: (len(members[c]), members[c][0]))
-        members = [members[c] for c in perm]
-        relabel = {old: new for new, old in enumerate(perm)}
-        class_of = [relabel[c] for c in class_of]
+    __slots__ = ()
 
-        self.group = group
-        self.class_of = tuple(class_of)
-        self.members = tuple(members)
-        self.representatives = tuple(m[0] for m in members)
-        self.k = len(members)
-        self._class_matrices: list[tuple[tuple[int, ...], ...] | None] = [None] * self.k
-        # row[t] is the class of x^t, t below the order of x
-        walks = []
-        for rep in self.representatives:
-            x = cur = elements[rep]
-            row = [0]
-            while cur != elements[0]:
-                row.append(class_of[index[cur]])
-                cur = _compose(cur, x)
-            walks.append(tuple(row))
-        self.data = ClassData(
-            order=n, sizes=tuple(len(m) for m in members), power_map=tuple(walks)
-        )
+    @property
+    def k(self) -> int:
+        return len(self.members)
+
+    @property
+    def representatives(self) -> tuple[int, ...]:
+        return tuple(m[0] for m in self.members)
 
     def __repr__(self):
         return f"ConjugacyData({self.group.name!r}, sizes={self.data.sizes})"
 
 
 def conjugacy_data(group: Group) -> ConjugacyData:
-    return ConjugacyData(group)
+    """The classes of group, and the walks over the powers of their representatives."""
+    n = group.order
+    elements, index = group.elements, group.index
+    # x^s = s^-1 * x * s, applied left factor first
+    gens = [(s, elements[group.inverse_index[index[s]]]) for s in group.generators]
+    class_of = [-1] * n
+    members: list[tuple[int, ...]] = []
+    for start in range(n):
+        if class_of[start] >= 0:
+            continue
+        # the class of x is its orbit under the generators; the loop visits what it appends
+        c = len(members)
+        class_of[start] = c
+        orbit = [start]
+        for idx in orbit:
+            x = elements[idx]
+            for s, s_inv in gens:
+                y = index[_compose(_compose(s_inv, x), s)]
+                if class_of[y] < 0:
+                    class_of[y] = c
+                    orbit.append(y)
+        members.append(tuple(sorted(orbit)))
+    # canonical class order: by size, then by smallest member
+    perm = sorted(range(len(members)), key=lambda c: (len(members[c]), members[c][0]))
+    members = [members[c] for c in perm]
+    relabel = {old: new for new, old in enumerate(perm)}
+    class_of = [relabel[c] for c in class_of]
+    # row[t] is the class of x^t, t below the order of x
+    walks = []
+    for m in members:
+        x = cur = elements[m[0]]
+        row = [0]
+        while cur != elements[0]:
+            row.append(class_of[index[cur]])
+            cur = _compose(cur, x)
+        walks.append(tuple(row))
+    data = ClassData(order=n, sizes=tuple(map(len, members)), power_map=tuple(walks))
+    return ConjugacyData(group, tuple(class_of), tuple(members), data, [None] * len(members))
 
 
 def class_matrix(cd: ConjugacyData, i: int) -> tuple[tuple[int, ...], ...]:
@@ -311,20 +301,22 @@ def class_matrix(cd: ConjugacyData, i: int) -> tuple[tuple[int, ...], ...]:
     row j holds the structure constants of K_i K_j, one per class l.  Each
     matrix is built on its first request and kept in `cd`.
     """
-    matrix = cd._class_matrices[i]
+    matrix = cd.matrices[i]
     if matrix is None:
-        matrix = cd._class_matrices[i] = _build_class_matrix(cd, i)
+        matrix = cd.matrices[i] = _build_class_matrix(cd, i)
     return matrix
 
 
 def _build_class_matrix(cd: ConjugacyData, i: int) -> tuple[tuple[int, ...], ...]:
-    group = cd.group
-    rows = [[0] * cd.k for _ in range(cd.k)]
-    for l, rep in enumerate(cd.representatives):
-        g_l = group.elements[rep]
-        for x_idx in cd.members[i]:
-            y = _compose(group.elements[group.inverse_index[x_idx]], g_l)
-            rows[cd.class_of[group.index[y]]][l] += 1
+    # the fields as locals: the inner loop reads them once per product
+    group, class_of, members = cd.group, cd.class_of, cd.members
+    elements, index, inverse_index = group.elements, group.index, group.inverse_index
+    rows = [[0] * len(members) for _ in members]
+    for l, m in enumerate(members):
+        g_l = elements[m[0]]
+        for x_idx in members[i]:
+            y = _compose(elements[inverse_index[x_idx]], g_l)
+            rows[class_of[index[y]]][l] += 1
     return tuple(map(tuple, rows))
 
 

@@ -197,9 +197,20 @@ class TestSequenceLength:
 class TestRecoverFromTable:
     @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("extra_terms", [0, 3])
-    def test_reads_the_divisor_count_plus_extra_terms(self, table_factory, real, extra_terms):
+    def test_reads_the_divisor_count_plus_extra_terms(
+        self, table_factory, monkeypatch, real, extra_terms
+    ):
+        # the solve goes through the public recovery, whose spans time it
+        calls = []
+        for name in ("recover_class_sizes", "recover_real_class_sizes"):
+            solve = getattr(duality, name)
+            monkeypatch.setattr(
+                duality, name,
+                lambda seq, order, name=name, solve=solve: calls.append(name) or solve(seq, order),
+            )
         table = table_factory("D12")
         sequence, recovered, actual = duality.recover_from_table(table, real, extra_terms)
+        assert calls == ["recover_real_class_sizes" if real else "recover_class_sizes"]
         length = len(divisors(12)) + extra_terms
         assert sequence == (delta_sequence if real else gamma_sequence)(table, length)
         assert recovered == actual

@@ -33,11 +33,15 @@ def test_unknown_name_is_an_attribute_error():
 
 @pytest.mark.parametrize("part, attr", [
     ("data", "sizes"), ("row", "values"), ("row", "degree"), ("table", "provenance"),
-    ("table", "rows"), ("table", "new_attribute"),
+    ("table", "rows"), ("table", "new_attribute"), ("group", "order"), ("classes", "data"),
 ])
 def test_tables_and_their_parts_are_immutable(table_factory, part, attr):
     table = table_factory("S3")
-    obj = {"data": table.data, "row": table.rows[0], "table": table}[part]
+    group = chartab.catalog_group("S3")  # not the shared one: a failure may change it
+    obj = {
+        "data": table.data, "row": table.rows[0], "table": table,
+        "group": group, "classes": chartab.conjugacy_data(group),
+    }[part]
     with pytest.raises(AttributeError):
         setattr(obj, attr, ())
     with pytest.raises(AttributeError):
@@ -47,6 +51,8 @@ def test_tables_and_their_parts_are_immutable(table_factory, part, attr):
 # each record's fields in order: the tuple that `==` and hashing see
 RECORD_FIELDS = {
     "GroupSpec": "name degree generators",
+    "Group": "name elements generators index inverse_index",
+    "ConjugacyData": "group class_of members data matrices",
     "ClassData": "order sizes power_map",
     "ClassFunction": "values",
     "SizeSpectrum": "order counts",
@@ -70,6 +76,24 @@ def test_records_are_named_tuples_without_attributes(name):
     assert type(changed) is cls and changed[1:] == record[1:]
     with pytest.raises(AttributeError):
         record.new_attribute = 1
+
+
+# the exported classes that are not records: a Cyclotomic as a tuple would
+# index, iterate and sort as (e, coeffs), and a CharacterTable caches the hash
+# that the caches keyed by table look up
+NOT_RECORDS = {"Cyclotomic", "CharacterTable"}
+
+
+def test_every_exported_class_is_a_record_or_an_error():
+    classes = {name for name in chartab.__all__ if isinstance(getattr(chartab, name), type)}
+    errors = {name for name in classes if chartab._MODULE_OF[name] == "errors"}
+    assert all(issubclass(getattr(chartab, name), Exception) for name in errors)
+    assert NOT_RECORDS <= classes
+    records = classes - errors - NOT_RECORDS
+    assert records == set(RECORD_FIELDS)
+    for name in records:
+        cls = getattr(chartab, name)
+        assert issubclass(cls, tuple) and cls._fields, name
 
 
 def test_check_result_detail_defaults_to_empty():
