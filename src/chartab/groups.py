@@ -4,16 +4,16 @@ A group element is a plain tuple of images: points 1..d are stored as
 0..d-1, and g[x] is the image of x.  A product applies its left factor first.
 Groups are given by generators in cycle notation and enumerated by
 breadth-first closure, which fixes a deterministic element ordering (identity
-first); inverses are looked up once in `Group.inverse_index`.  A conjugacy
-class is the orbit of an element under conjugation by the generators, found
-breadth-first in |G| * |gens| conjugations.  Classes are ordered by (size,
-smallest member), so the identity class is always class 0 and two runs over
-the same spec produce identical orderings.  A `Group` holds only its elements,
-their index and their inverses; the class facts live in `ClassData`, which
-stores one walk 1, x, x^2, ... over the powers of each representative x and
-reads its class's order, inverse class and power map off it.  Commutator
-counts come from the structure constants of the class sums, in k * |G|
-products, not |G|^2 pairs.
+first).  A conjugacy class is the orbit of an element under conjugation by
+the generators, found breadth-first in |G| * |gens| conjugations.  Classes
+are ordered by (size, smallest member), so the identity class is always
+class 0 and two runs over the same spec produce identical orderings.  A
+`Group` holds only its elements and their index; the class facts live in
+`ClassData`, which stores one walk 1, x, x^2, ... over the powers of each
+representative x and reads its class's order, inverse class and power map
+off it.  Inversion is needed only class by class, so it is read off the
+walks.  Commutator counts come from the structure constants of the class
+sums, in k * |G| products, not |G|^2 pairs.
 """
 
 from __future__ import annotations
@@ -131,12 +131,12 @@ class GroupSpec(namedtuple("GroupSpec", "name degree generators")):
         return cls(name=name, degree=degree, generators=tuple(generators))
 
 
-class Group(namedtuple("Group", "name elements generators index inverse_index")):
+class Group(namedtuple("Group", "name elements generators index")):
     """Fully enumerated permutation group with a fixed element ordering.
 
     `generators` must generate the group; conjugacy classes are their orbits.
-    `index` maps each element to its position in `elements`, `inverse_index`
-    each position to its inverse's.  `enumerate_group` builds it.
+    `index` maps each element to its position in `elements`.
+    `enumerate_group` builds it.
     """
 
     __slots__ = ()
@@ -175,16 +175,7 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
                     )
                 index[h] = len(elements)
                 elements.append(h)
-    # g^-1 sends g[x] back to x, so each inverse pair is looked up once
-    inverse_index = [-1] * len(elements)
-    inv = [0] * spec.degree
-    for i, g in enumerate(elements):
-        if inverse_index[i] < 0:
-            for x, y in enumerate(g):
-                inv[y] = x
-            j = index[tuple(inv)]
-            inverse_index[i], inverse_index[j] = j, i
-    return Group(spec.name, tuple(elements), gens, index, tuple(inverse_index))
+    return Group(spec.name, tuple(elements), gens, index)
 
 
 class ClassData(namedtuple("ClassData", "order sizes power_map")):
@@ -257,8 +248,8 @@ def conjugacy_data(group: Group) -> ConjugacyData:
     """The classes of group, and the walks over the powers of their representatives."""
     n = group.order
     elements, index = group.elements, group.index
-    # x^s = s^-1 * x * s, applied left factor first
-    gens = [(s, elements[group.inverse_index[index[s]]]) for s in group.generators]
+    # x^s = s^-1 * x * s, applied left factor first; s^-1 sends s[x] back to x
+    gens = [(s, tuple(sorted(range(len(s)), key=s.__getitem__))) for s in group.generators]
     class_of = [-1] * n
     members: list[tuple[int, ...]] = []
     for start in range(n):
@@ -308,15 +299,17 @@ def class_matrix(cd: ConjugacyData, i: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _build_class_matrix(cd: ConjugacyData, i: int) -> tuple[tuple[int, ...], ...]:
-    # the fields as locals: the inner loop reads them once per product
+    # entry [j][l] counts the x in K_i with x^-1 * rep(l) in K_j; x -> x^-1
+    # maps K_i onto its inverse class, so it counts the w in that class with
+    # w * rep(l) in K_j.  The fields as locals: the loop reads them per product
     group, class_of, members = cd.group, cd.class_of, cd.members
-    elements, index, inverse_index = group.elements, group.index, group.inverse_index
+    elements, index = group.elements, group.index
+    inverses = [elements[x] for x in members[cd.data.inverse_class[i]]]
     rows = [[0] * len(members) for _ in members]
     for l, m in enumerate(members):
         g_l = elements[m[0]]
-        for x_idx in members[i]:
-            y = _compose(elements[inverse_index[x_idx]], g_l)
-            rows[class_of[index[y]]][l] += 1
+        for w in inverses:
+            rows[class_of[index[_compose(w, g_l)]]][l] += 1
     return tuple(map(tuple, rows))
 
 

@@ -151,8 +151,6 @@ def _check_counterexample(spec: GroupSpec, cd: ConjugacyData, table: CharacterTa
     values = list(report.gamma_values)
     if sorted(values) != [153, 153, 279]:
         return f"block-sum values changed: {values}"
-    if any(v % 9 for v in values):
-        return "block-sum values are not all divisible by 9"
     return ""
 
 

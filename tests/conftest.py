@@ -78,6 +78,17 @@ def mul(group, i, j):
     return group.index[tuple(b[x] for x in a)]
 
 
+def inverses(group):
+    """The index of each element's inverse: g^-1 sends g[x] back to x."""
+    out = []
+    for g in group.elements:
+        inv = [0] * len(g)
+        for x, y in enumerate(g):
+            inv[y] = x
+        out.append(group.index[tuple(inv)])
+    return out
+
+
 def root_power(e, j):
     """eps_e^j in canonical form (j taken mod e)."""
     return Cyclotomic(e, [0] * (j % e) + [1])

@@ -22,7 +22,7 @@ from chartab.groups import (
 )
 from chartab.tables import compute_table
 
-from conftest import ALL_GROUPS, SPEC_GROUPS, mul
+from conftest import ALL_GROUPS, SPEC_GROUPS, inverses, mul
 
 BENCH_SPECS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "specs"
@@ -72,8 +72,8 @@ class TestParseCycles:
 
 
 class TestPermutation:
-    # group elements are image tuples; products and inverses are read through
-    # the enumerated group, orders through its classes
+    # group elements are image tuples; products are read through the
+    # enumerated group, orders and inverses through its classes
     def test_composition_order(self):
         # (1 2) then (2 3) sends 1 -> 2 -> 3
         group = enumerate_group(GroupSpec("S3", 3, ("(1 2)", "(2 3)")))
@@ -83,8 +83,11 @@ class TestPermutation:
 
     def test_inverse(self):
         group = enumerate_group(GroupSpec("C4", 4, ("(1 2 3 4)",)))
-        i = group.index[parse_cycles("(1 2 3 4)", 4)]
-        assert group.elements[group.inverse_index[i]] == parse_cycles("(1 4 3 2)", 4)
+        cd = conjugacy_data(group)
+        c = cd.class_of[group.index[parse_cycles("(1 2 3 4)", 4)]]
+        inverse = cd.class_of[group.index[parse_cycles("(1 4 3 2)", 4)]]
+        assert inverse != c
+        assert cd.data.inverse_class[c] == inverse
 
     def test_order(self):
         group = enumerate_group(GroupSpec("C6", 5, ("(1 2 3)(4 5)",)))
@@ -102,6 +105,7 @@ class TestPermutation:
         else:
             group, cd = spec_groups[name] if name in SPEC_GROUPS else group_factory(name)
         data = cd.data
+        inv = inverses(group)
         orders = []
         for i in range(group.order):
             power, order = i, 1
@@ -110,10 +114,10 @@ class TestPermutation:
                 order += 1
             orders.append(order)
             assert data.rep_orders[cd.class_of[i]] == order
-            assert mul(group, group.inverse_index[i], i) == 0
+            assert mul(group, inv[i], i) == 0
         assert data.exponent == lcm(*orders)
         for c, rep in enumerate(cd.representatives):
-            assert data.inverse_class[c] == cd.class_of[group.inverse_index[rep]]
+            assert data.inverse_class[c] == cd.class_of[inv[rep]]
             power = 0
             for t in range(data.exponent):
                 assert data.power_class(c, t) == cd.class_of[power], (c, t)
@@ -209,7 +213,7 @@ class TestConjugacyData:
     @pytest.mark.parametrize("name", ("S3", "D8", "Q8", "A4", "S4", "A5"))
     def test_classes_are_conjugation_orbits(self, group_factory, name):
         group, cd = group_factory(name)
-        inv = group.inverse_index
+        inv = inverses(group)
         for x in range(group.order):
             orbit = {mul(group, mul(group, inv[g], x), g) for g in range(group.order)}
             assert set(cd.members[cd.class_of[x]]) == orbit
@@ -243,6 +247,18 @@ class TestClassMultCoefficients:
             for j, coeffs in enumerate(class_matrix(cd, i)):
                 sizes = cd.data.sizes
                 assert sum(a * s for a, s in zip(coeffs, sizes)) == sizes[i] * sizes[j]
+
+    @pytest.mark.parametrize("name", ALL_GROUPS + SPEC_GROUPS)
+    def test_inverse_class_symmetry(self, group_factory, spec_groups, name):
+        # |K_l| a_ij^l = |K_j| a_(i-bar, l)^j: both count the pairs (x, z) in
+        # K_i x K_l with x^-1 z in K_j, so row j of M_i is column j of M_i-bar
+        _, cd = spec_groups[name] if name in SPEC_GROUPS else group_factory(name)
+        sizes, inverse = cd.data.sizes, cd.data.inverse_class
+        for i in range(cd.k):
+            a, a_bar = class_matrix(cd, i), class_matrix(cd, inverse[i])
+            for j in range(cd.k):
+                for l in range(cd.k):
+                    assert sizes[l] * a[j][l] == sizes[j] * a_bar[l][j], (i, j, l)
 
     def test_each_matrix_built_once_and_kept(self, monkeypatch):
         cd = conjugacy_data(catalog_group("A4"))
@@ -342,7 +358,7 @@ def brute_commutator_counts(group, n):
     """
     size = group.order
     prod = [[mul(group, i, j) for j in range(size)] for i in range(size)]
-    inv = group.inverse_index
+    inv = inverses(group)
     once = [0] * size
     for a in range(size):
         row_a, row_ai = prod[a], prod[inv[a]]
@@ -361,7 +377,7 @@ def _per_target_count(group, t_idx, n):
     quadruple of elements."""
     size = group.order
     prod = [[mul(group, i, j) for j in range(size)] for i in range(size)]
-    inv = group.inverse_index
+    inv = inverses(group)
     comm = [
         [prod[prod[inv[a]][inv[b]]][prod[a][b]] for b in range(size)]
         for a in range(size)

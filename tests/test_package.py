@@ -51,7 +51,7 @@ def test_tables_and_their_parts_are_immutable(table_factory, part, attr):
 # each record's fields in order: the tuple that `==` and hashing see
 RECORD_FIELDS = {
     "GroupSpec": "name degree generators",
-    "Group": "name elements generators index inverse_index",
+    "Group": "name elements generators index",
     "ConjugacyData": "group class_of members data matrices",
     "ClassData": "order sizes power_map",
     "ClassFunction": "values",

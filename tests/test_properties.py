@@ -13,7 +13,7 @@ from chartab.cyclo import as_rational_integer  # noqa: E402
 from chartab.groups import GroupSpec, conjugacy_data, cycle_string, enumerate_group  # noqa: E402
 from chartab.tables import compute_table, load_table, save_table  # noqa: E402
 
-from conftest import beta_set, cycle_type, mul, murnaghan_nakayama, partitions  # noqa: E402
+from conftest import beta_set, cycle_type, inverses, mul, murnaghan_nakayama, partitions  # noqa: E402
 
 
 @st.composite
@@ -25,7 +25,7 @@ def group_specs(draw):
 
 def _orbit(group, x):
     """The class of element x as its orbit under conjugation by every element."""
-    inv = group.inverse_index
+    inv = inverses(group)
     return {mul(group, mul(group, inv[g], x), g) for g in range(group.order)}
 
 

@@ -165,6 +165,71 @@ def test_table_integrity_reports_a_changed_value(monkeypatch):
     assert row.detail == f"table changed between primes {q1} and {q2}"
 
 
+def test_class_structure_reports_a_changed_constant(monkeypatch):
+    # the set-up's split and commutator_counts read groups.class_matrix, so
+    # only the row sees the change
+    honest = verify.class_matrix
+
+    def moved(cd, i):
+        matrix = honest(cd, i)
+        if i != 1:
+            return matrix
+        return ((matrix[0][0] + 1,) + matrix[0][1:],) + matrix[1:]
+
+    monkeypatch.setattr(verify, "class_matrix", moved)
+    row = _row(verify.verify_catalog(["S3"]), "class-structure")
+    assert not row.ok
+    assert row.detail == "class multiplication counting identity fails at (1, 0)"
+
+
+def _second_call_changed(honest, change):
+    """honest, except that its second call returns change(result)."""
+    calls = []
+
+    def patched(arg):
+        calls.append(arg)
+        result = honest(arg)
+        return change(result) if len(calls) == 2 else result
+
+    return patched
+
+
+def test_determinism_reports_a_changed_element_order(monkeypatch):
+    def reordered(group):
+        return group._replace(elements=group.elements[:1] + group.elements[:0:-1])
+
+    monkeypatch.setattr(
+        verify, "enumerate_group", _second_call_changed(verify.enumerate_group, reordered)
+    )
+    row = _row(verify.verify_catalog(["S3"]), "determinism")
+    assert not row.ok
+    assert row.detail == "element ordering changed between runs"
+
+
+def test_determinism_reports_changed_class_data(monkeypatch):
+    def resized(cd):
+        return cd._replace(data=cd.data._replace(sizes=cd.data.sizes[::-1]))
+
+    monkeypatch.setattr(
+        verify, "conjugacy_data", _second_call_changed(verify.conjugacy_data, resized)
+    )
+    row = _row(verify.verify_catalog(["S3"]), "determinism")
+    assert not row.ok
+    assert row.detail == "class data changed between runs"
+
+
+def test_block_counterexample_reports_changed_values(monkeypatch):
+    honest = verify.alt_normalizer_report
+
+    def changed(table, rmap):
+        return honest(table, rmap)._replace(gamma_values=(153, 153, 280))
+
+    monkeypatch.setattr(verify, "alt_normalizer_report", changed)
+    row = _row(verify.verify_catalog(["S3"]), "block-counterexample")
+    assert not row.ok
+    assert row.detail == "block-sum values changed: [153, 153, 280]"
+
+
 def test_table_integrity_compares_the_set_up_prime_with_another(monkeypatch):
     # the set-up names its Dixon prime, so the row cannot end up comparing a
     # table with itself, whatever compute_table's default prime is
