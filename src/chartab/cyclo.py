@@ -219,7 +219,7 @@ class Cyclotomic:
     # -- display --------------------------------------------------------
 
     def __repr__(self):
-        return f"Cyclotomic({self.e}, {[str(c) for c in self.coeffs]})"
+        return f"Cyclotomic({self.e}, {list(self.coeffs)})"
 
     def __str__(self):
         if not self:
@@ -253,7 +253,7 @@ def as_rational_integer(z: Cyclotomic) -> int:
     """The value as a plain integer; raises if it is not a rational integer."""
     if not z.is_rational():
         raise NonIntegralValueError(
-            f"not a rational integer: coefficients {[str(c) for c in z.coeffs]}"
+            f"not a rational integer: coefficients {list(z.coeffs)}"
         )
     return z.coeffs[0]
 

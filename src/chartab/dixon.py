@@ -15,10 +15,9 @@ are sorted (trivial character first, then by degree and coefficient order),
 so recomputing with a different admissible prime yields literally equal
 rows.
 
-`_build_table` returns the rows alone.  `tables.compute_table` picks and
-checks the prime, wraps the rows in a table and validates it; it imports this
-module on its first call, so a job that only loads a table file never
-compiles it.
+`_build_table` returns the rows alone.  `tables.compute_table` picks the
+prime, wraps the rows in a table and validates it; it imports this module on
+its first call, so a job that only loads a table file never compiles it.
 """
 
 from __future__ import annotations

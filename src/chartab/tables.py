@@ -1,6 +1,6 @@
 """Exact irreducible character tables: the table type, validation, files.
 
-`compute_table` picks and checks the Dixon prime, takes the rows from the
+`compute_table` picks the Dixon prime, takes the rows from the
 Dixon-Schneider split of `chartab.dixon`, imported on its first call, and
 validates the table; `load_table` reads a saved table and re-verifies every
 invariant, so externally produced tables are usable with the verifiers
@@ -74,12 +74,6 @@ class CharacterTable:
         )
 
 
-def _admissible(q: int, e: int, order: int) -> bool:
-    """Whether q is a Dixon prime: q prime, q = 1 (mod e), q not dividing
-    order and q^2 > 4 order."""
-    return is_prime(q) and (q - 1) % e == 0 and order % q != 0 and q * q > 4 * order
-
-
 def dixon_prime(e: int, order: int, above: int = 0) -> int:
     """Smallest admissible prime: q = 1 (mod e), q > 2*sqrt(order), q not dividing order.
 
@@ -88,8 +82,8 @@ def dixon_prime(e: int, order: int, above: int = 0) -> int:
     """
     if e < 1 or order < 1:
         raise ValueError("order and exponent must be positive")
-    q = 1
-    while q <= above or not _admissible(q, e, order):
+    q = 1  # stepping by e from 1 keeps q = 1 (mod e)
+    while q <= above or not (is_prime(q) and order % q and q * q > 4 * order):
         q += e
     return q
 
@@ -97,23 +91,16 @@ def dixon_prime(e: int, order: int, above: int = 0) -> int:
 # -- the table computation ----------------------------------------------
 
 
-def compute_table(cd: ConjugacyData, prime: int | None = None) -> CharacterTable:
+def compute_table(cd: ConjugacyData) -> CharacterTable:
     """Exact character table of the group `cd` holds the classes of, validated.
 
-    The rows come from `dixon._build_table` at the Dixon prime `prime`, by
-    default the least admissible one (see `dixon_prime`); a `prime` that is
-    not admissible is a ValueError.  The table is checked by `validate_table`.
+    The rows come from `dixon._build_table` at the least admissible Dixon
+    prime (see `dixon_prime`), and the table is checked by `validate_table`.
     """
     from .dixon import _build_table  # only computing a table needs the split
 
     data = cd.data
-    e, order = data.exponent, data.order
-    if prime is None:
-        prime = dixon_prime(e, order)
-    elif not _admissible(prime, e, order):
-        raise ValueError(
-            f"{prime} is not an admissible Dixon prime for order {order} and exponent {e}"
-        )
+    prime = dixon_prime(data.exponent, data.order)
     table = CharacterTable(
         cd.group.name, data, _build_table(cd, prime), f"computed (dixon prime {prime})"
     )

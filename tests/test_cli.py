@@ -1,5 +1,6 @@
 import functools
 import gc
+import glob
 import hashlib
 import importlib.util
 import json
@@ -922,6 +923,26 @@ def bench_work(tmp_path_factory, table_factory, spec_tables):
     return work
 
 
+# the recorded outcome of every bench job
+with open(os.path.join(os.path.dirname(BENCH_SPECS), "reference.json")) as fh:
+    BENCH_REFERENCES = json.load(fh)["jobs"]
+
+
+@pytest.mark.parametrize(
+    "argv", [job.argv for w in _bench_workloads().values() for job in w.jobs], ids=" ".join
+)
+def test_bench_job_matches_the_reference(capsys, monkeypatch, bench_work, argv):
+    # bench/run.py's check: the exit code, the report's verdicts, and the
+    # stdout sha256 wherever the reference records one
+    ref = BENCH_REFERENCES[" ".join(argv)]
+    monkeypatch.chdir(bench_work)
+    assert main(list(argv)) == ref["exit"]
+    out = capsys.readouterr().out
+    assert json.loads(out).get("verdicts") == ref["verdicts"]
+    if ref["sha256"] is not None:
+        assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"]
+
+
 def _forbid_groups(monkeypatch):
     def enumerated(*args, **kwargs):
         raise AssertionError("a group was looked up or enumerated")
@@ -1066,13 +1087,24 @@ def test_no_table_command_imports_the_table_layer(argv, code):
     assert not _imports(words, code) & (TABLE_LAYER | {"typing"})
 
 
+def _python(version):
+    """A python{version} that starts: the one on PATH, else one installed
+    under $PYENV_ROOT/versions (default ~/.pyenv), whose shim may refuse to
+    start it; None when there is none."""
+    root = os.environ.get("PYENV_ROOT") or os.path.expanduser("~/.pyenv")
+    pattern = os.path.join(root, "versions", f"{version}.*", "bin", f"python{version}")
+    for python in filter(None, [shutil.which(f"python{version}"), *sorted(glob.glob(pattern))]):
+        if subprocess.run([python, "-c", ""], capture_output=True, timeout=60).returncode == 0:
+            return python
+    return None
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
 def test_supported_python(tmp_path, version):
-    # pyproject.toml promises Python 3.10 and later; each of these found on
-    # PATH must print the pinned bytes and digest a table file without OpenSSL
-    python = shutil.which(f"python{version}")
-    probe = python and subprocess.run([python, "-c", ""], capture_output=True, timeout=60)
-    if not probe or probe.returncode:
+    # pyproject.toml promises Python 3.10 and later; each of these found must
+    # print the pinned bytes and digest a table file without OpenSSL
+    python = _python(version)
+    if python is None:
         pytest.skip(f"python{version} does not start")
     for argv, digest in (("verify", "978b3ea7b7b16501"), ("table --group S5", "55c5fe8ee4be9bad")):
         proc = subprocess.run(

@@ -211,7 +211,8 @@ class TestComputeTable:
         table = table_factory(name)
         q1 = dixon_prime(cd.data.exponent, group.order)
         q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
-        assert compute_table(cd, prime=q2) == table
+        assert table.provenance == f"computed (dixon prime {q1})"
+        assert dixon._build_table(cd, q2) == table.rows
 
     @pytest.mark.parametrize(
         "name, degree, generators, first_prime",
@@ -228,24 +229,17 @@ class TestComputeTable:
         q1 = dixon_prime(cd.data.exponent, group.order)
         q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
         assert q1 == first_prime
-        table = compute_table(cd, prime=q1)
+        table = compute_table(cd)
+        assert table.provenance == f"computed (dixon prime {q1})"
         assert len(table.rows) == cd.k
-        assert compute_table(cd, prime=q2) == table
-
-    # 4 is not prime, 3 divides |S3|, 5 is not 1 mod 6 (S3) or mod 12 (S4),
-    # and 5^2 <= 4 |D8| although 5 = 1 mod 4
-    @pytest.mark.parametrize(
-        "name, prime", [("S3", 3), ("S3", 4), ("S3", 5), ("S4", 5), ("D8", 5)]
-    )
-    def test_inadmissible_prime_rejected(self, group_factory, name, prime):
-        _, cd = group_factory(name)
-        with pytest.raises(ValueError, match="admissible"):
-            compute_table(cd, prime=prime)
+        assert dixon._build_table(cd, q2) == table.rows
 
     def test_trivial_group_admits_three(self, group_factory, table_factory):
         # e = 1: 3 = 1 (mod e) although 3 % e != 1
         _, cd = group_factory("trivial")
-        assert compute_table(cd, prime=3) == table_factory("trivial")
+        table = table_factory("trivial")
+        assert table.provenance == "computed (dixon prime 3)"
+        assert dixon._build_table(cd, 3) == table.rows
 
     def test_identity_column_is_degrees(self, table_factory):
         table = table_factory("S4")
@@ -377,6 +371,7 @@ class TestEigenspaceSplit:
             cd = conjugacy_data(group)
         else:
             group, cd = group_factory(name)
+        table = compute_table(cd)
         split = dixon._split_subspace
         calls = []
 
@@ -390,17 +385,20 @@ class TestEigenspaceSplit:
         for q in (q1, q2):
             calls.clear()
             monkeypatch.setattr(dixon, "_split_subspace", recorded)
-            table = compute_table(cd, prime=q)
+            assert dixon._build_table(cd, q) == table.rows
             for args, out in calls:
                 # the split returns bases reduced at their pivots, not RREF,
                 # so each space is compared with the reference by its RREF
                 assert [dixon._rref(basis, q) for basis, _ in out] == _lambda_scan_split(*args)
             monkeypatch.setattr(dixon, "_split_subspace", _lambda_scan_split)
-            assert compute_table(cd, prime=q) == table
+            assert dixon._build_table(cd, q) == table.rows
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
-    def test_every_null_space_is_an_eigenspace(self, group_factory, monkeypatch, name):
+    def test_every_null_space_is_an_eigenspace(
+        self, group_factory, table_factory, monkeypatch, name
+    ):
         group, cd = group_factory(name)
+        table = table_factory(name)
         nullspace = dixon._nullspace
         sizes = []
 
@@ -413,14 +411,17 @@ class TestEigenspaceSplit:
         q1 = dixon_prime(cd.data.exponent, group.order)
         q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
         for q in (q1, q2):
-            compute_table(cd, prime=q)
+            assert dixon._build_table(cd, q) == table.rows
         assert 0 not in sizes and bool(sizes) == (cd.k > 1)
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
-    def test_every_space_reduced_at_its_pivots(self, group_factory, monkeypatch, name):
+    def test_every_space_reduced_at_its_pivots(
+        self, group_factory, table_factory, monkeypatch, name
+    ):
         # vector j of each space is 1 at pivots[j] and 0 at the other pivots,
         # with no row reduction of its own: one _rref per null space
         group, cd = group_factory(name)
+        table = table_factory(name)
         split, nullspace, rref = dixon._split_subspace, dixon._nullspace, dixon._rref
         spaces = []
         counts = {"nullspace": 0, "rref": 0}
@@ -442,7 +443,7 @@ class TestEigenspaceSplit:
         q1 = dixon_prime(cd.data.exponent, group.order)
         q2 = dixon_prime(cd.data.exponent, group.order, above=q1)
         for q in (q1, q2):
-            compute_table(cd, prime=q)
+            assert dixon._build_table(cd, q) == table.rows
         for basis, pivots in spaces:
             assert len(pivots) == len(basis)
             for j, vec in enumerate(basis):

@@ -231,14 +231,15 @@ def test_block_counterexample_reports_changed_values(monkeypatch):
 
 
 def test_table_integrity_compares_the_set_up_prime_with_another(monkeypatch):
-    # the set-up names its Dixon prime, so the row cannot end up comparing a
-    # table with itself, whatever compute_table's default prime is
+    # the set-up table is computed at the least Dixon prime, so the row cannot
+    # end up comparing a table with itself
     set_up, checked = [], []
     compute, build = verify.compute_table, verify._build_table
 
-    def recording_compute(cd, prime):
-        set_up.append(prime)
-        return compute(cd, prime)
+    def recording_compute(cd):
+        table = compute(cd)
+        set_up.append(table.provenance)
+        return table
 
     def recording_build(cd, q):
         checked.append(q)
@@ -247,8 +248,8 @@ def test_table_integrity_compares_the_set_up_prime_with_another(monkeypatch):
     monkeypatch.setattr(verify, "compute_table", recording_compute)
     monkeypatch.setattr(verify, "_build_table", recording_build)
     assert _row(verify.verify_catalog(["S3"]), "table-integrity").ok
-    assert set_up == [dixon_prime(6, 6)]
-    assert len(checked) == 1 and checked != set_up
+    assert set_up == [f"computed (dixon prime {dixon_prime(6, 6)})"]
+    assert checked == [dixon_prime(6, 6, above=dixon_prime(6, 6))]
 
 
 def test_table_integrity_reports_a_builder_error(monkeypatch):
@@ -264,10 +265,10 @@ def test_table_integrity_reports_a_builder_error(monkeypatch):
 def test_a_group_whose_table_fails_fails_every_row(monkeypatch, capsys):
     honest = verify.compute_table
 
-    def failing_for_s3(cd, prime):
+    def failing_for_s3(cd):
         if cd.group.name == "S3":
             raise TableIntegrityError("orthogonality violated")
-        return honest(cd, prime)
+        return honest(cd)
 
     monkeypatch.setattr(verify, "compute_table", failing_for_s3)
     assert main(["verify"]) == 1
